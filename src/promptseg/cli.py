@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: phantom-gen, simulate-partial, prompt, refine, vls-mask,
-metrics, run.  Flags override config-file values for `run`.
+metrics, run.  Every ``PipelineConfig`` field is a ``run`` flag, and flags
+override config-file values.
 """
 
 from __future__ import annotations
@@ -9,22 +10,28 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import nifti_io, pipeline
 from .errors import PromptsegError, RejectedInputError
-from .metrics import evaluate_scan
+from .metrics import HD95_MISSING_POLICIES, evaluate_scan
 from .oracles import make_phantom_suite
-from .prompting import format_prompts, make_box_prompts, parse_prompts
-from .refinement import (OrganRefinementState, RefinementConfig,
-                         refine_pseudo_label)
+from .prompting import (DEFAULT_PADDING, format_prompts, make_box_prompts,
+                        parse_prompts)
+from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
+                         RefinementConfig, refine_pseudo_label)
 from .vls_loss import SupervisionTarget, vls_mask
 from .volgrid import LabelMap, ProbVolume, mask_to_labels
 
 log = logging.getLogger("promptseg.cli")
+
+#: Older spellings of ``run`` flags, kept alongside the ``--field-name`` ones.
+RUN_FLAG_ALIASES = {"out_dir": ["--out"],
+                    "entropy_gate_from_round": ["--gate-from-round"],
+                    "use_vls": ["--vls"]}
 
 
 def _read_labels(path, what: str) -> LabelMap:
@@ -49,10 +56,8 @@ def cmd_phantom_gen(args) -> int:
     for scan_id, vol, gt in suite:
         nifti_io.write_volume(out / f"{scan_id}.nii", vol)
         nifti_io.write_volume(out / f"{scan_id}.gt.nii", gt)
-        man = nifti_io.ScanManifest()
-        for c in range(1, gt.num_classes):
-            man.names[c] = f"organ{c}"
-            man.statuses[c] = "labeled"
+        man = nifti_io.status_manifest(gt.num_classes, labeled=range(1, gt.num_classes))
+        man.names.update((c, f"organ{c}") for c in man.statuses)
         nifti_io.write_manifest(out / f"{scan_id}.manifest", man)
     print(f"wrote {len(suite)} phantom scans ({args.organs} organs, dims {dims}) to {out}")
     return 0
@@ -66,10 +71,8 @@ def cmd_simulate_partial(args) -> int:
     sup = pipeline.simulate_partial_labels(gt, num_classes, args.keep_fraction,
                                            args.seed, args.scan_id)
     nifti_io.write_volume(args.out_labels, sup.target.labels)
-    man = nifti_io.ScanManifest()
-    for c in range(1, num_classes):
-        man.statuses[c] = "labeled" if c in sup.labeled else "unlabeled"
-    nifti_io.write_manifest(args.out_manifest, man)
+    nifti_io.write_manifest(args.out_manifest,
+                            nifti_io.status_manifest(num_classes, sup.labeled))
     print(f"kept {len(sup.labeled)}/{num_classes - 1} organs: {sorted(sup.labeled)}")
     return 0
 
@@ -148,22 +151,14 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.config:
-        config = pipeline.load_config(args.config)
-    else:
-        config = pipeline.PipelineConfig()
+    config = pipeline.load_config(args.config) if args.config else pipeline.PipelineConfig()
     overrides = {}
-    for name in ("seed", "keep_fraction", "rounds", "oracle", "out_dir",
-                 "supervision", "scans", "test_scans", "organs"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.gate_from_round is not None:
-        overrides["entropy_gate_from_round"] = args.gate_from_round
-    if args.vls is not None:
-        overrides["use_vls"] = args.vls
-    if args.oracle_timeout is not None:
-        overrides["oracle_timeout"] = args.oracle_timeout
+    for f in fields(config):
+        value = getattr(args, f.name)
+        if isinstance(value, str):
+            overrides[f.name] = pipeline.parse_value(f.name, value)
+        elif value is not None:
+            overrides[f.name] = value
     config = replace(config, **overrides)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prompt", help="box prompts for one predicted class")
     p.add_argument("--pred", required=True)
     p.add_argument("--class-id", type=int, required=True, dest="class_id")
-    p.add_argument("--padding", type=int, default=6)
+    p.add_argument("--padding", type=int, default=DEFAULT_PADDING)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prompt)
 
@@ -223,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--class-id", type=int, default=1, dest="class_id")
     p.add_argument("--prob-class", type=int, default=None, dest="prob_class")
-    p.add_argument("--tau-cls", type=float, default=0.4, dest="tau_cls")
-    p.add_argument("--delta-roi", type=int, default=3, dest="delta_roi")
+    p.add_argument("--tau-cls", type=float, default=DEFAULT_TAU_CLS, dest="tau_cls")
+    p.add_argument("--delta-roi", type=int, default=DEFAULT_DELTA_ROI, dest="delta_roi")
     p.add_argument("--gate-active", action="store_true", dest="gate_active")
     p.add_argument("--prev-entropy", type=float, default=None, dest="prev_entropy")
     p.set_defaults(func=cmd_refine)
@@ -243,24 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--spacing", type=lambda s: tuple(float(v) for v in s.split(",")),
                    default=None)
-    p.add_argument("--hd95-missing", default="exclude", choices=["exclude", "max_diag"],
+    p.add_argument("--hd95-missing", default="exclude", choices=HD95_MISSING_POLICIES,
                    dest="hd95_missing")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("run", help="run the full pipeline")
+    p = sub.add_parser("run", help="run the full pipeline",
+                       description="Every config key is also a --key-name flag; "
+                                   "flags override the config file.")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--keep-fraction", type=float, default=None, dest="keep_fraction")
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--gate-from-round", type=int, default=None, dest="gate_from_round")
-    p.add_argument("--oracle", choices=["phantom", "file"], default=None)
-    p.add_argument("--oracle-timeout", type=float, default=None, dest="oracle_timeout")
-    p.add_argument("--supervision", choices=["full", "partial"], default=None)
-    p.add_argument("--vls", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--scans", type=int, default=None)
-    p.add_argument("--test-scans", type=int, default=None, dest="test_scans")
-    p.add_argument("--organs", type=int, default=None)
-    p.add_argument("--out", default=None, dest="out_dir")
+    for f in fields(pipeline.PipelineConfig):
+        flags = [f"--{f.name.replace('_', '-')}", *RUN_FLAG_ALIASES.get(f.name, ())]
+        action = argparse.BooleanOptionalAction if isinstance(f.default, bool) else "store"
+        help_text = None if f.default is None else f"default: {pipeline.format_value(f.default)}"
+        p.add_argument(*flags, dest=f.name, action=action, default=None, help=help_text)
     p.set_defaults(func=cmd_run)
     return parser
 

@@ -255,6 +255,15 @@ class ScanManifest:
         return frozenset(c for c, s in self.statuses.items() if s == status)
 
 
+def status_manifest(num_classes: int, labeled, pseudo=()) -> ScanManifest:
+    """A manifest giving each foreground class 1..num_classes-1 its status:
+    labeled if in ``labeled``, else pseudo if in ``pseudo``, else unlabeled."""
+    labeled, pseudo = frozenset(labeled), frozenset(pseudo)
+    return ScanManifest(statuses={
+        c: "labeled" if c in labeled else "pseudo" if c in pseudo else "unlabeled"
+        for c in range(1, num_classes)})
+
+
 def read_manifest(path) -> ScanManifest:
     man = ScanManifest()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):

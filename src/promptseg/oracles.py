@@ -38,7 +38,7 @@ from . import nifti_io
 from .errors import (ConfigError, CorruptFileError, NiftiError,
                      OracleProtocolError, OracleUnavailableError,
                      RejectedInputError, UnknownVolumeError)
-from .prompting import BoxPromptPair, format_prompts
+from .prompting import DEFAULT_PADDING, BoxPromptPair, format_prompts
 from .refinement import roi_ranges
 from .vls_loss import SupervisionTarget
 from .volgrid import LabelMap, ProbVolume, Volume, mask_to_labels
@@ -88,22 +88,14 @@ class Ellipsoid:
     intensity: float = 1.0
 
 
-@dataclass(frozen=True)
-class PhantomNoise:
-    """Corruption knobs consumed by the phantom oracles and test harnesses."""
-
-    jitter_sigma: float = 2.0     # boundary jitter scale, voxels
-    blob_count: int = 3           # false-positive blobs for corrupted candidates
-    blob_radius: float = 2.5
-    kappa: float = 8.0            # confidence sharpness of oracle probabilities
-    image_sigma: float = 0.05     # additive image noise
+#: Standard deviation of the Gaussian noise added to phantom intensities.
+IMAGE_SIGMA = 0.05
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
     dims: tuple[int, int, int]
     organs: tuple[Ellipsoid, ...]
-    noise: PhantomNoise = PhantomNoise()
 
     @property
     def num_classes(self) -> int:
@@ -132,12 +124,11 @@ def generate_phantom(spec: PhantomSpec, seed) -> tuple[Volume, LabelMap]:
         labels[mask] = idx
         image[mask] = ell.intensity
     rng = np.random.default_rng(seed)
-    image += rng.normal(0.0, spec.noise.image_sigma, size=spec.dims)
+    image += rng.normal(0.0, IMAGE_SIGMA, size=spec.dims)
     return Volume(image.astype(np.float32)), LabelMap(labels, max(2, spec.num_classes))
 
 
-def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng,
-                        noise: PhantomNoise = PhantomNoise()) -> PhantomSpec:
+def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> PhantomSpec:
     """Random non-crowded ellipsoid layout; rejection-samples centers so
     organs rarely touch (residual overlaps fall back to rasterization
     priority)."""
@@ -168,17 +159,16 @@ def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng,
             angles=tuple(rng.uniform(0.0, np.pi, size=3)),
             intensity=float(rng.uniform(0.4, 1.0)),
         ))
-    return PhantomSpec(dims=tuple(dims), organs=tuple(organs), noise=noise)
+    return PhantomSpec(dims=tuple(dims), organs=tuple(organs))
 
 
 def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int],
-                       seed: int, noise: PhantomNoise = PhantomNoise()
-                       ) -> list[tuple[str, Volume, LabelMap]]:
+                       seed: int) -> list[tuple[str, Volume, LabelMap]]:
     """Deterministic list of (scan_id, image, ground truth) phantoms."""
     scans = []
     for idx in range(n_scans):
         rng = np.random.default_rng((seed, 1000 + idx))
-        spec = random_phantom_spec(dims, num_organs, rng, noise)
+        spec = random_phantom_spec(dims, num_organs, rng)
         vol, gt = generate_phantom(spec, (seed, 2000 + idx))
         for c in range(1, spec.num_classes):
             if not (gt.data == c).any():
@@ -280,26 +270,24 @@ class PhantomSpecialist(SpecialistOracle):
 
         target_q = clip((support - cw * contradiction) / gt_voxels, 0, 1)
 
-    aggregated over the fit set, so quality is proportional to the labeled
-    voxel coverage and repeated fits on identical data are idempotent
-    (``adaptation`` = 1 models training to convergence each round).
+    aggregated over the fit set.  Each fit sets q to target_q, which models
+    training to convergence, so quality is proportional to the labeled voxel
+    coverage and repeated fits on identical data are idempotent.
     Under "full" supervision every voxel of every class is supervised (absent
     organs read as background and contradict); under "partial" supervision
     only channels in labeled/pseudo sets are trained and absent organs are
     simply ignored.
     """
 
+    KAPPA = 8.0          # confidence sharpness of the predicted probabilities
+    JITTER_SIGMA = 2.0   # boundary jitter scale at q = 0, voxels
+
     def __init__(self, registry: PhantomRegistry, quality: float = 0.0,
-                 kappa: float = 8.0, jitter_sigma: float = 2.0,
-                 contradiction_weight: float = 0.5, adaptation: float = 1.0,
-                 seed: int = 0):
+                 contradiction_weight: float = 0.5, seed: int = 0):
         if not 0.0 <= quality <= 1.0:
             raise RejectedInputError("quality must lie in [0, 1]")
         self.registry = registry
-        self.kappa = float(kappa)
-        self.jitter_sigma = float(jitter_sigma)
         self.contradiction_weight = float(contradiction_weight)
-        self.adaptation = float(adaptation)
         self.seed = int(seed)
         self._base_quality = float(quality)
         self._quality: dict[int, float] = {}
@@ -324,9 +312,9 @@ class PhantomSpecialist(SpecialistOracle):
                 corrupted = sd > 0.0
             else:
                 noise = _rng_for(self.seed, fp, c).standard_normal(dims).astype(np.float32)
-                corrupted = sd + (1.0 - q) * self.jitter_sigma * noise > 0.0
+                corrupted = sd + (1.0 - q) * self.JITTER_SIGMA * noise > 0.0
             labels[(labels == 0) & corrupted] = c
-        return _onehot_probs(labels, C, self.kappa)
+        return _onehot_probs(labels, C, self.KAPPA)
 
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
         if supervision not in ("full", "partial"):
@@ -360,9 +348,7 @@ class PhantomSpecialist(SpecialistOracle):
                 continue
             target_q = (support.get(c, 0.0)
                         - self.contradiction_weight * contra.get(c, 0.0)) / total
-            target_q = min(1.0, max(0.0, target_q))
-            q = self.quality(c)
-            self._quality[c] = q + self.adaptation * (target_q - q)
+            self._quality[c] = min(1.0, max(0.0, target_q))
         self._fitted = True
 
 
@@ -371,7 +357,7 @@ class PhantomGeneralist(GeneralistOracle):
 
     The organ whose padded bounding box best overlaps the prompt-derived ROI
     is returned, degraded as a function of prompt quality: below
-    ``match_threshold`` IoU the output is shifted toward the prompts, eroded
+    ``MATCH_THRESHOLD`` IoU the output is shifted toward the prompts, eroded
     and low-confidence.  Boundary noise and the odds of false-positive blobs
     near the organ both scale with (1 - cooperativeness), so uncooperative
     settings yield genuinely corrupted pseudo-label candidates.  Per-voxel
@@ -382,21 +368,19 @@ class PhantomGeneralist(GeneralistOracle):
     probabilities.
     """
 
+    KAPPA = 3.0            # probability slope at perfect prompts and cooperativeness
+    NOISE_SIGMA = 1.5      # boundary noise scale at cooperativeness 0, voxels
+    BLOB_COUNT = 3         # candidate false-positive blobs per segment call
+    BLOB_RADIUS = 2.5      # voxels
+    MATCH_THRESHOLD = 0.25  # prompt/organ box IoU below which output degrades
+
     def __init__(self, registry: PhantomRegistry, cooperativeness: float = 1.0,
-                 kappa: float = 3.0, noise_sigma: float = 1.5,
-                 blob_count: int = 3, blob_radius: float = 2.5,
-                 assumed_padding: int = 6, match_threshold: float = 0.25,
-                 seed: int = 0):
+                 assumed_padding: int = DEFAULT_PADDING, seed: int = 0):
         if not 0.0 <= cooperativeness <= 1.0:
             raise RejectedInputError("cooperativeness must lie in [0, 1]")
         self.registry = registry
         self.g = float(cooperativeness)
-        self.kappa = float(kappa)
-        self.noise_sigma = float(noise_sigma)
-        self.blob_count = int(blob_count)
-        self.blob_radius = float(blob_radius)
         self.assumed_padding = int(assumed_padding)
-        self.match_threshold = float(match_threshold)
         self.seed = int(seed)
 
     def _match(self, fp: str, scan: _PhantomScan,
@@ -433,23 +417,23 @@ class PhantomGeneralist(GeneralistOracle):
             probs = ProbVolume(np.full((2,) + dims, np.float32(0.5)))
             return np.zeros(dims, dtype=bool), probs
         sd = self.registry.signed_distance(fp, c).astype(np.float64)
-        if iou < self.match_threshold:
+        if iou < self.MATCH_THRESHOLD:
             shift = np.clip(np.round(offset).astype(int), -8, 8)
             sd = _shift_field(sd, shift, fill=-float(max(dims)))
-            sd -= 1.0 + 2.0 * (self.match_threshold - iou) / self.match_threshold  # erode
+            sd -= 1.0 + 2.0 * (self.MATCH_THRESHOLD - iou) / self.MATCH_THRESHOLD  # erode
         rng = _rng_for(self.seed, fp, c, format_prompts(prompts))
         noise = rng.standard_normal(dims)
-        sd = sd + (1.0 - self.g) * self.noise_sigma * noise
+        sd = sd + (1.0 - self.g) * self.NOISE_SIGMA * noise
         lo, hi = self.registry.organ_bbox(fp, c)
         spread = (np.asarray(hi) - lo) / 2.0 + self.assumed_padding
         organ_center = (np.asarray(lo) + hi) / 2.0
-        for _ in range(self.blob_count):
+        for _ in range(self.BLOB_COUNT):
             blob_center = organ_center + rng.uniform(-spread, spread)
             if rng.uniform() >= 1.0 - self.g:
                 continue
-            bump = self.blob_radius - _distance_from(dims, blob_center)
+            bump = self.BLOB_RADIUS - _distance_from(dims, blob_center)
             sd = np.maximum(sd, bump)
-        slope = self.kappa * (0.2 + 0.8 * self.g * min(1.0, iou))
+        slope = self.KAPPA * (0.2 + 0.8 * self.g * min(1.0, iou))
         p_fg = 1.0 / (1.0 + np.exp(-slope * sd))
         p_fg = p_fg.astype(np.float32)
         probs = ProbVolume(np.stack([np.float32(1.0) - p_fg, p_fg]))
@@ -493,7 +477,7 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
     """
 
     def __init__(self, exchange_dir=None, timeout: float = 60.0,
-                 poll_interval: float = 0.05, spacing=(1.0, 1.0, 1.0)):
+                 poll_interval: float = 0.05):
         root = exchange_dir or os.environ.get(EXCHANGE_ENV)
         if not root:
             raise ConfigError(f"no exchange dir given and {EXCHANGE_ENV} is unset")
@@ -501,7 +485,6 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         self.root.mkdir(parents=True, exist_ok=True)
         self.timeout = float(timeout)
         self.poll_interval = float(poll_interval)
-        self.spacing = spacing
 
     def _write_atomic(self, path: Path, writer) -> None:
         tmp = path.with_name(path.name + ".tmp")
@@ -575,14 +558,8 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
             if ex.weight_mask is not None:
                 nifti_io.write_volume(Path(str(stem) + ".mask.nii"),
                                       mask_to_labels(ex.weight_mask))
-            man = nifti_io.ScanManifest()
-            for c in range(1, ex.target.labels.num_classes):
-                if c in ex.target.pseudo_classes:
-                    man.statuses[c] = "pseudo"
-                elif c in ex.labeled_classes:
-                    man.statuses[c] = "labeled"
-                else:
-                    man.statuses[c] = "unlabeled"
+            man = nifti_io.status_manifest(ex.target.labels.num_classes,
+                                           ex.labeled_classes, ex.target.pseudo_classes)
             nifti_io.write_manifest(Path(str(stem) + ".manifest"), man)
         self._write_atomic(self.root / f"fit_{uid}.req",
                            lambda p: p.write_text(f"supervision={supervision}\n"))

@@ -17,18 +17,20 @@ import logging
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import nifti_io
 from .errors import (ConfigError, NoPredictionError, PromptsegError,
                      RejectedInputError)
-from .metrics import ScanEvaluation, dice, evaluate_scan
+from .metrics import HD95_MISSING_POLICIES, ScanEvaluation, dice, evaluate_scan
 from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                       PhantomRegistry, PhantomSpecialist, SpecialistOracle,
                       TrainingExample, make_phantom_suite)
-from .prompting import make_box_prompts
-from .refinement import RefinementConfig, OrganRefinementState, refine_pseudo_label
+from .prompting import DEFAULT_PADDING, make_box_prompts
+from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
+                         RefinementConfig, refine_pseudo_label)
 from .vls_loss import SupervisionTarget, vls_mask
 from .volgrid import LabelMap, Volume, argmax_labelmap, class_mask
 
@@ -77,6 +79,10 @@ class Scan:
 
 @dataclass
 class PipelineConfig:
+    """Every setting of a run.  Config files and the ``run`` subcommand take
+    their keys, flags and value types from these fields, and
+    ``__post_init__`` rejects bad values before any work starts."""
+
     # loop shape
     rounds: int = 4
     entropy_gate_from_round: int = 2
@@ -85,9 +91,9 @@ class PipelineConfig:
     keep_fraction: float = 0.67
     seed: int = 0
     # prompting / refinement
-    box_padding: int = 6
-    tau_cls: float = 0.4
-    delta_roi: int = 3
+    box_padding: int = DEFAULT_PADDING
+    tau_cls: float = DEFAULT_TAU_CLS
+    delta_roi: int = DEFAULT_DELTA_ROI
     # oracle selection
     oracle: str = "phantom"
     specialist_exchange: str | None = None
@@ -108,20 +114,37 @@ class PipelineConfig:
     hd95_missing_policy: str = "exclude"
 
     def __post_init__(self):
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
-        if self.rounds >= 1 and not 1 <= self.entropy_gate_from_round <= self.rounds:
-            raise ConfigError("entropy_gate_from_round must lie in [1, rounds]")
-        if not 0.0 < self.keep_fraction <= 1.0:
-            raise ConfigError("keep_fraction must lie in (0, 1]")
-        if self.supervision not in SUPERVISION_MODES:
-            raise ConfigError(f"supervision must be one of {SUPERVISION_MODES}")
-        if self.oracle not in ORACLE_KINDS:
-            raise ConfigError(f"oracle must be one of {ORACLE_KINDS}")
-        if self.scans < 1 or self.organs < 1 or self.test_scans < 0:
-            raise ConfigError("scans must be >= 1, organs >= 1, test_scans >= 0")
         self.dims = tuple(int(d) for d in self.dims)
         self.spacing = tuple(float(s) for s in self.spacing)
+        problems = [
+            (self.rounds < 0, "rounds must be >= 0"),
+            (self.rounds >= 1 and not 1 <= self.entropy_gate_from_round <= self.rounds,
+             "entropy_gate_from_round must lie in [1, rounds]"),
+            (not 0.0 < self.keep_fraction <= 1.0, "keep_fraction must lie in (0, 1]"),
+            (self.supervision not in SUPERVISION_MODES,
+             f"supervision must be one of {SUPERVISION_MODES}"),
+            (self.oracle not in ORACLE_KINDS, f"oracle must be one of {ORACLE_KINDS}"),
+            (self.scans < 1 or self.organs < 1 or self.test_scans < 0,
+             "scans must be >= 1, organs >= 1, test_scans >= 0"),
+            (not 0.0 < self.tau_cls < 1.0, f"tau_cls must lie in (0, 1), got {self.tau_cls}"),
+            (self.delta_roi < 0, f"delta_roi must be >= 0, got {self.delta_roi}"),
+            (self.box_padding < 0, f"box_padding must be >= 0, got {self.box_padding}"),
+            (not 0.0 <= self.generalist_cooperativeness <= 1.0,
+             "generalist_cooperativeness must lie in [0, 1], "
+             f"got {self.generalist_cooperativeness}"),
+            (not self.oracle_timeout > 0.0,
+             f"oracle_timeout must be > 0, got {self.oracle_timeout}"),
+            (len(self.dims) != 3 or min(self.dims) < 1,
+             f"dims must be 3 positive integers, got {self.dims}"),
+            (len(self.spacing) != 3
+             or not all(np.isfinite(s) and s > 0.0 for s in self.spacing),
+             f"spacing must be 3 positive finite numbers, got {self.spacing}"),
+            (self.hd95_missing_policy not in HD95_MISSING_POLICIES,
+             f"hd95_missing_policy must be one of {HD95_MISSING_POLICIES}"),
+        ]
+        for bad, message in problems:
+            if bad:
+                raise ConfigError(message)
 
     def refinement_config(self, round_t: int) -> RefinementConfig:
         return RefinementConfig(
@@ -131,28 +154,35 @@ class PipelineConfig:
         )
 
 
+_FIELD_TYPES = get_type_hints(PipelineConfig)
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
 
 
-def _parse_value(name: str, kind, raw: str):
-    if kind is bool:
-        try:
-            return _BOOL_VALUES[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"{name}: expected a boolean, got {raw!r}") from None
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is tuple:
-        return tuple(float(v) if "." in v else int(v) for v in raw.split(","))
-    return raw
+def _parse_scalar(kind: type, text: str):
+    return _BOOL_VALUES[text.lower()] if kind is bool else kind(text)
+
+
+def parse_value(name: str, raw: str):
+    """Parse the text form of config field ``name``, as written in a config
+    file or on the ``run`` command line, into the field's type.  Tuples are
+    comma-separated; booleans are true/false, yes/no or 1/0."""
+    hint = _FIELD_TYPES.get(name)
+    if hint is None:
+        raise ConfigError(f"unknown key {name!r}")
+    is_tuple = get_origin(hint) is tuple
+    kind = next(a for a in get_args(hint) or (hint,) if a is not type(None))
+    parts = raw.split(",") if is_tuple else [raw]
+    try:
+        values = [_parse_scalar(kind, part.strip()) for part in parts]
+    except (KeyError, ValueError):
+        what = f"comma-separated {kind.__name__}s" if is_tuple else kind.__name__
+        raise ConfigError(f"{name}: expected {what}, got {raw!r}") from None
+    return tuple(values) if is_tuple else values[0]
 
 
 def load_config(path) -> PipelineConfig:
     """Parse a key=value config file (``#`` starts a comment line)."""
-    known = {f.name: f for f in fields(PipelineConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -161,34 +191,26 @@ def load_config(path) -> PipelineConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        f = known[key]
-        kind = {"rounds": int, "entropy_gate_from_round": int, "seed": int,
-                "box_padding": int, "delta_roi": int, "scans": int,
-                "test_scans": int, "organs": int,
-                "use_vls": bool,
-                "keep_fraction": float, "tau_cls": float, "oracle_timeout": float,
-                "generalist_cooperativeness": float,
-                "specialist_contradiction_weight": float,
-                "dims": tuple, "spacing": tuple}.get(f.name, str)
-        values[key] = _parse_value(key, kind, value)
+        try:
+            values[key] = parse_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return PipelineConfig(**values)
+
+
+def format_value(value) -> str:
+    """The text form of a config value that ``parse_value`` reads back."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def config_lines(config: PipelineConfig) -> list[str]:
     """The config echoed back in the documented key=value form."""
-    lines = []
-    for f in fields(PipelineConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if isinstance(value, (tuple, list)):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name}={value}")
-    return lines
+    return [f"{f.name}={format_value(getattr(config, f.name))}"
+            for f in fields(PipelineConfig) if getattr(config, f.name) is not None]
 
 
 # --- stage 1: partial-label simulation ---------------------------------------
@@ -426,18 +448,6 @@ def _write_summary_csv(path: Path, evaluations: dict[str, ScanEvaluation]) -> No
                          _fmt(float(np.mean(all_hd)) if all_hd else None), len(all_dsc)])
 
 
-def _status_manifest(sup: ScanSupervision) -> nifti_io.ScanManifest:
-    man = nifti_io.ScanManifest()
-    for c in range(1, sup.num_classes):
-        if c in sup.labeled:
-            man.statuses[c] = "labeled"
-        elif c in sup.pseudo:
-            man.statuses[c] = "pseudo"
-        else:
-            man.statuses[c] = "unlabeled"
-    return man
-
-
 def _build_phantom_dataset(config: PipelineConfig):
     suite = make_phantom_suite(config.scans + config.test_scans, config.organs,
                                config.dims, seed=config.seed)
@@ -548,11 +558,12 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     targets_dir = out / "targets"
     targets_dir.mkdir(exist_ok=True)
     for scan in train:
+        sup = scan.supervision
         nifti_io.write_volume(targets_dir / f"{scan.scan_id}.labels.nii",
-                              scan.supervision.target.labels,
-                              spacing=config.spacing)
+                              sup.target.labels, spacing=config.spacing)
         nifti_io.write_manifest(targets_dir / f"{scan.scan_id}.manifest",
-                                _status_manifest(scan.supervision))
+                                nifti_io.status_manifest(sup.num_classes, sup.labeled,
+                                                         sup.pseudo))
 
     evaluations: dict[str, ScanEvaluation] = {}
     for scan_id, vol, gt in test:

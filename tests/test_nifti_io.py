@@ -6,8 +6,8 @@ import pytest
 from promptseg.errors import (CorruptFileError, NotNiftiError,
                               UnsupportedFormatError)
 from promptseg.nifti_io import (NiftiHeader, ScanManifest, read_manifest,
-                                read_nifti, read_volume, write_manifest,
-                                write_volume)
+                                read_nifti, read_volume, status_manifest,
+                                write_manifest, write_volume)
 from promptseg.volgrid import LabelMap, ProbVolume, Volume
 
 
@@ -174,6 +174,12 @@ def test_manifest_round_trip(tmp_path):
     assert back.num_classes == 4
     assert back.classes_with_status("labeled") == frozenset({1})
     assert back.classes_with_status("pseudo") == frozenset({3})
+
+
+def test_status_manifest_covers_every_class_labeled_first():
+    man = status_manifest(5, labeled={1, 2}, pseudo={2, 3})
+    assert man.statuses == {1: "labeled", 2: "labeled", 3: "pseudo", 4: "unlabeled"}
+    assert man.names == {}
 
 
 def test_manifest_errors(tmp_path):

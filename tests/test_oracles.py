@@ -341,8 +341,11 @@ def test_file_oracle_round_trip(tmp_path):
         got_mask, got_probs = oracle.segment(vol, box_prompts_for(mask))
         assert np.array_equal(got_mask, mask)
         assert got_probs.data.tobytes() == probs.data.tobytes()
+        labels = mask.astype(np.uint8)
+        labels[0, 0, :2] = 2  # a pseudo-labeled class next to the labeled one
         oracle.fit([TrainingExample(volume=vol,
-                                    target=SupervisionTarget(mask_to_labels(mask)),
+                                    target=SupervisionTarget(LabelMap(labels, 3),
+                                                             frozenset({2})),
                                     labeled_classes=frozenset({1}),
                                     weight_mask=mask)])
         assert responder.fits_seen == 1
@@ -352,7 +355,7 @@ def test_file_oracle_round_trip(tmp_path):
         assert (fit_dirs[0] / "scan_0000.target.nii").exists()
         assert (fit_dirs[0] / "scan_0000.mask.nii").exists()
         man = nifti_io.read_manifest(fit_dirs[0] / "scan_0000.manifest")
-        assert man.statuses == {1: "labeled"}
+        assert man.statuses == {1: "labeled", 2: "pseudo"}
     finally:
         responder.stop.set()
         responder.join()
