@@ -103,12 +103,24 @@ class PhantomSpec:
 
 
 def ellipsoid_mask(dims: tuple[int, int, int], ell: Ellipsoid) -> np.ndarray:
-    coords = np.indices(dims, dtype=np.float64)              # (3, H, W, D), axes (y, x, z)
-    offs = coords - np.asarray(ell.center, dtype=np.float64).reshape(3, 1, 1, 1)
+    """Voxels p with |R^T (p - c) / radii| <= 1.  The form is evaluated only
+    on the box ``center +- max(radii)``, padded by one voxel and clipped to
+    the grid: the ellipsoid lies inside that ball, and every voxel in the box
+    gets the same arithmetic as on the full grid."""
+    mask = np.zeros(dims, dtype=bool)
+    center = np.asarray(ell.center, dtype=np.float64)
+    reach = float(np.abs(ell.radii).max()) + 1.0
+    lo = np.maximum(np.floor(center - reach).astype(np.int64), 0)
+    hi = np.minimum(np.ceil(center + reach).astype(np.int64) + 1, dims)  # exclusive
+    if np.any(hi <= lo):
+        return mask                                          # ball misses the grid
+    coords = np.indices(hi - lo, dtype=np.float64) + lo.reshape(3, 1, 1, 1)  # axes (y, x, z)
+    offs = coords - center.reshape(3, 1, 1, 1)
     rot = Rotation.from_euler("zyx", ell.angles).as_matrix()
     local = np.einsum("ji,j...->i...", rot, offs)            # R^T (p - c)
     radii = np.asarray(ell.radii, dtype=np.float64).reshape(3, 1, 1, 1)
-    return ((local / radii) ** 2).sum(axis=0) <= 1.0
+    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = ((local / radii) ** 2).sum(axis=0) <= 1.0
+    return mask
 
 
 def generate_phantom(spec: PhantomSpec, seed) -> tuple[Volume, LabelMap]:
@@ -195,7 +207,10 @@ class PhantomRegistry:
     """Ground truth lookup for phantom oracles, keyed by volume fingerprint.
 
     Caches per-organ signed distance fields (positive inside, in voxels) and
-    tight 3D bounding boxes.
+    tight 3D bounding boxes.  The inside distance is computed on the organ's
+    box grown by one voxel (clipped to the grid), which is exact: clamping an
+    organ voxel's nearest background voxel into that box moves it no farther,
+    and lands it on the box's face, which is background or the grid border.
     """
 
     def __init__(self):
@@ -219,12 +234,12 @@ class PhantomRegistry:
         scan = self._scans[fp]
         sd = scan.sdist.get(class_id)
         if sd is None:
+            lo, hi = self.organ_bbox(fp, class_id)
             mask = scan.gt.data == class_id
-            if not mask.any():
-                raise RejectedInputError(f"phantom class {class_id} is empty")
-            inside = ndimage.distance_transform_edt(mask)
-            outside = ndimage.distance_transform_edt(~mask)
-            sd = (inside - outside).astype(np.float32)
+            box = tuple(slice(max(a - 1, 0), b + 2) for a, b in zip(lo, hi))
+            sd = -ndimage.distance_transform_edt(~mask)
+            sd[box] += ndimage.distance_transform_edt(mask[box])
+            sd = sd.astype(np.float32)
             sd.flags.writeable = False
             scan.sdist[class_id] = sd
         return sd
@@ -264,6 +279,8 @@ class PhantomSpecialist(SpecialistOracle):
     Per-class prediction quality q in [0, 1] drives the corruption of the
     registered ground truth: boundary jitter scaled by (1 - q), and classes
     with q = 0 dropped entirely (never-supervised organs stay invisible).
+    At q = 1 the prediction is the organ mask itself, so no signed distance
+    field is computed for that class.
     fit() is a closed-form quality update, not gradient descent: each
     supervised class's q moves toward a target derived from how much of the
     class's ground truth the supervision supports versus contradicts,
@@ -307,10 +324,11 @@ class PhantomSpecialist(SpecialistOracle):
             q = self.quality(c)
             if q <= 0.0:
                 continue  # organ invisible to the model
-            sd = self.registry.signed_distance(fp, c)
             if q >= 1.0:
-                corrupted = sd > 0.0
+                self.registry.organ_bbox(fp, c)  # rejects an empty class
+                corrupted = scan.gt.data == c    # == signed_distance(fp, c) > 0
             else:
+                sd = self.registry.signed_distance(fp, c)
                 noise = _rng_for(self.seed, fp, c).standard_normal(dims).astype(np.float32)
                 corrupted = sd + (1.0 - q) * self.JITTER_SIGMA * noise > 0.0
             labels[(labels == 0) & corrupted] = c
@@ -441,9 +459,10 @@ class PhantomGeneralist(GeneralistOracle):
 
 
 def _distance_from(dims: tuple[int, int, int], center: np.ndarray) -> np.ndarray:
-    coords = np.indices(dims, dtype=np.float64)
-    offs = coords - np.asarray(center, dtype=np.float64).reshape(3, 1, 1, 1)
-    return np.sqrt((offs ** 2).sum(axis=0))
+    """Euclidean distance of every voxel from ``center``, from three
+    broadcast 1-D squared offsets."""
+    sq = [(np.arange(n, dtype=np.float64) - float(c)) ** 2 for n, c in zip(dims, center)]
+    return np.sqrt(sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :])
 
 
 def _shift_field(field_arr: np.ndarray, shift: np.ndarray, fill: float) -> np.ndarray:
@@ -493,14 +512,19 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
 
     def _await_file(self, path: Path, deadline: float):
         while True:
+            corrupt = None
             if path.exists():
                 try:
                     return nifti_io.read_volume(path)
-                except CorruptFileError:
-                    pass  # mid-write; retry
+                except CorruptFileError as exc:
+                    corrupt = exc  # mid-write; retry
                 except (NiftiError, RejectedInputError) as exc:
                     raise OracleProtocolError(f"{path}: {exc}") from exc
             if time.monotonic() > deadline:
+                if corrupt is not None:
+                    raise OracleProtocolError(
+                        f"response at {path} still corrupt after {self.timeout}s: "
+                        f"{corrupt}") from corrupt
                 raise OracleUnavailableError(f"no response at {path} within {self.timeout}s")
             time.sleep(self.poll_interval)
 

@@ -256,7 +256,11 @@ def _training_examples(scans: list[Scan], specialist: SpecialistOracle | None,
     for scan in scans:
         mask = None
         if use_vls and specialist is not None:
-            mask = vls_mask(specialist.predict(scan.volume), scan.supervision.target)
+            target = scan.supervision.target
+            if target.pseudo_classes:
+                mask = vls_mask(specialist.predict(scan.volume), target)
+            else:  # what vls_mask returns without pseudo voxels; no predict needed
+                mask = np.ones(target.labels.dims, dtype=bool)
         examples.append(TrainingExample(
             volume=scan.volume,
             target=scan.supervision.target,
@@ -345,6 +349,8 @@ def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
     report = RoundReport(round_index=round_t)
     for scan in scans:
         sup = scan.supervision
+        if not sup.unlabeled:
+            continue  # nothing to pseudo-label; skip the predict
         pred = argmax_labelmap(specialist.predict(scan.volume))
         for class_id in sorted(sup.unlabeled):
             try:
@@ -477,6 +483,12 @@ def _build_phantom_dataset(config: PipelineConfig):
 def _load_file_dataset(config: PipelineConfig):
     if not config.data_dir:
         raise ConfigError("file oracle mode requires data_dir")
+    specialist = FileOracle(config.specialist_exchange, timeout=config.oracle_timeout)
+    generalist = FileOracle(config.generalist_exchange, timeout=config.oracle_timeout)
+    if specialist.root.resolve() == generalist.root.resolve():
+        # predict and segment requests share the req_<uid>.nii pattern
+        raise ConfigError(f"specialist and generalist share the exchange directory "
+                          f"{specialist.root}; give each its own")
     root = Path(config.data_dir)
     train, test = [], []
     for man_path in sorted(root.glob("*.manifest")):
@@ -507,8 +519,6 @@ def _load_file_dataset(config: PipelineConfig):
             test.append((scan_id, vol, gt))
     if not train:
         raise ConfigError(f"no *.manifest scans found under {root}")
-    specialist = FileOracle(config.specialist_exchange, timeout=config.oracle_timeout)
-    generalist = FileOracle(config.generalist_exchange, timeout=config.oracle_timeout)
     return train, test, specialist, generalist
 
 

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from promptseg import nifti_io
+from scipy import ndimage
+from scipy.spatial.transform import Rotation
+
 from promptseg.errors import (OracleProtocolError, OracleUnavailableError,
-                              UnknownVolumeError)
+                              RejectedInputError, UnknownVolumeError)
 from promptseg.metrics import dice
 from promptseg.oracles import (Ellipsoid, FileOracle, PhantomGeneralist,
                                PhantomRegistry,
                                PhantomSpecialist, PhantomSpec, TrainingExample,
+                               _distance_from, _onehot_probs,
                                ellipsoid_mask, generate_phantom,
                                make_phantom_suite, volume_fingerprint)
 from promptseg.prompting import Box2D, BoxPromptPair, AXIAL, SAGITTAL, make_box_prompts
@@ -283,6 +287,118 @@ def test_end_to_end_refined_pseudo_label_equals_gt():
             assert np.array_equal(result.mask, class_mask(gt, c))
 
 
+# --- phantom geometry: cropped work equals the full-grid reference ---------------
+# Each reference below is the plain full-volume formula; the oracles compute
+# the same values on organ boxes and must agree byte for byte.
+
+def full_grid_ellipsoid_mask(dims, ell):
+    coords = np.indices(dims, dtype=np.float64)
+    offs = coords - np.asarray(ell.center, dtype=np.float64).reshape(3, 1, 1, 1)
+    rot = Rotation.from_euler("zyx", ell.angles).as_matrix()
+    local = np.einsum("ji,j...->i...", rot, offs)
+    radii = np.asarray(ell.radii, dtype=np.float64).reshape(3, 1, 1, 1)
+    return ((local / radii) ** 2).sum(axis=0) <= 1.0
+
+
+def full_grid_signed_distance(gt, class_id):
+    mask = gt.data == class_id
+    inside = ndimage.distance_transform_edt(mask)
+    outside = ndimage.distance_transform_edt(~mask)
+    return (inside - outside).astype(np.float32)
+
+
+def assert_signed_distances_exact(registry, fp, gt):
+    for c in range(1, gt.num_classes):
+        got = registry.signed_distance(fp, c)
+        assert got.dtype == np.float32
+        assert got.tobytes() == full_grid_signed_distance(gt, c).tobytes(), c
+
+
+@pytest.mark.parametrize("n, organs, dims", [
+    (3, 6, (32, 32, 32)),
+    (2, 6, (48, 40, 24)),
+    (1, 8, (80, 80, 56)),
+])
+def test_signed_distance_equals_full_grid_edt_on_phantoms(n, organs, dims):
+    suite, registry = registered_suite(n=n, organs=organs, dims=dims, seed=3)
+    for _, vol, gt in suite:
+        assert_signed_distances_exact(registry, volume_fingerprint(vol), gt)
+
+
+def test_signed_distance_equals_full_grid_edt_on_scattered_masks():
+    rng = np.random.default_rng(0)
+    dims = (17, 12, 9)
+    data = np.zeros(dims, dtype=np.uint8)
+    data[rng.random(dims) < 0.08] = 1          # scattered single voxels, borders too
+    data[0:4, 0:3, :] = 2                      # touches three faces of the grid
+    data[13:17, 8:12, 0:2] = 2                 # second piece, opposite corner
+    data[:, 6, 4] = 3                          # a rod spanning the grid
+    data[5:9, 2:10, 3:7] = 4                   # an interior block
+    data[16, 11, 8] = 5                        # the last voxel alone
+    gt = LabelMap(data, 6)
+    registry = PhantomRegistry()
+    fp = registry.register(Volume(rng.random(dims).astype(np.float32)), gt)
+    assert_signed_distances_exact(registry, fp, gt)
+
+
+def test_ellipsoid_mask_equals_full_grid_formula():
+    rng = np.random.default_rng(1)
+    dims = (20, 16, 12)
+    cases = [
+        Ellipsoid(center=(10, 8, 6), radii=(4, 3, 2), angles=(0.3, 1.2, 2.5)),
+        Ellipsoid(center=(10, 8, 6), radii=(5, 3, 2)),                 # extremes on voxels
+        Ellipsoid(center=(4, 9, 5), radii=(2, 6, 3)),
+        Ellipsoid(center=(12, 7, 3), radii=(3, 2, 7)),
+        Ellipsoid(center=(-3.5, 8, 6), radii=(5, 4, 3), angles=(1.0, 0.2, 0.7)),
+        Ellipsoid(center=(30, 30, 30), radii=(2, 2, 2)),               # misses the grid
+        Ellipsoid(center=(-40, 8, 6), radii=(3, 3, 3)),                # misses the grid
+        Ellipsoid(center=(10, 8, 6), radii=(40, 25, 30), angles=(0.5, 0.5, 0.5)),
+        Ellipsoid(center=(19.5, 15.5, 11.5), radii=(6.5, 2.0, 9.0), angles=(2.0, 0.1, 1.4)),
+    ]
+    for _ in range(60):
+        cases.append(Ellipsoid(center=tuple(rng.uniform(-6, 26, size=3)),
+                               radii=tuple(rng.uniform(0.5, 12, size=3)),
+                               angles=tuple(rng.uniform(0, np.pi, size=3))))
+    for ell in cases:
+        got = ellipsoid_mask(dims, ell)
+        assert got.dtype == bool and got.shape == dims
+        assert np.array_equal(got, full_grid_ellipsoid_mask(dims, ell)), ell
+
+
+def test_distance_from_equals_index_grid_form():
+    rng = np.random.default_rng(2)
+    for dims in [(7, 5, 3), (32, 32, 32), (9, 1, 14)]:
+        for center in [rng.uniform(-5, 40, size=3) for _ in range(5)] + [np.zeros(3)]:
+            coords = np.indices(dims, dtype=np.float64)
+            offs = coords - np.asarray(center, dtype=np.float64).reshape(3, 1, 1, 1)
+            want = np.sqrt((offs ** 2).sum(axis=0))
+            got = _distance_from(dims, center)
+            assert got.shape == dims
+            assert got.tobytes() == want.tobytes()
+
+
+def test_specialist_quality_one_equals_positive_signed_distance():
+    suite, registry = registered_suite(n=2, organs=5, dims=(32, 28, 24), seed=4)
+    spec = PhantomSpecialist(registry, quality=1.0)
+    for _, vol, gt in suite:
+        fp = volume_fingerprint(vol)
+        labels = np.zeros(gt.dims, dtype=np.uint8)
+        for c in range(1, gt.num_classes):
+            labels[(labels == 0) & (registry.signed_distance(fp, c) > 0.0)] = c
+        want = _onehot_probs(labels, gt.num_classes, PhantomSpecialist.KAPPA)
+        assert spec.predict(vol).data.tobytes() == want.data.tobytes()
+
+
+def test_specialist_quality_one_rejects_empty_class():
+    data = np.zeros((8, 8, 8), dtype=np.uint8)
+    data[2:5, 2:5, 2:5] = 1
+    registry = PhantomRegistry()
+    vol = Volume(np.arange(512, dtype=np.float32).reshape(8, 8, 8))
+    registry.register(vol, LabelMap(data, 3))  # class 2 has no voxels
+    with pytest.raises(RejectedInputError):
+        PhantomSpecialist(registry, quality=1.0).predict(vol)
+
+
 # --- file oracle ------------------------------------------------------------------
 
 class StubResponder(threading.Thread):
@@ -366,6 +482,31 @@ def test_file_oracle_timeout(tmp_path):
     vol = Volume(np.zeros((4, 4, 4), dtype=np.float32))
     with pytest.raises(OracleUnavailableError):
         oracle.predict(vol)
+
+
+def test_file_oracle_response_that_stays_corrupt_is_protocol_error(tmp_path):
+    stop = threading.Event()
+
+    def write_garbage():
+        while not stop.is_set():
+            for req in tmp_path.glob("req_*.nii"):
+                uid = req.stem[len("req_"):]
+                (tmp_path / f"resp_{uid}.prob.nii").write_bytes(b"\x00" * 100)
+                return
+            time.sleep(0.01)
+
+    writer = threading.Thread(target=write_garbage, daemon=True)
+    writer.start()
+    try:
+        oracle = FileOracle(tmp_path, timeout=0.3, poll_interval=0.02)
+        with pytest.raises(OracleProtocolError, match="still corrupt") as info:
+            oracle.predict(Volume(np.zeros((4, 4, 4), dtype=np.float32)))
+        (resp,) = tmp_path.glob("resp_*.prob.nii")
+        assert str(resp) in str(info.value)
+    finally:
+        stop.set()
+        writer.join(timeout=5.0)
+    assert not writer.is_alive()
 
 
 def test_file_oracle_wrong_dims_is_protocol_error(tmp_path):

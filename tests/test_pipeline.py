@@ -435,6 +435,66 @@ def test_file_mode_pipeline_end_to_end(tmp_path):
         assert man.statuses == {1: "labeled", 2: "pseudo"}
 
 
+def write_file_mode_data(data, n=2, dims=(12, 12, 12), seed=21):
+    from promptseg import nifti_io
+    data.mkdir()
+    for scan_id, vol, gt in make_phantom_suite(n, 2, dims, seed=seed):
+        nifti_io.write_volume(data / f"{scan_id}.nii", vol)
+        partial = np.array(gt.data)
+        partial[partial == 2] = 0
+        nifti_io.write_volume(data / f"{scan_id}.labels.nii",
+                              LabelMap(partial, gt.num_classes))
+        nifti_io.write_manifest(data / f"{scan_id}.manifest",
+                                nifti_io.ScanManifest(statuses={1: "labeled",
+                                                                2: "unlabeled"}))
+
+
+def test_file_mode_refuses_exchange_dir_shared_through_environment(tmp_path, monkeypatch):
+    write_file_mode_data(tmp_path / "data")
+    xchg = tmp_path / "xchg"
+    monkeypatch.setenv("PROMPTSEG_EXCHANGE", str(xchg))
+    config = PipelineConfig(oracle="file", data_dir=str(tmp_path / "data"),
+                            oracle_timeout=0.5, rounds=1, entropy_gate_from_round=1,
+                            out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="share the exchange directory"):
+        run_pipeline(config)
+    assert not list(xchg.glob("req_*")) and not list(xchg.glob("fit_*"))
+
+
+def test_file_mode_refuses_equal_exchange_paths(tmp_path, monkeypatch):
+    monkeypatch.delenv("PROMPTSEG_EXCHANGE", raising=False)
+    write_file_mode_data(tmp_path / "data")
+    xchg = tmp_path / "xchg"
+    config = PipelineConfig(oracle="file", data_dir=str(tmp_path / "data"),
+                            specialist_exchange=str(xchg),
+                            generalist_exchange=str(tmp_path / "." / "xchg"),
+                            oracle_timeout=0.5, rounds=1, entropy_gate_from_round=1,
+                            out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="share the exchange directory"):
+        run_pipeline(config)
+    assert not list(xchg.glob("req_*")) and not list(xchg.glob("fit_*"))
+
+
+def test_fully_labeled_run_predicts_only_the_test_scans(tmp_path, monkeypatch):
+    from promptseg.oracles import volume_fingerprint
+    predicted = []
+    real_predict = PhantomSpecialist.predict
+
+    def counting_predict(self, volume):
+        predicted.append(volume_fingerprint(volume))
+        return real_predict(self, volume)
+
+    monkeypatch.setattr(PhantomSpecialist, "predict", counting_predict)
+    config = PipelineConfig(keep_fraction=1.0, rounds=2, entropy_gate_from_round=1,
+                            scans=4, test_scans=2, organs=3, dims=(16, 16, 16),
+                            use_vls=True, seed=3, out_dir=str(tmp_path / "out"))
+    result = run_pipeline(config)
+    test_fps = [volume_fingerprint(vol) for _, vol, _ in
+                make_phantom_suite(6, 3, (16, 16, 16), seed=3)[4:]]
+    assert predicted == test_fps
+    assert all(not report.entries for report in result.round_reports)
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
