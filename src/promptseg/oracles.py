@@ -123,7 +123,7 @@ def ellipsoid_mask(dims: tuple[int, int, int], ell: Ellipsoid) -> np.ndarray:
     return mask
 
 
-def generate_phantom(spec: PhantomSpec, seed) -> tuple[Volume, LabelMap]:
+def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[Volume, LabelMap]:
     """Rasterize a phantom: exact label map plus a noisy intensity image.
 
     Deterministic for a fixed seed.  Overlapping ellipsoids are resolved by
@@ -137,7 +137,7 @@ def generate_phantom(spec: PhantomSpec, seed) -> tuple[Volume, LabelMap]:
         image[mask] = ell.intensity
     rng = np.random.default_rng(seed)
     image += rng.normal(0.0, IMAGE_SIGMA, size=spec.dims)
-    return Volume(image.astype(np.float32)), LabelMap(labels, max(2, spec.num_classes))
+    return Volume(image.astype(np.float32), spacing), LabelMap(labels, max(2, spec.num_classes))
 
 
 def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> PhantomSpec:
@@ -174,14 +174,15 @@ def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> Pha
     return PhantomSpec(dims=tuple(dims), organs=tuple(organs))
 
 
-def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int],
-                       seed: int) -> list[tuple[str, Volume, LabelMap]]:
-    """Deterministic list of (scan_id, image, ground truth) phantoms."""
+def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int], seed: int,
+                       spacing=(1.0, 1.0, 1.0)) -> list[tuple[str, Volume, LabelMap]]:
+    """Deterministic list of (scan_id, image, ground truth) phantoms; the
+    images have voxel spacing ``spacing``."""
     scans = []
     for idx in range(n_scans):
         rng = np.random.default_rng((seed, 1000 + idx))
         spec = random_phantom_spec(dims, num_organs, rng)
-        vol, gt = generate_phantom(spec, (seed, 2000 + idx))
+        vol, gt = generate_phantom(spec, (seed, 2000 + idx), spacing)
         for c in range(1, spec.num_classes):
             if not (gt.data == c).any():
                 raise ConfigError(f"phantom organ {c} rasterized empty; dims too small")

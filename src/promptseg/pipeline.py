@@ -42,31 +42,43 @@ ORACLE_KINDS = ("phantom", "file")
 
 @dataclass
 class ScanSupervision:
-    """Per-scan partition of the foreground classes into labeled, unlabeled
-    and pseudo-labeled sets, plus the merged supervision target and the
-    per-organ refinement states."""
+    """Per-scan labeled/unlabeled partition, the organ states that hold the
+    accepted pseudo-labels, and the target merged from them and ``partial``;
+    pseudo classes of the given ``target`` seed their states at conf 0."""
 
     scan_id: str
     num_classes: int
     labeled: frozenset[int]
     unlabeled: frozenset[int]
     target: SupervisionTarget
-    pseudo: set[int] = field(default_factory=set)
     organ_states: dict[int, OrganRefinementState] = field(default_factory=dict)
-    pseudo_conf: np.ndarray | None = None
+    partial: LabelMap = field(init=False)
 
     def __post_init__(self):
         every = frozenset(range(1, self.num_classes))
         if self.labeled | self.unlabeled != every or self.labeled & self.unlabeled:
             raise RejectedInputError(
                 f"labeled/unlabeled must partition 1..{self.num_classes - 1}")
-        if not set(self.pseudo) <= self.unlabeled:
+        seeded, labels = self.target.pseudo_classes, self.target.labels
+        if not seeded <= self.unlabeled:
             raise RejectedInputError("pseudo classes must be a subset of the unlabeled set")
         for c in self.unlabeled:
             self.organ_states.setdefault(c, OrganRefinementState(class_id=c))
+        for c in seeded:
+            state = self.organ_states[c]
+            state.current_pseudo = labels.data == c
+            state.current_conf = np.zeros(np.count_nonzero(state.current_pseudo), np.float32)
+        self.partial = LabelMap(np.where(np.isin(labels.data, sorted(seeded)), 0, labels.data),
+                                labels.num_classes)
 
-    def state(self, class_id: int) -> OrganRefinementState:
-        return self.organ_states[class_id]
+    def accepted(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """{class: (mask, conf)} of every organ state holding a pseudo-label."""
+        return {c: (s.current_pseudo, s.current_conf)
+                for c, s in self.organ_states.items() if s.current_pseudo is not None}
+
+    @property
+    def pseudo(self) -> frozenset[int]:
+        return frozenset(self.accepted())
 
 
 @dataclass
@@ -75,6 +87,7 @@ class Scan:
     volume: Volume
     supervision: ScanSupervision
     gt: LabelMap | None = None  # held for evaluation only, never for training
+    header: nifti_io.NiftiHeader | None = None  # file mode: the image's own header
 
 
 @dataclass
@@ -304,36 +317,22 @@ class RoundReport:
         return [e for e in self.entries if e.decision == "accept"]
 
 
-def _merge_pseudo_label(sup: ScanSupervision, class_id: int, mask: np.ndarray,
-                        conf_field: np.ndarray) -> None:
-    """Write an accepted pseudo-label into the supervision target.
-
-    Ground-truth voxels are never overwritten: writes are restricted to
-    voxels currently background or claimed by another pseudo-label, and
-    contested pseudo voxels go to the higher generalist probability (ties to
-    the lower class index).
-    """
-    labels = np.array(sup.target.labels.data)
-    if sup.pseudo_conf is None:
-        sup.pseudo_conf = np.zeros(labels.shape, dtype=np.float32)
-    conf = sup.pseudo_conf
-    prev = labels == class_id
-    if prev.any():
-        labels[prev] = 0
-        conf[prev] = 0.0
-    background = mask & (labels == 0)
-    labels[background] = class_id
-    conf[background] = conf_field[background]
-    others = sorted(sup.pseudo - {class_id})
-    if others:
-        contested = mask & np.isin(labels, others)
-        win = contested & ((conf_field > conf)
-                           | ((conf_field == conf) & (class_id < labels)))
-        labels[win] = class_id
-        conf[win] = conf_field[win]
-    sup.pseudo.add(class_id)
-    sup.target = SupervisionTarget(LabelMap(labels, sup.num_classes),
-                                   frozenset(sup.pseudo))
+def merged_target(partial_gt: LabelMap,
+                  pseudo: dict[int, tuple[np.ndarray, np.ndarray]]) -> SupervisionTarget:
+    """Merge ground truth and the accepted pseudo-labels ``{class: (mask,
+    conf)}``, ``conf`` the generalist probability at the mask's voxels in C
+    order.  Ground truth always wins; a voxel several pseudo-labels claim
+    goes to the higher probability, ties to the lower class."""
+    labels = np.array(partial_gt.data)
+    flat = labels.reshape(-1)
+    best = np.where(flat == 0, np.float32(-np.inf), np.float32(np.inf))
+    for c in sorted(pseudo):  # ascending, strict >: ties stay with the lower class
+        mask, conf = pseudo[c]
+        idx = np.flatnonzero(mask)
+        win = conf > best[idx]
+        flat[idx[win]] = c
+        best[idx[win]] = conf[win]
+    return SupervisionTarget(LabelMap(labels, partial_gt.num_classes), frozenset(pseudo))
 
 
 def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
@@ -343,8 +342,8 @@ def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
 
     Candidates are regenerated from scratch each round; the entropy gate
     (active from ``entropy_gate_from_round``) decides whether the stored
-    pseudo-label is replaced.  Per-organ oracle failures skip that organ and
-    never abort the round.
+    pseudo-label is replaced; each scan's target is then rebuilt.  Per-organ
+    oracle failures skip that organ and never abort the round.
     """
     report = RoundReport(round_index=round_t)
     for scan in scans:
@@ -368,9 +367,8 @@ def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
                 continue
             result = refine_pseudo_label(candidate, gprobs, prompts,
                                          config.refinement_config(round_t),
-                                         sup.state(class_id))
+                                         sup.organ_states[class_id])
             if result.accepted:
-                _merge_pseudo_label(sup, class_id, result.mask, gprobs.class_probs(1))
                 pdice = (dice(result.mask, class_mask(scan.gt, class_id))
                          if scan.gt is not None else None)
                 report.entries.append(RoundEntry(scan.scan_id, class_id,
@@ -380,6 +378,7 @@ def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
                 report.entries.append(RoundEntry(scan.scan_id, class_id,
                                                  "reject", result.reason,
                                                  result.mean_entropy, None))
+        sup.target = merged_target(sup.partial, sup.accepted())
     return report
 
 
@@ -456,7 +455,7 @@ def _write_summary_csv(path: Path, evaluations: dict[str, ScanEvaluation]) -> No
 
 def _build_phantom_dataset(config: PipelineConfig):
     suite = make_phantom_suite(config.scans + config.test_scans, config.organs,
-                               config.dims, seed=config.seed)
+                               config.dims, seed=config.seed, spacing=config.spacing)
     registry = PhantomRegistry()
     train, test = [], []
     num_classes = config.organs + 1
@@ -494,7 +493,7 @@ def _load_file_dataset(config: PipelineConfig):
     for man_path in sorted(root.glob("*.manifest")):
         scan_id = man_path.stem
         man = nifti_io.read_manifest(man_path)
-        vol = nifti_io.read_volume(root / f"{scan_id}.nii")
+        header, vol = nifti_io.read_nifti(root / f"{scan_id}.nii")
         labels = nifti_io.read_volume(root / f"{scan_id}.labels.nii")
         if not isinstance(vol, Volume) or not isinstance(labels, LabelMap):
             raise ConfigError(f"{scan_id}: expected float32 image and uint8 labels")
@@ -507,14 +506,10 @@ def _load_file_dataset(config: PipelineConfig):
             if isinstance(gt_img, LabelMap):
                 gt = LabelMap(np.array(gt_img.data), num_classes)
         labeled = man.classes_with_status("labeled")
-        pseudo = man.classes_with_status("pseudo")
-        unlabeled = frozenset(range(1, num_classes)) - labeled
-        sup = ScanSupervision(scan_id=scan_id, num_classes=num_classes,
-                              labeled=labeled, unlabeled=unlabeled,
-                              target=SupervisionTarget(labels, pseudo),
-                              pseudo=set(pseudo))
-        scan = Scan(scan_id, vol, sup, gt=gt)
-        train.append(scan)
+        sup = ScanSupervision(scan_id=scan_id, num_classes=num_classes, labeled=labeled,
+                              unlabeled=frozenset(range(1, num_classes)) - labeled,
+                              target=SupervisionTarget(labels, man.classes_with_status("pseudo")))
+        train.append(Scan(scan_id, vol, sup, gt=gt, header=header))
         if gt is not None:
             test.append((scan_id, vol, gt))
     if not train:
@@ -569,8 +564,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     targets_dir.mkdir(exist_ok=True)
     for scan in train:
         sup = scan.supervision
-        nifti_io.write_volume(targets_dir / f"{scan.scan_id}.labels.nii",
-                              sup.target.labels, spacing=config.spacing)
+        nifti_io.write_volume(targets_dir / f"{scan.scan_id}.labels.nii", sup.target.labels,
+                              spacing=scan.volume.spacing, template=scan.header)
         nifti_io.write_manifest(targets_dir / f"{scan.scan_id}.manifest",
                                 nifti_io.status_manifest(sup.num_classes, sup.labeled,
                                                          sup.pseudo))
@@ -578,7 +573,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     evaluations: dict[str, ScanEvaluation] = {}
     for scan_id, vol, gt in test:
         pred = argmax_labelmap(specialist.predict(vol))
-        evaluations[scan_id] = evaluate_scan(pred, gt, config.spacing,
+        evaluations[scan_id] = evaluate_scan(pred, gt, vol.spacing,
                                              hd95_missing=config.hd95_missing_policy)
     mean_dsc = mean_hd95 = None
     if evaluations:

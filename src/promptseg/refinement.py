@@ -40,12 +40,14 @@ class RefinementConfig:
 
 @dataclass
 class OrganRefinementState:
-    """Per-(scan, organ) refinement memory: the stored pseudo-label and the
-    mean entropies of accepted rounds.  Single-writer; states for different
+    """Per-(scan, organ) refinement memory: the stored pseudo-label, the
+    generalist probability at its voxels (1-D, C order) and the mean
+    entropies of accepted rounds.  Single-writer; states for different
     organs/scans are independent."""
 
     class_id: int
     current_pseudo: np.ndarray | None = None
+    current_conf: np.ndarray | None = None
     mean_entropy_history: list[float] = field(default_factory=list)
 
     @property
@@ -145,10 +147,10 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
 
     ``prob_class`` selects the class axis of ``probs`` carrying the organ's
     probability; it defaults to 1 for two-class (background/organ) fields and
-    to ``prompts.class_id`` otherwise.  On accept the state's stored
-    pseudo-label is replaced and its entropy history extended; on reject the
-    state is left untouched.  A candidate emptied by the voxel filters is a
-    rejection, never an empty accepted pseudo-label.
+    to ``prompts.class_id`` otherwise.  On accept the state's pseudo-label
+    and its probabilities are replaced and its entropy history extended; on
+    reject the state is left untouched.  A candidate emptied by the voxel
+    filters is a rejection, never an empty accepted pseudo-label.
     """
     if prob_class is None:
         prob_class = 1 if probs.num_classes == 2 else prompts.class_id
@@ -159,6 +161,7 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
     h = mean_mask_entropy(kept, voxel_entropy(probs))
     if not entropy_gate(state, h, config.entropy_gate_active):
         return RefinementResult(kept, False, REJECT_ENTROPY, h)
-    kept.flags.writeable = False
-    state.current_pseudo = kept
+    conf = probs.class_probs(prob_class)[kept]
+    kept.flags.writeable = conf.flags.writeable = False
+    state.current_pseudo, state.current_conf = kept, conf
     return RefinementResult(kept, True, ACCEPTED, h)

@@ -7,11 +7,13 @@ from promptseg.errors import ConfigError
 from promptseg.metrics import dice
 from promptseg.oracles import (GeneralistOracle, PhantomGeneralist,
                                PhantomRegistry, PhantomSpecialist,
-                               make_phantom_suite)
+                               SpecialistOracle, make_phantom_suite)
 from promptseg.pipeline import (PipelineConfig, Scan, ScanSupervision,
-                                initial_training, load_config,
+                                initial_training, load_config, merged_target,
                                 pseudo_label_round, retrain, run_pipeline,
                                 simulate_partial_labels)
+from promptseg.prompting import Box2D, BoxPromptPair
+from promptseg.refinement import RefinementConfig, refine_pseudo_label
 from promptseg.vls_loss import SupervisionTarget
 from promptseg.volgrid import LabelMap, ProbVolume, Volume
 
@@ -204,25 +206,20 @@ def test_pseudo_set_grows_monotonically():
 
 
 def test_pseudo_overlap_resolved_by_generalist_probability():
-    from promptseg.pipeline import _merge_pseudo_label
     dims = (6, 6, 6)
     labels = np.zeros(dims, dtype=np.uint8)
     labels[0, 0, 0] = 1  # ground-truth voxel for class 1
-    sup = ScanSupervision(
-        scan_id="s", num_classes=4, labeled=frozenset({1}),
-        unlabeled=frozenset({2, 3}),
-        target=SupervisionTarget(LabelMap(labels, 4)))
+    partial = LabelMap(labels, 4)
     mask2 = np.zeros(dims, dtype=bool)
     mask2[2:4, 2:4, 2:4] = True
     conf2 = np.where(mask2, np.float32(0.7), np.float32(0.0))
-    _merge_pseudo_label(sup, 2, mask2, conf2)
     mask3 = np.zeros(dims, dtype=bool)
     mask3[3:5, 3:5, 3:5] = True
     mask3[0, 0, 0] = True  # tries to steal a ground-truth voxel
     conf3 = np.where(mask3, np.float32(0.8), np.float32(0.0))
     conf3[3, 3, 3] = 0.7  # exact tie at one contested voxel
-    _merge_pseudo_label(sup, 3, mask3, conf3)
-    out = sup.target.labels.data
+    target = merged_target(partial, {2: (mask2, conf2[mask2]), 3: (mask3, conf3[mask3])})
+    out = target.labels.data
     assert out[0, 0, 0] == 1                       # ground truth untouched
     assert out[3, 3, 3] == 2                       # tie goes to the lower class
     contested = mask2 & mask3
@@ -230,7 +227,138 @@ def test_pseudo_overlap_resolved_by_generalist_probability():
     contested[0, 0, 0] = False
     assert (out[contested] == 3).all()             # higher confidence wins
     assert (out[mask2 & ~mask3] == 2).all()
-    assert sup.target.pseudo_classes == frozenset({2, 3})
+    assert target.pseudo_classes == frozenset({2, 3})
+
+
+def voxels(*flags):
+    """A 1x1xN mask from 0/1 flags."""
+    return np.array(flags, dtype=bool).reshape(1, 1, -1)
+
+
+def test_merged_target_shrinking_reaccept_returns_voxels_to_other_class():
+    partial = LabelMap(np.zeros((1, 1, 4), dtype=np.uint8), 4)
+    two = (voxels(0, 1, 1, 1), np.full(3, 0.6, np.float32))
+    before = merged_target(partial, {2: two, 3: (voxels(1, 1, 1, 0), np.full(3, 0.9, np.float32))})
+    assert before.labels.data.ravel().tolist() == [3, 3, 3, 2]
+    after = merged_target(partial, {2: two, 3: (voxels(1, 0, 0, 0), np.full(1, 0.9, np.float32))})
+    assert after.labels.data.ravel().tolist() == [3, 2, 2, 2]
+
+
+class FixedSpecialist(SpecialistOracle):
+    """Predicts one fixed label map; fits are no-ops."""
+
+    def __init__(self, labels, num_classes):
+        self.probs = np.stack([np.asarray(labels) == c for c in range(num_classes)]
+                              ).astype(np.float32)
+
+    def predict(self, volume):
+        return ProbVolume(self.probs)
+
+    def fit(self, examples, supervision="full"):
+        pass
+
+
+class ScriptedGeneralist(GeneralistOracle):
+    """Answers each organ's prompt with the (mask, probability) that
+    ``script[class_id]`` names; the probability is 0.05 off the mask."""
+
+    def __init__(self):
+        self.script = {}
+
+    def segment(self, volume, prompts):
+        mask, p = self.script[prompts.class_id]
+        fg = np.where(mask, np.float32(p), np.float32(0.05))
+        return mask, ProbVolume(np.stack([np.float32(1.0) - fg, fg]))
+
+
+def run_scripted_rounds(*rounds):
+    """Two ungated pipeline rounds on one 1x1x4 scan with organs 2 and 3
+    unlabeled; returns the target after the last round."""
+    sup = ScanSupervision(scan_id="s", num_classes=4, labeled=frozenset({1}),
+                          unlabeled=frozenset({2, 3}),
+                          target=SupervisionTarget(LabelMap(np.zeros((1, 1, 4), np.uint8), 4)))
+    scan = Scan("s", Volume(np.zeros((1, 1, 4), np.float32)), sup)
+    specialist = FixedSpecialist(np.array([3, 2, 2, 2]).reshape(1, 1, 4), 4)
+    generalist = ScriptedGeneralist()
+    config = PipelineConfig(rounds=3, entropy_gate_from_round=3)
+    for round_t, script in enumerate(rounds, start=1):
+        generalist.script = script
+        report = pseudo_label_round([scan], specialist, generalist, config, round_t)
+        assert [e.decision for e in report.entries] == ["accept", "accept"]
+    return sup.target.labels.data.ravel().tolist()
+
+
+def test_round_rebuilds_target_when_a_pseudo_label_shrinks():
+    first = {2: (voxels(0, 1, 1, 1), 0.6), 3: (voxels(1, 1, 1, 0), 0.9)}
+    second = {2: (voxels(0, 1, 1, 1), 0.6), 3: (voxels(1, 0, 0, 0), 0.9)}
+    assert run_scripted_rounds(first) == [3, 3, 3, 2]
+    assert run_scripted_rounds(first, second) == [3, 2, 2, 2]
+
+
+def test_reaccept_with_lower_probability_loses_the_voxels_it_won():
+    first = {2: (voxels(1, 1, 0, 0), 0.6), 3: (voxels(0, 1, 1, 0), 0.9)}
+    second = {2: (voxels(1, 1, 0, 0), 0.6), 3: (voxels(0, 1, 1, 0), 0.5)}
+    assert run_scripted_rounds(first) == [2, 3, 3, 0]
+    assert run_scripted_rounds(first, second) == [2, 2, 3, 0]
+
+
+def accept(state, mask, field):
+    """Accept ``mask`` with generalist probability ``field`` into ``state``
+    through refinement, its prompts covering the whole volume."""
+    H, W, D = mask.shape
+    prompts = BoxPromptPair(state.class_id, Box2D("axial", 0, (0, 0), (H - 1, W - 1)),
+                            Box2D("sagittal", 0, (0, 0), (H - 1, D - 1)))
+    fg = np.where(mask, field, np.float32(0.05)).astype(np.float32)
+    result = refine_pseudo_label(mask, ProbVolume(np.stack([1.0 - fg, fg])), prompts,
+                                 RefinementConfig(), state)
+    assert result.accepted and np.array_equal(result.mask, mask)
+
+
+def brute_force_target(partial, final):
+    """Per voxel: ground truth if any, else the highest probability among
+    the final masks covering it (ties to the lower class), else 0."""
+    out = np.array(partial)
+    for v in np.ndindex(out.shape):
+        if out[v] == 0:
+            claims = [(-field[v], c) for c, (mask, field) in final.items() if mask[v]]
+            out[v] = min(claims)[1] if claims else 0
+    return out
+
+
+def test_merged_target_is_order_independent_and_matches_brute_force():
+    rng = np.random.default_rng(44)
+    dims, C = (3, 4, 3), 6
+    levels = np.array([0.5, 0.6, 0.7, 0.8], np.float32)  # few levels: exact ties
+    for trial in range(30):
+        gt = np.where(rng.random(dims) < 0.2, 1, 0).astype(np.uint8)
+        events = {}
+        for c in range(2, C):
+            masks = [rng.random(dims) < 0.5]
+            for _ in range(rng.integers(0, 3)):  # re-accepts, some shrinking
+                shrink = rng.random() < 0.5
+                masks.append(masks[-1] & (rng.random(dims) < 0.6) if shrink
+                             else rng.random(dims) < 0.5)
+            masks = [m if m.any() else gt == 1 if (gt == 1).any() else np.ones(dims, bool)
+                     for m in masks]  # some masks cover ground truth only
+            events[c] = [(m, rng.choice(levels, size=dims)) for m in masks]
+        final = {c: ev[-1] for c, ev in events.items()}
+        expected = brute_force_target(gt, final)
+        for order in range(6):
+            sup = ScanSupervision(scan_id="s", num_classes=C, labeled=frozenset({1}),
+                                  unlabeled=frozenset(range(2, C)),
+                                  target=SupervisionTarget(LabelMap(gt, C)))
+            queue = [c for c, ev in events.items() for _ in ev]
+            rng.shuffle(queue)  # an interleaving that keeps each organ's own order
+            pending = {c: list(ev) for c, ev in events.items()}
+            for c in queue:
+                accept(sup.organ_states[c], *pending[c].pop(0))
+                sup.target = merged_target(sup.partial, sup.accepted())
+            pseudo = sup.accepted()
+            shuffled = dict(sorted(pseudo.items(), key=lambda kv: rng.random()))
+            assert np.array_equal(merged_target(sup.partial, shuffled).labels.data,
+                                  sup.target.labels.data)
+            assert np.array_equal(sup.target.labels.data, expected), (trial, order)
+            assert sup.target.pseudo_classes == frozenset(range(2, C))
 
 
 def test_retrain_without_pseudo_matches_initial_training():
@@ -433,6 +561,106 @@ def test_file_mode_pipeline_end_to_end(tmp_path):
     for scan_id, _, _ in suite:
         man = nifti_io.read_manifest(tmp_path / "out" / "targets" / f"{scan_id}.manifest")
         assert man.statuses == {1: "labeled", 2: "pseudo"}
+
+
+def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path):
+    from promptseg import nifti_io
+    from promptseg.metrics import hd95
+    from promptseg.oracles import volume_fingerprint
+    data = tmp_path / "data"
+    data.mkdir()
+    spacing = (0.8, 1.5, 2.5)
+    template = nifti_io.NiftiHeader(
+        shape=(16, 16, 16), datatype=nifti_io.DT_FLOAT32, pixdim=spacing,
+        vox_offset=nifti_io.VOX_OFFSET, qform_code=1, sform_code=2,
+        quatern=(0.0, 0.0, 0.5, -12.0, 20.0, 31.5),
+        srow=(0.0, -1.5, 0.0, 12.0, 0.8, 0.0, 0.0, -20.0, 0.0, 0.0, 2.5, 31.5), qfac=-1.0)
+    suite = make_phantom_suite(3, 2, (16, 16, 16), seed=21, spacing=spacing)
+    predicted = {}  # the responder's answer: ground truth moved one slice in z
+    for scan_id, vol, gt in suite:
+        predicted[volume_fingerprint(vol)] = LabelMap(np.roll(gt.data, 1, axis=2),
+                                                      gt.num_classes)
+        nifti_io.write_volume(data / f"{scan_id}.nii", vol, template=template)
+        nifti_io.write_volume(data / f"{scan_id}.gt.nii", gt)
+        partial = np.array(gt.data)
+        partial[partial == 2] = 0
+        nifti_io.write_volume(data / f"{scan_id}.labels.nii",
+                              LabelMap(partial, gt.num_classes))
+        nifti_io.write_manifest(data / f"{scan_id}.manifest", nifti_io.ScanManifest(
+            statuses={1: "labeled", 2: "unlabeled"}))
+    spec_dir, gen_dir = tmp_path / "spec_xchg", tmp_path / "gen_xchg"
+    spec_dir.mkdir()
+    gen_dir.mkdir()
+    responder = FullResponder(spec_dir, gen_dir, predicted)
+    responder.thread.start()
+    try:
+        result = run_pipeline(PipelineConfig(
+            oracle="file", data_dir=str(data), specialist_exchange=str(spec_dir),
+            generalist_exchange=str(gen_dir), oracle_timeout=30.0, rounds=1,
+            entropy_gate_from_round=1, out_dir=str(tmp_path / "out")))
+    finally:
+        responder.stop.set()
+        responder.thread.join()
+    for scan_id, vol, gt in suite:
+        pred = predicted[volume_fingerprint(vol)].data
+        for cm in result.evaluations[scan_id].per_class:
+            pm, gm = pred == cm.class_id, gt.data == cm.class_id
+            assert cm.hd95 == hd95(pm, gm, spacing)
+            assert cm.hd95 != hd95(pm, gm)  # 1 mm would give another distance
+        image_hdr, _ = nifti_io.read_nifti(data / f"{scan_id}.nii")
+        target_hdr, _ = nifti_io.read_nifti(tmp_path / "out" / "targets" /
+                                            f"{scan_id}.labels.nii")
+        assert target_hdr.pixdim == image_hdr.pixdim
+        for name in ("qform_code", "sform_code", "quatern", "srow", "qfac"):
+            assert getattr(target_hdr, name) == getattr(image_hdr, name), name
+
+
+def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
+    from promptseg import nifti_io
+    from promptseg.pipeline import _load_file_dataset
+    data = tmp_path / "data"
+    data.mkdir()
+    labels = np.zeros((4, 4, 4), dtype=np.uint8)
+    labels[0, :2] = 1      # ground truth
+    labels[2:, 1:3] = 2    # an earlier pseudo-label
+    nifti_io.write_volume(data / "s.nii", Volume(np.zeros((4, 4, 4), np.float32)))
+    nifti_io.write_volume(data / "s.labels.nii", LabelMap(labels, 4))
+    nifti_io.write_manifest(data / "s.manifest", nifti_io.ScanManifest(
+        statuses={1: "labeled", 2: "pseudo", 3: "unlabeled"}))
+    config = PipelineConfig(oracle="file", data_dir=str(data),
+                            specialist_exchange=str(tmp_path / "spec"),
+                            generalist_exchange=str(tmp_path / "gen"))
+    (scan,), _, _, _ = _load_file_dataset(config)
+    sup = scan.supervision
+    state = sup.organ_states[2]
+    assert sup.pseudo == {2} and sup.target.pseudo_classes == {2}
+    assert np.array_equal(state.current_pseudo, labels == 2)
+    assert np.array_equal(state.current_conf, np.zeros(int((labels == 2).sum()), np.float32))
+    assert np.array_equal(sup.partial.data, np.where(labels == 2, 0, labels))
+    assert np.array_equal(merged_target(sup.partial, sup.accepted()).labels.data, labels)
+    # a later organ wins every seeded voxel it claims, even at the lowest probability
+    mask3 = np.zeros((4, 4, 4), dtype=bool)
+    mask3[1:3, 1:3] = True
+    accept(sup.organ_states[3], mask3, np.float32(0.4))
+    merged = merged_target(sup.partial, sup.accepted()).labels.data
+    assert (merged[mask3 & (labels == 2)] == 3).all()
+    assert (merged[(labels == 2) & ~mask3] == 2).all()
+    # the seeded voxels stay until the class is accepted again
+    shrunk = labels == 2
+    shrunk[3] = False
+    accept(state, shrunk, np.float32(0.9))
+    again = merged_target(sup.partial, sup.accepted()).labels.data
+    assert np.array_equal(again == 2, shrunk)
+    assert (again[(labels == 2) & ~shrunk] == 0).all()
+
+
+def test_phantom_volumes_carry_the_configured_spacing():
+    from promptseg.pipeline import _build_phantom_dataset
+    config = PipelineConfig(scans=2, test_scans=1, organs=2, dims=(16, 16, 16),
+                            spacing=(2.0, 1.0, 0.5))
+    train, test, _, _ = _build_phantom_dataset(config)
+    assert {s.volume.spacing for s in train} | {v.spacing for _, v, _ in test} == {
+        (2.0, 1.0, 0.5)}
 
 
 def write_file_mode_data(data, n=2, dims=(12, 12, 12), seed=21):

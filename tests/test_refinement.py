@@ -173,6 +173,24 @@ def test_refine_gated_rejection_keeps_stored_label():
     assert len(state.mean_entropy_history) == 1
 
 
+def test_refine_stores_probabilities_at_the_accepted_voxels():
+    mask = sphere(DIMS, (16, 16, 16), 5)
+    rng = np.random.default_rng(3)
+    p_fg = np.where(mask, rng.uniform(0.5, 1.0, DIMS), 0.01).astype(np.float32)
+    state = OrganRefinementState(class_id=1)
+    res = refine_pseudo_label(mask, two_class_probs(p_fg), gt_prompts(mask),
+                              RefinementConfig(entropy_gate_active=False), state)
+    assert res.accepted
+    assert state.current_conf.shape == (int(mask.sum()),)
+    assert np.array_equal(state.current_conf, p_fg[state.current_pseudo])  # C order
+    assert not state.current_conf.flags.writeable
+    stored = state.current_conf
+    fuzzy = two_class_probs(np.where(mask, np.float32(0.6), np.float32(0.4)))
+    refine_pseudo_label(mask, fuzzy, gt_prompts(mask),
+                        RefinementConfig(entropy_gate_active=True), state)
+    assert state.current_conf is stored  # a rejection keeps the stored probabilities
+
+
 def test_refine_emptied_candidate_is_reject():
     mask = sphere(DIMS, (16, 16, 16), 5)
     low = two_class_probs(np.where(mask, np.float32(0.2), np.float32(0.1)))
