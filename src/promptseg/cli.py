@@ -24,7 +24,7 @@ from .prompting import (DEFAULT_PADDING, format_prompts, make_box_prompts,
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
                          RefinementConfig, refine_pseudo_label)
 from .vls_loss import SupervisionTarget, vls_mask
-from .volgrid import LabelMap, ProbVolume, mask_to_labels
+from .volgrid import LabelMap, ProbVolume, argmax_labelmap, mask_to_labels
 
 log = logging.getLogger("promptseg.cli")
 
@@ -113,7 +113,7 @@ def cmd_vls_mask(args) -> int:
     num_classes = max(labels.num_classes, man.num_classes, probs.num_classes)
     labels = LabelMap(np.array(labels.data), num_classes)
     target = SupervisionTarget(labels, man.classes_with_status("pseudo"))
-    mask = vls_mask(probs, target)
+    mask = vls_mask(argmax_labelmap(probs), target)
     nifti_io.write_volume(args.out, mask_to_labels(mask))
     print(f"selected {int(mask.sum())}/{mask.size} voxels")
     return 0

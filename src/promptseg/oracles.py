@@ -579,10 +579,11 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         for idx, ex in enumerate(examples):
             stem = fit_dir / f"scan_{idx:04d}"
             nifti_io.write_volume(stem.with_suffix(".nii"), ex.volume)
-            nifti_io.write_volume(Path(str(stem) + ".target.nii"), ex.target.labels)
+            nifti_io.write_volume(Path(str(stem) + ".target.nii"), ex.target.labels,
+                                  spacing=ex.volume.spacing)
             if ex.weight_mask is not None:
                 nifti_io.write_volume(Path(str(stem) + ".mask.nii"),
-                                      mask_to_labels(ex.weight_mask))
+                                      mask_to_labels(ex.weight_mask), spacing=ex.volume.spacing)
             man = nifti_io.status_manifest(ex.target.labels.num_classes,
                                            ex.labeled_classes, ex.target.pseudo_classes)
             nifti_io.write_manifest(Path(str(stem) + ".manifest"), man)

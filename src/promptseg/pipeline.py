@@ -263,20 +263,18 @@ def simulate_partial_labels(gt: LabelMap, num_classes: int, keep_fraction: float
 
 # --- stage 2: initial training ------------------------------------------------
 
-def _training_examples(scans: list[Scan], specialist: SpecialistOracle | None,
-                       use_vls: bool) -> list[TrainingExample]:
+def _training_examples(scans: list[Scan],
+                       predictions: dict[str, LabelMap] | None) -> list[TrainingExample]:
     examples = []
     for scan in scans:
+        target = scan.supervision.target
         mask = None
-        if use_vls and specialist is not None:
-            target = scan.supervision.target
-            if target.pseudo_classes:
-                mask = vls_mask(specialist.predict(scan.volume), target)
-            else:  # what vls_mask returns without pseudo voxels; no predict needed
-                mask = np.ones(target.labels.dims, dtype=bool)
+        if predictions is not None:
+            mask = (vls_mask(predictions[scan.scan_id], target) if target.pseudo_classes
+                    else np.ones(target.labels.dims, dtype=bool))  # no pseudo voxel to drop
         examples.append(TrainingExample(
             volume=scan.volume,
-            target=scan.supervision.target,
+            target=target,
             labeled_classes=scan.supervision.labeled,
             weight_mask=mask,
         ))
@@ -293,7 +291,7 @@ def initial_training(scans: list[Scan], specialist: SpecialistOracle,
     for scan in scans:
         if not scan.supervision.labeled:
             raise ConfigError(f"{scan.scan_id}: no labeled organs")
-    specialist.fit(_training_examples(scans, None, False), supervision=supervision)
+    specialist.fit(_training_examples(scans, None), supervision=supervision)
 
 
 # --- stage 3: pseudo-label generation + refinement ----------------------------
@@ -335,10 +333,19 @@ def merged_target(partial_gt: LabelMap,
     return SupervisionTarget(LabelMap(labels, partial_gt.num_classes), frozenset(pseudo))
 
 
-def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
+def predict_labels(scans: list[Scan], specialist: SpecialistOracle) -> dict[str, LabelMap]:
+    """The specialist's predicted labels for every scan with an unlabeled
+    organ: one predict per scan per round, read by the round's prompts and
+    by the VLS masks of the refit that follows it."""
+    return {scan.scan_id: argmax_labelmap(specialist.predict(scan.volume))
+            for scan in scans if scan.supervision.unlabeled}
+
+
+def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                        generalist: GeneralistOracle, config: PipelineConfig,
                        round_t: int) -> RoundReport:
-    """One prompt -> segment -> refine pass over every unlabeled organ.
+    """One prompt -> segment -> refine pass over every unlabeled organ, the
+    prompts drawn from ``predictions`` (see ``predict_labels``).
 
     Candidates are regenerated from scratch each round; the entropy gate
     (active from ``entropy_gate_from_round``) decides whether the stored
@@ -349,8 +356,8 @@ def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
     for scan in scans:
         sup = scan.supervision
         if not sup.unlabeled:
-            continue  # nothing to pseudo-label; skip the predict
-        pred = argmax_labelmap(specialist.predict(scan.volume))
+            continue
+        pred = predictions[scan.scan_id]
         for class_id in sorted(sup.unlabeled):
             try:
                 prompts = make_box_prompts(pred, class_id, config.box_padding)
@@ -384,19 +391,19 @@ def pseudo_label_round(scans: list[Scan], specialist: SpecialistOracle,
 
 # --- stage 4: re-training ------------------------------------------------------
 
-def retrain(scans: list[Scan], specialist: SpecialistOracle, use_vls: bool,
+def retrain(scans: list[Scan], specialist: SpecialistOracle,
+            predictions: dict[str, LabelMap] | None,
             supervision: str = "partial") -> None:
     """Fit the specialist on the merged (ground truth + pseudo) targets.
 
-    With VLS enabled, a selection mask computed from the specialist's
-    *current* predictions accompanies each target; the phantom specialist
-    weights its quality update by it and the file oracle ships it as an
-    extra NIfTI.
+    Given the round's ``predictions`` (VLS on), a selection mask built from
+    them accompanies each target; the phantom specialist weights its quality
+    update by it and the file oracle ships it as an extra NIfTI.  ``None``
+    fits without masks.
     """
     if not any(scan.supervision.labeled or scan.supervision.pseudo for scan in scans):
         raise ConfigError("retraining requires at least one supervised scan")
-    specialist.fit(_training_examples(scans, specialist, use_vls),
-                   supervision=supervision)
+    specialist.fit(_training_examples(scans, predictions), supervision=supervision)
 
 
 # --- full pipeline -------------------------------------------------------------
@@ -551,13 +558,14 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     initial_training(train, specialist, supervision=config.supervision)
     reports: list[RoundReport] = []
     for round_t in range(1, config.rounds + 1):
-        report = pseudo_label_round(train, specialist, generalist, config, round_t)
+        predictions = predict_labels(train, specialist)
+        report = pseudo_label_round(train, predictions, generalist, config, round_t)
         reports.append(report)
         _write_round_csv(out / f"round_{round_t}.csv", report)
         n_accept = len(report.accepted())
         log.info("round %d: %d/%d organ updates accepted", round_t, n_accept,
                  len(report.entries))
-        retrain(train, specialist, use_vls=config.use_vls,
+        retrain(train, specialist, predictions if config.use_vls else None,
                 supervision=config.supervision)
 
     targets_dir = out / "targets"

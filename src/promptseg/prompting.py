@@ -74,18 +74,6 @@ def median_foreground_slice(mask: np.ndarray, axis: str) -> int:
     return int(occ[(occ.size - 1) // 2])
 
 
-def nearest_occupied_slice(mask: np.ndarray, axis: str, index: int) -> int:
-    """Foreground-containing slice nearest to ``index`` (ties to the lower one).
-
-    Guards disconnected masks when a caller supplies its own slice choice;
-    the median slice itself always contains foreground.
-    """
-    occ = _occupied_slices(mask, axis)
-    if occ.size == 0:
-        raise NoForegroundError(f"mask has no foreground along the {axis} axis")
-    return int(occ[np.argmin(np.abs(occ - index))])
-
-
 def bbox_2d(mask_slice: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
     """Tight inclusive (lo, hi) bounds over the foreground of a 2D slice."""
     rows, cols = np.nonzero(mask_slice)
@@ -108,9 +96,6 @@ def _slice_box(mask: np.ndarray, axis: str, index: int, p: int) -> Box2D:
         sl, dims = mask[:, :, index], (mask.shape[0], mask.shape[1])
     else:
         sl, dims = mask[:, index, :], (mask.shape[0], mask.shape[2])
-    if not sl.any():
-        index = nearest_occupied_slice(mask, axis, index)
-        sl = mask[:, :, index] if axis == AXIAL else mask[:, index, :]
     lo, hi = bbox_2d(sl)
     return pad_box(Box2D(axis, index, lo, hi), p, dims)
 

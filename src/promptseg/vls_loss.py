@@ -1,7 +1,7 @@
 """Voxel-level selection mask and the masked losses it modulates.
 
 The selection mask keeps a pseudo-labeled voxel only when the model's current
-argmax agrees with its label; voxels carrying ground truth are always kept.
+predicted label agrees with it; voxels carrying ground truth are always kept.
 Both losses and their analytic gradients are computed in 64-bit; gradients
 are with respect to the probabilities (composing with a softmax Jacobian is
 the caller's concern), which keeps this module framework-agnostic.
@@ -36,7 +36,8 @@ class SupervisionTarget:
             raise RejectedInputError(f"pseudo classes outside 1..C-1: {sorted(bad)}")
 
 
-def _check_pred(pred: ProbVolume, target: SupervisionTarget, mask: np.ndarray | None):
+def _check_pred(pred: ProbVolume | LabelMap, target: SupervisionTarget,
+                mask: np.ndarray | None):
     if pred.dims != target.labels.dims:
         raise RejectedInputError(f"prediction dims {pred.dims} vs target dims {target.labels.dims}")
     if pred.num_classes != target.labels.num_classes:
@@ -46,16 +47,18 @@ def _check_pred(pred: ProbVolume, target: SupervisionTarget, mask: np.ndarray | 
         raise RejectedInputError(f"mask dims {mask.shape} vs target dims {target.labels.dims}")
 
 
-def vls_mask(pred: ProbVolume, target: SupervisionTarget) -> np.ndarray:
+def vls_mask(pred: LabelMap, target: SupervisionTarget) -> np.ndarray:
     """Voxel selection mask: 1 where the target label is not pseudo, else the
-    indicator that the prediction's argmax equals the target label."""
+    indicator that the predicted label (``argmax_labelmap`` of the model's
+    probabilities) equals the target label."""
+    if not isinstance(pred, LabelMap):
+        raise RejectedInputError(f"vls_mask takes predicted labels, got {type(pred).__name__}")
     _check_pred(pred, target, None)
     y = target.labels.data
     if not target.pseudo_classes:
         return np.ones(y.shape, dtype=bool)
-    pred_labels = np.argmax(pred.data, axis=0).astype(np.uint8)
     is_pseudo = np.isin(y, sorted(target.pseudo_classes))
-    return np.where(is_pseudo, pred_labels == y, True)
+    return np.where(is_pseudo, pred.data == y, True)
 
 
 def masked_cross_entropy(pred: ProbVolume, target: SupervisionTarget,

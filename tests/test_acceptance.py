@@ -22,7 +22,7 @@ from promptseg.refinement import (OrganRefinementState, RefinementConfig,
                                   refine_pseudo_label)
 from promptseg.vls_loss import (SupervisionTarget, masked_cross_entropy,
                                 masked_soft_dice, vls_mask)
-from promptseg.volgrid import (LabelMap, ProbVolume, Volume,
+from promptseg.volgrid import (LabelMap, ProbVolume, Volume, argmax_labelmap,
                                softmax_from_logits)
 
 logging.disable(logging.INFO)
@@ -149,7 +149,8 @@ def test_criterion_3_vls_correctness():
         pred = softmax_from_logits(rng.normal(0, 2, size=(3,) + dims).astype(np.float32))
         for ps in pseudo_sets:
             target = SupervisionTarget(labels, ps)
-            assert np.array_equal(vls_mask(pred, target), _brute_force_vls(pred, target))
+            assert np.array_equal(vls_mask(argmax_labelmap(pred), target),
+                                  _brute_force_vls(pred, target))
             checked += 1
     assert checked == 3 ** 8 * 4
 

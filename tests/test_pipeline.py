@@ -10,7 +10,8 @@ from promptseg.oracles import (GeneralistOracle, PhantomGeneralist,
                                SpecialistOracle, make_phantom_suite)
 from promptseg.pipeline import (PipelineConfig, Scan, ScanSupervision,
                                 initial_training, load_config, merged_target,
-                                pseudo_label_round, retrain, run_pipeline,
+                                predict_labels, pseudo_label_round, retrain,
+                                run_pipeline,
                                 simulate_partial_labels)
 from promptseg.prompting import Box2D, BoxPromptPair
 from promptseg.refinement import RefinementConfig, refine_pseudo_label
@@ -115,7 +116,8 @@ def test_initial_training_raises_quality_of_labeled_classes_only():
 def test_cooperative_round_accepts_everything_exactly():
     scans, specialist, generalist = phantom_world(quality=1.0, coop=1.0)
     config = PipelineConfig(rounds=4, scans=4, organs=3, dims=(24, 24, 24))
-    report = pseudo_label_round(scans, specialist, generalist, config, round_t=1)
+    report = pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config,
+                                round_t=1)
     expected = sum(len(s.supervision.unlabeled) for s in scans)
     accepted = report.accepted()
     assert len(accepted) == expected
@@ -143,10 +145,11 @@ def test_adversarial_generalist_rejected_in_gated_round():
     scans, specialist, generalist = phantom_world(quality=1.0, coop=1.0)
     config = PipelineConfig(rounds=4, entropy_gate_from_round=2,
                             scans=4, organs=3, dims=(24, 24, 24))
-    pseudo_label_round(scans, specialist, generalist, config, round_t=1)
+    pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=1)
     before = {s.scan_id: s.supervision.target.labels.data.tobytes() for s in scans}
     adversary = AdversarialGeneralist(scans[0].volume.dims, seed=1)
-    report = pseudo_label_round(scans, specialist, adversary, config, round_t=2)
+    report = pseudo_label_round(scans, predict_labels(scans, specialist), adversary, config,
+                                round_t=2)
     assert not report.accepted()
     assert all(e.decision in ("reject", "skip") for e in report.entries)
     for scan in scans:
@@ -171,7 +174,8 @@ def test_absent_organ_skipped_with_reason():
     specialist = ForgetfulSpecialist(registry, quality=1.0)
     config = PipelineConfig(rounds=1, entropy_gate_from_round=1,
                             scans=4, organs=3, dims=(24, 24, 24))
-    report = pseudo_label_round(scans, specialist, generalist, config, round_t=1)
+    report = pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config,
+                                round_t=1)
     skipped = [e for e in report.entries if e.class_id == 3]
     assert skipped and all(e.decision == "skip" and e.reason == "no-prediction"
                            for e in skipped)
@@ -186,7 +190,7 @@ def test_pseudo_merge_never_overwrites_ground_truth():
                        sorted(scan.supervision.labeled))
         gt_voxels[scan.scan_id] = (keep, scan.supervision.target.labels.data[keep])
     for t in (1, 2):
-        pseudo_label_round(scans, specialist, generalist, config, round_t=t)
+        pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=t)
     for scan in scans:
         keep, values = gt_voxels[scan.scan_id]
         assert np.array_equal(scan.supervision.target.labels.data[keep], values)
@@ -199,7 +203,7 @@ def test_pseudo_set_grows_monotonically():
                             scans=4, organs=3, dims=(24, 24, 24))
     seen = {s.scan_id: set() for s in scans}
     for t in (1, 2, 3):
-        pseudo_label_round(scans, specialist, generalist, config, round_t=t)
+        pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=t)
         for s in scans:
             assert seen[s.scan_id] <= s.supervision.pseudo
             seen[s.scan_id] = set(s.supervision.pseudo)
@@ -283,7 +287,8 @@ def run_scripted_rounds(*rounds):
     config = PipelineConfig(rounds=3, entropy_gate_from_round=3)
     for round_t, script in enumerate(rounds, start=1):
         generalist.script = script
-        report = pseudo_label_round([scan], specialist, generalist, config, round_t)
+        report = pseudo_label_round([scan], predict_labels([scan], specialist), generalist,
+                                    config, round_t)
         assert [e.decision for e in report.entries] == ["accept", "accept"]
     return sup.target.labels.data.ravel().tolist()
 
@@ -369,7 +374,7 @@ def test_retrain_without_pseudo_matches_initial_training():
     a = PhantomSpecialist(registry)
     b = PhantomSpecialist(registry)
     initial_training(scans, a, supervision="partial")
-    retrain(scans, b, use_vls=False, supervision="partial")
+    retrain(scans, b, None, supervision="partial")
     for c in range(1, 4):
         assert a.quality(c) == pytest.approx(b.quality(c))
 
@@ -378,12 +383,12 @@ def test_retrain_with_clean_pseudo_labels_is_vls_insensitive():
     scans, specialist, generalist = phantom_world(quality=1.0, coop=1.0)
     config = PipelineConfig(rounds=1, entropy_gate_from_round=1,
                             scans=4, organs=3, dims=(24, 24, 24))
-    pseudo_label_round(scans, specialist, generalist, config, round_t=1)
+    pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=1)
     registry = specialist.registry
     a = PhantomSpecialist(registry, quality=1.0)
     b = PhantomSpecialist(registry, quality=1.0)
-    retrain(scans, a, use_vls=False, supervision="partial")
-    retrain(scans, b, use_vls=True, supervision="partial")
+    retrain(scans, a, None, supervision="partial")
+    retrain(scans, b, predict_labels(scans, b), supervision="partial")
     for c in range(1, 4):
         assert a.quality(c) == pytest.approx(b.quality(c))
 
@@ -613,6 +618,13 @@ def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path):
         assert target_hdr.pixdim == image_hdr.pixdim
         for name in ("qform_code", "sform_code", "quatern", "srow", "qfac"):
             assert getattr(target_hdr, name) == getattr(image_hdr, name), name
+    # the fit sets: every image, target and VLS mask at the scans' (0.8, 1.5, 2.5) mm
+    image_pixdim = nifti_io.read_nifti(data / f"{suite[0][0]}.nii")[0].pixdim
+    assert image_pixdim == tuple(float(np.float32(s)) for s in spacing)
+    fit_files = sorted(spec_dir.glob("fit_*/scan_*.nii"))
+    assert {p.name.split(".", 1)[1] for p in fit_files} == {"nii", "target.nii", "mask.nii"}
+    for path in fit_files:
+        assert nifti_io.read_nifti(path)[0].pixdim == image_pixdim, path.name
 
 
 def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
@@ -703,7 +715,8 @@ def test_file_mode_refuses_equal_exchange_paths(tmp_path, monkeypatch):
     assert not list(xchg.glob("req_*")) and not list(xchg.glob("fit_*"))
 
 
-def test_fully_labeled_run_predicts_only_the_test_scans(tmp_path, monkeypatch):
+@pytest.mark.parametrize("keep_fraction", [1.0, 0.5])
+def test_run_predicts_each_scan_once_per_round(tmp_path, monkeypatch, keep_fraction):
     from promptseg.oracles import volume_fingerprint
     predicted = []
     real_predict = PhantomSpecialist.predict
@@ -713,14 +726,19 @@ def test_fully_labeled_run_predicts_only_the_test_scans(tmp_path, monkeypatch):
         return real_predict(self, volume)
 
     monkeypatch.setattr(PhantomSpecialist, "predict", counting_predict)
-    config = PipelineConfig(keep_fraction=1.0, rounds=2, entropy_gate_from_round=1,
+    config = PipelineConfig(keep_fraction=keep_fraction, rounds=2, entropy_gate_from_round=1,
                             scans=4, test_scans=2, organs=3, dims=(16, 16, 16),
                             use_vls=True, seed=3, out_dir=str(tmp_path / "out"))
     result = run_pipeline(config)
-    test_fps = [volume_fingerprint(vol) for _, vol, _ in
-                make_phantom_suite(6, 3, (16, 16, 16), seed=3)[4:]]
-    assert predicted == test_fps
-    assert all(not report.entries for report in result.round_reports)
+    suite = make_phantom_suite(6, 3, (16, 16, 16), seed=3)
+    unlabeled = [volume_fingerprint(vol) for scan_id, vol, gt in suite[:4]
+                 if simulate_partial_labels(gt, 4, keep_fraction, 3, scan_id).unlabeled]
+    test_fps = [volume_fingerprint(vol) for _, vol, _ in suite[4:]]
+    assert len(unlabeled) == (0 if keep_fraction == 1.0 else 4)
+    # per round: each training scan with an unlabeled organ once (prompts and
+    # VLS masks read the same prediction), then the final evaluation
+    assert predicted == unlabeled * config.rounds + test_fps
+    assert all(bool(report.entries) == bool(unlabeled) for report in result.round_reports)
 
 
 def test_config_file_round_trip(tmp_path):

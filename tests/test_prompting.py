@@ -5,8 +5,7 @@ from promptseg.errors import (NoForegroundError, NoPredictionError,
                               RejectedInputError)
 from promptseg.prompting import (AXIAL, SAGITTAL, Box2D, bbox_2d,
                                  format_prompts, make_box_prompts,
-                                 median_foreground_slice,
-                                 nearest_occupied_slice, pad_box,
+                                 median_foreground_slice, pad_box,
                                  parse_prompts)
 from promptseg.volgrid import LabelMap
 
@@ -43,15 +42,6 @@ def test_median_slice_invariant_to_duplication_within_slices():
     dense = mask.copy()
     dense[1:7, 1:7, 5] = True  # more foreground, same occupied slices
     assert median_foreground_slice(dense, AXIAL) == median_foreground_slice(mask, AXIAL)
-
-
-def test_nearest_occupied_slice():
-    mask = mask_with_axial_slices([2, 9])
-    assert nearest_occupied_slice(mask, AXIAL, 3) == 2
-    assert nearest_occupied_slice(mask, AXIAL, 8) == 9
-    # ties go to the lower slice (argmin picks the first)
-    mask2 = mask_with_axial_slices([2, 6])
-    assert nearest_occupied_slice(mask2, AXIAL, 4) == 2
 
 
 def test_bbox_examples():

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from promptseg.errors import RejectedInputError
 from promptseg.vls_loss import (SupervisionTarget, masked_cross_entropy,
                                 masked_soft_dice, vls_mask)
-from promptseg.volgrid import LabelMap, ProbVolume, softmax_from_logits
+from promptseg.volgrid import (LabelMap, ProbVolume, argmax_labelmap,
+                              softmax_from_logits)
 
 DICE_EPS = 1e-5
 
@@ -37,7 +39,7 @@ def brute_force_vls(pred, target):
 def test_vls_mask_all_ones_without_pseudo_classes():
     rng = np.random.default_rng(0)
     pred, target, _ = random_instance(rng, pseudo=())
-    assert vls_mask(pred, target).all()
+    assert vls_mask(argmax_labelmap(pred), target).all()
 
 
 def test_vls_mask_agreement_rule():
@@ -46,10 +48,10 @@ def test_vls_mask_agreement_rule():
     pred = ProbVolume(probs)
     labels = LabelMap(np.full((1, 1, 1), 3, dtype=np.uint8), 4)
     target = SupervisionTarget(labels, frozenset({3}))
-    assert vls_mask(pred, target)[0, 0, 0]
+    assert vls_mask(argmax_labelmap(pred), target)[0, 0, 0]
     probs2 = np.zeros((4, 1, 1, 1), dtype=np.float32)
     probs2[0] = 1.0
-    assert not vls_mask(ProbVolume(probs2), target)[0, 0, 0]
+    assert not vls_mask(argmax_labelmap(ProbVolume(probs2)), target)[0, 0, 0]
 
 
 def test_vls_mask_matches_brute_force_randomized():
@@ -57,7 +59,8 @@ def test_vls_mask_matches_brute_force_randomized():
     for _ in range(20):
         pseudo = tuple(rng.choice([1, 2], size=rng.integers(0, 3), replace=False))
         pred, target, _ = random_instance(rng, dims=(3, 3, 3), pseudo=pseudo)
-        assert np.array_equal(vls_mask(pred, target), brute_force_vls(pred, target))
+        assert np.array_equal(vls_mask(argmax_labelmap(pred), target),
+                              brute_force_vls(pred, target))
 
 
 def test_vls_mask_exhaustive_small_grid():
@@ -71,7 +74,8 @@ def test_vls_mask_exhaustive_small_grid():
         pred = softmax_from_logits(rng.normal(0, 2, size=(3,) + dims).astype(np.float32))
         for ps in pseudo_sets:
             target = SupervisionTarget(labels, ps)
-            assert np.array_equal(vls_mask(pred, target), brute_force_vls(pred, target))
+            assert np.array_equal(vls_mask(argmax_labelmap(pred), target),
+                                  brute_force_vls(pred, target))
             count += 1
     assert count == 3 ** 8 * 4
 
@@ -80,9 +84,18 @@ def test_vls_monotone_under_pseudo_growth():
     rng = np.random.default_rng(3)
     pred, target, _ = random_instance(rng, pseudo=(1,))
     bigger = SupervisionTarget(target.labels, frozenset({1, 2}))
-    m1 = vls_mask(pred, target)
-    m2 = vls_mask(pred, bigger)
+    m1 = vls_mask(argmax_labelmap(pred), target)
+    m2 = vls_mask(argmax_labelmap(pred), bigger)
     assert not (m2 & ~m1).any()  # entries only ever flip 1 -> 0
+
+
+def test_vls_mask_rejects_probabilities():
+    rng = np.random.default_rng(4)
+    pred, target, _ = random_instance(rng, pseudo=(1,))
+    with pytest.raises(RejectedInputError, match="predicted labels"):
+        vls_mask(pred, target)
+    with pytest.raises(RejectedInputError):
+        vls_mask(pred.data, target)
 
 
 def test_cross_entropy_examples():
