@@ -1,7 +1,7 @@
 """Pluggable segmentation backends behind the pipeline.
 
-Two oracle surfaces exist: a *specialist* (trainable; ``predict`` + ``fit``)
-and a *generalist* (frozen, promptable; ``segment``).  The phantom
+Two oracle surfaces exist: a *specialist* (trainable; ``predict`` -> labels,
+``fit``) and a *generalist* (frozen, promptable; ``segment``).  The phantom
 implementations below run the whole pipeline at desk scale against synthetic
 ellipsoid scans with exact ground truth, while ``FileOracle`` bridges to real
 external models through a directory exchange:
@@ -9,7 +9,7 @@ external models through a directory exchange:
     req_<uid>.nii        request volume (written atomically)
     req_<uid>.prompts    box prompts, one line per box (segment only)
     resp_<uid>.nii       uint8 mask response (segment only)
-    resp_<uid>.prob.nii  float32 probability response (predict and segment)
+    resp_<uid>.prob.nii  float32 probabilities (predict, segment) or uint8 labels (predict)
     fit_<uid>/ + fit_<uid>.req / fit_<uid>.done   training handshake
 
 The exchange root defaults to the PROMPTSEG_EXCHANGE environment variable.
@@ -41,7 +41,7 @@ from .errors import (ConfigError, CorruptFileError, NiftiError,
 from .prompting import DEFAULT_PADDING, BoxPromptPair, format_prompts
 from .refinement import roi_ranges
 from .vls_loss import SupervisionTarget
-from .volgrid import LabelMap, ProbVolume, Volume, mask_to_labels
+from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labels
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,10 @@ class TrainingExample:
 
 
 class SpecialistOracle(abc.ABC):
-    """Trainable task model.  fit() is exclusive: no predict during fit."""
+    """Trainable task model: predict() -> labels; fit() is exclusive (no predict during it)."""
 
     @abc.abstractmethod
-    def predict(self, volume: Volume) -> ProbVolume: ...
+    def predict(self, volume: Volume) -> LabelMap: ...
 
     @abc.abstractmethod
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None: ...
@@ -265,23 +265,14 @@ def _rng_for(*key_parts) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(h.digest()[:8], "little"))
 
 
-def _onehot_probs(labels: np.ndarray, num_classes: int, kappa: float) -> ProbVolume:
-    """softmax(kappa * onehot(labels)), evaluated in closed form."""
-    base = 1.0 / (np.exp(kappa) + num_classes - 1)
-    top = np.exp(kappa) * base
-    arr = np.full((num_classes,) + labels.shape, np.float32(base), dtype=np.float32)
-    np.put_along_axis(arr, labels[None].astype(np.int64), np.float32(top), axis=0)
-    return ProbVolume(arr)
-
-
 class PhantomSpecialist(SpecialistOracle):
     """Closed-form stand-in for a trainable segmentation network.
 
-    Per-class prediction quality q in [0, 1] drives the corruption of the
-    registered ground truth: boundary jitter scaled by (1 - q), and classes
-    with q = 0 dropped entirely (never-supervised organs stay invisible).
-    At q = 1 the prediction is the organ mask itself, so no signed distance
-    field is computed for that class.
+    ``predict`` returns labels: the registered ground truth corrupted by the
+    per-class prediction quality q in [0, 1], with boundary jitter scaled by
+    (1 - q), and classes with q = 0 dropped (never-supervised organs stay
+    invisible; unfitted, every organ is).  At q = 1 the prediction is the
+    organ mask itself, so no signed distance field is computed for that class.
     fit() is a closed-form quality update, not gradient descent: each
     supervised class's q moves toward a target derived from how much of the
     class's ground truth the supervision supports versus contradicts,
@@ -297,7 +288,6 @@ class PhantomSpecialist(SpecialistOracle):
     simply ignored.
     """
 
-    KAPPA = 8.0          # confidence sharpness of the predicted probabilities
     JITTER_SIGMA = 2.0   # boundary jitter scale at q = 0, voxels
 
     def __init__(self, registry: PhantomRegistry, quality: float = 0.0,
@@ -309,17 +299,14 @@ class PhantomSpecialist(SpecialistOracle):
         self.seed = int(seed)
         self._base_quality = float(quality)
         self._quality: dict[int, float] = {}
-        self._fitted = quality > 0.0
 
     def quality(self, class_id: int) -> float:
         return self._quality.get(class_id, self._base_quality)
 
-    def predict(self, volume: Volume) -> ProbVolume:
+    def predict(self, volume: Volume) -> LabelMap:
         fp, scan = self.registry.lookup(volume)
         C = scan.gt.num_classes
         dims = scan.gt.dims
-        if not self._fitted:
-            return ProbVolume(np.full((C,) + dims, np.float32(1.0 / C)))
         labels = np.zeros(dims, dtype=np.uint8)
         for c in range(1, C):
             q = self.quality(c)
@@ -333,7 +320,7 @@ class PhantomSpecialist(SpecialistOracle):
                 noise = _rng_for(self.seed, fp, c).standard_normal(dims).astype(np.float32)
                 corrupted = sd + (1.0 - q) * self.JITTER_SIGMA * noise > 0.0
             labels[(labels == 0) & corrupted] = c
-        return _onehot_probs(labels, C, self.KAPPA)
+        return LabelMap(labels, C)
 
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
         if supervision not in ("full", "partial"):
@@ -368,7 +355,6 @@ class PhantomSpecialist(SpecialistOracle):
             target_q = (support.get(c, 0.0)
                         - self.contradiction_weight * contra.get(c, 0.0)) / total
             self._quality[c] = min(1.0, max(0.0, target_q))
-        self._fitted = True
 
 
 class PhantomGeneralist(GeneralistOracle):
@@ -535,18 +521,22 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                 raise OracleUnavailableError(f"no response at {path} within {self.timeout}s")
             time.sleep(self.poll_interval)
 
-    def predict(self, volume: Volume) -> ProbVolume:
+    def predict(self, volume: Volume) -> LabelMap:
+        """A probability response is decoded to its argmax; a uint8 label
+        image is taken as it is, with ``num_classes = max label + 1``."""
         uid = uuid.uuid4().hex
         deadline = time.monotonic() + self.timeout
         self._write_atomic(self.root / f"req_{uid}.nii",
                            lambda p: nifti_io.write_volume(p, volume))
-        probs = self._await_file(self.root / f"resp_{uid}.prob.nii", deadline)
-        if not isinstance(probs, ProbVolume):
-            raise OracleProtocolError("predict response is not a 4D probability image")
-        if probs.dims != volume.dims:
+        resp = self._await_file(self.root / f"resp_{uid}.prob.nii", deadline)
+        if isinstance(resp, ProbVolume):
+            resp = argmax_labelmap(resp)
+        elif not isinstance(resp, LabelMap):
+            raise OracleProtocolError("predict response is neither probabilities nor labels")
+        if resp.dims != volume.dims:
             raise OracleProtocolError(
-                f"predict response dims {probs.dims} != request dims {volume.dims}")
-        return probs
+                f"predict response dims {resp.dims} != request dims {volume.dims}")
+        return resp
 
     def segment(self, volume: Volume, prompts: BoxPromptPair) -> tuple[np.ndarray, ProbVolume]:
         uid = uuid.uuid4().hex

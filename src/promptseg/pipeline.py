@@ -32,6 +32,7 @@ from .prompting import DEFAULT_PADDING, make_box_prompts
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
                          RefinementConfig, refine_pseudo_label)
 from .vls_loss import SupervisionTarget, vls_mask
+# unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
 from .volgrid import LabelMap, Volume, argmax_labelmap, class_mask
 
 log = logging.getLogger("promptseg.pipeline")
@@ -152,6 +153,9 @@ class PipelineConfig:
             (len(self.spacing) != 3
              or not all(np.isfinite(s) and s > 0.0 for s in self.spacing),
              f"spacing must be 3 positive finite numbers, got {self.spacing}"),
+            (not 0.0 <= self.specialist_contradiction_weight < np.inf,  # also rejects nan
+             "specialist_contradiction_weight must be finite and >= 0, "
+             f"got {self.specialist_contradiction_weight}"),
             (self.hd95_missing_policy not in HD95_MISSING_POLICIES,
              f"hd95_missing_policy must be one of {HD95_MISSING_POLICIES}"),
         ]
@@ -333,11 +337,17 @@ def merged_target(partial_gt: LabelMap,
     return SupervisionTarget(LabelMap(labels, partial_gt.num_classes), frozenset(pseudo))
 
 
+def _predict(specialist: SpecialistOracle, volume: Volume, num_classes: int) -> LabelMap:
+    """The specialist's labels as a ``num_classes``-class map; a label >=
+    num_classes (say, from an external model) is a ``RejectedInputError``."""
+    return LabelMap(specialist.predict(volume).data, num_classes)
+
+
 def predict_labels(scans: list[Scan], specialist: SpecialistOracle) -> dict[str, LabelMap]:
     """The specialist's predicted labels for every scan with an unlabeled
     organ: one predict per scan per round, read by the round's prompts and
     by the VLS masks of the refit that follows it."""
-    return {scan.scan_id: argmax_labelmap(specialist.predict(scan.volume))
+    return {scan.scan_id: _predict(specialist, scan.volume, scan.supervision.num_classes)
             for scan in scans if scan.supervision.unlabeled}
 
 
@@ -510,8 +520,9 @@ def _load_file_dataset(config: PipelineConfig):
         gt = None
         if gt_path.exists():
             gt_img = nifti_io.read_volume(gt_path)
-            if isinstance(gt_img, LabelMap):
-                gt = LabelMap(np.array(gt_img.data), num_classes)
+            if not isinstance(gt_img, LabelMap):
+                raise ConfigError(f"{scan_id}: expected uint8 labels in {gt_path.name}")
+            gt = LabelMap(np.array(gt_img.data), num_classes)
         labeled = man.classes_with_status("labeled")
         sup = ScanSupervision(scan_id=scan_id, num_classes=num_classes, labeled=labeled,
                               unlabeled=frozenset(range(1, num_classes)) - labeled,
@@ -580,7 +591,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     evaluations: dict[str, ScanEvaluation] = {}
     for scan_id, vol, gt in test:
-        pred = argmax_labelmap(specialist.predict(vol))
+        pred = _predict(specialist, vol, gt.num_classes)
         evaluations[scan_id] = evaluate_scan(pred, gt, vol.spacing,
                                              hd95_missing=config.hd95_missing_policy)
     mean_dsc = mean_hd95 = None

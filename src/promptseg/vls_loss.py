@@ -49,8 +49,7 @@ def _check_pred(pred: ProbVolume | LabelMap, target: SupervisionTarget,
 
 def vls_mask(pred: LabelMap, target: SupervisionTarget) -> np.ndarray:
     """Voxel selection mask: 1 where the target label is not pseudo, else the
-    indicator that the predicted label (``argmax_labelmap`` of the model's
-    probabilities) equals the target label."""
+    indicator that the specialist's predicted label equals the target label."""
     if not isinstance(pred, LabelMap):
         raise RejectedInputError(f"vls_mask takes predicted labels, got {type(pred).__name__}")
     _check_pred(pred, target, None)

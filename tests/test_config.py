@@ -69,6 +69,8 @@ BAD_VALUES = [
     {"spacing": (1, float("nan"), 1)},
     {"generalist_cooperativeness": 1.5},
     {"oracle_timeout": 0.0},
+    {"specialist_contradiction_weight": float("nan")},
+    {"specialist_contradiction_weight": -1.0},
 ]
 
 

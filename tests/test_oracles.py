@@ -14,7 +14,7 @@ from promptseg.metrics import dice
 from promptseg.oracles import (Ellipsoid, FileOracle, PhantomGeneralist,
                                PhantomRegistry,
                                PhantomSpecialist, PhantomSpec, TrainingExample,
-                               _distance_from, _onehot_probs,
+                               _distance_from,
                                ellipsoid_mask, generate_phantom,
                                make_phantom_suite, volume_fingerprint)
 from promptseg.prompting import Box2D, BoxPromptPair, AXIAL, SAGITTAL, make_box_prompts
@@ -103,15 +103,16 @@ def test_specialist_quality_one_is_exact():
     suite, registry = registered_suite()
     spec = PhantomSpecialist(registry, quality=1.0)
     for _, vol, gt in suite:
-        pred = argmax_labelmap(spec.predict(vol))
+        pred = spec.predict(vol)
         assert np.array_equal(pred.data, gt.data)
 
 
-def test_specialist_unfitted_is_uniform():
+def test_specialist_unfitted_predicts_background_everywhere():
     suite, registry = registered_suite()
     spec = PhantomSpecialist(registry, quality=0.0)
-    probs = spec.predict(suite[0][1])
-    assert np.allclose(probs.data, 1.0 / probs.num_classes)
+    labels = spec.predict(suite[0][1])
+    assert labels.num_classes == suite[0][2].num_classes
+    assert not labels.data.any()
 
 
 def test_specialist_unknown_volume_rejected():
@@ -136,9 +137,8 @@ def test_specialist_never_supervised_class_stays_invisible():
     spec.fit(examples, supervision="partial")
     assert spec.quality(1) > 0 and spec.quality(2) > 0
     assert spec.quality(3) == 0.0
-    probs = spec.predict(suite[0][1])
-    assert (probs.data[3] <= probs.data[0]).all()  # organ invisible
-    assert not (argmax_labelmap(probs).data == 3).any()
+    labels = spec.predict(suite[0][1])
+    assert not (labels.data == 3).any()  # organ invisible
 
 
 def test_specialist_partial_fit_raises_only_labeled_classes():
@@ -186,7 +186,7 @@ def test_specialist_accuracy_monotone_in_supervision():
                                     labeled_classes=frozenset({1, 2}))
                     for _, v, g in suite[:k]]
         spec.fit(examples, supervision="partial")
-        pred = argmax_labelmap(spec.predict(vol0))
+        pred = spec.predict(vol0)
         return dice(pred.data == 1, gt0.data == 1)
 
     scores = [fit_on(k) for k in (1, 2, 4)]
@@ -385,8 +385,7 @@ def test_specialist_quality_one_equals_positive_signed_distance():
         labels = np.zeros(gt.dims, dtype=np.uint8)
         for c in range(1, gt.num_classes):
             labels[(labels == 0) & (registry.signed_distance(fp, c) > 0.0)] = c
-        want = _onehot_probs(labels, gt.num_classes, PhantomSpecialist.KAPPA)
-        assert spec.predict(vol).data.tobytes() == want.data.tobytes()
+        assert spec.predict(vol).data.tobytes() == labels.tobytes()
 
 
 def test_specialist_quality_one_rejects_empty_class():
@@ -453,7 +452,7 @@ def test_file_oracle_round_trip(tmp_path):
         oracle = FileOracle(tmp_path, timeout=10.0)
         vol = Volume(np.zeros(dims, dtype=np.float32))
         got = oracle.predict(vol)
-        assert got.data.tobytes() == probs.data.tobytes()
+        assert got.data.tobytes() == argmax_labelmap(probs).data.tobytes()
         got_mask, got_probs = oracle.segment(vol, box_prompts_for(mask))
         assert np.array_equal(got_mask, mask)
         assert got_probs.data.tobytes() == probs.data.tobytes()
@@ -475,6 +474,80 @@ def test_file_oracle_round_trip(tmp_path):
     finally:
         responder.stop.set()
         responder.join()
+
+
+def predict_answered_with(root, response, dims=(6, 5, 4)):
+    """``FileOracle.predict`` of a zero volume of ``dims``, answered by a
+    StubResponder that writes ``response`` as ``resp_<uid>.prob.nii``."""
+    responder = StubResponder(root, np.zeros(response.dims, dtype=bool), response)
+    responder.start()
+    try:
+        return FileOracle(root, timeout=10.0).predict(Volume(np.zeros(dims, dtype=np.float32)))
+    finally:
+        responder.stop.set()
+        responder.join()
+
+
+def test_file_oracle_predict_takes_a_label_image_as_it_is(tmp_path):
+    labels = np.random.default_rng(0).integers(0, 3, size=(6, 5, 4)).astype(np.uint8)
+    labels[5, 4, 3] = 3
+    got = predict_answered_with(tmp_path, LabelMap(labels, 6))
+    assert isinstance(got, LabelMap)
+    assert got.data.tobytes() == labels.tobytes()
+    assert got.num_classes == 4  # read from disk: max label + 1
+
+
+def test_file_oracle_predict_argmaxes_probabilities(tmp_path):
+    C, dims = 5, (6, 5, 4)
+    raw = np.random.default_rng(1).dirichlet(np.ones(C), size=dims).astype(np.float32)
+    raw = np.ascontiguousarray(np.moveaxis(raw, -1, 0))
+    raw[:, 0, 0, 0] = 0.2                          # a five-way tie
+    raw[:, 1, 0, 0] = [0.0, 0.0, 0.5, 0.5, 0.0]    # a two-way tie
+    got = predict_answered_with(tmp_path, ProbVolume(raw))
+    assert isinstance(got, LabelMap) and got.num_classes == C
+    for idx in np.ndindex(dims):
+        p = [float(raw[(c,) + idx]) for c in range(C)]
+        assert got.data[idx] == p.index(max(p)), idx  # ties go to the lowest class
+    assert got.data[0, 0, 0] == 0 and got.data[1, 0, 0] == 2
+
+
+def test_file_oracle_predict_rejects_other_responses(tmp_path):
+    (tmp_path / "image").mkdir()
+    (tmp_path / "dims").mkdir()
+    with pytest.raises(OracleProtocolError, match="neither probabilities nor labels"):
+        predict_answered_with(tmp_path / "image", Volume(np.ones((6, 5, 4), np.float32)))
+    with pytest.raises(OracleProtocolError, match="dims"):
+        predict_answered_with(tmp_path / "dims", LabelMap(np.ones((6, 5, 3), np.uint8), 2))
+
+
+def test_response_label_out_of_range_rejected_before_any_segment(tmp_path):
+    from promptseg.pipeline import PipelineConfig, run_pipeline
+    dims = (6, 6, 6)
+    data, spec_dir, gen_dir = tmp_path / "data", tmp_path / "spec", tmp_path / "gen"
+    for d in (data, spec_dir, gen_dir):
+        d.mkdir()
+    labels = np.zeros(dims, dtype=np.uint8)
+    labels[1:3, 1:3, 1:3] = 1
+    nifti_io.write_volume(data / "s.nii", Volume(np.zeros(dims, np.float32)))
+    nifti_io.write_volume(data / "s.labels.nii", LabelMap(labels, 3))
+    nifti_io.write_manifest(data / "s.manifest", nifti_io.ScanManifest(
+        statuses={1: "labeled", 2: "unlabeled"}))
+    answer = labels.copy()
+    answer[4, 4, 4] = 3  # a class the 3-class scan does not have
+    responder = StubResponder(spec_dir, labels > 0, LabelMap(answer, 4))
+    responder.start()
+    try:
+        with pytest.raises(RejectedInputError, match="label 3 >= num_classes 3"):
+            run_pipeline(PipelineConfig(
+                oracle="file", data_dir=str(data), specialist_exchange=str(spec_dir),
+                generalist_exchange=str(gen_dir), oracle_timeout=10.0, rounds=1,
+                entropy_gate_from_round=1, out_dir=str(tmp_path / "out")))
+    finally:
+        responder.stop.set()
+        responder.join()
+    assert responder.fits_seen == 1                      # initial training ran
+    assert len(list(spec_dir.glob("resp_*.prob.nii"))) == 1  # then one predict
+    assert not list(gen_dir.iterdir())                   # and no segment request
 
 
 def test_file_oracle_timeout(tmp_path):

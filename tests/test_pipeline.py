@@ -160,12 +160,10 @@ class ForgetfulSpecialist(PhantomSpecialist):
     """Never predicts the highest class, whatever its quality."""
 
     def predict(self, volume):
-        probs = super().predict(volume)
-        data = np.array(probs.data)
-        C = probs.num_classes
-        data[0] += data[C - 1]
-        data[C - 1] = 0.0
-        return ProbVolume(data)
+        labels = super().predict(volume)
+        data = np.array(labels.data)
+        data[data == labels.num_classes - 1] = 0
+        return LabelMap(data, labels.num_classes)
 
 
 def test_absent_organ_skipped_with_reason():
@@ -252,11 +250,10 @@ class FixedSpecialist(SpecialistOracle):
     """Predicts one fixed label map; fits are no-ops."""
 
     def __init__(self, labels, num_classes):
-        self.probs = np.stack([np.asarray(labels) == c for c in range(num_classes)]
-                              ).astype(np.float32)
+        self.labels = LabelMap(labels, num_classes)
 
     def predict(self, volume):
-        return ProbVolume(self.probs)
+        return self.labels
 
     def fit(self, examples, supervision="full"):
         pass
@@ -713,6 +710,21 @@ def test_file_mode_refuses_equal_exchange_paths(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="share the exchange directory"):
         run_pipeline(config)
     assert not list(xchg.glob("req_*")) and not list(xchg.glob("fit_*"))
+
+
+def test_file_mode_gt_that_is_not_a_label_image_is_a_config_error(tmp_path):
+    from promptseg import nifti_io
+    write_file_mode_data(tmp_path / "data")
+    nifti_io.write_volume(tmp_path / "data" / "scan001.gt.nii",
+                          Volume(np.zeros((12, 12, 12), np.float32)))
+    spec, gen = tmp_path / "spec", tmp_path / "gen"
+    config = PipelineConfig(oracle="file", data_dir=str(tmp_path / "data"),
+                            specialist_exchange=str(spec), generalist_exchange=str(gen),
+                            oracle_timeout=0.5, rounds=1, entropy_gate_from_round=1,
+                            out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="scan001: expected uint8 labels in scan001.gt.nii"):
+        run_pipeline(config)
+    assert not list(spec.glob("req_*")) and not list(spec.glob("fit_*"))
 
 
 @pytest.mark.parametrize("keep_fraction", [1.0, 0.5])
