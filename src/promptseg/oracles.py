@@ -48,7 +48,7 @@ from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labe
 class TrainingExample:
     """One scan's contribution to a specialist fit: image, merged supervision
     target, the classes carrying real annotations, and an optional voxel
-    weight mask (1 = use the voxel)."""
+    weight mask (nonzero = use the voxel)."""
 
     volume: Volume
     target: SupervisionTarget
@@ -102,24 +102,33 @@ class PhantomSpec:
         return len(self.organs) + 1
 
 
-def ellipsoid_mask(dims: tuple[int, int, int], ell: Ellipsoid) -> np.ndarray:
-    """Voxels p with |R^T (p - c) / radii| <= 1.  The form is evaluated only
-    on the box ``center +- max(radii)``, padded by one voxel and clipped to
-    the grid: the ellipsoid lies inside that ball, and every voxel in the box
-    gets the same arithmetic as on the full grid."""
-    mask = np.zeros(dims, dtype=bool)
+def _ellipsoid_on_box(dims: tuple[int, int, int],
+                      ell: Ellipsoid) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The box ``center +- max(radii)``, padded by one voxel and clipped to the
+    grid, and the ellipsoid's mask on it (empty when the ball misses the grid).
+    The ellipsoid lies inside that ball, and every voxel in the box gets the
+    same arithmetic as on the full grid."""
     center = np.asarray(ell.center, dtype=np.float64)
     reach = float(np.abs(ell.radii).max()) + 1.0
     lo = np.maximum(np.floor(center - reach).astype(np.int64), 0)
     hi = np.minimum(np.ceil(center + reach).astype(np.int64) + 1, dims)  # exclusive
     if np.any(hi <= lo):
-        return mask                                          # ball misses the grid
+        return (slice(0, 0),) * 3, np.zeros((0, 0, 0), dtype=bool)
     coords = np.indices(hi - lo, dtype=np.float64) + lo.reshape(3, 1, 1, 1)  # axes (y, x, z)
     offs = coords - center.reshape(3, 1, 1, 1)
     rot = Rotation.from_euler("zyx", ell.angles).as_matrix()
     local = np.einsum("ji,j...->i...", rot, offs)            # R^T (p - c)
     radii = np.asarray(ell.radii, dtype=np.float64).reshape(3, 1, 1, 1)
-    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = ((local / radii) ** 2).sum(axis=0) <= 1.0
+    box = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+    return box, ((local / radii) ** 2).sum(axis=0) <= 1.0
+
+
+def ellipsoid_mask(dims: tuple[int, int, int], ell: Ellipsoid) -> np.ndarray:
+    """Voxels p with |R^T (p - c) / radii| <= 1, evaluated on the ellipsoid's
+    box only."""
+    mask = np.zeros(dims, dtype=bool)
+    box, inside = _ellipsoid_on_box(dims, ell)
+    mask[box] = inside
     return mask
 
 
@@ -127,14 +136,17 @@ def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[
     """Rasterize a phantom: exact label map plus a noisy intensity image.
 
     Deterministic for a fixed seed.  Overlapping ellipsoids are resolved by
-    organ-index priority: earlier organs keep contested voxels.
+    organ-index priority: earlier organs keep contested voxels.  Each organ is
+    written on its ellipsoid's box.
     """
     labels = np.zeros(spec.dims, dtype=np.uint8)
     image = np.zeros(spec.dims, dtype=np.float64)
     for idx, ell in enumerate(spec.organs, start=1):
-        mask = ellipsoid_mask(spec.dims, ell) & (labels == 0)
-        labels[mask] = idx
-        image[mask] = ell.intensity
+        box, inside = _ellipsoid_on_box(spec.dims, ell)
+        sub = labels[box]
+        new = inside & (sub == 0)
+        sub[new] = idx
+        image[box][new] = ell.intensity
     rng = np.random.default_rng(seed)
     image += rng.normal(0.0, IMAGE_SIGMA, size=spec.dims)
     return Volume(image.astype(np.float32), spacing), LabelMap(labels, max(2, spec.num_classes))
@@ -183,9 +195,10 @@ def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int]
         rng = np.random.default_rng((seed, 1000 + idx))
         spec = random_phantom_spec(dims, num_organs, rng)
         vol, gt = generate_phantom(spec, (seed, 2000 + idx), spacing)
-        for c in range(1, spec.num_classes):
-            if not (gt.data == c).any():
-                raise ConfigError(f"phantom organ {c} rasterized empty; dims too small")
+        counts = np.bincount(gt.data.ravel(), minlength=spec.num_classes)
+        empty = np.flatnonzero(counts[1:] == 0) + 1
+        if empty.size:
+            raise ConfigError(f"phantom organ {empty[0]} rasterized empty; dims too small")
         scans.append((f"scan{idx:03d}", vol, gt))
     return scans
 
@@ -197,21 +210,45 @@ def volume_fingerprint(volume: Volume) -> str:
     return h.hexdigest()[:16]
 
 
+Region = tuple[slice, slice, slice]
+
+
+def _grow(lo: np.ndarray, hi: np.ndarray, by: int, dims: tuple[int, int, int]) -> Region:
+    """The inclusive box ``[lo, hi]`` grown by ``by`` voxels, clipped to the grid."""
+    return tuple(slice(max(int(a) - by, 0), min(int(b) + by + 1, n))
+                 for a, b, n in zip(lo, hi, dims))
+
+
+def _within(inner: Region, outer: Region) -> Region | None:
+    """``inner`` in the coordinates of ``outer``, or None if it sticks out."""
+    if any(i.start < o.start or i.stop > o.stop for i, o in zip(inner, outer)):
+        return None
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
+
+
 @dataclass
 class _PhantomScan:
     gt: LabelMap
-    sdist: dict[int, np.ndarray] = field(default_factory=dict)
-    bbox: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    sdist: dict[int, tuple[Region, np.ndarray]] = field(default_factory=dict)
+    objects: list | None = None    # ndimage.find_objects(gt), taken on first use
 
 
 class PhantomRegistry:
     """Ground truth lookup for phantom oracles, keyed by volume fingerprint.
 
-    Caches per-organ signed distance fields (positive inside, in voxels) and
-    tight 3D bounding boxes.  The inside distance is computed on the organ's
-    box grown by one voxel (clipped to the grid), which is exact: clamping an
-    organ voxel's nearest background voxel into that box moves it no farther,
-    and lands it on the box's face, which is background or the grid border.
+    Per scan it keeps every organ's tight bounding box, from one
+    ``ndimage.find_objects`` pass, and per organ one signed distance field
+    (positive inside, in voxels) together with the region it covers.  The
+    field on a region equals the full-grid field there, byte for byte:
+
+    - the outside distance is an exact EDT (Maurer et al., TPAMI 2003) of a
+      region that holds every organ voxel, so each voxel's nearest organ
+      voxel is inside it;
+    - the inside distance is taken on the organ's box grown by one voxel
+      (clipped to the grid), which every region is widened to hold: clamping
+      an organ voxel's nearest background voxel into that box moves it no
+      farther, and lands it on the box's face, which is background or the
+      grid border.
     """
 
     def __init__(self):
@@ -231,30 +268,41 @@ class PhantomRegistry:
             raise UnknownVolumeError("volume was not generated by the registered phantom suite")
         return fp, scan
 
-    def signed_distance(self, fp: str, class_id: int) -> np.ndarray:
+    def signed_distance(self, fp: str, class_id: int,
+                        region: Region | None = None) -> np.ndarray:
+        """The class's signed distance on ``region`` (in-grid slices with
+        integer bounds; default: the whole grid), read-only.  A region inside
+        the cached one is a view of the cached field, and the whole grid, once
+        computed, is that very array; any other region is computed afresh and
+        replaces the cache."""
         scan = self._scans[fp]
-        sd = scan.sdist.get(class_id)
-        if sd is None:
+        want = region or tuple(slice(0, n) for n in scan.gt.dims)
+        cached = scan.sdist.get(class_id)
+        if cached is None or _within(want, cached[0]) is None:
             lo, hi = self.organ_bbox(fp, class_id)
-            mask = scan.gt.data == class_id
-            box = tuple(slice(max(a - 1, 0), b + 2) for a, b in zip(lo, hi))
+            grown = _grow(lo, hi, 1, scan.gt.dims)
+            at = tuple(slice(min(w.start, g.start), max(w.stop, g.stop))
+                       for w, g in zip(want, grown))
+            mask = scan.gt.data[at] == class_id
             sd = -ndimage.distance_transform_edt(~mask)
-            sd[box] += ndimage.distance_transform_edt(mask[box])
+            inner = _within(grown, at)
+            sd[inner] += ndimage.distance_transform_edt(mask[inner])
             sd = sd.astype(np.float32)
             sd.flags.writeable = False
-            scan.sdist[class_id] = sd
-        return sd
+            cached = scan.sdist[class_id] = (at, sd)
+        at, sd = cached
+        return sd if at == want else sd[_within(want, at)]
 
     def organ_bbox(self, fp: str, class_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Inclusive int64 corners ``(lo, hi)`` of the class's voxels."""
         scan = self._scans[fp]
-        bb = scan.bbox.get(class_id)
-        if bb is None:
-            coords = np.argwhere(scan.gt.data == class_id)
-            if coords.size == 0:
-                raise RejectedInputError(f"phantom class {class_id} is empty")
-            bb = (coords.min(axis=0), coords.max(axis=0))
-            scan.bbox[class_id] = bb
-        return bb
+        if scan.objects is None:
+            scan.objects = ndimage.find_objects(scan.gt.data)
+        if not 1 <= class_id <= len(scan.objects) or scan.objects[class_id - 1] is None:
+            raise RejectedInputError(f"phantom class {class_id} is empty or not an organ")
+        box = scan.objects[class_id - 1]
+        return (np.array([s.start for s in box], dtype=np.int64),
+                np.array([s.stop - 1 for s in box], dtype=np.int64))
 
 
 def _rng_for(*key_parts) -> np.random.Generator:
@@ -271,17 +319,31 @@ class PhantomSpecialist(SpecialistOracle):
     ``predict`` returns labels: the registered ground truth corrupted by the
     per-class prediction quality q in [0, 1], with boundary jitter scaled by
     (1 - q), and classes with q = 0 dropped (never-supervised organs stay
-    invisible; unfitted, every organ is).  At q = 1 the prediction is the
-    organ mask itself, so no signed distance field is computed for that class.
+    invisible; unfitted, every organ is).  Each class is predicted
+    ``sd + (1 - q) * JITTER_SIGMA * noise > 0`` with a standard normal
+    ``noise`` field, and its labels are written on the organ's box only:
+
+    - at q = 1 the prediction is the organ mask itself, so no signed distance
+      field is computed for that class;
+    - at 0 < q < 1 the noise is still drawn over the whole grid, so the RNG
+      stream and the values on the box do not depend on the box.  With
+      ``reach = ceil(scale * max(noise))``, a voxel outside the organ's box
+      grown by ``reach`` is at least ``reach + 1`` voxels from the organ, so
+      its ``sd + scale * noise`` is at most -1 (a margin that float32
+      rounding cannot cross) and it stays unlabeled.  The signed distance,
+      the float32 noise and the comparison are taken on that grown box alone.
+
     fit() is a closed-form quality update, not gradient descent: each
     supervised class's q moves toward a target derived from how much of the
     class's ground truth the supervision supports versus contradicts,
 
         target_q = clip((support - cw * contradiction) / gt_voxels, 0, 1)
 
-    aggregated over the fit set.  Each fit sets q to target_q, which models
-    training to convergence, so quality is proportional to the labeled voxel
-    coverage and repeated fits on identical data are idempotent.
+    aggregated over the fit set, counting only voxels with a nonzero
+    ``weight_mask``; the counts come from a few ``np.bincount`` calls per
+    example.  Each fit sets q to target_q, which models training to
+    convergence, so quality is proportional to the labeled voxel coverage and
+    repeated fits on identical data are idempotent.
     Under "full" supervision every voxel of every class is supervised (absent
     organs read as background and contradict); under "partial" supervision
     only channels in labeled/pseudo sets are trained and absent organs are
@@ -312,14 +374,19 @@ class PhantomSpecialist(SpecialistOracle):
             q = self.quality(c)
             if q <= 0.0:
                 continue  # organ invisible to the model
+            lo, hi = self.registry.organ_bbox(fp, c)  # rejects an empty class
             if q >= 1.0:
-                self.registry.organ_bbox(fp, c)  # rejects an empty class
-                corrupted = scan.gt.data == c    # == signed_distance(fp, c) > 0
+                box = _grow(lo, hi, 0, dims)
+                corrupted = scan.gt.data[box] == c    # == signed_distance(fp, c) > 0
             else:
-                sd = self.registry.signed_distance(fp, c)
-                noise = _rng_for(self.seed, fp, c).standard_normal(dims).astype(np.float32)
-                corrupted = sd + (1.0 - q) * self.JITTER_SIGMA * noise > 0.0
-            labels[(labels == 0) & corrupted] = c
+                noise = _rng_for(self.seed, fp, c).standard_normal(dims)
+                scale = (1.0 - q) * self.JITTER_SIGMA   # one scalar before the float32 noise
+                reach = int(np.ceil(scale * max(float(noise.max()), 0.0)))
+                box = _grow(lo, hi, reach, dims)
+                sd = self.registry.signed_distance(fp, c, box)
+                corrupted = sd + scale * noise[box].astype(np.float32) > 0.0
+            sub = labels[box]
+            sub[(sub == 0) & corrupted] = c
         return LabelMap(labels, C)
 
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
@@ -332,23 +399,26 @@ class PhantomSpecialist(SpecialistOracle):
         gt_total: dict[int, float] = {}
         for ex in examples:
             _, scan = self.registry.lookup(ex.volume)
-            gt = scan.gt.data
-            y = ex.target.labels.data
             C = scan.gt.num_classes
-            w = ex.weight_mask if ex.weight_mask is not None else np.ones(gt.shape, dtype=bool)
+            gt = scan.gt.data.ravel()
+            y = ex.target.labels.data.ravel()
+            gt_count = np.bincount(gt, minlength=C)
+            if ex.weight_mask is not None:
+                w = ex.weight_mask.ravel() != 0
+                gt, y = gt[w], y[w]
+            gt_w = np.bincount(gt, minlength=C)             # |gt=c & w|
+            y_w = np.bincount(y, minlength=C)               # |y=c & w|
+            both = np.bincount(gt[gt == y], minlength=C)    # |gt=c & y=c & w|
             if supervision == "full":
                 supervised = frozenset(range(1, C))
             else:
                 supervised = frozenset(ex.labeled_classes) | ex.target.pseudo_classes
             for c in range(1, C):
-                gt_c = gt == c
-                gt_total[c] = gt_total.get(c, 0.0) + float(gt_c.sum())
+                gt_total[c] = gt_total.get(c, 0.0) + float(gt_count[c])
                 if c not in supervised:
                     continue
-                t_c = y == c
-                support[c] = support.get(c, 0.0) + float((gt_c & t_c & w).sum())
-                wrong = (t_c & ~gt_c & w) | (gt_c & ~t_c & w)
-                contra[c] = contra.get(c, 0.0) + float(wrong.sum())
+                support[c] = support.get(c, 0.0) + float(both[c])
+                contra[c] = contra.get(c, 0.0) + float(gt_w[c] + y_w[c] - 2 * both[c])
         for c, total in gt_total.items():
             if total == 0.0 or (c not in support and c not in contra):
                 continue

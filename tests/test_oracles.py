@@ -8,15 +8,16 @@ from promptseg import nifti_io
 from scipy import ndimage
 from scipy.spatial.transform import Rotation
 
-from promptseg.errors import (OracleProtocolError, OracleUnavailableError,
+from promptseg.errors import (ConfigError, OracleProtocolError, OracleUnavailableError,
                               RejectedInputError, UnknownVolumeError)
 from promptseg.metrics import dice
 from promptseg.oracles import (Ellipsoid, FileOracle, PhantomGeneralist,
                                PhantomRegistry,
                                PhantomSpecialist, PhantomSpec, TrainingExample,
-                               _distance_from,
+                               _distance_from, _rng_for,
                                ellipsoid_mask, generate_phantom,
-                               make_phantom_suite, volume_fingerprint)
+                               make_phantom_suite, random_phantom_spec,
+                               volume_fingerprint)
 from promptseg.prompting import Box2D, BoxPromptPair, AXIAL, SAGITTAL, make_box_prompts
 from promptseg.refinement import OrganRefinementState, RefinementConfig, refine_pseudo_label
 from promptseg.vls_loss import SupervisionTarget
@@ -396,6 +397,218 @@ def test_specialist_quality_one_rejects_empty_class():
     registry.register(vol, LabelMap(data, 3))  # class 2 has no voxels
     with pytest.raises(RejectedInputError):
         PhantomSpecialist(registry, quality=1.0).predict(vol)
+
+
+def full_grid_phantom(spec, seed):
+    labels = np.zeros(spec.dims, dtype=np.uint8)
+    image = np.zeros(spec.dims, dtype=np.float64)
+    for idx, ell in enumerate(spec.organs, start=1):
+        mask = full_grid_ellipsoid_mask(spec.dims, ell) & (labels == 0)
+        labels[mask] = idx
+        image[mask] = ell.intensity
+    image += np.random.default_rng(seed).normal(0.0, 0.05, size=spec.dims)
+    return image.astype(np.float32), labels
+
+
+def test_generate_phantom_equals_full_grid_rasterization():
+    rng = np.random.default_rng(5)
+    dims = (21, 17, 13)
+    for trial in range(12):
+        organs = tuple(Ellipsoid(center=tuple(rng.uniform(-4, 24, size=3)),
+                                 radii=tuple(rng.uniform(1, 9, size=3)),
+                                 angles=tuple(rng.uniform(0, np.pi, size=3)),
+                                 intensity=float(rng.uniform(0.2, 1.0)))
+                       for _ in range(int(rng.integers(1, 7))))
+        organs += (Ellipsoid(center=(60, 8, 6), radii=(2, 2, 2)),)   # misses the grid
+        spec = PhantomSpec(dims=dims, organs=organs)
+        vol, gt = generate_phantom(spec, seed=trial)
+        image, labels = full_grid_phantom(spec, trial)
+        assert gt.data.tobytes() == labels.tobytes(), trial
+        assert vol.data.tobytes() == image.tobytes(), trial
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_phantom_suite_names_the_first_empty_organ(seed):
+    with pytest.raises(ConfigError) as err:
+        make_phantom_suite(1, 6, (7, 7, 7), seed=seed)
+    spec = random_phantom_spec((7, 7, 7), 6, np.random.default_rng((seed, 1000)))
+    _, labels = full_grid_phantom(spec, (seed, 2000))
+    first = next(c for c in range(1, 7) if not (labels == c).any())
+    assert str(err.value) == f"phantom organ {first} rasterized empty; dims too small"
+
+
+def border_label_maps():
+    """Label maps whose organs touch the grid's faces, edges and corners."""
+    dims = (19, 15, 11)
+    data = np.zeros(dims, dtype=np.uint8)
+    data[0:5, 0:4, 0:3] = 1                    # a corner
+    data[14:19, 5:10, 3:8] = 2                 # the far y face
+    data[7:12, 11:15, 0:11] = 3                # spans z, touches the x face
+    data[8, 2, 5] = 4                          # a single voxel
+    data[3:6, 6:9, 5:8] = 5                    # interior
+    yield LabelMap(data, 6)
+    rng = np.random.default_rng(11)
+    scattered = np.zeros((12, 9, 7), dtype=np.uint8)
+    scattered[rng.random(scattered.shape) < 0.05] = 1
+    scattered[:, 0, 0] = 2                     # a rod along an edge
+    scattered[11, 8, 6] = 3                    # the last voxel
+    yield LabelMap(scattered, 4)
+
+
+def full_grid_predict(gt, fp, seed, quality):
+    labels = np.zeros(gt.dims, dtype=np.uint8)
+    for c in range(1, gt.num_classes):
+        q = quality[c]
+        if q <= 0.0:
+            continue
+        if q >= 1.0:
+            corrupted = gt.data == c
+        else:
+            sd = full_grid_signed_distance(gt, c)
+            noise = _rng_for(seed, fp, c).standard_normal(gt.dims).astype(np.float32)
+            corrupted = sd + (1.0 - q) * PhantomSpecialist.JITTER_SIGMA * noise > 0.0
+        labels[(labels == 0) & corrupted] = c
+    return labels
+
+
+def test_specialist_predict_equals_full_grid_jitter():
+    rng = np.random.default_rng(8)
+    cases = list(border_label_maps())
+    cases += [gt for _, _, gt in make_phantom_suite(2, 6, (26, 22, 18), seed=9)]
+    for gt in cases:
+        registry = PhantomRegistry()
+        vol = Volume(rng.random(gt.dims).astype(np.float32))
+        fp = registry.register(vol, gt)
+        for seed in (0, 1, 2):
+            spec = PhantomSpecialist(registry, seed=seed)
+            for trial in range(6):
+                q = rng.uniform(0.0, 1.0, size=gt.num_classes)
+                q[rng.random(gt.num_classes) < 0.2] = 0.0
+                q[rng.random(gt.num_classes) < 0.2] = 1.0
+                q[rng.random(gt.num_classes) < 0.3] = 1e-6   # widest jitter, clipped boxes
+                spec._quality = {c: float(q[c]) for c in range(1, gt.num_classes)}
+                if trial == 3:                              # a full-grid read, as segment does
+                    registry.signed_distance(fp, int(rng.integers(1, gt.num_classes)))
+                want = full_grid_predict(gt, fp, seed, q)
+                assert spec.predict(vol).data.tobytes() == want.tobytes(), (seed, trial)
+
+
+def test_signed_distance_on_a_region_is_the_full_grid_field_there():
+    rng = np.random.default_rng(9)
+    cases = list(border_label_maps())
+    cases += [gt for _, _, gt in make_phantom_suite(1, 6, (30, 26, 20), seed=2)]
+    for gt in cases:
+        registry = PhantomRegistry()
+        fp = registry.register(Volume(rng.random(gt.dims).astype(np.float32)), gt)
+        full = {c: full_grid_signed_distance(gt, c) for c in range(1, gt.num_classes)}
+        for _ in range(40):
+            c = int(rng.integers(1, gt.num_classes))
+            lo, hi = registry.organ_bbox(fp, c)
+            if rng.random() < 0.8:                          # holds the organ box grown by 1
+                a = [int(rng.integers(0, max(int(l), 1) + 1)) for l in lo]
+                b = [int(rng.integers(min(int(h) + 2, n), n + 1)) for h, n in zip(hi, gt.dims)]
+            else:                                           # any region at all
+                a = [int(rng.integers(0, n)) for n in gt.dims]
+                b = [int(rng.integers(x + 1, n + 1)) for x, n in zip(a, gt.dims)]
+            region = tuple(slice(x, y) for x, y in zip(a, b))
+            got = registry.signed_distance(fp, c, region)
+            assert got.dtype == np.float32 and not got.flags.writeable
+            assert got.tobytes() == np.ascontiguousarray(full[c][region]).tobytes()
+        for c in range(1, gt.num_classes):
+            whole = registry.signed_distance(fp, c)
+            assert whole.tobytes() == full[c].tobytes()
+            assert registry.signed_distance(fp, c) is whole
+
+
+def test_organ_bbox_equals_argwhere_and_rejects_non_organs():
+    rng = np.random.default_rng(10)
+    for gt in list(border_label_maps()) + [make_phantom_suite(1, 5, (24, 20, 16), 4)[0][2]]:
+        registry = PhantomRegistry()
+        fp = registry.register(Volume(rng.random(gt.dims).astype(np.float32)), gt)
+        for c in range(1, gt.num_classes):
+            coords = np.argwhere(gt.data == c)
+            lo, hi = registry.organ_bbox(fp, c)
+            assert lo.dtype == hi.dtype == np.int64
+            assert np.array_equal(lo, coords.min(axis=0))
+            assert np.array_equal(hi, coords.max(axis=0))
+        for c in (0, -1, gt.num_classes, gt.num_classes + 3):
+            with pytest.raises(RejectedInputError):
+                registry.organ_bbox(fp, c)
+    data = np.zeros((6, 6, 6), dtype=np.uint8)
+    data[1, 1, 1], data[4, 4, 4] = 1, 3                    # class 2 lies between, empty
+    registry = PhantomRegistry()
+    fp = registry.register(Volume(np.zeros((6, 6, 6), dtype=np.float32)), LabelMap(data, 5))
+    for c in (2, 4):                                        # empty inside and past find_objects
+        with pytest.raises(RejectedInputError):
+            registry.organ_bbox(fp, c)
+
+
+def per_class_qualities(registry, examples, supervision, cw):
+    support, contra, gt_total = {}, {}, {}
+    for ex in examples:
+        _, scan = registry.lookup(ex.volume)
+        gt, y, C = scan.gt.data, ex.target.labels.data, scan.gt.num_classes
+        w = ex.weight_mask if ex.weight_mask is not None else np.ones(gt.shape, dtype=bool)
+        supervised = (frozenset(range(1, C)) if supervision == "full"
+                      else frozenset(ex.labeled_classes) | ex.target.pseudo_classes)
+        for c in range(1, C):
+            gt_c = gt == c
+            gt_total[c] = gt_total.get(c, 0.0) + float(gt_c.sum())
+            if c not in supervised:
+                continue
+            t_c = y == c
+            support[c] = support.get(c, 0.0) + float((gt_c & t_c & w).sum())
+            wrong = (t_c & ~gt_c & w) | (gt_c & ~t_c & w)
+            contra[c] = contra.get(c, 0.0) + float(wrong.sum())
+    out = {}
+    for c, total in gt_total.items():
+        if total == 0.0 or (c not in support and c not in contra):
+            continue
+        out[c] = min(1.0, max(0.0, (support.get(c, 0.0) - cw * contra.get(c, 0.0)) / total))
+    return out
+
+
+def noisy_examples(suite, rng, masks):
+    examples = []
+    for _, vol, gt in suite:
+        y = np.array(gt.data)
+        flip = rng.random(gt.dims) < 0.02
+        y[flip] = rng.integers(0, gt.num_classes, size=int(flip.sum()))
+        classes = rng.permutation(np.arange(1, gt.num_classes))
+        labeled = frozenset(int(c) for c in classes[:2])
+        pseudo = frozenset(int(c) for c in classes[2:3])
+        mask = rng.random(gt.dims) < 0.7 if masks else None
+        examples.append(TrainingExample(
+            volume=vol, target=SupervisionTarget(LabelMap(y, gt.num_classes), pseudo),
+            labeled_classes=labeled, weight_mask=mask))
+    return examples
+
+
+def test_specialist_fit_equals_per_class_formula():
+    suite, registry = registered_suite(n=3, organs=5, dims=(24, 20, 16), seed=6)
+    rng = np.random.default_rng(12)
+    for masks in (False, True):
+        for supervision in ("full", "partial"):
+            for cw in (0.0, 0.5, 2.0):
+                examples = noisy_examples(suite, rng, masks)
+                spec = PhantomSpecialist(registry, contradiction_weight=cw)
+                spec.fit(examples, supervision=supervision)
+                want = per_class_qualities(registry, examples, supervision, cw)
+                assert spec._quality == want, (masks, supervision, cw)
+
+
+def test_specialist_fit_reads_any_nonzero_weight_as_use():
+    suite, registry = registered_suite(n=2, organs=4, dims=(20, 20, 16), seed=3)
+    examples = noisy_examples(suite, np.random.default_rng(13), masks=True)
+    qualities = []
+    for as_mask in (lambda m: m, lambda m: m.astype(np.uint8),
+                    lambda m: m.astype(np.uint8) * np.uint8(255)):
+        spec = PhantomSpecialist(registry)
+        spec.fit([TrainingExample(ex.volume, ex.target, ex.labeled_classes,
+                                  as_mask(ex.weight_mask)) for ex in examples])
+        qualities.append(spec._quality)
+    assert any(0.0 < q < 1.0 for q in qualities[0].values())
+    assert qualities[0] == qualities[1] == qualities[2]
 
 
 # --- file oracle ------------------------------------------------------------------
