@@ -9,7 +9,7 @@ desk scale and a file-exchange oracle bridges to real models.
 """
 
 from .errors import PromptsegError
-from .metrics import dice, evaluate_scan, hd95
+from .metrics import dice, evaluate_scan, hd95, summarize
 from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                       PhantomRegistry, PhantomSpecialist, SpecialistOracle,
                       TrainingExample, generate_phantom, make_phantom_suite)

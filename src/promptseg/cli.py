@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nifti_io, pipeline
 from .errors import PromptsegError, RejectedInputError
-from .metrics import HD95_MISSING_POLICIES, evaluate_scan
+from .metrics import HD95_MISSING_POLICIES, evaluate_scan, summarize
 from .oracles import make_phantom_suite
 from .prompting import (DEFAULT_PADDING, format_prompts, make_box_prompts,
                         parse_prompts)
@@ -34,24 +34,23 @@ RUN_FLAG_ALIASES = {"out_dir": ["--out"],
                     "use_vls": ["--vls"]}
 
 
-def _read_labels(path, what: str) -> LabelMap:
+def _read(path, what: str, kind: type = LabelMap):
     img = nifti_io.read_volume(path)
-    if not isinstance(img, LabelMap):
-        raise RejectedInputError(f"{what} must be a uint8 label image: {path}")
+    if not isinstance(img, kind):
+        image = "a uint8 label image" if kind is LabelMap else "a 4D probability image"
+        raise RejectedInputError(f"{what} must be {image}: {path}")
     return img
 
 
-def _read_probs(path, what: str) -> ProbVolume:
-    img = nifti_io.read_volume(path)
-    if not isinstance(img, ProbVolume):
-        raise RejectedInputError(f"{what} must be a 4D probability image: {path}")
-    return img
+def _config_value(name: str, text: str):
+    """``text`` parsed and checked as the value of config field ``name``."""
+    return getattr(pipeline.PipelineConfig(**{name: pipeline.parse_value(name, text)}), name)
 
 
 def cmd_phantom_gen(args) -> int:
+    dims = _config_value("dims", args.dims)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dims = tuple(int(v) for v in args.dims.split(","))
     suite = make_phantom_suite(args.scans, args.organs, dims, args.seed)
     for scan_id, vol, gt in suite:
         nifti_io.write_volume(out / f"{scan_id}.nii", vol)
@@ -64,7 +63,7 @@ def cmd_phantom_gen(args) -> int:
 
 
 def cmd_simulate_partial(args) -> int:
-    gt = _read_labels(args.gt, "--gt")
+    gt = _read(args.gt, "--gt")
     num_classes = args.classes or gt.num_classes
     if num_classes != gt.num_classes:
         gt = LabelMap(np.array(gt.data), num_classes)
@@ -78,7 +77,7 @@ def cmd_simulate_partial(args) -> int:
 
 
 def cmd_prompt(args) -> int:
-    pred = _read_labels(args.pred, "--pred")
+    pred = _read(args.pred, "--pred")
     prompts = make_box_prompts(pred, args.class_id, args.padding)
     text = format_prompts(prompts)
     if args.out:
@@ -89,8 +88,8 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    candidate = _read_labels(args.candidate, "--candidate").data > 0
-    probs = _read_probs(args.probs, "--probs")
+    candidate = _read(args.candidate, "--candidate").data > 0
+    probs = _read(args.probs, "--probs", ProbVolume)
     prompts = parse_prompts(Path(args.prompts).read_text(), class_id=args.class_id)
     config = RefinementConfig(tau_cls=args.tau_cls, delta_roi=args.delta_roi,
                               entropy_gate_active=args.gate_active)
@@ -107,8 +106,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_vls_mask(args) -> int:
-    probs = _read_probs(args.probs, "--probs")
-    labels = _read_labels(args.target, "--target")
+    probs = _read(args.probs, "--probs", ProbVolume)
+    labels = _read(args.target, "--target")
     man = nifti_io.read_manifest(args.manifest)
     num_classes = max(labels.num_classes, man.num_classes, probs.num_classes)
     labels = LabelMap(np.array(labels.data), num_classes)
@@ -121,23 +120,23 @@ def cmd_vls_mask(args) -> int:
 
 def cmd_metrics(args) -> int:
     hdr, pred = nifti_io.read_nifti(args.pred)
-    gt = _read_labels(args.gt, "--gt")
+    gt = _read(args.gt, "--gt")
     if not isinstance(pred, LabelMap):
         raise RejectedInputError(f"--pred must be a uint8 label image: {args.pred}")
     num_classes = max(pred.num_classes, gt.num_classes)
     pred = LabelMap(np.array(pred.data), num_classes)
     gt = LabelMap(np.array(gt.data), num_classes)
-    spacing = args.spacing or nifti_io.sane_spacing(hdr.pixdim)
+    spacing = (_config_value("spacing", args.spacing) if args.spacing
+               else nifti_io.sane_spacing(hdr.pixdim))
     names = {}
     if args.manifest:
         names = nifti_io.read_manifest(args.manifest).names
     ev = evaluate_scan(pred, gt, spacing, hd95_missing=args.hd95_missing)
     rows = [("class", "name", "dsc", "hd95")]
-    for cm in ev.per_class:
-        rows.append((str(cm.class_id), names.get(cm.class_id, ""),
-                     f"{cm.dsc:.4f}", "" if cm.hd95 is None else f"{cm.hd95:.4f}"))
-    rows.append(("mean", "", f"{ev.mean_dsc:.4f}",
-                 "" if ev.mean_hd95 is None else f"{ev.mean_hd95:.4f}"))
+    for r in summarize({args.pred: ev}):  # one scan: each class's own values, then the mean
+        label = "mean" if r.class_id == "overall" else str(r.class_id)
+        rows.append((label, names.get(r.class_id, ""), f"{r.mean_dsc:.4f}",
+                     "" if r.mean_hd95 is None else f"{r.mean_hd95:.4f}"))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     for r in rows:
         print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
@@ -236,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--manifest", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--spacing", type=lambda s: tuple(float(v) for v in s.split(",")),
-                   default=None)
+    p.add_argument("--spacing", default=None)
     p.add_argument("--hd95-missing", default="exclude", choices=HD95_MISSING_POLICIES,
                    dest="hd95_missing")
     p.set_defaults(func=cmd_metrics)

@@ -20,9 +20,9 @@ from .volgrid import LabelMap
 
 HD95_PERCENTILE = 95.0
 
-#: How evaluate_scan aggregates classes whose HD95 is undefined:
-#: "exclude" drops them from the average, "max_diag" substitutes the
-#: spacing-scaled volume diagonal.
+#: What evaluate_scan reports for a class whose HD95 is undefined (the
+#: class is empty in either map): "exclude" reports None, which leaves the
+#: averages; "max_diag" reports the spacing-scaled volume diagonal.
 HD95_MISSING_POLICIES = ("exclude", "max_diag")
 
 
@@ -30,14 +30,23 @@ HD95_MISSING_POLICIES = ("exclude", "max_diag")
 class ClassMetrics:
     class_id: int
     dsc: float
-    hd95: float | None  # None when either mask is empty
+    hd95: float | None  # None when undefined under the "exclude" policy
 
 
 @dataclass(frozen=True)
 class ScanEvaluation:
     per_class: tuple[ClassMetrics, ...]
+
+
+@dataclass(frozen=True)
+class SummaryRow:
+    """Means over ``count`` (scan, class) entries of one class, or of all when
+    ``class_id`` is "overall"; HD95 over the entries that have one, if any."""
+
+    class_id: int | str
     mean_dsc: float
     mean_hd95: float | None
+    count: int
 
 
 def dice(a: np.ndarray, b: np.ndarray) -> float:
@@ -95,29 +104,38 @@ def volume_diagonal(dims, spacing) -> float:
 
 def evaluate_scan(pred: LabelMap, gt: LabelMap, spacing=(1.0, 1.0, 1.0),
                   hd95_missing: str = "exclude") -> ScanEvaluation:
-    """Per-class Dice and HD95 for the foreground classes, plus macro averages.
+    """Per-class Dice and HD95 for the foreground classes.
 
-    Undefined HD95 entries (a class empty in either map) are reported as None
-    and handled per ``hd95_missing``; Dice is always defined.
+    An undefined HD95 (a class empty in either map) is reported as
+    ``hd95_missing`` says; Dice is always defined.  ``summarize`` averages.
     """
     if pred.dims != gt.dims:
         raise RejectedInputError(f"prediction dims {pred.dims} vs ground truth dims {gt.dims}")
     if hd95_missing not in HD95_MISSING_POLICIES:
         raise RejectedInputError(f"unknown hd95_missing policy {hd95_missing!r}")
+    missing = volume_diagonal(gt.dims, spacing) if hd95_missing == "max_diag" else None
     per_class = []
-    hd_values = []
     for c in range(1, gt.num_classes):
         pm = pred.data == c
         gm = gt.data == c
-        d = dice(pm, gm)
-        if pm.any() and gm.any():
-            h = hd95(pm, gm, spacing)
-            hd_values.append(h)
-        else:
-            h = None
-            if hd95_missing == "max_diag":
-                hd_values.append(volume_diagonal(gt.dims, spacing))
-        per_class.append(ClassMetrics(c, d, h))
-    mean_dsc = float(np.mean([cm.dsc for cm in per_class])) if per_class else 0.0
-    mean_hd95 = float(np.mean(hd_values)) if hd_values else None
-    return ScanEvaluation(tuple(per_class), mean_dsc, mean_hd95)
+        h = hd95(pm, gm, spacing) if pm.any() and gm.any() else missing
+        per_class.append(ClassMetrics(c, dice(pm, gm), h))
+    return ScanEvaluation(tuple(per_class))
+
+
+def _summary_row(class_id: int | str, entries: list[ClassMetrics]) -> SummaryRow:
+    hds = [cm.hd95 for cm in entries if cm.hd95 is not None]
+    return SummaryRow(class_id, float(np.mean([cm.dsc for cm in entries])),
+                      float(np.mean(hds)) if hds else None, len(entries))
+
+
+def summarize(evaluations: dict[str, ScanEvaluation]) -> list[SummaryRow]:
+    """One row per class, ascending, then the "overall" row, over a non-empty
+    ``evaluations``; entries are taken class-major, scans in ``evaluations``
+    order.  This is the only place metrics are averaged."""
+    by_class: dict[int, list[ClassMetrics]] = {}
+    for ev in evaluations.values():
+        for cm in ev.per_class:
+            by_class.setdefault(cm.class_id, []).append(cm)
+    rows = [_summary_row(c, by_class[c]) for c in sorted(by_class)]
+    return [*rows, _summary_row("overall", [cm for c in sorted(by_class) for cm in by_class[c]])]

@@ -554,13 +554,18 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
 
     def __init__(self, exchange_dir=None, timeout: float = 60.0,
                  poll_interval: float = 0.05):
-        root = exchange_dir or os.environ.get(EXCHANGE_ENV)
-        if not root:
-            raise ConfigError(f"no exchange dir given and {EXCHANGE_ENV} is unset")
-        self.root = Path(root)
+        self.root = self.exchange_root(exchange_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self.timeout = float(timeout)
         self.poll_interval = float(poll_interval)
+
+    @staticmethod
+    def exchange_root(exchange_dir=None) -> Path:
+        """The exchange directory an instance would use, without creating it."""
+        root = exchange_dir or os.environ.get(EXCHANGE_ENV)
+        if not root:
+            raise ConfigError(f"no exchange dir given and {EXCHANGE_ENV} is unset")
+        return Path(root)
 
     def _write_atomic(self, path: Path, writer) -> None:
         tmp = path.with_name(path.name + ".tmp")

@@ -24,7 +24,7 @@ import numpy as np
 from . import nifti_io
 from .errors import (ConfigError, NoPredictionError, PromptsegError,
                      RejectedInputError)
-from .metrics import HD95_MISSING_POLICIES, ScanEvaluation, dice, evaluate_scan
+from .metrics import HD95_MISSING_POLICIES, ScanEvaluation, dice, evaluate_scan, summarize
 from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                       PhantomRegistry, PhantomSpecialist, SpecialistOracle,
                       TrainingExample, make_phantom_suite)
@@ -43,26 +43,24 @@ ORACLE_KINDS = ("phantom", "file")
 
 @dataclass
 class ScanSupervision:
-    """Per-scan labeled/unlabeled partition, the organ states that hold the
-    accepted pseudo-labels, and the target merged from them and ``partial``;
-    pseudo classes of the given ``target`` seed their states at conf 0."""
+    """A scan's supervision: the ``labeled`` ground-truth classes, the target
+    as ``given``, and the organ states that hold the accepted pseudo-labels.
+    Pseudo classes of ``given`` seed their states at conf 0; everything else
+    is derived, and ``target`` merges ``partial`` with what is accepted now."""
 
     scan_id: str
-    num_classes: int
     labeled: frozenset[int]
-    unlabeled: frozenset[int]
-    target: SupervisionTarget
+    given: SupervisionTarget
     organ_states: dict[int, OrganRefinementState] = field(default_factory=dict)
     partial: LabelMap = field(init=False)
 
     def __post_init__(self):
-        every = frozenset(range(1, self.num_classes))
-        if self.labeled | self.unlabeled != every or self.labeled & self.unlabeled:
-            raise RejectedInputError(
-                f"labeled/unlabeled must partition 1..{self.num_classes - 1}")
-        seeded, labels = self.target.pseudo_classes, self.target.labels
-        if not seeded <= self.unlabeled:
-            raise RejectedInputError("pseudo classes must be a subset of the unlabeled set")
+        if not self.labeled <= frozenset(range(1, self.num_classes)):
+            raise RejectedInputError(f"labeled classes must lie in 1..{self.num_classes - 1}, "
+                                     f"got {sorted(self.labeled)}")
+        seeded, labels = self.given.pseudo_classes, self.given.labels
+        if seeded & self.labeled:
+            raise RejectedInputError("pseudo classes must be unlabeled")
         for c in self.unlabeled:
             self.organ_states.setdefault(c, OrganRefinementState(class_id=c))
         for c in seeded:
@@ -72,6 +70,14 @@ class ScanSupervision:
         self.partial = LabelMap(np.where(np.isin(labels.data, sorted(seeded)), 0, labels.data),
                                 labels.num_classes)
 
+    @property
+    def num_classes(self) -> int:
+        return self.given.labels.num_classes
+
+    @property
+    def unlabeled(self) -> frozenset[int]:
+        return frozenset(range(1, self.num_classes)) - self.labeled
+
     def accepted(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """{class: (mask, conf)} of every organ state holding a pseudo-label."""
         return {c: (s.current_pseudo, s.current_conf)
@@ -80,6 +86,10 @@ class ScanSupervision:
     @property
     def pseudo(self) -> frozenset[int]:
         return frozenset(self.accepted())
+
+    @property
+    def target(self) -> SupervisionTarget:
+        return merged_target(self.partial, self.accepted())
 
 
 @dataclass
@@ -256,13 +266,8 @@ def simulate_partial_labels(gt: LabelMap, num_classes: int, keep_fraction: float
     rng = np.random.default_rng((seed, zlib.crc32(scan_id.encode())))
     labeled = frozenset(int(c) for c in rng.choice(np.arange(1, num_classes),
                                                    size=n_keep, replace=False))
-    unlabeled = frozenset(range(1, num_classes)) - labeled
-    data = np.array(gt.data)
-    if unlabeled:
-        data[np.isin(data, sorted(unlabeled))] = 0
-    target = SupervisionTarget(LabelMap(data, num_classes), frozenset())
-    return ScanSupervision(scan_id=scan_id, num_classes=num_classes,
-                           labeled=labeled, unlabeled=unlabeled, target=target)
+    data = np.where(np.isin(gt.data, sorted(labeled)), gt.data, 0)
+    return ScanSupervision(scan_id, labeled, SupervisionTarget(LabelMap(data, num_classes)))
 
 
 # --- stage 2: initial training ------------------------------------------------
@@ -359,8 +364,8 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
 
     Candidates are regenerated from scratch each round; the entropy gate
     (active from ``entropy_gate_from_round``) decides whether the stored
-    pseudo-label is replaced; each scan's target is then rebuilt.  Per-organ
-    oracle failures skip that organ and never abort the round.
+    pseudo-label is replaced, which is all a scan's target derives from.
+    Per-organ oracle failures skip that organ and never abort the round.
     """
     report = RoundReport(round_index=round_t)
     for scan in scans:
@@ -395,7 +400,6 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                 report.entries.append(RoundEntry(scan.scan_id, class_id,
                                                  "reject", result.reason,
                                                  result.mean_entropy, None))
-        sup.target = merged_target(sup.partial, sup.accepted())
     return report
 
 
@@ -431,43 +435,11 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _write_round_csv(path: Path, report: RoundReport) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "scan_id", "class_id", "decision", "reason",
-                         "mean_entropy", "pseudo_dice"])
-        for e in report.entries:
-            writer.writerow([report.round_index, e.scan_id, e.class_id, e.decision,
-                             e.reason, _fmt(e.mean_entropy), _fmt(e.pseudo_dice)])
-
-
-def _write_eval_csv(path: Path, evaluations: dict[str, ScanEvaluation]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scan_id", "class_id", "dsc", "hd95"])
-        for scan_id in sorted(evaluations):
-            for cm in evaluations[scan_id].per_class:
-                writer.writerow([scan_id, cm.class_id, _fmt(cm.dsc), _fmt(cm.hd95)])
-
-
-def _write_summary_csv(path: Path, evaluations: dict[str, ScanEvaluation]) -> None:
-    by_class: dict[int, list] = {}
-    for ev in evaluations.values():
-        for cm in ev.per_class:
-            by_class.setdefault(cm.class_id, []).append(cm)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class_id", "mean_dsc", "mean_hd95", "scans"])
-        all_dsc, all_hd = [], []
-        for cid in sorted(by_class):
-            dscs = [cm.dsc for cm in by_class[cid]]
-            hds = [cm.hd95 for cm in by_class[cid] if cm.hd95 is not None]
-            all_dsc.extend(dscs)
-            all_hd.extend(hds)
-            writer.writerow([cid, _fmt(float(np.mean(dscs))),
-                             _fmt(float(np.mean(hds)) if hds else None), len(dscs)])
-        writer.writerow(["overall", _fmt(float(np.mean(all_dsc)) if all_dsc else None),
-                         _fmt(float(np.mean(all_hd)) if all_hd else None), len(all_dsc)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _build_phantom_dataset(config: PipelineConfig):
@@ -497,17 +469,21 @@ def _build_phantom_dataset(config: PipelineConfig):
 
 
 def _load_file_dataset(config: PipelineConfig):
+    """Read the file-mode scans, then open both exchanges: bad inputs create no directory."""
     if not config.data_dir:
         raise ConfigError("file oracle mode requires data_dir")
-    specialist = FileOracle(config.specialist_exchange, timeout=config.oracle_timeout)
-    generalist = FileOracle(config.generalist_exchange, timeout=config.oracle_timeout)
-    if specialist.root.resolve() == generalist.root.resolve():
+    spec_root = FileOracle.exchange_root(config.specialist_exchange)
+    gen_root = FileOracle.exchange_root(config.generalist_exchange)
+    if spec_root.resolve() == gen_root.resolve():
         # predict and segment requests share the req_<uid>.nii pattern
         raise ConfigError(f"specialist and generalist share the exchange directory "
-                          f"{specialist.root}; give each its own")
+                          f"{spec_root}; give each its own")
     root = Path(config.data_dir)
+    manifests = sorted(root.glob("*.manifest"))
+    if not manifests:
+        raise ConfigError(f"no *.manifest scans found under {root}")
     train, test = [], []
-    for man_path in sorted(root.glob("*.manifest")):
+    for man_path in manifests:
         scan_id = man_path.stem
         man = nifti_io.read_manifest(man_path)
         header, vol = nifti_io.read_nifti(root / f"{scan_id}.nii")
@@ -523,15 +499,13 @@ def _load_file_dataset(config: PipelineConfig):
             if not isinstance(gt_img, LabelMap):
                 raise ConfigError(f"{scan_id}: expected uint8 labels in {gt_path.name}")
             gt = LabelMap(np.array(gt_img.data), num_classes)
-        labeled = man.classes_with_status("labeled")
-        sup = ScanSupervision(scan_id=scan_id, num_classes=num_classes, labeled=labeled,
-                              unlabeled=frozenset(range(1, num_classes)) - labeled,
-                              target=SupervisionTarget(labels, man.classes_with_status("pseudo")))
+        sup = ScanSupervision(scan_id, man.classes_with_status("labeled"),
+                              SupervisionTarget(labels, man.classes_with_status("pseudo")))
         train.append(Scan(scan_id, vol, sup, gt=gt, header=header))
         if gt is not None:
             test.append((scan_id, vol, gt))
-    if not train:
-        raise ConfigError(f"no *.manifest scans found under {root}")
+    specialist = FileOracle(spec_root, timeout=config.oracle_timeout)
+    generalist = FileOracle(gen_root, timeout=config.oracle_timeout)
     return train, test, specialist, generalist
 
 
@@ -540,7 +514,7 @@ def _input_hash(train, test) -> str:
     for scan in train:
         h.update(scan.scan_id.encode())
         h.update(scan.volume.data.tobytes())
-        h.update(scan.supervision.target.labels.data.tobytes())
+        h.update(scan.supervision.given.labels.data.tobytes())
     for scan_id, vol, gt in test:
         h.update(scan_id.encode())
         h.update(vol.data.tobytes())
@@ -555,12 +529,12 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     NIfTIs + manifests, and a run manifest under ``config.out_dir``; partial
     artifacts stay on disk if an oracle fails mid-run.
     """
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if config.oracle == "phantom":
         train, test, specialist, generalist = _build_phantom_dataset(config)
     else:
         train, test, specialist, generalist = _load_file_dataset(config)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest_lines = ["# promptseg run manifest", *config_lines(config),
                       f"input_hash={_input_hash(train, test)}"]
     (out / "run_manifest.txt").write_text("\n".join(manifest_lines) + "\n")
@@ -572,7 +546,10 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         predictions = predict_labels(train, specialist)
         report = pseudo_label_round(train, predictions, generalist, config, round_t)
         reports.append(report)
-        _write_round_csv(out / f"round_{round_t}.csv", report)
+        _write_csv(out / f"round_{round_t}.csv", ["round", "scan_id", "class_id", "decision",
+                                                  "reason", "mean_entropy", "pseudo_dice"],
+                   ([round_t, e.scan_id, e.class_id, e.decision, e.reason,
+                     _fmt(e.mean_entropy), _fmt(e.pseudo_dice)] for e in report.entries))
         n_accept = len(report.accepted())
         log.info("round %d: %d/%d organ updates accepted", round_t, n_accept,
                  len(report.entries))
@@ -596,13 +573,13 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
                                              hd95_missing=config.hd95_missing_policy)
     mean_dsc = mean_hd95 = None
     if evaluations:
-        _write_eval_csv(out / "final_eval.csv", evaluations)
-        _write_summary_csv(out / "final_summary.csv", evaluations)
-        dscs = [cm.dsc for ev in evaluations.values() for cm in ev.per_class]
-        hds = [cm.hd95 for ev in evaluations.values() for cm in ev.per_class
-               if cm.hd95 is not None]
-        mean_dsc = float(np.mean(dscs))
-        mean_hd95 = float(np.mean(hds)) if hds else None
+        summary = summarize(evaluations)
+        _write_csv(out / "final_eval.csv", ["scan_id", "class_id", "dsc", "hd95"],
+                   ([scan_id, cm.class_id, _fmt(cm.dsc), _fmt(cm.hd95)]
+                    for scan_id in sorted(evaluations) for cm in evaluations[scan_id].per_class))
+        _write_csv(out / "final_summary.csv", ["class_id", "mean_dsc", "mean_hd95", "scans"],
+                   ([r.class_id, _fmt(r.mean_dsc), _fmt(r.mean_hd95), r.count] for r in summary))
+        mean_dsc, mean_hd95 = summary[-1].mean_dsc, summary[-1].mean_hd95
         log.info("final evaluation: mean DSC %.4f over %d scans", mean_dsc, len(evaluations))
     return RunResult(out_dir=out, mean_dsc=mean_dsc, mean_hd95=mean_hd95,
                      round_reports=reports, evaluations=evaluations)

@@ -132,3 +132,20 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     cfg.write_text("rounds = 2\nentropy_gate_from_round = 9\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_grid_triple_flags_reject_bad_values(tmp_path, capsys):
+    gt = tmp_path / "gt.nii"
+    nifti_io.write_volume(gt, LabelMap(np.ones((4, 4, 4), dtype=np.uint8), 2))
+    for dims in ("16,16", "0,16,16", "a,b,c", "16,16,16,16", "-4,16,16", "8.5,16,16"):
+        out = tmp_path / f"ph_{dims}"
+        assert main(["phantom-gen", "--out", str(out), f"--dims={dims}"]) == 1, dims
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()  # checked before anything is written
+    for spacing in ("1,2", "1,0,1", "1,-2,1", "nan,1,1", "1,inf,1", "x,1,1", "1,1,1,1"):
+        assert main(["metrics", "--pred", str(gt), "--gt", str(gt),
+                     f"--spacing={spacing}"]) == 1, spacing
+        assert "error:" in capsys.readouterr().err
+    assert main(["metrics", "--pred", str(gt), "--gt", str(gt), "--spacing", "1, 2.5,3"]) == 0
+    assert main(["phantom-gen", "--out", str(tmp_path / "ok"), "--dims", "8,9,10"]) == 0
+    assert nifti_io.read_volume(tmp_path / "ok" / "scan000.nii").dims == (8, 9, 10)

@@ -3,7 +3,7 @@ import pytest
 
 from promptseg.errors import EmptyMaskError, RejectedInputError
 from promptseg.metrics import (boundary_voxels, dice, evaluate_scan, hd95,
-                               volume_diagonal)
+                               summarize, volume_diagonal)
 from promptseg.volgrid import LabelMap
 
 
@@ -136,7 +136,8 @@ def test_evaluate_scan_perfect_prediction():
     gt = labelmap_from([None, organ1, organ2], 3)
     ev = evaluate_scan(gt, gt)
     assert all(cm.dsc == 1.0 and cm.hd95 == 0.0 for cm in ev.per_class)
-    assert ev.mean_dsc == 1.0 and ev.mean_hd95 == 0.0
+    overall = summarize({"s": ev})[-1]
+    assert overall.mean_dsc == 1.0 and overall.mean_hd95 == 0.0
 
 
 def test_evaluate_scan_missing_organ():
@@ -147,10 +148,12 @@ def test_evaluate_scan_missing_organ():
     ev = evaluate_scan(pred, gt)
     assert ev.per_class[0].dsc == 1.0
     assert ev.per_class[1].dsc == 0.0 and ev.per_class[1].hd95 is None
-    assert ev.mean_dsc == 0.5
-    assert ev.mean_hd95 == 0.0  # only the defined entry contributes
+    overall = summarize({"s": ev})[-1]
+    assert overall.mean_dsc == 0.5
+    assert overall.mean_hd95 == 0.0  # only the defined entry contributes
     ev2 = evaluate_scan(pred, gt, hd95_missing="max_diag")
-    assert ev2.mean_hd95 == pytest.approx(volume_diagonal((12, 12, 12), (1, 1, 1)) / 2)
+    assert summarize({"s": ev2})[-1].mean_hd95 == pytest.approx(
+        volume_diagonal((12, 12, 12), (1, 1, 1)) / 2)
 
 
 def test_evaluate_scan_matches_per_class_recomputation():
@@ -176,3 +179,49 @@ def test_evaluate_scan_dim_mismatch():
     b = LabelMap(np.zeros((4, 4, 5), dtype=np.uint8), 2)
     with pytest.raises(RejectedInputError):
         evaluate_scan(a, b)
+
+
+# --- summarize --------------------------------------------------------------------
+
+def test_summarize_matches_per_class_brute_force():
+    from promptseg.metrics import ClassMetrics, ScanEvaluation
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        C = int(rng.integers(2, 7))
+        evaluations = {}
+        for s in rng.permutation(int(rng.integers(1, 6))):
+            per_class = tuple(ClassMetrics(c, float(rng.random()),
+                                           None if rng.random() < 0.3 else float(rng.random() * 9))
+                              for c in range(1, C))
+            evaluations[f"scan{s}"] = ScanEvaluation(per_class)
+        rows = summarize(evaluations)
+        assert [r.class_id for r in rows] == [*range(1, C), "overall"]
+        every_dsc, every_hd = [], []
+        for row in rows[:-1]:
+            entries = [cm for ev in evaluations.values() for cm in ev.per_class
+                       if cm.class_id == row.class_id]
+            dscs = [cm.dsc for cm in entries]
+            hds = [cm.hd95 for cm in entries if cm.hd95 is not None]
+            every_dsc += dscs
+            every_hd += hds
+            assert row.count == len(evaluations)
+            assert row.mean_dsc == float(np.mean(dscs))  # scans in evaluations order
+            assert row.mean_hd95 == (float(np.mean(hds)) if hds else None)
+        overall = rows[-1]
+        assert overall.count == len(evaluations) * (C - 1)
+        assert overall.mean_dsc == float(np.mean(every_dsc))  # class-major order
+        assert overall.mean_hd95 == (float(np.mean(every_hd)) if every_hd else None)
+
+
+def test_evaluate_scan_reports_the_hd95_policy_per_class():
+    organ1 = cube((12, 12, 12), (1, 1, 1), (5, 5, 5))
+    organ2 = cube((12, 12, 12), (7, 7, 7), (11, 11, 11))
+    gt = labelmap_from([None, organ1, organ2], 3)
+    pred = labelmap_from([None, organ1, np.zeros_like(organ2)], 3)
+    spacing = (1.0, 2.0, 0.5)
+    diag = volume_diagonal((12, 12, 12), spacing)
+    excluded = evaluate_scan(pred, gt, spacing)
+    filled = evaluate_scan(pred, gt, spacing, hd95_missing="max_diag")
+    assert [cm.hd95 for cm in excluded.per_class] == [0.0, None]
+    assert [cm.hd95 for cm in filled.per_class] == [0.0, diag]
+    assert [cm.dsc for cm in filled.per_class] == [cm.dsc for cm in excluded.per_class]

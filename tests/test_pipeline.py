@@ -94,12 +94,24 @@ def test_initial_training_preconditions():
     with pytest.raises(ConfigError):
         initial_training([], specialist)
     broken = ScanSupervision(
-        scan_id="x", num_classes=4, labeled=frozenset(),
-        unlabeled=frozenset({1, 2, 3}),
-        target=SupervisionTarget(LabelMap(np.zeros((4, 4, 4), dtype=np.uint8), 4)))
+        scan_id="x", labeled=frozenset(),
+        given=SupervisionTarget(LabelMap(np.zeros((4, 4, 4), dtype=np.uint8), 4)))
     with pytest.raises(ConfigError):
         initial_training([Scan("x", Volume(np.zeros((4, 4, 4), dtype=np.float32)),
                                broken)], specialist)
+
+
+def test_scan_supervision_rejects_bad_labeled_and_seeded_classes():
+    from promptseg.errors import RejectedInputError
+    labels = np.zeros((2, 2, 2), np.uint8)
+    labels[0] = 2
+    given = SupervisionTarget(LabelMap(labels, 4), frozenset({2}))
+    for labeled in ({0}, {0, 1}, {4}, {1, 5}, {2}, {1, 2}):
+        with pytest.raises(RejectedInputError):
+            ScanSupervision("s", frozenset(labeled), given)
+    sup = ScanSupervision("s", frozenset({1, 3}), given)
+    assert sup.num_classes == 4 and sup.unlabeled == {2}
+    assert sup.pseudo == {2} and np.array_equal(sup.target.labels.data, labels)
 
 
 def test_initial_training_raises_quality_of_labeled_classes_only():
@@ -275,9 +287,8 @@ class ScriptedGeneralist(GeneralistOracle):
 def run_scripted_rounds(*rounds):
     """Two ungated pipeline rounds on one 1x1x4 scan with organs 2 and 3
     unlabeled; returns the target after the last round."""
-    sup = ScanSupervision(scan_id="s", num_classes=4, labeled=frozenset({1}),
-                          unlabeled=frozenset({2, 3}),
-                          target=SupervisionTarget(LabelMap(np.zeros((1, 1, 4), np.uint8), 4)))
+    sup = ScanSupervision(scan_id="s", labeled=frozenset({1}),
+                          given=SupervisionTarget(LabelMap(np.zeros((1, 1, 4), np.uint8), 4)))
     scan = Scan("s", Volume(np.zeros((1, 1, 4), np.float32)), sup)
     specialist = FixedSpecialist(np.array([3, 2, 2, 2]).reshape(1, 1, 4), 4)
     generalist = ScriptedGeneralist()
@@ -346,15 +357,13 @@ def test_merged_target_is_order_independent_and_matches_brute_force():
         final = {c: ev[-1] for c, ev in events.items()}
         expected = brute_force_target(gt, final)
         for order in range(6):
-            sup = ScanSupervision(scan_id="s", num_classes=C, labeled=frozenset({1}),
-                                  unlabeled=frozenset(range(2, C)),
-                                  target=SupervisionTarget(LabelMap(gt, C)))
+            sup = ScanSupervision(scan_id="s", labeled=frozenset({1}),
+                                  given=SupervisionTarget(LabelMap(gt, C)))
             queue = [c for c, ev in events.items() for _ in ev]
             rng.shuffle(queue)  # an interleaving that keeps each organ's own order
             pending = {c: list(ev) for c, ev in events.items()}
             for c in queue:
                 accept(sup.organ_states[c], *pending[c].pop(0))
-                sup.target = merged_target(sup.partial, sup.accepted())
             pseudo = sup.accepted()
             shuffled = dict(sorted(pseudo.items(), key=lambda kv: rng.random()))
             assert np.array_equal(merged_target(sup.partial, shuffled).labels.data,
@@ -788,3 +797,50 @@ def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(oracle="magic")
     PipelineConfig(rounds=0, entropy_gate_from_round=2)  # vacuous when no rounds
+
+
+def test_hd95_missing_policy_reaches_every_hd95_output(tmp_path):
+    from promptseg.metrics import volume_diagonal
+    diag = f"{volume_diagonal((32, 32, 32), (1.0, 1.0, 1.0)):.6f}"
+    results, rows = {}, {}
+    for policy in ("exclude", "max_diag"):
+        results[policy] = run_pipeline(PipelineConfig(
+            seed=7, rounds=0, keep_fraction=0.33, scans=3, test_scans=2, organs=6,
+            hd95_missing_policy=policy, out_dir=str(tmp_path / policy)))
+        rows[policy] = [line.split(",") for line in
+                        (tmp_path / policy / "final_eval.csv").read_text().splitlines()[1:]]
+    # an organ the specialist never saw is missing from the prediction
+    missing = [i for i, row in enumerate(rows["exclude"]) if row[3] == ""]
+    assert missing and all(rows["exclude"][i][2] == "0.000000" for i in missing)
+    for i, (excluded, filled) in enumerate(zip(rows["exclude"], rows["max_diag"])):
+        assert filled[:3] == excluded[:3]
+        assert filled[3] == (diag if i in missing else excluded[3])
+    overall = {policy: (tmp_path / policy / "final_summary.csv").read_text()
+               .splitlines()[-1].split(",") for policy in rows}
+    assert overall["exclude"][:2] == overall["max_diag"][:2]
+    assert float(overall["max_diag"][2]) > float(overall["exclude"][2])
+    for policy, result in results.items():
+        assert overall[policy][2] == f"{result.mean_hd95:.6f}"
+        assert overall[policy][1] == f"{result.mean_dsc:.6f}"
+    assert results["max_diag"].mean_hd95 > results["exclude"].mean_hd95
+
+
+def test_file_mode_bad_inputs_create_no_directories(tmp_path):
+    write_file_mode_data(tmp_path / "good")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out, sx, gx = tmp_path / "out", tmp_path / "sx", tmp_path / "gx"
+    cases = [
+        (dict(data_dir=None), "requires data_dir"),
+        (dict(data_dir=str(empty)), "no \\*.manifest"),
+        (dict(data_dir=str(tmp_path / "absent")), "no \\*.manifest"),
+        (dict(data_dir=str(tmp_path / "good"), generalist_exchange=str(tmp_path / "sx")),
+         "share the exchange directory"),
+    ]
+    for overrides, message in cases:
+        config = PipelineConfig(**{**dict(oracle="file", specialist_exchange=str(sx),
+                                          generalist_exchange=str(gx), out_dir=str(out)),
+                                   **overrides})
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(config)
+        assert not out.exists() and not sx.exists() and not gx.exists(), overrides
