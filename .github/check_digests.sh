@@ -1,30 +1,36 @@
 #!/usr/bin/env bash
-# Byte-identity gate: the seed-7 output digest of every benchmark workload must
-# equal the value recorded below.  The values were made with numpy 2.4.6 and
-# scipy 1.17.1; other versions may move them.  A change that fixes a defect
-# and moves the outputs updates them and says so in CHANGES.md.
+# Byte-identity gate: the seed-7 and seed-13 output digests of every benchmark
+# workload must equal the values recorded below.  The values were made with
+# numpy 2.4.6 and scipy 1.17.1; other versions may move them.  A change that
+# fixes a defect and moves the outputs updates them and says so in CHANGES.md.
 #
-# Reads the `digest` line of each workload's saved output, <dir>/<workload>.txt,
-# as written by:  python3 perfbench/run.py --workload <workload> --seed 7 --seconds 1
+# Reads the `digest` line of each run's saved output, <dir>/<workload>.seed<seed>.txt,
+# as written by:  python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 1
 # Run from the repository root:  bash .github/check_digests.sh <dir>
 set -euo pipefail
 
-dir=${1:?usage: check_digests.sh <dir holding desk.txt, ct.txt, file-exchange.txt>}
+dir=${1:?usage: check_digests.sh <dir holding <workload>.seed<7|13>.txt for desk, ct, file-exchange>}
 
 declare -A expected=(
-  [desk]=f77fe3733b82c2215d66bf890f6c11f32d9b18465dfcf80e5d35bf0f2ea24224
-  [ct]=ce606ec4f57009d7fe8a876c60dabc70f491fe810f84453c9de6fb45f165fcce
-  [file-exchange]=e1548ed1a7a8baa695301f708d14895d978f1f1dc38ba3c9cdee8d2fc0cd90c5
+  [desk.seed7]=f77fe3733b82c2215d66bf890f6c11f32d9b18465dfcf80e5d35bf0f2ea24224
+  [ct.seed7]=ce606ec4f57009d7fe8a876c60dabc70f491fe810f84453c9de6fb45f165fcce
+  [file-exchange.seed7]=e1548ed1a7a8baa695301f708d14895d978f1f1dc38ba3c9cdee8d2fc0cd90c5
+  [desk.seed13]=93cba18a9e81e48cfe118304ab3647a2757e1ca44bdcb5b46f14e2c186b86b17
+  [ct.seed13]=49c2a7dfeb87b214c5bcb96f4fd2280b27e04e47106d89d656aecf1fce3efa54
+  [file-exchange.seed13]=ea01fa25d23d715a6f0c41c6613144f57374e320d2166848cb2862d4cdf57cf6
 )
 
 status=0
-for workload in desk ct file-exchange; do
-  got=$(sed -n 's/^digest //p' "$dir/$workload.txt" 2>/dev/null || true)
-  if [ "$got" = "${expected[$workload]}" ]; then
-    echo "$workload digest $got ok"
-  else
-    echo "$workload digest '$got' differs from ${expected[$workload]}"
-    status=1
-  fi
+for seed in 7 13; do
+  for workload in desk ct file-exchange; do
+    run=$workload.seed$seed
+    got=$(sed -n 's/^digest //p' "$dir/$run.txt" 2>/dev/null || true)
+    if [ "$got" = "${expected[$run]}" ]; then
+      echo "$run digest $got ok"
+    else
+      echo "$run digest '$got' differs from ${expected[$run]}"
+      status=1
+    fi
+  done
 done
 exit "$status"

@@ -158,17 +158,7 @@ def cmd_run(args) -> int:
             overrides[f.name] = pipeline.parse_value(f.name, value)
         elif value is not None:
             overrides[f.name] = value
-    config = replace(config, **overrides)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    handler = logging.FileHandler(out_dir / "run.log", mode="w")
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logging.getLogger("promptseg").addHandler(handler)
-    try:
-        result = pipeline.run_pipeline(config)
-    finally:
-        logging.getLogger("promptseg").removeHandler(handler)
-        handler.close()
+    result = pipeline.run_pipeline(replace(config, **overrides))
     if result.mean_dsc is not None:
         hd = "n/a" if result.mean_hd95 is None else f"{result.mean_hd95:.3f} mm"
         print(f"mean DSC {result.mean_dsc:.4f}, mean HD95 {hd}  ->  {result.out_dir}")

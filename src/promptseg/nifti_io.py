@@ -8,10 +8,11 @@ The payload order is the standard NIfTI one - x fastest, then y, then z,
 channels slowest - which is exactly the package's canonical flat layout, so
 round-trips are bit-exact on the payload.
 
-Orientation metadata (qform/sform) is carried through read-modify-write
-verbatim but never interpreted; all volumes of one scan are assumed to share
-a grid.  NIfTI cannot carry class names or labeled/unlabeled sets, so those
-travel in a plain-text ``<scan_id>.manifest`` sidecar with lines
+Orientation metadata (qform/sform) is never interpreted, only carried: a
+float32 image read here keeps its header on its ``Volume``, and a grid
+written with that image as ``template`` takes the image's spacing and
+qform/sform.  NIfTI cannot carry class names or labeled/unlabeled sets, so
+those travel in a plain-text ``<scan_id>.manifest`` sidecar with lines
 ``class.<id>.name=`` and ``class.<id>.status=labeled|unlabeled|pseudo``.
 """
 
@@ -66,8 +67,8 @@ class NiftiHeader:
     """Parsed subset of a NIfTI-1 header.
 
     ``shape`` holds the stored dims in file order (nx, ny, nz[, nc]);
-    ``pixdim`` is (sx, sy, sz).  Orientation fields are kept so a template
-    header can be passed back to ``write_volume`` for verbatim preservation.
+    ``pixdim`` is (sx, sy, sz).  The orientation fields travel on the
+    ``Volume`` read with them, and ``write_volume`` copies them verbatim.
     """
 
     shape: tuple[int, ...]
@@ -131,8 +132,8 @@ def _parse_header(raw: bytes, path) -> tuple[NiftiHeader, str]:
 def read_nifti(path) -> tuple[NiftiHeader, Volume | LabelMap | ProbVolume]:
     """Read a supported NIfTI file, returning header and decoded grid.
 
-    uint8 3D -> LabelMap (num_classes = max label + 1), float32 3D -> Volume,
-    float32 4D -> ProbVolume (its invariants are enforced on construction).
+    uint8 3D -> LabelMap (num_classes = max label + 1), float32 3D -> Volume
+    holding this header, float32 4D -> ProbVolume (invariants enforced).
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -151,7 +152,7 @@ def read_nifti(path) -> tuple[NiftiHeader, Volume | LabelMap | ProbVolume]:
         arr = flat.reshape(nz, ny, nx).transpose(1, 2, 0)  # -> [y, x, z]
         if hdr.datatype == DT_UINT8:
             return hdr, LabelMap(np.ascontiguousarray(arr), max(2, int(arr.max()) + 1))
-        return hdr, Volume(np.ascontiguousarray(arr), spacing=sane_spacing(hdr.pixdim))
+        return hdr, Volume(np.ascontiguousarray(arr), sane_spacing(hdr.pixdim), header=hdr)
     nx, ny, nz, nc = hdr.shape
     if hdr.datatype != DT_FLOAT32:
         raise UnsupportedFormatError(f"{path}: 4D images must be float32")
@@ -166,7 +167,10 @@ def read_volume(path) -> Volume | LabelMap | ProbVolume:
     return read_nifti(path)[1]
 
 
-def _encode_header(shape, datatype, pixdim, template: NiftiHeader | None) -> bytes:
+def _encode_header(shape, datatype, pixdim, orientation: NiftiHeader | None) -> bytes:
+    if orientation is None:  # no template: a diagonal sform at the given spacing
+        orientation = NiftiHeader(shape, datatype, pixdim, VOX_OFFSET, srow=(
+            pixdim[0], 0, 0, 0, 0, pixdim[1], 0, 0, 0, 0, pixdim[2], 0))
     buf = bytearray(HEADER_SIZE)
     struct.pack_into("<i", buf, _OFF_SIZEOF_HDR, HEADER_SIZE)
     struct.pack_into("<c", buf, _OFF_REGULAR, b"r")
@@ -175,23 +179,17 @@ def _encode_header(shape, datatype, pixdim, template: NiftiHeader | None) -> byt
     struct.pack_into("<8h", buf, _OFF_DIM, *dim)
     struct.pack_into("<h", buf, _OFF_DATATYPE, datatype)
     struct.pack_into("<h", buf, _OFF_BITPIX, _BITPIX[datatype])
-    pd = [1.0, pixdim[0], pixdim[1], pixdim[2], 0.0, 0.0, 0.0, 0.0]
+    pd = [orientation.qfac, pixdim[0], pixdim[1], pixdim[2], 0.0, 0.0, 0.0, 0.0]
     if len(shape) == 4:
         pd[4] = 1.0
     struct.pack_into("<f", buf, _OFF_VOX_OFFSET, float(VOX_OFFSET))
     struct.pack_into("<f", buf, _OFF_SCL_SLOPE, 1.0)
     struct.pack_into("<B", buf, _OFF_XYZT_UNITS, 2)  # spatial units: mm
     struct.pack_into("<80s", buf, _OFF_DESCRIP, _DESCRIP)
-    if template is not None:
-        pd[0] = template.qfac
-        struct.pack_into("<h", buf, _OFF_QFORM_CODE, template.qform_code)
-        struct.pack_into("<h", buf, _OFF_SFORM_CODE, template.sform_code)
-        struct.pack_into("<6f", buf, _OFF_QUATERN, *template.quatern)
-        struct.pack_into("<12f", buf, _OFF_SROW, *template.srow)
-    else:
-        struct.pack_into("<h", buf, _OFF_SFORM_CODE, 1)
-        srow = (pixdim[0], 0, 0, 0, 0, pixdim[1], 0, 0, 0, 0, pixdim[2], 0)
-        struct.pack_into("<12f", buf, _OFF_SROW, *(float(v) for v in srow))
+    struct.pack_into("<h", buf, _OFF_QFORM_CODE, orientation.qform_code)
+    struct.pack_into("<h", buf, _OFF_SFORM_CODE, orientation.sform_code)
+    struct.pack_into("<6f", buf, _OFF_QUATERN, *orientation.quatern)
+    struct.pack_into("<12f", buf, _OFF_SROW, *orientation.srow)
     struct.pack_into("<8f", buf, _OFF_PIXDIM, *pd)
     struct.pack_into("<4s", buf, _OFF_MAGIC, MAGIC)
     return bytes(buf)
@@ -199,32 +197,35 @@ def _encode_header(shape, datatype, pixdim, template: NiftiHeader | None) -> byt
 
 def write_volume(path, grid: Volume | LabelMap | ProbVolume,
                  spacing: tuple[float, float, float] | None = None,
-                 template: NiftiHeader | None = None) -> None:
+                 template: Volume | None = None) -> None:
     """Write a grid as a little-endian single-file NIfTI at ``path``.
 
     The kind follows the grid's type: Volume -> float32 3D, LabelMap ->
-    uint8 3D, ProbVolume -> float32 4D.  ``spacing`` defaults to the
-    Volume's own (or 1 mm isotropic for the other kinds); ``template``
-    carries orientation fields over from a previously read header.
+    uint8 3D, ProbVolume -> float32 4D.  ``template`` is the image the grid
+    lies on, and a Volume is its own: the file takes the template's spacing
+    and, if it was read from a file, its header's qform/sform.  Without a
+    template the file gets ``spacing`` (1 mm isotropic by default) and a
+    diagonal sform.
     """
     path = Path(path)
     if isinstance(grid, Volume):
-        data = grid.data.transpose(2, 0, 1)            # [y,x,z] -> [z,y,x]
-        datatype = DT_FLOAT32
-        shape = (grid.dims[1], grid.dims[0], grid.dims[2])
-        spacing = spacing or grid.spacing
+        data, datatype, channels = grid.data.transpose(2, 0, 1), DT_FLOAT32, ()  # -> [z,y,x]
+        template = template or grid
     elif isinstance(grid, LabelMap):
-        data = grid.data.transpose(2, 0, 1)
-        datatype = DT_UINT8
-        shape = (grid.dims[1], grid.dims[0], grid.dims[2])
+        data, datatype, channels = grid.data.transpose(2, 0, 1), DT_UINT8, ()
     elif isinstance(grid, ProbVolume):
-        data = grid.data.transpose(0, 3, 1, 2)         # [c,y,x,z] -> [c,z,y,x]
-        datatype = DT_FLOAT32
-        shape = (grid.dims[1], grid.dims[0], grid.dims[2], grid.num_classes)
+        data, datatype = grid.data.transpose(0, 3, 1, 2), DT_FLOAT32  # -> [c,z,y,x]
+        channels = (grid.num_classes,)
     else:
         raise RejectedInputError(f"cannot write object of type {type(grid).__name__}")
-    spacing = tuple(float(s) for s in (spacing or (1.0, 1.0, 1.0)))
-    header = _encode_header(shape, datatype, spacing, template)
+    if template is not None:
+        if spacing is not None or template.dims != grid.dims:
+            raise RejectedInputError(f"{path}: a grid on a template takes its spacing and "
+                                     f"dims {template.dims}, got {spacing} and {grid.dims}")
+        spacing = template.spacing
+    shape = (grid.dims[1], grid.dims[0], grid.dims[2]) + channels
+    header = _encode_header(shape, datatype, tuple(float(s) for s in spacing or (1, 1, 1)),
+                            template.header if template is not None else None)
     try:
         with open(path, "wb") as fh:
             fh.write(header)

@@ -572,12 +572,12 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         writer(tmp)
         tmp.rename(path)
 
-    def _await_file(self, path: Path, deadline: float):
+    def _await_file(self, path: Path, deadline: float, decode: bool = True):
         while True:
             corrupt = None
             if path.exists():
-                try:
-                    return nifti_io.read_volume(path)
+                try:  # read_volume is looked up per call, so a wrapper around it sees every read
+                    return nifti_io.read_volume(path) if decode else None
                 except CorruptFileError as exc:
                     corrupt = exc  # mid-write; retry
                 except (NiftiError, RejectedInputError) as exc:
@@ -587,12 +587,6 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                     raise OracleProtocolError(
                         f"response at {path} still corrupt after {self.timeout}s: "
                         f"{corrupt}") from corrupt
-                raise OracleUnavailableError(f"no response at {path} within {self.timeout}s")
-            time.sleep(self.poll_interval)
-
-    def _await_marker(self, path: Path, deadline: float) -> None:
-        while not path.exists():
-            if time.monotonic() > deadline:
                 raise OracleUnavailableError(f"no response at {path} within {self.timeout}s")
             time.sleep(self.poll_interval)
 
@@ -645,13 +639,13 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
             stem = fit_dir / f"scan_{idx:04d}"
             nifti_io.write_volume(stem.with_suffix(".nii"), ex.volume)
             nifti_io.write_volume(Path(str(stem) + ".target.nii"), ex.target.labels,
-                                  spacing=ex.volume.spacing)
+                                  template=ex.volume)
             if ex.weight_mask is not None:
                 nifti_io.write_volume(Path(str(stem) + ".mask.nii"),
-                                      mask_to_labels(ex.weight_mask), spacing=ex.volume.spacing)
+                                      mask_to_labels(ex.weight_mask), template=ex.volume)
             man = nifti_io.status_manifest(ex.target.labels.num_classes,
                                            ex.labeled_classes, ex.target.pseudo_classes)
             nifti_io.write_manifest(Path(str(stem) + ".manifest"), man)
         self._write_atomic(self.root / f"fit_{uid}.req",
                            lambda p: p.write_text(f"supervision={supervision}\n"))
-        self._await_marker(self.root / f"fit_{uid}.done", deadline)
+        self._await_file(self.root / f"fit_{uid}.done", deadline, decode=False)

@@ -98,7 +98,6 @@ class Scan:
     volume: Volume
     supervision: ScanSupervision
     gt: LabelMap | None = None  # held for evaluation only, never for training
-    header: nifti_io.NiftiHeader | None = None  # file mode: the image's own header
 
 
 @dataclass
@@ -150,6 +149,9 @@ class PipelineConfig:
             (self.oracle not in ORACLE_KINDS, f"oracle must be one of {ORACLE_KINDS}"),
             (self.scans < 1 or self.organs < 1 or self.test_scans < 0,
              "scans must be >= 1, organs >= 1, test_scans >= 0"),
+            (self.oracle == "phantom" and 0.0 < self.keep_fraction <= 1.0
+             and _round_half_up(self.keep_fraction * self.organs) == 0,
+             f"keep_fraction {self.keep_fraction} keeps 0 of {self.organs} organs"),
             (not 0.0 < self.tau_cls < 1.0, f"tau_cls must lie in (0, 1), got {self.tau_cls}"),
             (self.delta_roi < 0, f"delta_roi must be >= 0, got {self.delta_roi}"),
             (self.box_padding < 0, f"box_padding must be >= 0, got {self.box_padding}"),
@@ -486,22 +488,25 @@ def _load_file_dataset(config: PipelineConfig):
     for man_path in manifests:
         scan_id = man_path.stem
         man = nifti_io.read_manifest(man_path)
-        header, vol = nifti_io.read_nifti(root / f"{scan_id}.nii")
+        vol = nifti_io.read_volume(root / f"{scan_id}.nii")
         labels = nifti_io.read_volume(root / f"{scan_id}.labels.nii")
         if not isinstance(vol, Volume) or not isinstance(labels, LabelMap):
             raise ConfigError(f"{scan_id}: expected float32 image and uint8 labels")
+        gt_path = root / f"{scan_id}.gt.nii"
+        gt = nifti_io.read_volume(gt_path) if gt_path.exists() else None
+        if gt is not None and not isinstance(gt, LabelMap):
+            raise ConfigError(f"{scan_id}: expected uint8 labels in {gt_path.name}")
+        for name, img in ((f"{scan_id}.labels.nii", labels), (gt_path.name, gt)):
+            if img is not None and img.dims != vol.dims:
+                raise ConfigError(f"{scan_id}: {name} dims {img.dims} differ from "
+                                  f"the image's {vol.dims}")
         num_classes = max(man.num_classes, labels.num_classes)
         labels = LabelMap(np.array(labels.data), num_classes)
-        gt_path = root / f"{scan_id}.gt.nii"
-        gt = None
-        if gt_path.exists():
-            gt_img = nifti_io.read_volume(gt_path)
-            if not isinstance(gt_img, LabelMap):
-                raise ConfigError(f"{scan_id}: expected uint8 labels in {gt_path.name}")
-            gt = LabelMap(np.array(gt_img.data), num_classes)
+        if gt is not None:
+            gt = LabelMap(np.array(gt.data), num_classes)
         sup = ScanSupervision(scan_id, man.classes_with_status("labeled"),
                               SupervisionTarget(labels, man.classes_with_status("pseudo")))
-        train.append(Scan(scan_id, vol, sup, gt=gt, header=header))
+        train.append(Scan(scan_id, vol, sup, gt=gt))
         if gt is not None:
             test.append((scan_id, vol, gt))
     specialist = FileOracle(spec_root, timeout=config.oracle_timeout)
@@ -526,8 +531,10 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute stage 1 then (2 -> 3 -> 4) x rounds, then the final evaluation.
 
     Writes round_<t>.csv, final_eval.csv, final_summary.csv, per-scan target
-    NIfTIs + manifests, and a run manifest under ``config.out_dir``; partial
-    artifacts stay on disk if an oracle fails mid-run.
+    NIfTIs + manifests, a run manifest and run.log (the ``promptseg``
+    records) under ``config.out_dir``, which is made only once the inputs
+    pass their checks; partial artifacts stay on disk if an oracle fails
+    mid-run.
     """
     if config.oracle == "phantom":
         train, test, specialist, generalist = _build_phantom_dataset(config)
@@ -535,6 +542,18 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         train, test, specialist, generalist = _load_file_dataset(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    handler = logging.FileHandler(out / "run.log", mode="w")
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logging.getLogger("promptseg").addHandler(handler)
+    try:
+        return _run_stages(config, out, train, test, specialist, generalist)
+    finally:
+        logging.getLogger("promptseg").removeHandler(handler)
+        handler.close()
+
+
+def _run_stages(config: PipelineConfig, out: Path, train: list[Scan], test,
+                specialist: SpecialistOracle, generalist: GeneralistOracle) -> RunResult:
     manifest_lines = ["# promptseg run manifest", *config_lines(config),
                       f"input_hash={_input_hash(train, test)}"]
     (out / "run_manifest.txt").write_text("\n".join(manifest_lines) + "\n")
@@ -561,7 +580,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     for scan in train:
         sup = scan.supervision
         nifti_io.write_volume(targets_dir / f"{scan.scan_id}.labels.nii", sup.target.labels,
-                              spacing=scan.volume.spacing, template=scan.header)
+                              template=scan.volume)
         nifti_io.write_manifest(targets_dir / f"{scan.scan_id}.manifest",
                                 nifti_io.status_manifest(sup.num_classes, sup.labeled,
                                                          sup.pseudo))

@@ -18,10 +18,14 @@ everything here is safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import RejectedInputError
+
+if TYPE_CHECKING:
+    from .nifti_io import NiftiHeader
 
 PROB_SUM_TOL = 1e-5
 MAX_CLASSES = 256  # labels are stored as uint8
@@ -43,10 +47,12 @@ def _as_grid(data, dtype, ndim, what: str) -> np.ndarray:
 
 @dataclass
 class Volume:
-    """3D scalar intensity grid with voxel spacing (sx, sy, sz) in mm."""
+    """3D scalar intensity grid with voxel spacing (sx, sy, sz) in mm, and the
+    NIfTI ``header`` it was read from, if any (see ``nifti_io.write_volume``)."""
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    header: NiftiHeader | None = None
 
     def __post_init__(self):
         self.data = _as_grid(self.data, np.float32, 3, "volume data")

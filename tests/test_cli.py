@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 
 from promptseg import nifti_io
@@ -149,3 +151,23 @@ def test_grid_triple_flags_reject_bad_values(tmp_path, capsys):
     assert main(["metrics", "--pred", str(gt), "--gt", str(gt), "--spacing", "1, 2.5,3"]) == 0
     assert main(["phantom-gen", "--out", str(tmp_path / "ok"), "--dims", "8,9,10"]) == 0
     assert nifti_io.read_volume(tmp_path / "ok" / "scan000.nii").dims == (8, 9, 10)
+
+
+def test_run_creates_nothing_before_its_checks_and_logs_a_good_run(tmp_path, capsys, caplog):
+    empty, out = tmp_path / "empty", tmp_path / "out"
+    empty.mkdir()
+    sx, gx = tmp_path / "sx", tmp_path / "gx"
+    assert main(["run", "--oracle", "file", "--data-dir", str(empty),
+                 "--specialist-exchange", str(sx), "--generalist-exchange", str(gx),
+                 "--out", str(out)]) == 1
+    assert "no *.manifest scans found" in capsys.readouterr().err
+    assert not out.exists() and not sx.exists() and not gx.exists()
+    # a good run still writes its records to out/run.log
+    caplog.set_level(logging.INFO, logger="promptseg")
+    assert main(["run", "--rounds", "1", "--gate-from-round", "1", "--scans", "2",
+                 "--test-scans", "1", "--organs", "2", "--dims", "16,16,16",
+                 "--out", str(out)]) == 0
+    lines = (out / "run.log").read_text().splitlines()
+    assert lines[0] == "INFO promptseg.pipeline: initial training on 2 scans (partial supervision)"
+    assert lines[1].startswith("INFO promptseg.pipeline: round 1: ")
+    assert lines[-1].startswith("INFO promptseg.pipeline: final evaluation: mean DSC ")

@@ -71,6 +71,7 @@ BAD_VALUES = [
     {"oracle_timeout": 0.0},
     {"specialist_contradiction_weight": float("nan")},
     {"specialist_contradiction_weight": -1.0},
+    {"keep_fraction": 0.05},  # round(0.05 * 6 organs) keeps none
 ]
 
 

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from promptseg.errors import (CorruptFileError, NotNiftiError,
+from promptseg.errors import (CorruptFileError, NotNiftiError, RejectedInputError,
                               UnsupportedFormatError)
 from promptseg.nifti_io import (NiftiHeader, ScanManifest, read_manifest,
                                 read_nifti, read_volume, status_manifest,
@@ -128,7 +128,7 @@ def test_header_fields_and_template_preservation(tmp_path):
                            vox_offset=352, qform_code=1, sform_code=2,
                            quatern=(0.1, 0.2, 0.3, 4.0, 5.0, 6.0),
                            srow=tuple(float(i) for i in range(12)), qfac=-1.0)
-    write_volume(path, vol, template=template)
+    write_volume(path, Volume(vol.data, vol.spacing, header=template))
     hdr, back = read_nifti(path)
     assert hdr.shape == (4, 3, 5)  # stored as (nx, ny, nz)
     assert hdr.datatype == 16
@@ -139,6 +139,35 @@ def test_header_fields_and_template_preservation(tmp_path):
     assert hdr.srow == pytest.approx(template.srow)
     assert hdr.qfac == -1.0
     assert np.array_equal(back.data, vol.data)
+
+
+def test_grids_written_on_a_read_image_keep_its_geometry(tmp_path):
+    template = NiftiHeader(shape=(4, 3, 5), datatype=16, pixdim=(0.5, 2.0, 3.0),
+                           vox_offset=352, qform_code=2, sform_code=1,
+                           quatern=(0.0, 0.6, 0.0, -7.0, 8.0, 9.5),
+                           srow=tuple(float(i) - 5.0 for i in range(12)), qfac=-1.0)
+    write_volume(tmp_path / "img.nii", Volume(np.ones((3, 4, 5), np.float32),
+                                              (0.5, 2.0, 3.0), header=template))
+    img_hdr, image = read_nifti(tmp_path / "img.nii")
+    assert image.header == img_hdr and image.spacing == (0.5, 2.0, 3.0)
+    labels = LabelMap(np.zeros((3, 4, 5), np.uint8), 2)
+    write_volume(tmp_path / "lab.nii", labels, template=image)
+    write_volume(tmp_path / "copy.nii", image)  # a Volume is its own template
+    for name in ("lab.nii", "copy.nii"):
+        hdr = read_nifti(tmp_path / name)[0]
+        for key in ("pixdim", "qform_code", "sform_code", "quatern", "srow", "qfac"):
+            assert getattr(hdr, key) == getattr(img_hdr, key), (name, key)
+    # with no template: the given spacing and a diagonal sform
+    write_volume(tmp_path / "bare.nii", labels, spacing=(2.0, 1.0, 4.0))
+    hdr = read_nifti(tmp_path / "bare.nii")[0]
+    assert (hdr.pixdim, hdr.qform_code, hdr.sform_code, hdr.qfac) == ((2.0, 1.0, 4.0), 0, 1, 1.0)
+    assert hdr.srow == (2.0, 0, 0, 0, 0, 1.0, 0, 0, 0, 0, 4.0, 0)
+    with pytest.raises(RejectedInputError, match=r"got \(1\.0, 1\.0, 1\.0\) and \(3, 4, 5\)"):
+        write_volume(tmp_path / "x.nii", labels, spacing=(1.0, 1.0, 1.0), template=image)
+    with pytest.raises(RejectedInputError, match=r"dims \(3, 4, 5\), got None and \(3, 4, 4\)"):
+        write_volume(tmp_path / "x.nii", LabelMap(np.zeros((3, 4, 4), np.uint8), 2),
+                     template=image)
+    assert not (tmp_path / "x.nii").exists()
 
 
 def test_zero_pixdim_defaults_to_unit_spacing(tmp_path):

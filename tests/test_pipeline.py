@@ -591,7 +591,8 @@ def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path):
     for scan_id, vol, gt in suite:
         predicted[volume_fingerprint(vol)] = LabelMap(np.roll(gt.data, 1, axis=2),
                                                       gt.num_classes)
-        nifti_io.write_volume(data / f"{scan_id}.nii", vol, template=template)
+        nifti_io.write_volume(data / f"{scan_id}.nii", Volume(vol.data, vol.spacing,
+                                                              header=template))
         nifti_io.write_volume(data / f"{scan_id}.gt.nii", gt)
         partial = np.array(gt.data)
         partial[partial == 2] = 0
@@ -625,12 +626,21 @@ def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path):
         for name in ("qform_code", "sform_code", "quatern", "srow", "qfac"):
             assert getattr(target_hdr, name) == getattr(image_hdr, name), name
     # the fit sets: every image, target and VLS mask at the scans' (0.8, 1.5, 2.5) mm
-    image_pixdim = nifti_io.read_nifti(data / f"{suite[0][0]}.nii")[0].pixdim
+    image_hdr = nifti_io.read_nifti(data / f"{suite[0][0]}.nii")[0]
+    image_pixdim = image_hdr.pixdim
     assert image_pixdim == tuple(float(np.float32(s)) for s in spacing)
     fit_files = sorted(spec_dir.glob("fit_*/scan_*.nii"))
     assert {p.name.split(".", 1)[1] for p in fit_files} == {"nii", "target.nii", "mask.nii"}
     for path in fit_files:
         assert nifti_io.read_nifti(path)[0].pixdim == image_pixdim, path.name
+    # and every exchange file, requests included, on the image's spacing and qform/sform
+    requests = sorted(spec_dir.glob("req_*.nii")) + sorted(gen_dir.glob("req_*.nii"))
+    assert len(requests) == 3 * len(suite)  # per scan: the round's and the evaluation's
+                                            # predict, and one segment of organ 2
+    for path in requests + fit_files:
+        hdr = nifti_io.read_nifti(path)[0]
+        for name in ("pixdim", "qform_code", "sform_code", "quatern", "srow", "qfac"):
+            assert getattr(hdr, name) == getattr(image_hdr, name), (path.name, name)
 
 
 def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
@@ -844,3 +854,21 @@ def test_file_mode_bad_inputs_create_no_directories(tmp_path):
         with pytest.raises(ConfigError, match=message):
             run_pipeline(config)
         assert not out.exists() and not sx.exists() and not gx.exists(), overrides
+
+
+@pytest.mark.parametrize("suffix", ["labels", "gt"])
+def test_file_mode_label_images_off_the_image_grid_create_nothing(tmp_path, suffix):
+    from promptseg import nifti_io
+    write_file_mode_data(tmp_path / "data")
+    nifti_io.write_volume(tmp_path / "data" / f"scan001.{suffix}.nii",  # image is 12^3
+                          LabelMap(np.zeros((12, 12, 9), np.uint8), 3))
+    out, sx, gx = tmp_path / "out", tmp_path / "sx", tmp_path / "gx"
+    config = PipelineConfig(oracle="file", data_dir=str(tmp_path / "data"),
+                            specialist_exchange=str(sx), generalist_exchange=str(gx),
+                            oracle_timeout=0.5, rounds=1, entropy_gate_from_round=1,
+                            out_dir=str(out))
+    with pytest.raises(ConfigError, match=rf"scan001: scan001\.{suffix}\.nii dims "
+                                          r"\(12, 12, 9\) differ from the image's \(12, 12, 12\)"):
+        run_pipeline(config)
+    assert not out.exists() and not sx.exists() and not gx.exists()
+    assert not list(tmp_path.rglob("req_*")) and not list(tmp_path.rglob("fit_*"))
