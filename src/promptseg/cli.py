@@ -48,27 +48,29 @@ def _config_value(name: str, text: str):
 
 
 def cmd_phantom_gen(args) -> int:
-    dims = _config_value("dims", args.dims)
+    scans, organs, dims, seed = (_config_value(name, getattr(args, name))
+                                 for name in ("scans", "organs", "dims", "seed"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    suite = make_phantom_suite(args.scans, args.organs, dims, args.seed)
+    suite = make_phantom_suite(scans, organs, dims, seed)
     for scan_id, vol, gt in suite:
         nifti_io.write_volume(out / f"{scan_id}.nii", vol)
         nifti_io.write_volume(out / f"{scan_id}.gt.nii", gt)
         man = nifti_io.status_manifest(gt.num_classes, labeled=range(1, gt.num_classes))
         man.names.update((c, f"organ{c}") for c in man.statuses)
         nifti_io.write_manifest(out / f"{scan_id}.manifest", man)
-    print(f"wrote {len(suite)} phantom scans ({args.organs} organs, dims {dims}) to {out}")
+    print(f"wrote {len(suite)} phantom scans ({organs} organs, dims {dims}) to {out}")
     return 0
 
 
 def cmd_simulate_partial(args) -> int:
+    seed = _config_value("seed", args.seed)
     gt = _read(args.gt, "--gt")
     num_classes = args.classes or gt.num_classes
     if num_classes != gt.num_classes:
         gt = LabelMap(np.array(gt.data), num_classes)
     sup = pipeline.simulate_partial_labels(gt, num_classes, args.keep_fraction,
-                                           args.seed, args.scan_id)
+                                           seed, args.scan_id)
     nifti_io.write_volume(args.out_labels, sup.target.labels)
     nifti_io.write_manifest(args.out_manifest,
                             nifti_io.status_manifest(num_classes, sup.labeled))
@@ -93,11 +95,8 @@ def cmd_refine(args) -> int:
     prompts = parse_prompts(Path(args.prompts).read_text(), class_id=args.class_id)
     config = RefinementConfig(tau_cls=args.tau_cls, delta_roi=args.delta_roi,
                               entropy_gate_active=args.gate_active)
-    state = OrganRefinementState(class_id=args.class_id)
-    if args.prev_entropy is not None:
-        state.mean_entropy_history.append(args.prev_entropy)
-    result = refine_pseudo_label(candidate, probs, prompts, config, state,
-                                 prob_class=args.prob_class)
+    state = OrganRefinementState(args.class_id, mean_entropy=args.prev_entropy)
+    result = refine_pseudo_label(candidate, probs, prompts, config, state)
     nifti_io.write_volume(args.out, mask_to_labels(result.mask))
     entropy = "" if result.mean_entropy is None else f" mean_entropy={result.mean_entropy:.6f}"
     print(f"{'accept' if result.accepted else 'reject'} reason={result.reason}"
@@ -177,16 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantom-gen", help="generate a synthetic phantom suite")
     p.add_argument("--out", required=True)
-    p.add_argument("--scans", type=int, default=1)
-    p.add_argument("--organs", type=int, default=3)
+    p.add_argument("--scans", default="1")
+    p.add_argument("--organs", default="3")
     p.add_argument("--dims", default="32,32,32")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_phantom_gen)
 
     p = sub.add_parser("simulate-partial", help="randomly drop organ annotations")
     p.add_argument("--gt", required=True)
     p.add_argument("--keep-fraction", type=float, required=True, dest="keep_fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--scan-id", default="scan", dest="scan_id")
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--out-labels", required=True, dest="out_labels")
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--class-id", type=int, default=1, dest="class_id")
-    p.add_argument("--prob-class", type=int, default=None, dest="prob_class")
     p.add_argument("--tau-cls", type=float, default=DEFAULT_TAU_CLS, dest="tau_cls")
     p.add_argument("--delta-roi", type=int, default=DEFAULT_DELTA_ROI, dest="delta_roi")
     p.add_argument("--gate-active", action="store_true", dest="gate_active")

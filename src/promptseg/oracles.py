@@ -541,6 +541,7 @@ def _shift_field(field_arr: np.ndarray, shift: np.ndarray, fill: float) -> np.nd
 # --- directory-exchange oracle ----------------------------------------------
 
 EXCHANGE_ENV = "PROMPTSEG_EXCHANGE"
+POLL_INTERVAL_S = 0.05
 
 
 class FileOracle(SpecialistOracle, GeneralistOracle):
@@ -552,12 +553,10 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
     exchange directories for separate models.
     """
 
-    def __init__(self, exchange_dir=None, timeout: float = 60.0,
-                 poll_interval: float = 0.05):
+    def __init__(self, exchange_dir=None, timeout: float = 60.0):
         self.root = self.exchange_root(exchange_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self.timeout = float(timeout)
-        self.poll_interval = float(poll_interval)
 
     @staticmethod
     def exchange_root(exchange_dir=None) -> Path:
@@ -588,7 +587,7 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                         f"response at {path} still corrupt after {self.timeout}s: "
                         f"{corrupt}") from corrupt
                 raise OracleUnavailableError(f"no response at {path} within {self.timeout}s")
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL_S)
 
     def predict(self, volume: Volume) -> LabelMap:
         """A probability response is decoded to its argmax; a uint8 label

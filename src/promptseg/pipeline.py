@@ -33,7 +33,7 @@ from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementStat
                          RefinementConfig, refine_pseudo_label)
 from .vls_loss import SupervisionTarget, vls_mask
 # unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
-from .volgrid import LabelMap, Volume, argmax_labelmap, class_mask
+from .volgrid import MAX_CLASSES, LabelMap, Volume, argmax_labelmap, class_mask
 
 log = logging.getLogger("promptseg.pipeline")
 
@@ -45,13 +45,14 @@ ORACLE_KINDS = ("phantom", "file")
 class ScanSupervision:
     """A scan's supervision: the ``labeled`` ground-truth classes, the target
     as ``given``, and the organ states that hold the accepted pseudo-labels.
-    Pseudo classes of ``given`` seed their states at conf 0; everything else
-    is derived, and ``target`` merges ``partial`` with what is accepted now."""
+    Pseudo classes of ``given`` seed their states at conf 0, and each round
+    stores the state refinement returns; everything else is derived, and
+    ``target`` merges ``partial`` with what is accepted now."""
 
     scan_id: str
     labeled: frozenset[int]
     given: SupervisionTarget
-    organ_states: dict[int, OrganRefinementState] = field(default_factory=dict)
+    organ_states: dict[int, OrganRefinementState] = field(init=False)
     partial: LabelMap = field(init=False)
 
     def __post_init__(self):
@@ -61,12 +62,11 @@ class ScanSupervision:
         seeded, labels = self.given.pseudo_classes, self.given.labels
         if seeded & self.labeled:
             raise RejectedInputError("pseudo classes must be unlabeled")
-        for c in self.unlabeled:
-            self.organ_states.setdefault(c, OrganRefinementState(class_id=c))
+        self.organ_states = {c: OrganRefinementState(class_id=c) for c in self.unlabeled}
         for c in seeded:
-            state = self.organ_states[c]
-            state.current_pseudo = labels.data == c
-            state.current_conf = np.zeros(np.count_nonzero(state.current_pseudo), np.float32)
+            mask = labels.data == c
+            self.organ_states[c] = OrganRefinementState(
+                c, mask, np.zeros(np.count_nonzero(mask), np.float32))
         self.partial = LabelMap(np.where(np.isin(labels.data, sorted(seeded)), 0, labels.data),
                                 labels.num_classes)
 
@@ -147,8 +147,10 @@ class PipelineConfig:
             (self.supervision not in SUPERVISION_MODES,
              f"supervision must be one of {SUPERVISION_MODES}"),
             (self.oracle not in ORACLE_KINDS, f"oracle must be one of {ORACLE_KINDS}"),
-            (self.scans < 1 or self.organs < 1 or self.test_scans < 0,
-             "scans must be >= 1, organs >= 1, test_scans >= 0"),
+            (self.scans < 1 or self.test_scans < 0, "scans must be >= 1, test_scans >= 0"),
+            (not 1 <= self.organs <= MAX_CLASSES - 1,
+             f"organs must lie in [1, {MAX_CLASSES - 1}], got {self.organs}"),
+            (self.seed < 0, f"seed must be >= 0, got {self.seed}"),
             (self.oracle == "phantom" and 0.0 < self.keep_fraction <= 1.0
              and _round_half_up(self.keep_fraction * self.organs) == 0,
              f"keep_fraction {self.keep_fraction} keeps 0 of {self.organs} organs"),
@@ -392,6 +394,7 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
             result = refine_pseudo_label(candidate, gprobs, prompts,
                                          config.refinement_config(round_t),
                                          sup.organ_states[class_id])
+            sup.organ_states[class_id] = result.state
             if result.accepted:
                 pdice = (dice(result.mask, class_mask(scan.gt, class_id))
                          if scan.gt is not None else None)

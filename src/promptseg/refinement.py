@@ -4,12 +4,13 @@ A candidate mask survives (1) a class-probability threshold, (2) an ROI
 constraint built from the organ's box-prompt pair, and (3) an entropy gate
 comparing the candidate's mean voxel entropy against the last accepted
 round's.  Filtering is contractive: the refined mask is always a subset of
-the candidate, and the two voxel filters commute.
+the candidate, and the two voxel filters commute.  Refinement returns the
+organ's next state and modifies nothing it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,33 +39,30 @@ class RefinementConfig:
             raise RejectedInputError(f"delta_roi must be nonnegative, got {self.delta_roi}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrganRefinementState:
     """Per-(scan, organ) refinement memory: the stored pseudo-label, the
-    generalist probability at its voxels (1-D, C order) and the mean
-    entropies of accepted rounds.  Single-writer; states for different
-    organs/scans are independent."""
+    generalist probability at its voxels (1-D, C order) and the mean entropy
+    of the last accepted round, which the entropy gate compares against.
+    States for different organs/scans are independent."""
 
     class_id: int
     current_pseudo: np.ndarray | None = None
     current_conf: np.ndarray | None = None
-    mean_entropy_history: list[float] = field(default_factory=list)
-
-    @property
-    def last_accepted_entropy(self) -> float | None:
-        return self.mean_entropy_history[-1] if self.mean_entropy_history else None
+    mean_entropy: float | None = None
 
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Outcome of one refinement attempt.  ``mask`` is the filtered candidate;
-    on rejection the state's previously stored pseudo-label is what remains
-    in effect."""
+    """Outcome of one refinement attempt.  ``mask`` is the filtered candidate
+    and ``state`` the organ's state after the attempt: the accepted mask on
+    accept, the given state itself on reject."""
 
     mask: np.ndarray
     accepted: bool
     reason: str
     mean_entropy: float | None
+    state: OrganRefinementState
 
 
 def _check_dims(a_shape, b_shape, what: str):
@@ -127,41 +125,36 @@ def mean_mask_entropy(mask: np.ndarray, entropy_field: np.ndarray) -> float:
     return float(entropy_field[mask].mean(dtype=np.float64))
 
 
-def entropy_gate(state: OrganRefinementState, candidate_mean_entropy: float,
+def entropy_gate(prev: float | None, candidate_mean_entropy: float,
                  gate_active: bool) -> bool:
     """Accept unless the gate is active and the entropy failed to strictly
-    decrease relative to the last *accepted* round (a rejected round leaves
-    the comparator unchanged).  The candidate entropy is appended to the
-    state's history only on accept."""
-    prev = state.last_accepted_entropy
-    if gate_active and prev is not None and not candidate_mean_entropy < prev:
-        return False
-    state.mean_entropy_history.append(float(candidate_mean_entropy))
-    return True
+    decrease relative to ``prev``, the last *accepted* round's (``None``
+    before the first accept)."""
+    return not gate_active or prev is None or candidate_mean_entropy < prev
 
 
 def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPromptPair,
-                        config: RefinementConfig, state: OrganRefinementState,
-                        prob_class: int | None = None) -> RefinementResult:
+                        config: RefinementConfig, state: OrganRefinementState) -> RefinementResult:
     """Run all three constraints on a candidate pseudo-label.
 
-    ``prob_class`` selects the class axis of ``probs`` carrying the organ's
-    probability; it defaults to 1 for two-class (background/organ) fields and
-    to ``prompts.class_id`` otherwise.  On accept the state's pseudo-label
-    and its probabilities are replaced and its entropy history extended; on
-    reject the state is left untouched.  A candidate emptied by the voxel
-    filters is a rejection, never an empty accepted pseudo-label.
+    ``probs`` is the generalist's 2-class (background, organ) field; any
+    other class count is a ``RejectedInputError``.  On accept the result's
+    state holds the kept mask, the organ probability at its voxels and the
+    mask's mean entropy; on reject it is ``state`` itself.  Nothing given is
+    modified.  A candidate emptied by the voxel filters is a rejection, never
+    an empty accepted pseudo-label.
     """
-    if prob_class is None:
-        prob_class = 1 if probs.num_classes == 2 else prompts.class_id
-    kept = apply_class_threshold(candidate, probs, prob_class, config.tau_cls)
+    if probs.num_classes != 2:
+        raise RejectedInputError(
+            f"refinement takes 2-class probabilities, got {probs.num_classes} classes")
+    kept = apply_class_threshold(candidate, probs, 1, config.tau_cls)
     kept = apply_roi(kept, build_roi(prompts, config.delta_roi, candidate.shape))
     if not kept.any():
-        return RefinementResult(kept, False, REJECT_EMPTIED, None)
+        return RefinementResult(kept, False, REJECT_EMPTIED, None, state)
     h = mean_mask_entropy(kept, voxel_entropy(probs))
-    if not entropy_gate(state, h, config.entropy_gate_active):
-        return RefinementResult(kept, False, REJECT_ENTROPY, h)
-    conf = probs.class_probs(prob_class)[kept]
+    if not entropy_gate(state.mean_entropy, h, config.entropy_gate_active):
+        return RefinementResult(kept, False, REJECT_ENTROPY, h, state)
+    conf = probs.class_probs(1)[kept]
     kept.flags.writeable = conf.flags.writeable = False
-    state.current_pseudo, state.current_conf = kept, conf
-    return RefinementResult(kept, True, ACCEPTED, h)
+    return RefinementResult(kept, True, ACCEPTED, h,
+                            OrganRefinementState(state.class_id, kept, conf, h))

@@ -4,6 +4,8 @@ import numpy as np
 
 from promptseg import nifti_io
 from promptseg.cli import main
+from promptseg.prompting import format_prompts, make_box_prompts
+from promptseg.refinement import OrganRefinementState, RefinementConfig, refine_pseudo_label
 from promptseg.volgrid import LabelMap, ProbVolume, Volume, mask_to_labels
 
 
@@ -101,6 +103,51 @@ def test_prompt_refine_and_vls_subcommands(tmp_path, capsys):
     assert not kept[blob & ~organ].any()   # disagreeing pseudo voxels dropped
     assert kept[organ].all()               # agreeing pseudo voxels kept
     assert kept[~candidate].all()          # non-pseudo voxels always kept
+
+
+def test_refine_entropy_gate_compares_with_prev_entropy(tmp_path, capsys):
+    dims = (24, 24, 24)
+    organ = sphere_mask(dims, (12, 12, 12), 4)
+    p_fg = np.where(organ, np.float32(0.8), np.float32(0.05))
+    probs = ProbVolume(np.stack([1.0 - p_fg, p_fg]))
+    prompts = make_box_prompts(LabelMap(organ.astype(np.uint8), 2), 1, 2)
+    h = refine_pseudo_label(organ, probs, prompts, RefinementConfig(),
+                            OrganRefinementState(class_id=1)).mean_entropy
+    paths = {name: tmp_path / f"{name}.nii" for name in ("cand", "probs", "out")}
+    nifti_io.write_volume(paths["cand"], mask_to_labels(organ))
+    nifti_io.write_volume(paths["probs"], probs)
+    (tmp_path / "organ.prompts").write_text(format_prompts(prompts))
+    args = ["refine", "--candidate", str(paths["cand"]), "--probs", str(paths["probs"]),
+            "--prompts", str(tmp_path / "organ.prompts"), "--out", str(paths["out"]),
+            "--gate-active", "--prev-entropy"]
+    for prev, decision in ((np.nextafter(h, 0.0), "reject reason=entropy-not-decreased"),
+                           (h, "reject reason=entropy-not-decreased"),
+                           (np.nextafter(h, 1.0), "accept reason=accepted")):
+        assert main(args + [repr(float(prev))]) == 0
+        assert capsys.readouterr().out.startswith(decision), prev
+        assert np.array_equal(nifti_io.read_volume(paths["out"]).data > 0, organ)
+    three = ProbVolume(np.stack([1.0 - p_fg, p_fg / 2, p_fg / 2]))
+    nifti_io.write_volume(paths["probs"], three)
+    assert main(args + [repr(float(h))]) == 1
+    assert "error: refinement takes 2-class probabilities" in capsys.readouterr().err
+
+
+def test_phantom_gen_and_simulate_partial_check_their_config_fields_first(tmp_path, capsys):
+    for flags, name in ((["--seed", "-1"], "seed"), (["--organs", "300"], "organs"),
+                        (["--organs", "0"], "organs"), (["--seed", "x"], "seed"),
+                        (["--scans", "0"], "scans")):
+        out = tmp_path / "phantoms"
+        assert main(["phantom-gen", "--out", str(out), "--dims", "16,16,16", *flags]) == 1
+        assert f"error: {name}" in capsys.readouterr().err, flags
+        assert not out.exists()
+    gt_path = tmp_path / "gt.nii"
+    nifti_io.write_volume(gt_path, LabelMap(np.ones((4, 4, 4), dtype=np.uint8), 2))
+    out_labels, out_man = tmp_path / "partial.nii", tmp_path / "partial.manifest"
+    assert main(["simulate-partial", "--gt", str(gt_path), "--keep-fraction", "1",
+                 "--seed", "-2", "--out-labels", str(out_labels),
+                 "--out-manifest", str(out_man)]) == 1
+    assert "error: seed" in capsys.readouterr().err
+    assert not out_labels.exists() and not out_man.exists()
 
 
 def test_run_subcommand_with_config_and_overrides(tmp_path, capsys):

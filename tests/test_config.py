@@ -72,6 +72,8 @@ BAD_VALUES = [
     {"specialist_contradiction_weight": float("nan")},
     {"specialist_contradiction_weight": -1.0},
     {"keep_fraction": 0.05},  # round(0.05 * 6 organs) keeps none
+    {"seed": -1},
+    {"organs": 256},
 ]
 
 

@@ -614,14 +614,15 @@ def test_specialist_fit_reads_any_nonzero_weight_as_use():
 # --- file oracle ------------------------------------------------------------------
 
 class StubResponder(threading.Thread):
-    """Minimal external model: answers requests in an exchange directory."""
+    """Minimal external model: answers requests in an exchange directory.
+    ``mask`` is a boolean array, written as a 0/1 label image, or any grid,
+    written as it is."""
 
-    def __init__(self, root, mask, probs, wrong_dims=False):
+    def __init__(self, root, mask, probs):
         super().__init__(daemon=True)
         self.root = root
-        self.mask = mask
+        self.mask = mask_to_labels(mask) if isinstance(mask, np.ndarray) else mask
         self.probs = probs
-        self.wrong_dims = wrong_dims
         self.stop = threading.Event()
         self.fits_seen = 0
 
@@ -633,8 +634,7 @@ class StubResponder(threading.Thread):
                 if uid in seen:
                     continue
                 seen.add(uid)
-                nifti_io.write_volume(self.root / f"resp_{uid}.nii",
-                                      mask_to_labels(self.mask))
+                nifti_io.write_volume(self.root / f"resp_{uid}.nii", self.mask)
                 nifti_io.write_volume(self.root / f"resp_{uid}.prob.nii", self.probs)
             for req in self.root.glob("fit_*.req"):
                 uid = req.stem[len("fit_"):]
@@ -764,7 +764,7 @@ def test_response_label_out_of_range_rejected_before_any_segment(tmp_path):
 
 
 def test_file_oracle_timeout(tmp_path):
-    oracle = FileOracle(tmp_path, timeout=0.3, poll_interval=0.02)
+    oracle = FileOracle(tmp_path, timeout=0.3)
     vol = Volume(np.zeros((4, 4, 4), dtype=np.float32))
     with pytest.raises(OracleUnavailableError):
         oracle.predict(vol)
@@ -784,7 +784,7 @@ def test_file_oracle_response_that_stays_corrupt_is_protocol_error(tmp_path):
     writer = threading.Thread(target=write_garbage, daemon=True)
     writer.start()
     try:
-        oracle = FileOracle(tmp_path, timeout=0.3, poll_interval=0.02)
+        oracle = FileOracle(tmp_path, timeout=0.3)
         with pytest.raises(OracleProtocolError, match="still corrupt") as info:
             oracle.predict(Volume(np.zeros((4, 4, 4), dtype=np.float32)))
         (resp,) = tmp_path.glob("resp_*.prob.nii")
@@ -806,6 +806,34 @@ def test_file_oracle_wrong_dims_is_protocol_error(tmp_path):
         vol = Volume(np.zeros(dims, dtype=np.float32))
         with pytest.raises(OracleProtocolError):
             oracle.predict(vol)
+    finally:
+        responder.stop.set()
+        responder.join()
+
+
+SEGMENT_DIMS = (6, 5, 4)
+BAD_SEGMENT_RESPONSES = {
+    "mask-not-labels": (Volume(np.zeros(SEGMENT_DIMS, np.float32)), None, "not a uint8 label"),
+    "mask-dims": (np.zeros((6, 5, 3), bool), None, "segment response dims"),
+    "mask-not-binary": (LabelMap(np.full(SEGMENT_DIMS, 2, np.uint8), 3), None, "not binary"),
+    "probs-3-class": (None, ProbVolume(np.full((3,) + SEGMENT_DIMS, np.float32(1 / 3))),
+                      "must be 2-class"),
+    "probs-dims": (None, two_class_probs(np.zeros((6, 5, 3), bool)), "probability dims"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEGMENT_RESPONSES))
+def test_file_oracle_segment_rejects_bad_responses(tmp_path, case):
+    mask, probs, message = BAD_SEGMENT_RESPONSES[case]
+    good = np.zeros(SEGMENT_DIMS, bool)
+    good[2:4, 2:4, 1:3] = True
+    responder = StubResponder(tmp_path, good if mask is None else mask,
+                              two_class_probs(good) if probs is None else probs)
+    responder.start()
+    try:
+        oracle = FileOracle(tmp_path, timeout=10.0)
+        with pytest.raises(OracleProtocolError, match=message):
+            oracle.segment(Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good))
     finally:
         responder.stop.set()
         responder.join()

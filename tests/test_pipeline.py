@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from promptseg.errors import ConfigError
+from promptseg.errors import ConfigError, OracleUnavailableError
 from promptseg.metrics import dice
 from promptseg.oracles import (GeneralistOracle, PhantomGeneralist,
                                PhantomRegistry, PhantomSpecialist,
@@ -191,6 +191,37 @@ def test_absent_organ_skipped_with_reason():
                            for e in skipped)
 
 
+class FailingOnOneClass(GeneralistOracle):
+    """Delegates to ``inner`` but cannot answer for ``class_id``."""
+
+    def __init__(self, inner, class_id):
+        self.inner, self.class_id = inner, class_id
+
+    def segment(self, volume, prompts):
+        if prompts.class_id == self.class_id:
+            raise OracleUnavailableError(f"no answer for class {self.class_id}")
+        return self.inner.segment(volume, prompts)
+
+
+def test_generalist_failure_on_one_organ_skips_it_and_refines_the_rest(caplog):
+    scans, specialist, generalist = phantom_world(quality=1.0, coop=1.0)
+    config = PipelineConfig(rounds=1, entropy_gate_from_round=1,
+                            scans=4, organs=3, dims=(24, 24, 24))
+    failing = next(c for s in scans for c in sorted(s.supervision.unlabeled))
+    with caplog.at_level(logging.WARNING, logger="promptseg.pipeline"):
+        report = pseudo_label_round(scans, predict_labels(scans, specialist),
+                                    FailingOnOneClass(generalist, failing), config, round_t=1)
+    skipped = [e for e in report.entries if e.class_id == failing]
+    others = [e for e in report.entries if e.class_id != failing]
+    assert skipped and all(e.decision == "skip" and e.reason == "oracle-error"
+                           for e in skipped)
+    assert len(caplog.records) == len(skipped)
+    assert all("generalist failed" in r.getMessage() for r in caplog.records)
+    assert others and all(e.decision == "accept" for e in others)
+    for scan in scans:
+        assert scan.supervision.pseudo == scan.supervision.unlabeled - {failing}
+
+
 def test_pseudo_merge_never_overwrites_ground_truth():
     scans, specialist, generalist = phantom_world(quality=1.0, coop=0.4, keep=0.34)
     config = PipelineConfig(rounds=2, scans=4, organs=3, dims=(24, 24, 24))
@@ -316,8 +347,9 @@ def test_reaccept_with_lower_probability_loses_the_voxels_it_won():
 
 
 def accept(state, mask, field):
-    """Accept ``mask`` with generalist probability ``field`` into ``state``
-    through refinement, its prompts covering the whole volume."""
+    """The state after accepting ``mask`` with generalist probability
+    ``field`` into ``state`` through refinement, its prompts covering the
+    whole volume."""
     H, W, D = mask.shape
     prompts = BoxPromptPair(state.class_id, Box2D("axial", 0, (0, 0), (H - 1, W - 1)),
                             Box2D("sagittal", 0, (0, 0), (H - 1, D - 1)))
@@ -325,6 +357,7 @@ def accept(state, mask, field):
     result = refine_pseudo_label(mask, ProbVolume(np.stack([1.0 - fg, fg])), prompts,
                                  RefinementConfig(), state)
     assert result.accepted and np.array_equal(result.mask, mask)
+    return result.state
 
 
 def brute_force_target(partial, final):
@@ -363,7 +396,7 @@ def test_merged_target_is_order_independent_and_matches_brute_force():
             rng.shuffle(queue)  # an interleaving that keeps each organ's own order
             pending = {c: list(ev) for c, ev in events.items()}
             for c in queue:
-                accept(sup.organ_states[c], *pending[c].pop(0))
+                sup.organ_states[c] = accept(sup.organ_states[c], *pending[c].pop(0))
             pseudo = sup.accepted()
             shuffled = dict(sorted(pseudo.items(), key=lambda kv: rng.random()))
             assert np.array_equal(merged_target(sup.partial, shuffled).labels.data,
@@ -669,14 +702,14 @@ def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
     # a later organ wins every seeded voxel it claims, even at the lowest probability
     mask3 = np.zeros((4, 4, 4), dtype=bool)
     mask3[1:3, 1:3] = True
-    accept(sup.organ_states[3], mask3, np.float32(0.4))
+    sup.organ_states[3] = accept(sup.organ_states[3], mask3, np.float32(0.4))
     merged = merged_target(sup.partial, sup.accepted()).labels.data
     assert (merged[mask3 & (labels == 2)] == 3).all()
     assert (merged[(labels == 2) & ~mask3] == 2).all()
     # the seeded voxels stay until the class is accepted again
     shrunk = labels == 2
     shrunk[3] = False
-    accept(state, shrunk, np.float32(0.9))
+    sup.organ_states[2] = accept(state, shrunk, np.float32(0.9))
     again = merged_target(sup.partial, sup.accepted()).labels.data
     assert np.array_equal(again == 2, shrunk)
     assert (again[(labels == 2) & ~shrunk] == 0).all()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from promptseg.refinement import (ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY,
                                   apply_class_threshold, apply_roi, build_roi,
                                   entropy_gate, mean_mask_entropy,
                                   refine_pseudo_label)
-from promptseg.volgrid import LabelMap, ProbVolume, softmax_from_logits
+from promptseg.volgrid import LabelMap, ProbVolume, softmax_from_logits, voxel_entropy
 
 DIMS = (32, 32, 32)
 
@@ -113,15 +114,11 @@ def test_mean_mask_entropy_examples():
 
 
 def test_entropy_gate_contract():
-    st = OrganRefinementState(class_id=1)
-    assert entropy_gate(st, 0.9, gate_active=False)          # inactive: accept
-    assert st.mean_entropy_history == [0.9]
-    assert entropy_gate(st, 0.7, gate_active=True)           # strict decrease
-    assert not entropy_gate(st, 0.7, gate_active=True)       # equal is a reject
-    assert st.mean_entropy_history == [0.9, 0.7]             # appended only on accept
-    assert not entropy_gate(st, 0.71, gate_active=True)      # comparator unchanged
-    fresh = OrganRefinementState(class_id=2)
-    assert entropy_gate(fresh, 5.0, gate_active=True)        # no previous: accept
+    assert entropy_gate(None, 0.9, gate_active=False)        # inactive: accept
+    assert entropy_gate(0.9, 0.7, gate_active=True)          # strict decrease
+    assert not entropy_gate(0.7, 0.7, gate_active=True)      # equal is a reject
+    assert not entropy_gate(0.7, 0.71, gate_active=True)     # compared with the last accept
+    assert entropy_gate(None, 5.0, gate_active=True)         # no previous: accept
 
 
 def test_refine_identity_when_filters_vacuous():
@@ -134,7 +131,7 @@ def test_refine_identity_when_filters_vacuous():
                               RefinementConfig(entropy_gate_active=False), state)
     assert res.accepted and res.reason == ACCEPTED
     assert np.array_equal(res.mask, mask)
-    assert np.array_equal(state.current_pseudo, mask)
+    assert np.array_equal(res.state.current_pseudo, mask)
 
 
 def test_refine_removes_blob_outside_roi():
@@ -165,12 +162,11 @@ def test_refine_gated_rejection_keeps_stored_label():
     first = refine_pseudo_label(mask, sharp, prompts,
                                 RefinementConfig(entropy_gate_active=False), state)
     assert first.accepted
-    stored = state.current_pseudo
     second = refine_pseudo_label(mask, fuzzy, prompts,
-                                 RefinementConfig(entropy_gate_active=True), state)
+                                 RefinementConfig(entropy_gate_active=True), first.state)
     assert not second.accepted and second.reason == REJECT_ENTROPY
-    assert state.current_pseudo is stored
-    assert len(state.mean_entropy_history) == 1
+    assert second.state is first.state  # the stored label and its comparator stay
+    assert second.state.mean_entropy == first.mean_entropy
 
 
 def test_refine_stores_probabilities_at_the_accepted_voxels():
@@ -181,14 +177,14 @@ def test_refine_stores_probabilities_at_the_accepted_voxels():
     res = refine_pseudo_label(mask, two_class_probs(p_fg), gt_prompts(mask),
                               RefinementConfig(entropy_gate_active=False), state)
     assert res.accepted
-    assert state.current_conf.shape == (int(mask.sum()),)
-    assert np.array_equal(state.current_conf, p_fg[state.current_pseudo])  # C order
-    assert not state.current_conf.flags.writeable
-    stored = state.current_conf
+    stored = res.state
+    assert stored.current_conf.shape == (int(mask.sum()),)
+    assert np.array_equal(stored.current_conf, p_fg[stored.current_pseudo])  # C order
+    assert not stored.current_conf.flags.writeable
     fuzzy = two_class_probs(np.where(mask, np.float32(0.6), np.float32(0.4)))
-    refine_pseudo_label(mask, fuzzy, gt_prompts(mask),
-                        RefinementConfig(entropy_gate_active=True), state)
-    assert state.current_conf is stored  # a rejection keeps the stored probabilities
+    again = refine_pseudo_label(mask, fuzzy, gt_prompts(mask),
+                                RefinementConfig(entropy_gate_active=True), stored)
+    assert again.state.current_conf is stored.current_conf  # a rejection keeps them
 
 
 def test_refine_emptied_candidate_is_reject():
@@ -199,7 +195,40 @@ def test_refine_emptied_candidate_is_reject():
                               RefinementConfig(entropy_gate_active=False), state)
     assert not res.accepted and res.reason == REJECT_EMPTIED
     assert res.mean_entropy is None
-    assert state.current_pseudo is None and state.mean_entropy_history == []
+    assert res.state is state
+    assert state.current_pseudo is None and state.mean_entropy is None
+
+
+def test_refine_accept_returns_the_next_state_and_modifies_nothing_given():
+    mask = sphere(DIMS, (16, 16, 16), 5)
+    old_mask = sphere(DIMS, (15, 16, 16), 4)
+    p_fg = np.where(mask, np.float32(0.9), np.float32(0.05))
+    probs, prompts = two_class_probs(p_fg), gt_prompts(mask)
+    state = OrganRefinementState(2, old_mask, np.full(int(old_mask.sum()), np.float32(0.7)), 0.5)
+    before = dict(vars(state))
+    inputs = (mask.copy(), probs.data.copy())
+    res = refine_pseudo_label(mask, probs, prompts, RefinementConfig(), state)
+    assert res.accepted
+    assert all(getattr(state, name) is value for name, value in before.items())
+    assert np.array_equal(state.current_pseudo, old_mask)
+    assert np.array_equal(mask, inputs[0]) and np.array_equal(probs.data, inputs[1])
+    new = res.state
+    assert new is not state and new.class_id == 2
+    assert np.array_equal(new.current_pseudo, mask) and new.current_pseudo is res.mask
+    assert np.array_equal(new.current_conf, p_fg[mask])
+    assert new.mean_entropy == res.mean_entropy == mean_mask_entropy(mask, voxel_entropy(probs))
+    assert not new.current_pseudo.flags.writeable and not new.current_conf.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        new.mean_entropy = 0.0
+
+
+def test_refine_takes_two_class_probabilities_only():
+    mask = sphere(DIMS, (16, 16, 16), 5)
+    p_fg = np.where(mask, np.float32(0.9), np.float32(0.05))
+    three = ProbVolume(np.stack([1.0 - p_fg, p_fg / 2, p_fg / 2]).astype(np.float32))
+    state = OrganRefinementState(class_id=1)
+    with pytest.raises(RejectedInputError, match="2-class"):
+        refine_pseudo_label(mask, three, gt_prompts(mask), RefinementConfig(), state)
 
 
 def test_refinement_contraction_randomized():
