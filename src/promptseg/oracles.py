@@ -13,6 +13,8 @@ external models through a directory exchange:
     fit_<uid>/ + fit_<uid>.req / fit_<uid>.done   training handshake
 
 The exchange root defaults to the PROMPTSEG_EXCHANGE environment variable.
+Exchange images are whole-grid: a segment answer is checked whole, then
+cropped to the requested region.  Polls pause 1 ms, doubling to 50 ms.
 Phantom oracles are bitwise deterministic given (seed, quality, inputs):
 every stochastic field is drawn from an RNG keyed on the oracle seed, a
 fingerprint of the input volume, and the class (plus the prompt bytes for
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import operator
 import os
 import time
 import uuid
@@ -42,6 +45,24 @@ from .prompting import DEFAULT_PADDING, BoxPromptPair, format_prompts
 from .refinement import roi_ranges
 from .vls_loss import SupervisionTarget
 from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labels
+
+
+Region = tuple[slice, slice, slice]
+
+
+def _checked_region(region, dims: tuple[int, int, int]) -> Region:
+    """``region`` as integer slices, the whole grid for ``None``; anything but
+    three non-empty in-grid slices is a ``RejectedInputError``."""
+    if region is None:
+        return tuple(slice(0, n) for n in dims)
+    try:
+        if len(region) == 3 and all(
+                s.step in (None, 1) and 0 <= operator.index(s.start) < operator.index(s.stop) <= n
+                for s, n in zip(region, dims)):
+            return tuple(slice(int(s.start), int(s.stop)) for s in region)
+    except (TypeError, AttributeError):
+        pass
+    raise RejectedInputError(f"region {region!r} is not three non-empty slices in {dims}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +89,12 @@ class SpecialistOracle(abc.ABC):
 
 class GeneralistOracle(abc.ABC):
     """Frozen promptable model: box prompts in, candidate mask + 2-class
-    (background, organ) probabilities out."""
+    (background, organ) probabilities out, both on ``region`` (the pipeline
+    passes the refinement ROI box; ``None`` is the whole grid)."""
 
     @abc.abstractmethod
-    def segment(self, volume: Volume,
-                prompts: BoxPromptPair) -> tuple[np.ndarray, ProbVolume]: ...
+    def segment(self, volume: Volume, prompts: BoxPromptPair,
+                region: Region | None = None) -> tuple[np.ndarray, ProbVolume]: ...
 
 
 # --- synthetic phantoms -----------------------------------------------------
@@ -208,9 +230,6 @@ def volume_fingerprint(volume: Volume) -> str:
     h.update(np.asarray(volume.dims, dtype=np.int64).tobytes())
     h.update(volume.data.tobytes())
     return h.hexdigest()[:16]
-
-
-Region = tuple[slice, slice, slice]
 
 
 def _grow(lo: np.ndarray, hi: np.ndarray, by: int, dims: tuple[int, int, int]) -> Region:
@@ -460,45 +479,52 @@ class PhantomGeneralist(GeneralistOracle):
 
     def _match(self, fp: str, scan: _PhantomScan,
                prompts: BoxPromptPair) -> tuple[int | None, float, np.ndarray]:
-        dims = scan.gt.dims
-        ranges = roi_ranges(prompts, 0, dims)
-        roi_lo = np.array([r[0] for r in ranges], dtype=np.float64)
-        roi_hi = np.array([r[1] for r in ranges], dtype=np.float64)
-        best_c, best_iou = None, 0.0
-        best_center = np.zeros(3)
-        for c in range(1, scan.gt.num_classes):
-            lo, hi = self.registry.organ_bbox(fp, c)
-            plo = np.maximum(lo - self.assumed_padding, 0)
-            phi = np.minimum(hi + self.assumed_padding, np.asarray(dims) - 1)
-            ilo = np.maximum(roi_lo, plo)
-            ihi = np.minimum(roi_hi, phi)
-            if np.any(ihi < ilo):
-                continue
-            inter = float(np.prod(ihi - ilo + 1))
-            vol_roi = float(np.prod(roi_hi - roi_lo + 1))
-            vol_box = float(np.prod(phi - plo + 1))
-            iou = inter / (vol_roi + vol_box - inter)
-            if iou > best_iou:
-                best_c, best_iou = c, iou
-                best_center = (plo + phi) / 2.0
+        """The first organ of highest padded-box/ROI IoU (``None`` if no box
+        overlaps), that IoU and the ROI's offset from the box's center."""
+        dims = np.asarray(scan.gt.dims)
+        roi_lo, roi_hi = np.array(roi_ranges(prompts, 0, scan.gt.dims), dtype=np.float64).T
+        lo, hi = np.array([self.registry.organ_bbox(fp, c)
+                           for c in range(1, scan.gt.num_classes)]).transpose(1, 0, 2)
+        plo = np.maximum(lo - self.assumed_padding, 0)
+        phi = np.minimum(hi + self.assumed_padding, dims - 1)
+        side = np.minimum(roi_hi, phi) - np.maximum(roi_lo, plo) + 1
+        inter = np.prod(np.maximum(side, 0.0), axis=1)
+        vol_box = np.prod(phi - plo + 1, axis=1)
+        iou = inter / (np.prod(roi_hi - roi_lo + 1) + vol_box - inter)
+        best = int(np.argmax(iou))
         roi_center = (roi_lo + roi_hi) / 2.0
-        return best_c, best_iou, roi_center - best_center
+        if iou[best] <= 0.0:
+            return None, 0.0, roi_center
+        return best + 1, float(iou[best]), roi_center - (plo[best] + phi[best]) / 2.0
 
-    def segment(self, volume: Volume, prompts: BoxPromptPair) -> tuple[np.ndarray, ProbVolume]:
+    def segment(self, volume: Volume, prompts: BoxPromptPair,
+                region: Region | None = None) -> tuple[np.ndarray, ProbVolume]:
+        """The whole-grid answer sliced to ``region``, byte for byte.  The
+        noise is drawn on the whole grid, as the blob draws follow it in the
+        RNG stream; every other field is taken on the region alone."""
         fp, scan = self.registry.lookup(volume)
         dims = scan.gt.dims
+        region = _checked_region(region, dims)
+        shape = tuple(s.stop - s.start for s in region)
         c, iou, offset = self._match(fp, scan, prompts)
         if c is None:
-            probs = ProbVolume(np.full((2,) + dims, np.float32(0.5)))
-            return np.zeros(dims, dtype=bool), probs
-        sd = self.registry.signed_distance(fp, c).astype(np.float64)
+            return np.zeros(shape, dtype=bool), ProbVolume(np.full((2,) + shape, np.float32(0.5)))
         if iou < self.MATCH_THRESHOLD:
-            shift = np.clip(np.round(offset).astype(int), -8, 8)
-            sd = _shift_field(sd, shift, fill=-float(max(dims)))
+            # shifted field: voxel p reads p - shift, or -max(dims) off the grid
+            shift = np.clip(np.round(offset).astype(int), -8, 8).tolist()
+            src = tuple(slice(max(r.start - d, 0), min(r.stop - d, n))
+                        for r, d, n in zip(region, shift, dims))
+            sd = np.full(shape, -float(max(dims)))
+            if all(s.start < s.stop for s in src):
+                dst = tuple(slice(s.start + d - r.start, s.stop + d - r.start)
+                            for s, d, r in zip(src, shift, region))
+                sd[dst] = self.registry.signed_distance(fp, c, src)
             sd -= 1.0 + 2.0 * (self.MATCH_THRESHOLD - iou) / self.MATCH_THRESHOLD  # erode
+        else:
+            sd = self.registry.signed_distance(fp, c, region).astype(np.float64)
         rng = _rng_for(self.seed, fp, c, format_prompts(prompts))
         noise = rng.standard_normal(dims)
-        sd = sd + (1.0 - self.g) * self.NOISE_SIGMA * noise
+        sd = sd + (1.0 - self.g) * self.NOISE_SIGMA * noise[region]
         lo, hi = self.registry.organ_bbox(fp, c)
         spread = (np.asarray(hi) - lo) / 2.0 + self.assumed_padding
         organ_center = (np.asarray(lo) + hi) / 2.0
@@ -506,36 +532,18 @@ class PhantomGeneralist(GeneralistOracle):
             blob_center = organ_center + rng.uniform(-spread, spread)
             if rng.uniform() >= 1.0 - self.g:
                 continue
-            bump = self.BLOB_RADIUS - _distance_from(dims, blob_center)
-            sd = np.maximum(sd, bump)
+            sd = np.maximum(sd, self.BLOB_RADIUS - _distance_from(region, blob_center))
         slope = self.KAPPA * (0.2 + 0.8 * self.g * min(1.0, iou))
-        p_fg = 1.0 / (1.0 + np.exp(-slope * sd))
-        p_fg = p_fg.astype(np.float32)
-        probs = ProbVolume(np.stack([np.float32(1.0) - p_fg, p_fg]))
-        return sd > 0.0, probs
+        p_fg = (1.0 / (1.0 + np.exp(-slope * sd))).astype(np.float32)
+        return sd > 0.0, ProbVolume(np.stack([np.float32(1.0) - p_fg, p_fg]))
 
 
-def _distance_from(dims: tuple[int, int, int], center: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every voxel from ``center``, from three
-    broadcast 1-D squared offsets."""
-    sq = [(np.arange(n, dtype=np.float64) - float(c)) ** 2 for n, c in zip(dims, center)]
+def _distance_from(region: Region, center: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every voxel of ``region`` from ``center``, from
+    three broadcast 1-D squared offsets."""
+    sq = [(np.arange(s.start, s.stop, dtype=np.float64) - float(c)) ** 2
+          for s, c in zip(region, center)]
     return np.sqrt(sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :])
-
-
-def _shift_field(field_arr: np.ndarray, shift: np.ndarray, fill: float) -> np.ndarray:
-    out = np.full_like(field_arr, fill)
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    for ax, s in enumerate(shift):
-        n = field_arr.shape[ax]
-        if abs(s) >= n:
-            return out
-        if s >= 0:
-            dst[ax], src[ax] = slice(s, n), slice(0, n - s)
-        else:
-            dst[ax], src[ax] = slice(0, n + s), slice(-s, n)
-    out[tuple(dst)] = field_arr[tuple(src)]
-    return out
 
 
 # --- directory-exchange oracle ----------------------------------------------
@@ -572,6 +580,8 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         tmp.rename(path)
 
     def _await_file(self, path: Path, deadline: float, decode: bool = True):
+        """Poll for ``path``; the pause starts at 1 ms and doubles to ``POLL_INTERVAL_S``."""
+        pause = 0.001
         while True:
             corrupt = None
             if path.exists():
@@ -587,7 +597,8 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                         f"response at {path} still corrupt after {self.timeout}s: "
                         f"{corrupt}") from corrupt
                 raise OracleUnavailableError(f"no response at {path} within {self.timeout}s")
-            time.sleep(POLL_INTERVAL_S)
+            time.sleep(pause)
+            pause = min(2 * pause, POLL_INTERVAL_S)
 
     def predict(self, volume: Volume) -> LabelMap:
         """A probability response is decoded to its argmax; a uint8 label
@@ -606,7 +617,10 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                 f"predict response dims {resp.dims} != request dims {volume.dims}")
         return resp
 
-    def segment(self, volume: Volume, prompts: BoxPromptPair) -> tuple[np.ndarray, ProbVolume]:
+    def segment(self, volume: Volume, prompts: BoxPromptPair,
+                region: Region | None = None) -> tuple[np.ndarray, ProbVolume]:
+        """The whole-grid answer is checked, then cropped to ``region``."""
+        region = _checked_region(region, volume.dims)
         uid = uuid.uuid4().hex
         deadline = time.monotonic() + self.timeout
         self._write_atomic(self.root / f"req_{uid}.nii",
@@ -627,7 +641,7 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         if probs.dims != volume.dims:
             raise OracleProtocolError(
                 f"segment probability dims {probs.dims} != request dims {volume.dims}")
-        return mask_img.data > 0, probs
+        return mask_img.data[region] > 0, ProbVolume(probs.data[(slice(None),) + region])
 
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
         uid = uuid.uuid4().hex

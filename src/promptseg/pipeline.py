@@ -30,7 +30,7 @@ from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                       TrainingExample, make_phantom_suite)
 from .prompting import DEFAULT_PADDING, make_box_prompts
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
-                         RefinementConfig, refine_pseudo_label)
+                         RefinementConfig, refine_pseudo_label, roi_box)
 from .vls_loss import SupervisionTarget, vls_mask
 # unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
 from .volgrid import MAX_CLASSES, LabelMap, Volume, argmax_labelmap, class_mask
@@ -364,7 +364,8 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                        generalist: GeneralistOracle, config: PipelineConfig,
                        round_t: int) -> RoundReport:
     """One prompt -> segment -> refine pass over every unlabeled organ, the
-    prompts drawn from ``predictions`` (see ``predict_labels``).
+    prompts drawn from ``predictions`` (see ``predict_labels``).  The
+    generalist answers on the ROI box, the only part refinement reads.
 
     Candidates are regenerated from scratch each round; the entropy gate
     (active from ``entropy_gate_from_round``) decides whether the stored
@@ -384,13 +385,18 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                 report.entries.append(RoundEntry(scan.scan_id, class_id,
                                                  "skip", "no-prediction", None, None))
                 continue
+            region = roi_box(prompts, config.delta_roi, scan.volume.dims)
             try:
-                candidate, gprobs = generalist.segment(scan.volume, prompts)
+                mask, gprobs = generalist.segment(scan.volume, prompts, region)
             except PromptsegError as exc:
                 log.warning("%s organ %d: generalist failed: %s", scan.scan_id, class_id, exc)
                 report.entries.append(RoundEntry(scan.scan_id, class_id,
                                                  "skip", "oracle-error", None, None))
                 continue
+            candidate = np.zeros(scan.volume.dims, dtype=bool)
+            if np.shape(mask) != candidate[region].shape:
+                raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {region}")
+            candidate[region] = mask
             result = refine_pseudo_label(candidate, gprobs, prompts,
                                          config.refinement_config(round_t),
                                          sup.organ_states[class_id])

@@ -103,11 +103,16 @@ def roi_ranges(prompts: BoxPromptPair, delta_roi: int,
     )
 
 
+def roi_box(prompts: BoxPromptPair, delta_roi: int,
+            dims: tuple[int, int, int]) -> tuple[slice, slice, slice]:
+    """``roi_ranges`` as (y, x, z) slices: the box that ``build_roi`` fills."""
+    return tuple(slice(lo, hi + 1) for lo, hi in roi_ranges(prompts, delta_roi, dims))
+
+
 def build_roi(prompts: BoxPromptPair, delta_roi: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Binary 3D ROI from the two orthogonal prompt boxes plus dilation."""
-    (y0, y1), (x0, x1), (z0, z1) = roi_ranges(prompts, delta_roi, dims)
     roi = np.zeros(dims, dtype=bool)
-    roi[y0:y1 + 1, x0:x1 + 1, z0:z1 + 1] = True
+    roi[roi_box(prompts, delta_roi, dims)] = True
     return roi
 
 
@@ -137,8 +142,10 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
                         config: RefinementConfig, state: OrganRefinementState) -> RefinementResult:
     """Run all three constraints on a candidate pseudo-label.
 
-    ``probs`` is the generalist's 2-class (background, organ) field; any
-    other class count is a ``RejectedInputError``.  On accept the result's
+    ``probs`` is the generalist's 2-class (background, organ) field on the
+    candidate's grid or on exactly its ROI box ``roi_box(prompts,
+    config.delta_roi, candidate.shape)``, the only part read; other dims or
+    class counts are a ``RejectedInputError``.  On accept the result's
     state holds the kept mask, the organ probability at its voxels and the
     mask's mean entropy; on reject it is ``state`` itself.  Nothing given is
     modified.  A candidate emptied by the voxel filters is a rejection, never
@@ -147,14 +154,17 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
     if probs.num_classes != 2:
         raise RejectedInputError(
             f"refinement takes 2-class probabilities, got {probs.num_classes} classes")
-    kept = apply_class_threshold(candidate, probs, 1, config.tau_cls)
-    kept = apply_roi(kept, build_roi(prompts, config.delta_roi, candidate.shape))
-    if not kept.any():
+    box = roi_box(prompts, config.delta_roi, candidate.shape)
+    if probs.dims == candidate.shape != candidate[box].shape:
+        probs = ProbVolume(probs.data[(slice(None),) + box])
+    kept = np.zeros(candidate.shape, dtype=bool)
+    kept[box] = inside = apply_class_threshold(candidate[box], probs, 1, config.tau_cls)
+    if not inside.any():
         return RefinementResult(kept, False, REJECT_EMPTIED, None, state)
-    h = mean_mask_entropy(kept, voxel_entropy(probs))
+    h = mean_mask_entropy(inside, voxel_entropy(probs))
     if not entropy_gate(state.mean_entropy, h, config.entropy_gate_active):
         return RefinementResult(kept, False, REJECT_ENTROPY, h, state)
-    conf = probs.class_probs(1)[kept]
+    conf = probs.class_probs(1)[inside]
     kept.flags.writeable = conf.flags.writeable = False
     return RefinementResult(kept, True, ACCEPTED, h,
                             OrganRefinementState(state.class_id, kept, conf, h))

@@ -4,22 +4,24 @@ import time
 import numpy as np
 import pytest
 
-from promptseg import nifti_io
+from promptseg import nifti_io, oracles
 from scipy import ndimage
 from scipy.spatial.transform import Rotation
 
 from promptseg.errors import (ConfigError, OracleProtocolError, OracleUnavailableError,
                               RejectedInputError, UnknownVolumeError)
 from promptseg.metrics import dice
-from promptseg.oracles import (Ellipsoid, FileOracle, PhantomGeneralist,
+from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, PhantomGeneralist,
                                PhantomRegistry,
                                PhantomSpecialist, PhantomSpec, TrainingExample,
                                _distance_from, _rng_for,
                                ellipsoid_mask, generate_phantom,
                                make_phantom_suite, random_phantom_spec,
                                volume_fingerprint)
-from promptseg.prompting import Box2D, BoxPromptPair, AXIAL, SAGITTAL, make_box_prompts
-from promptseg.refinement import OrganRefinementState, RefinementConfig, refine_pseudo_label
+from promptseg.prompting import (Box2D, BoxPromptPair, AXIAL, SAGITTAL, format_prompts,
+                                 make_box_prompts)
+from promptseg.refinement import (OrganRefinementState, RefinementConfig, refine_pseudo_label,
+                                  roi_ranges)
 from promptseg.vls_loss import SupervisionTarget
 from promptseg.volgrid import (LabelMap, ProbVolume, Volume, argmax_labelmap,
                                class_mask, mask_to_labels)
@@ -373,7 +375,7 @@ def test_distance_from_equals_index_grid_form():
             coords = np.indices(dims, dtype=np.float64)
             offs = coords - np.asarray(center, dtype=np.float64).reshape(3, 1, 1, 1)
             want = np.sqrt((offs ** 2).sum(axis=0))
-            got = _distance_from(dims, center)
+            got = _distance_from(tuple(slice(0, n) for n in dims), center)
             assert got.shape == dims
             assert got.tobytes() == want.tobytes()
 
@@ -541,6 +543,196 @@ def test_organ_bbox_equals_argwhere_and_rejects_non_organs():
     for c in (2, 4):                                        # empty inside and past find_objects
         with pytest.raises(RejectedInputError):
             registry.organ_bbox(fp, c)
+
+
+def loop_match(registry, fp, gt, prompts, padding):
+    """The generalist's organ match as a per-class loop: the reference for
+    the vectorized ``PhantomGeneralist._match``."""
+    dims = gt.dims
+    ranges = roi_ranges(prompts, 0, dims)
+    roi_lo = np.array([r[0] for r in ranges], dtype=np.float64)
+    roi_hi = np.array([r[1] for r in ranges], dtype=np.float64)
+    best_c, best_iou = None, 0.0
+    best_center = np.zeros(3)
+    for c in range(1, gt.num_classes):
+        lo, hi = registry.organ_bbox(fp, c)
+        plo = np.maximum(lo - padding, 0)
+        phi = np.minimum(hi + padding, np.asarray(dims) - 1)
+        ilo = np.maximum(roi_lo, plo)
+        ihi = np.minimum(roi_hi, phi)
+        if np.any(ihi < ilo):
+            continue
+        inter = float(np.prod(ihi - ilo + 1))
+        vol_roi = float(np.prod(roi_hi - roi_lo + 1))
+        vol_box = float(np.prod(phi - plo + 1))
+        iou = inter / (vol_roi + vol_box - inter)
+        if iou > best_iou:
+            best_c, best_iou = c, iou
+            best_center = (plo + phi) / 2.0
+    return best_c, best_iou, (roi_lo + roi_hi) / 2.0 - best_center
+
+
+def full_grid_segment(gen, vol, gt, prompts):
+    """The generalist's whole-grid answer from the plain full-volume
+    formulas: signed distance, shifted field, noise, blobs and sigmoid."""
+    fp, dims = volume_fingerprint(vol), gt.dims
+    c, iou, offset = loop_match(gen.registry, fp, gt, prompts, gen.assumed_padding)
+    if c is None:
+        return np.zeros(dims, dtype=bool), np.full((2,) + dims, np.float32(0.5))
+    sd = full_grid_signed_distance(gt, c).astype(np.float64)
+    if iou < gen.MATCH_THRESHOLD:
+        shift = np.clip(np.round(offset).astype(int), -8, 8)
+        shifted = np.full(dims, -float(max(dims)))
+        if all(abs(d) < n for d, n in zip(shift, dims)):
+            dst = tuple(slice(max(d, 0), n - max(-d, 0)) for d, n in zip(shift, dims))
+            src = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip(shift, dims))
+            shifted[dst] = sd[src]
+        sd = shifted - (1.0 + 2.0 * (gen.MATCH_THRESHOLD - iou) / gen.MATCH_THRESHOLD)
+    rng = _rng_for(gen.seed, fp, c, format_prompts(prompts))
+    sd = sd + (1.0 - gen.g) * gen.NOISE_SIGMA * rng.standard_normal(dims)
+    lo, hi = gen.registry.organ_bbox(fp, c)
+    spread = (np.asarray(hi) - lo) / 2.0 + gen.assumed_padding
+    organ_center = (np.asarray(lo) + hi) / 2.0
+    coords = np.indices(dims, dtype=np.float64)
+    for _ in range(gen.BLOB_COUNT):
+        blob_center = organ_center + rng.uniform(-spread, spread)
+        if rng.uniform() >= 1.0 - gen.g:
+            continue
+        offs = coords - blob_center.reshape(3, 1, 1, 1)
+        sd = np.maximum(sd, gen.BLOB_RADIUS - np.sqrt((offs ** 2).sum(axis=0)))
+    slope = gen.KAPPA * (0.2 + 0.8 * gen.g * min(1.0, iou))
+    p_fg = (1.0 / (1.0 + np.exp(-slope * sd))).astype(np.float32)
+    return sd > 0.0, np.stack([np.float32(1.0) - p_fg, p_fg])
+
+
+def random_prompts(rng, dims, class_id):
+    """An axial and a sagittal box anywhere on the grid."""
+    def corners(n_a, n_b):
+        a = np.sort(rng.integers(0, n_a, size=2))
+        b = np.sort(rng.integers(0, n_b, size=2))
+        return (int(a[0]), int(b[0])), (int(a[1]), int(b[1]))
+    H, W, D = dims
+    return BoxPromptPair(class_id=class_id,
+                         axial=Box2D(AXIAL, int(rng.integers(0, D)), *corners(H, W)),
+                         sagittal=Box2D(SAGITTAL, int(rng.integers(0, W)), *corners(H, D)))
+
+
+def face_regions(dims):
+    """The whole grid and, per axis, a low and a high slab touching its faces."""
+    regions = [tuple(slice(0, n) for n in dims)]
+    for ax, n in enumerate(dims):
+        for part in (slice(0, n // 2 + 1), slice(n // 2, n)):
+            regions.append(tuple(part if i == ax else slice(0, m) for i, m in enumerate(dims)))
+    return regions
+
+
+def test_generalist_on_a_region_is_the_whole_grid_answer_there():
+    rng = np.random.default_rng(12)
+    lone = np.zeros((16, 12, 10), dtype=np.uint8)
+    lone[1:3, 1:3, 1:3] = 1                                # most prompts miss it
+    cases = list(border_label_maps()) + [LabelMap(lone, 2)]
+    cases += [gt for _, _, gt in make_phantom_suite(1, 6, (26, 22, 18), seed=5)]
+    seen = {"no-match": 0, "degraded": 0, "shifted": 0, "blobs": 0}
+    for gt in cases:
+        registry = PhantomRegistry()
+        vol = Volume(rng.random(gt.dims).astype(np.float32))
+        fp = registry.register(vol, gt)
+        for g, padding in ((1.0, 2), (0.5, 0), (0.0, 4)):
+            gen = PhantomGeneralist(registry, cooperativeness=g, assumed_padding=padding,
+                                    seed=int(rng.integers(0, 100)))
+            for trial in range(12):
+                c = int(rng.integers(1, gt.num_classes))
+                prompts = (make_box_prompts(gt, c, padding=int(rng.integers(0, 4)))
+                           if trial % 3 == 0 else random_prompts(rng, gt.dims, c))
+                match, iou, offset = loop_match(registry, fp, gt, prompts, padding)
+                seen["no-match"] += match is None
+                seen["degraded"] += match is not None and iou < gen.MATCH_THRESHOLD
+                seen["shifted"] += (match is not None and iou < gen.MATCH_THRESHOLD
+                                    and bool(np.round(offset).any()))
+                seen["blobs"] += match is not None and g < 1.0
+                want_mask, want_probs = full_grid_segment(gen, vol, gt, prompts)
+                whole_mask, whole_probs = gen.segment(vol, prompts)
+                assert whole_mask.tobytes() == want_mask.tobytes()
+                assert whole_probs.data.tobytes() == want_probs.tobytes()
+                regions = face_regions(gt.dims)
+                for _ in range(4):
+                    a = [int(rng.integers(0, n)) for n in gt.dims]
+                    regions.append(tuple(slice(x, int(rng.integers(x + 1, n + 1)))
+                                         for x, n in zip(a, gt.dims)))
+                for region in regions:
+                    mask, probs = gen.segment(vol, prompts, region)
+                    assert mask.dtype == bool
+                    assert mask.tobytes() == np.ascontiguousarray(want_mask[region]).tobytes()
+                    assert probs.data.tobytes() == np.ascontiguousarray(
+                        want_probs[(slice(None),) + region]).tobytes(), (region, prompts)
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+def test_generalist_match_scores_all_boxes_like_the_per_class_loop():
+    rng = np.random.default_rng(13)
+    cases = list(border_label_maps())
+    cases += [gt for _, _, gt in make_phantom_suite(2, 6, (24, 20, 16), seed=6)]
+    for gt in cases:
+        registry = PhantomRegistry()
+        vol = Volume(rng.random(gt.dims).astype(np.float32))
+        fp = registry.register(vol, gt)
+        _, scan = registry.lookup(vol)
+        for padding in (0, 3, 30):
+            gen = PhantomGeneralist(registry, assumed_padding=padding)
+            for _ in range(40):
+                prompts = random_prompts(rng, gt.dims, 1)
+                c, iou, offset = gen._match(fp, scan, prompts)
+                want_c, want_iou, want_offset = loop_match(registry, fp, gt, prompts, padding)
+                assert (c, iou) == (want_c, want_iou) and type(iou) is float
+                assert offset.tobytes() == want_offset.tobytes()
+    tie = np.zeros((8, 8, 8), dtype=np.uint8)
+    tie[1:3, 1:3, 1:3], tie[5:7, 5:7, 5:7] = 1, 2             # equal IoU with a whole-grid ROI
+    registry = PhantomRegistry()
+    vol = Volume(np.zeros((8, 8, 8), dtype=np.float32))
+    fp = registry.register(vol, LabelMap(tie, 3))
+    whole = BoxPromptPair(1, Box2D(AXIAL, 0, (0, 0), (7, 7)), Box2D(SAGITTAL, 0, (0, 0), (7, 7)))
+    assert PhantomGeneralist(registry)._match(fp, registry.lookup(vol)[1], whole)[0] == 1
+    data = np.zeros((6, 6, 6), dtype=np.uint8)
+    data[1, 1, 1], data[4, 4, 4] = 1, 3                        # class 2 is empty
+    registry = PhantomRegistry()
+    vol = Volume(np.ones((6, 6, 6), dtype=np.float32))
+    fp = registry.register(vol, LabelMap(data, 4))
+    prompts = BoxPromptPair(1, Box2D(AXIAL, 1, (1, 1), (1, 1)), Box2D(SAGITTAL, 1, (1, 1), (1, 1)))
+    with pytest.raises(RejectedInputError, match="class 2 is empty"):
+        loop_match(registry, fp, LabelMap(data, 4), prompts, 0)
+    with pytest.raises(RejectedInputError, match="class 2 is empty"):
+        PhantomGeneralist(registry)._match(fp, registry.lookup(vol)[1], prompts)
+
+
+BAD_REGIONS = [
+    (slice(0, 0), slice(0, 5), slice(0, 4)),       # empty
+    (slice(2, 1), slice(0, 5), slice(0, 4)),       # reversed
+    (slice(-1, 3), slice(0, 5), slice(0, 4)),      # starts off the grid
+    (slice(0, 6), slice(0, 6), slice(0, 4)),       # ends off the grid
+    (slice(0, 6), slice(0, 5)),                    # two axes
+    (slice(0, 6), slice(0, 5), slice(0, 4), slice(0, 1)),  # four axes
+    (slice(0, 6, 2), slice(0, 5), slice(0, 4)),    # strided
+    (slice(None, 6), slice(0, 5), slice(0, 4)),    # open start
+    (slice(0.5, 6), slice(0, 5), slice(0, 4)),     # not integer
+    (0, slice(0, 5), slice(0, 4)),                 # an index, not a slice
+    5,
+]
+
+
+@pytest.mark.parametrize("region", BAD_REGIONS, ids=range(len(BAD_REGIONS)))
+def test_generalist_rejects_a_region_that_is_not_three_in_grid_slices(region):
+    data = np.zeros((6, 5, 4), dtype=np.uint8)
+    data[2:4, 1:3, 1:3] = 1
+    registry = PhantomRegistry()
+    vol = Volume(np.ones((6, 5, 4), dtype=np.float32))
+    registry.register(vol, LabelMap(data, 2))
+    gen = PhantomGeneralist(registry)
+    prompts = make_box_prompts(LabelMap(data, 2), 1, padding=1)
+    with pytest.raises(RejectedInputError, match="not three non-empty slices"):
+        gen.segment(vol, prompts, region)
+    mask, _ = gen.segment(vol, prompts, (slice(np.int64(2), np.int64(4)), slice(1, 3),
+                                         slice(1, 3, 1)))
+    assert mask.shape == (2, 2, 2) and mask.all()
 
 
 def per_class_qualities(registry, examples, supervision, cw):
@@ -811,19 +1003,78 @@ def test_file_oracle_wrong_dims_is_protocol_error(tmp_path):
         responder.join()
 
 
+class FakeClock:
+    """Stands in for the ``time`` module: ``sleep`` records the pause and
+    moves the clock on by it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pauses, self.slept_at = [], []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.slept_at.append(self.now)
+        self.pauses.append(seconds)
+        self.now += seconds
+
+
+def assert_backoff(clock, deadline):
+    assert POLL_INTERVAL_S == 0.05
+    assert clock.pauses[:7] == [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.05]
+    assert set(clock.pauses[7:]) <= {0.05}
+    assert clock.slept_at[-1] <= deadline < clock.now   # gave up at the first look past it
+
+
+def test_file_oracle_wait_starts_at_1ms_and_doubles_to_the_poll_interval(tmp_path,
+                                                                          monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(oracles, "time", clock)
+    with pytest.raises(OracleUnavailableError, match="no response"):
+        FileOracle(tmp_path, timeout=1.0).predict(Volume(np.zeros((4, 4, 4), np.float32)))
+    assert_backoff(clock, 1.0)
+    assert len(list(tmp_path.glob("req_*.nii"))) == 1
+    clock = FakeClock()
+    monkeypatch.setattr(oracles, "time", clock)
+    resp = tmp_path / "resp_x.prob.nii"
+    resp.write_bytes(b"\x00" * 100)
+    with pytest.raises(OracleProtocolError, match="still corrupt"):
+        FileOracle(tmp_path, timeout=0.5)._await_file(resp, deadline=0.5)
+    assert_backoff(clock, 0.5)
+
+
+def unchecked_probs(data):
+    """A ProbVolume holding ``data`` as it is, to write a response that
+    fails the reader's checks."""
+    probs = object.__new__(ProbVolume)
+    probs.data = np.ascontiguousarray(data, dtype=np.float32)
+    return probs
+
+
 SEGMENT_DIMS = (6, 5, 4)
+SEGMENT_REGION = (slice(1, 5), slice(1, 4), slice(1, 3))   # the response's interior
+OUTSIDE_REGION = np.full(SEGMENT_DIMS, 0.5, np.float32)
+OUTSIDE_REGION[0, 0, 0] = 0.7                               # sums to 1.2 off the region
 BAD_SEGMENT_RESPONSES = {
     "mask-not-labels": (Volume(np.zeros(SEGMENT_DIMS, np.float32)), None, "not a uint8 label"),
     "mask-dims": (np.zeros((6, 5, 3), bool), None, "segment response dims"),
     "mask-not-binary": (LabelMap(np.full(SEGMENT_DIMS, 2, np.uint8), 3), None, "not binary"),
+    "mask-not-binary-off-region": (
+        LabelMap(np.pad(np.zeros((4, 3, 2), np.uint8), 1, constant_values=2), 3), None,
+        "not binary"),
     "probs-3-class": (None, ProbVolume(np.full((3,) + SEGMENT_DIMS, np.float32(1 / 3))),
                       "must be 2-class"),
     "probs-dims": (None, two_class_probs(np.zeros((6, 5, 3), bool)), "probability dims"),
+    "probs-sum-off-region": (None, unchecked_probs(np.stack([OUTSIDE_REGION, OUTSIDE_REGION])),
+                             "sum to 1"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_SEGMENT_RESPONSES))
-def test_file_oracle_segment_rejects_bad_responses(tmp_path, case):
+@pytest.mark.parametrize("case, region", [
+    pytest.param(case, region, id=case if region is None else f"{case}-region")
+    for case in sorted(BAD_SEGMENT_RESPONSES) for region in (None, SEGMENT_REGION)])
+def test_file_oracle_segment_rejects_bad_responses(tmp_path, case, region):
     mask, probs, message = BAD_SEGMENT_RESPONSES[case]
     good = np.zeros(SEGMENT_DIMS, bool)
     good[2:4, 2:4, 1:3] = True
@@ -833,10 +1084,41 @@ def test_file_oracle_segment_rejects_bad_responses(tmp_path, case):
     try:
         oracle = FileOracle(tmp_path, timeout=10.0)
         with pytest.raises(OracleProtocolError, match=message):
-            oracle.segment(Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good))
+            oracle.segment(Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good),
+                           region)
     finally:
         responder.stop.set()
         responder.join()
+
+
+def test_file_oracle_segment_on_a_region_is_the_crop_of_the_answer(tmp_path):
+    rng = np.random.default_rng(3)
+    mask = rng.random(SEGMENT_DIMS) < 0.5
+    probs = two_class_probs(rng.random(SEGMENT_DIMS).astype(np.float32))
+    responder = StubResponder(tmp_path, mask, probs)
+    responder.start()
+    try:
+        oracle = FileOracle(tmp_path, timeout=10.0)
+        vol = Volume(np.zeros(SEGMENT_DIMS, np.float32))
+        for region in (SEGMENT_REGION, (slice(0, 6), slice(4, 5), slice(0, 1))):
+            got_mask, got_probs = oracle.segment(vol, box_prompts_for(mask), region)
+            assert got_mask.dtype == bool
+            assert got_mask.tobytes() == np.ascontiguousarray(mask[region]).tobytes()
+            assert got_probs.data.tobytes() == np.ascontiguousarray(
+                probs.data[(slice(None),) + region]).tobytes()
+    finally:
+        responder.stop.set()
+        responder.join()
+
+
+@pytest.mark.parametrize("region", BAD_REGIONS, ids=range(len(BAD_REGIONS)))
+def test_file_oracle_rejects_a_bad_region_before_writing_a_request(tmp_path, region):
+    oracle = FileOracle(tmp_path, timeout=0.1)
+    good = np.zeros(SEGMENT_DIMS, bool)
+    good[2:4, 2:4, 1:3] = True
+    with pytest.raises(RejectedInputError, match="not three non-empty slices"):
+        oracle.segment(Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good), region)
+    assert not list(tmp_path.iterdir())
 
 
 def test_file_oracle_exchange_root_from_environment(tmp_path, monkeypatch):

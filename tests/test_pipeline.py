@@ -14,7 +14,7 @@ from promptseg.pipeline import (PipelineConfig, Scan, ScanSupervision,
                                 run_pipeline,
                                 simulate_partial_labels)
 from promptseg.prompting import Box2D, BoxPromptPair
-from promptseg.refinement import RefinementConfig, refine_pseudo_label
+from promptseg.refinement import RefinementConfig, refine_pseudo_label, roi_box
 from promptseg.vls_loss import SupervisionTarget
 from promptseg.volgrid import LabelMap, ProbVolume, Volume
 
@@ -147,8 +147,8 @@ class AdversarialGeneralist(GeneralistOracle):
         self.dims = dims
         self.rng = np.random.default_rng(seed)
 
-    def segment(self, volume, prompts):
-        noise = self.rng.uniform(0.45, 0.55, size=self.dims).astype(np.float32)
+    def segment(self, volume, prompts, region=None):
+        noise = self.rng.uniform(0.45, 0.55, size=self.dims).astype(np.float32)[region or ...]
         probs = ProbVolume(np.stack([np.float32(1.0) - noise, noise]))
         return noise > 0.5, probs
 
@@ -197,10 +197,10 @@ class FailingOnOneClass(GeneralistOracle):
     def __init__(self, inner, class_id):
         self.inner, self.class_id = inner, class_id
 
-    def segment(self, volume, prompts):
+    def segment(self, volume, prompts, region=None):
         if prompts.class_id == self.class_id:
             raise OracleUnavailableError(f"no answer for class {self.class_id}")
-        return self.inner.segment(volume, prompts)
+        return self.inner.segment(volume, prompts, region)
 
 
 def test_generalist_failure_on_one_organ_skips_it_and_refines_the_rest(caplog):
@@ -309,10 +309,10 @@ class ScriptedGeneralist(GeneralistOracle):
     def __init__(self):
         self.script = {}
 
-    def segment(self, volume, prompts):
+    def segment(self, volume, prompts, region=None):
         mask, p = self.script[prompts.class_id]
-        fg = np.where(mask, np.float32(p), np.float32(0.05))
-        return mask, ProbVolume(np.stack([np.float32(1.0) - fg, fg]))
+        fg = np.where(mask, np.float32(p), np.float32(0.05))[region or ...]
+        return mask[region or ...], ProbVolume(np.stack([np.float32(1.0) - fg, fg]))
 
 
 def run_scripted_rounds(*rounds):
@@ -448,6 +448,24 @@ def test_run_pipeline_determinism(tmp_path):
     assert outputs[0].keys() == outputs[1].keys()
     for key in outputs[0]:
         assert outputs[0][key] == outputs[1][key], key
+
+
+def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
+    calls = []
+    segment = PhantomGeneralist.segment
+
+    def recording(self, volume, prompts, region=None):
+        calls.append((volume.dims, prompts, region))
+        return segment(self, volume, prompts, region)
+
+    monkeypatch.setattr(PhantomGeneralist, "segment", recording)
+    config = PipelineConfig(seed=7, out_dir=str(tmp_path / "desk"))  # 20+5 scans at 32^3
+    result = run_pipeline(config)
+    prompted = [e for r in result.round_reports for e in r.entries if e.reason != "no-prediction"]
+    assert len(calls) == len(prompted) > 100
+    for dims, prompts, region in calls:
+        assert region == roi_box(prompts, config.delta_roi, dims)
+    assert any(region != tuple(slice(0, n) for n in dims) for dims, _, region in calls)
 
 
 def test_run_pipeline_r0_is_plain_baseline(tmp_path):

@@ -10,7 +10,7 @@ from promptseg.refinement import (ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY,
                                   OrganRefinementState, RefinementConfig,
                                   apply_class_threshold, apply_roi, build_roi,
                                   entropy_gate, mean_mask_entropy,
-                                  refine_pseudo_label)
+                                  refine_pseudo_label, roi_box)
 from promptseg.volgrid import LabelMap, ProbVolume, softmax_from_logits, voxel_entropy
 
 DIMS = (32, 32, 32)
@@ -229,6 +229,65 @@ def test_refine_takes_two_class_probabilities_only():
     state = OrganRefinementState(class_id=1)
     with pytest.raises(RejectedInputError, match="2-class"):
         refine_pseudo_label(mask, three, gt_prompts(mask), RefinementConfig(), state)
+
+
+def random_face_prompts(rng, dims):
+    """Box prompts whose corners often sit on the grid's faces."""
+    def span(n):
+        lo, hi = np.sort(rng.integers(0, n, size=2))
+        return (0 if rng.random() < 0.3 else int(lo)), (n - 1 if rng.random() < 0.3 else int(hi))
+    H, W, D = dims
+    (y0, y1), (x0, x1), (y2, y3), (z0, z1) = span(H), span(W), span(H), span(D)
+    return BoxPromptPair(class_id=1,
+                         axial=Box2D(AXIAL, int(rng.integers(0, D)), (y0, x0), (y1, x1)),
+                         sagittal=Box2D(SAGITTAL, int(rng.integers(0, W)), (y2, z0), (y3, z1)))
+
+
+def test_refine_reads_whole_grid_and_roi_box_probabilities_alike():
+    rng = np.random.default_rng(21)
+    dims = (20, 17, 13)
+    reasons = set()
+    for _ in range(60):
+        candidate = rng.random(dims) < rng.uniform(0.0, 0.9) ** 3
+        probs = two_class_probs(rng.random(dims).astype(np.float32))
+        prompts = random_face_prompts(rng, dims)
+        config = RefinementConfig(tau_cls=float(rng.uniform(0.05, 0.99)),
+                                  delta_roi=int(rng.integers(0, 5)),
+                                  entropy_gate_active=bool(rng.random() < 0.5))
+        state = OrganRefinementState(1, mean_entropy=float(rng.uniform(0.4, 0.7)))
+        box = roi_box(prompts, config.delta_roi, dims)
+        whole = refine_pseudo_label(candidate, probs, prompts, config, state)
+        cropped = refine_pseudo_label(candidate, ProbVolume(probs.data[(slice(None),) + box]),
+                                      prompts, config, state)
+        # the full-grid filters and entropy, as refinement computed them before it cropped
+        kept = apply_roi(apply_class_threshold(candidate, probs, 1, config.tau_cls),
+                         build_roi(prompts, config.delta_roi, dims))
+        for res in (whole, cropped):
+            assert res.mask.shape == dims and res.mask.tobytes() == kept.tobytes()
+            assert res.reason == whole.reason and res.mean_entropy == whole.mean_entropy
+            if kept.any():
+                assert res.mean_entropy == mean_mask_entropy(kept, voxel_entropy(probs))
+            if res.accepted:
+                assert res.state.current_pseudo.tobytes() == kept.tobytes()
+                assert res.state.current_conf.tobytes() == probs.class_probs(1)[kept].tobytes()
+                assert res.state.mean_entropy == res.mean_entropy
+            else:
+                assert res.state is state
+        reasons.add(whole.reason)
+    assert reasons == {ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY}
+
+
+def test_refine_rejects_probabilities_on_other_dims():
+    mask = sphere(DIMS, (16, 16, 16), 5)
+    prompts = gt_prompts(mask)
+    box_shape = build_roi(prompts, 3, DIMS)[roi_box(prompts, 3, DIMS)].shape
+    assert box_shape != DIMS
+    for shape in [(31, 32, 32), (32, 32, 33), box_shape[:2] + (box_shape[2] + 1,),
+                  (box_shape[0] - 1,) + box_shape[1:], (1, 1, 1)]:
+        probs = two_class_probs(np.full(shape, np.float32(0.9)))
+        with pytest.raises(RejectedInputError, match="dims"):
+            refine_pseudo_label(mask, probs, prompts, RefinementConfig(delta_roi=3),
+                                OrganRefinementState(class_id=1))
 
 
 def test_refinement_contraction_randomized():
