@@ -6,6 +6,13 @@ out-of-bounds neighbor (volume faces count as background); voxel coordinates
 are scaled by the spacing *before* distances are taken; directed
 boundary-to-boundary distances from both sides are pooled and the 95th
 percentile is read off with linear interpolation.
+
+``evaluate_scan`` works on each class's box: the union of the class's
+bounding boxes in the two maps, from one ``ndimage.find_objects`` pass per
+map, padded by one voxel and clipped to the grid.  Every voxel of the class
+lies in that box, and so does each of its neighbors that is on the grid, so
+the boundary voxels, their C order once shifted back to grid indices, and
+every distance equal the whole-grid ones.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import EmptyMaskError, RejectedInputError
@@ -73,14 +81,21 @@ def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def scaled_boundary_coords(mask: np.ndarray, spacing) -> np.ndarray:
-    """Boundary voxel coordinates scaled to millimeters.
+def scaled_boundary_coords(mask: np.ndarray, spacing, origin=(0, 0, 0)) -> np.ndarray:
+    """Boundary voxel coordinates scaled to millimeters, for a ``mask`` whose
+    first voxel has grid index ``origin``.
 
     Index axes are (y, x, z), so the scale vector is (sy, sx, sz).
     """
     sx, sy, sz = (float(s) for s in spacing)
-    coords = np.argwhere(boundary_voxels(mask)).astype(np.float64)
+    coords = (np.argwhere(boundary_voxels(mask)) + np.asarray(origin)).astype(np.float64)
     return coords * np.array([sy, sx, sz])
+
+
+def _pooled_hd95(pa: np.ndarray, pb: np.ndarray) -> float:
+    d_ab = cKDTree(pb).query(pa, k=1)[0]
+    d_ba = cKDTree(pa).query(pb, k=1)[0]
+    return float(np.percentile(np.concatenate([d_ab, d_ba]), HD95_PERCENTILE))
 
 
 def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> float:
@@ -89,11 +104,7 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> float:
         raise RejectedInputError(f"mask dims differ: {a.shape} vs {b.shape}")
     if not a.any() or not b.any():
         raise EmptyMaskError("hd95 is undefined when either mask is empty")
-    pa = scaled_boundary_coords(a, spacing)
-    pb = scaled_boundary_coords(b, spacing)
-    d_ab = cKDTree(pb).query(pa, k=1)[0]
-    d_ba = cKDTree(pa).query(pb, k=1)[0]
-    return float(np.percentile(np.concatenate([d_ab, d_ba]), HD95_PERCENTILE))
+    return _pooled_hd95(scaled_boundary_coords(a, spacing), scaled_boundary_coords(b, spacing))
 
 
 def volume_diagonal(dims, spacing) -> float:
@@ -102,23 +113,43 @@ def volume_diagonal(dims, spacing) -> float:
     return float(np.sqrt(((H - 1) * sy) ** 2 + ((W - 1) * sx) ** 2 + ((D - 1) * sz) ** 2))
 
 
+def _class_box(boxes, dims) -> tuple[slice, ...]:
+    """The union of the boxes that are not None, padded by one voxel and
+    clipped to the grid."""
+    boxes = [b for b in boxes if b is not None]
+    return tuple(slice(max(min(b[i].start for b in boxes) - 1, 0),
+                       min(max(b[i].stop for b in boxes) + 1, n)) for i, n in enumerate(dims))
+
+
 def evaluate_scan(pred: LabelMap, gt: LabelMap, spacing=(1.0, 1.0, 1.0),
                   hd95_missing: str = "exclude") -> ScanEvaluation:
     """Per-class Dice and HD95 for the foreground classes.
 
     An undefined HD95 (a class empty in either map) is reported as
     ``hd95_missing`` says; Dice is always defined.  ``summarize`` averages.
+    Each class is read on its box (see the module docstring); a class empty
+    in both maps is not read at all.
     """
     if pred.dims != gt.dims:
         raise RejectedInputError(f"prediction dims {pred.dims} vs ground truth dims {gt.dims}")
     if hd95_missing not in HD95_MISSING_POLICIES:
         raise RejectedInputError(f"unknown hd95_missing policy {hd95_missing!r}")
     missing = volume_diagonal(gt.dims, spacing) if hd95_missing == "max_diag" else None
+    last = gt.num_classes - 1
     per_class = []
-    for c in range(1, gt.num_classes):
-        pm = pred.data == c
-        gm = gt.data == c
-        h = hd95(pm, gm, spacing) if pm.any() and gm.any() else missing
+    for c, pb, gb in zip(range(1, last + 1), ndimage.find_objects(pred.data, max_label=last),
+                         ndimage.find_objects(gt.data, max_label=last)):
+        if pb is None and gb is None:
+            per_class.append(ClassMetrics(c, 1.0, missing))
+            continue
+        box = _class_box((pb, gb), gt.dims)
+        pm = pred.data[box] == c
+        gm = gt.data[box] == c
+        h = missing
+        if pb is not None and gb is not None:
+            origin = [s.start for s in box]
+            h = _pooled_hd95(scaled_boundary_coords(pm, spacing, origin),
+                             scaled_boundary_coords(gm, spacing, origin))
         per_class.append(ClassMetrics(c, dice(pm, gm), h))
     return ScanEvaluation(tuple(per_class))
 

@@ -268,20 +268,28 @@ class PhantomRegistry:
       an organ voxel's nearest background voxel into that box moves it no
       farther, and lands it on the box's face, which is background or the
       grid border.
+
+    It also remembers each registered volume's read-only data array: a
+    lookup that passes that very array, still read-only, takes its
+    fingerprint from the registration, and any other array is hashed.
     """
 
     def __init__(self):
         self._scans: dict[str, _PhantomScan] = {}
+        self._registered: dict[int, tuple[np.ndarray, str]] = {}  # id(data) -> (data, fp)
 
     def register(self, volume: Volume, gt: LabelMap) -> str:
         if volume.dims != gt.dims:
             raise RejectedInputError(f"volume dims {volume.dims} vs gt dims {gt.dims}")
         fp = volume_fingerprint(volume)
         self._scans[fp] = _PhantomScan(gt=gt)
+        self._registered[id(volume.data)] = (volume.data, fp)
         return fp
 
     def lookup(self, volume: Volume) -> tuple[str, _PhantomScan]:
-        fp = volume_fingerprint(volume)
+        data, fp = self._registered.get(id(volume.data), (None, None))
+        if data is not volume.data or volume.data.flags.writeable:
+            fp = volume_fingerprint(volume)
         scan = self._scans.get(fp)
         if scan is None:
             raise UnknownVolumeError("volume was not generated by the registered phantom suite")
@@ -342,10 +350,14 @@ class PhantomSpecialist(SpecialistOracle):
     ``sd + (1 - q) * JITTER_SIGMA * noise > 0`` with a standard normal
     ``noise`` field, and its labels are written on the organ's box only:
 
-    - at q = 1 the prediction is the organ mask itself, so no signed distance
-      field is computed for that class;
-    - at 0 < q < 1 the noise is still drawn over the whole grid, so the RNG
-      stream and the values on the box do not depend on the box.  With
+    - every voxel has ``|sd| >= 1``, so where ``scale * max|noise| < 1/2``
+      the prediction is the organ mask itself and no signed distance field
+      is computed for that class.  This holds at q = 1, and otherwise once
+      the class's field has been drawn: its noise is keyed on (seed, volume,
+      class) alone, so the largest ``|noise|`` of each draw is kept as one
+      float, and a later predict at a high enough q skips the draw;
+    - otherwise the noise is drawn over the whole grid, so the RNG stream and
+      the values on the box do not depend on the box.  With
       ``reach = ceil(scale * max(noise))``, a voxel outside the organ's box
       grown by ``reach`` is at least ``reach + 1`` voxels from the organ, so
       its ``sd + scale * noise`` is at most -1 (a margin that float32
@@ -359,10 +371,12 @@ class PhantomSpecialist(SpecialistOracle):
         target_q = clip((support - cw * contradiction) / gt_voxels, 0, 1)
 
     aggregated over the fit set, counting only voxels with a nonzero
-    ``weight_mask``; the counts come from a few ``np.bincount`` calls per
-    example.  Each fit sets q to target_q, which models training to
-    convergence, so quality is proportional to the labeled voxel coverage and
-    repeated fits on identical data are idempotent.
+    ``weight_mask``; the counts come from one joint ``np.bincount`` of the
+    used voxels' (ground truth, target) pairs per example, plus a count of
+    all ground truth voxels when a mask is given.  Each fit sets q
+    to target_q, which models training to convergence, so quality is
+    proportional to the labeled voxel coverage and repeated fits on identical
+    data are idempotent.
     Under "full" supervision every voxel of every class is supervised (absent
     organs read as background and contradict); under "partial" supervision
     only channels in labeled/pseudo sets are trained and absent organs are
@@ -380,6 +394,7 @@ class PhantomSpecialist(SpecialistOracle):
         self.seed = int(seed)
         self._base_quality = float(quality)
         self._quality: dict[int, float] = {}
+        self._noise_peak: dict[tuple[str, int], float] = {}  # max |noise| per (fp, class)
 
     def quality(self, class_id: int) -> float:
         return self._quality.get(class_id, self._base_quality)
@@ -394,12 +409,16 @@ class PhantomSpecialist(SpecialistOracle):
             if q <= 0.0:
                 continue  # organ invisible to the model
             lo, hi = self.registry.organ_bbox(fp, c)  # rejects an empty class
-            if q >= 1.0:
+            scale = (1.0 - q) * self.JITTER_SIGMA   # one scalar before the float32 noise
+            peak = self._noise_peak.get((fp, c))
+            noise = None
+            if scale > 0.0 and (peak is None or scale * peak >= 0.5):
+                noise = _rng_for(self.seed, fp, c).standard_normal(dims)
+                peak = self._noise_peak[fp, c] = max(float(noise.max()), -float(noise.min()))
+            if noise is None or scale * peak < 0.5:
                 box = _grow(lo, hi, 0, dims)
                 corrupted = scan.gt.data[box] == c    # == signed_distance(fp, c) > 0
             else:
-                noise = _rng_for(self.seed, fp, c).standard_normal(dims)
-                scale = (1.0 - q) * self.JITTER_SIGMA   # one scalar before the float32 noise
                 reach = int(np.ceil(scale * max(float(noise.max()), 0.0)))
                 box = _grow(lo, hi, reach, dims)
                 sd = self.registry.signed_distance(fp, c, box)
@@ -419,15 +438,14 @@ class PhantomSpecialist(SpecialistOracle):
         for ex in examples:
             _, scan = self.registry.lookup(ex.volume)
             C = scan.gt.num_classes
+            K = max(C, ex.target.labels.num_classes)        # every label is below K
             gt = scan.gt.data.ravel()
-            y = ex.target.labels.data.ravel()
-            gt_count = np.bincount(gt, minlength=C)
+            code = gt.astype(np.uint16) * K + ex.target.labels.data.ravel()
             if ex.weight_mask is not None:
-                w = ex.weight_mask.ravel() != 0
-                gt, y = gt[w], y[w]
-            gt_w = np.bincount(gt, minlength=C)             # |gt=c & w|
-            y_w = np.bincount(y, minlength=C)               # |y=c & w|
-            both = np.bincount(gt[gt == y], minlength=C)    # |gt=c & y=c & w|
+                code = code[ex.weight_mask.ravel() != 0]
+            joint = np.bincount(code, minlength=K * K).reshape(K, K)  # |gt=r & y=s & w|
+            gt_w, y_w, both = joint.sum(axis=1), joint.sum(axis=0), joint.diagonal()
+            gt_count = gt_w if ex.weight_mask is None else np.bincount(gt, minlength=C)
             if supervision == "full":
                 supervised = frozenset(range(1, C))
             else:
@@ -641,7 +659,7 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         if probs.dims != volume.dims:
             raise OracleProtocolError(
                 f"segment probability dims {probs.dims} != request dims {volume.dims}")
-        return mask_img.data[region] > 0, ProbVolume(probs.data[(slice(None),) + region])
+        return mask_img.data[region] > 0, probs.crop(region)
 
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
         uid = uuid.uuid4().hex

@@ -156,7 +156,7 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
             f"refinement takes 2-class probabilities, got {probs.num_classes} classes")
     box = roi_box(prompts, config.delta_roi, candidate.shape)
     if probs.dims == candidate.shape != candidate[box].shape:
-        probs = ProbVolume(probs.data[(slice(None),) + box])
+        probs = probs.crop(box)
     kept = np.zeros(candidate.shape, dtype=bool)
     kept[box] = inside = apply_class_threshold(candidate[box], probs, 1, config.tau_cls)
     if not inside.any():

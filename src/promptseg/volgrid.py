@@ -104,6 +104,14 @@ class ProbVolume:
             raise RejectedInputError(f"class {class_id} out of range [0, {self.num_classes})")
         return self.data[class_id]
 
+    def crop(self, region: tuple[slice, slice, slice]) -> ProbVolume:
+        """The field on ``region`` (three non-empty in-grid slices) as a
+        contiguous read-only copy.  Every voxel of it was checked with this
+        field, so it is not checked again."""
+        out = object.__new__(ProbVolume)
+        out.data = _freeze(self.data[(slice(None), *region)].copy())
+        return out
+
 
 @dataclass
 class LabelMap:

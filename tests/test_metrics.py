@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from promptseg.errors import EmptyMaskError, RejectedInputError
 from promptseg.metrics import (boundary_voxels, dice, evaluate_scan, hd95,
@@ -225,3 +226,103 @@ def test_evaluate_scan_reports_the_hd95_policy_per_class():
     assert [cm.hd95 for cm in excluded.per_class] == [0.0, None]
     assert [cm.hd95 for cm in filled.per_class] == [0.0, diag]
     assert [cm.dsc for cm in filled.per_class] == [cm.dsc for cm in excluded.per_class]
+
+
+# --- box-cropped evaluate_scan ------------------------------------------------------
+
+def full_grid_evaluate(pred, gt, spacing, hd95_missing):
+    """Per-class (class, Dice, HD95) taken on the whole grid, class by class:
+    the reference the box-cropped ``evaluate_scan`` must equal bit for bit."""
+    sx, sy, sz = spacing
+    scale = np.array([sy, sx, sz])
+    missing = volume_diagonal(gt.dims, spacing) if hd95_missing == "max_diag" else None
+    rows = []
+    for c in range(1, gt.num_classes):
+        pm, gm = pred.data == c, gt.data == c
+        h = missing
+        if pm.any() and gm.any():
+            pa = np.argwhere(boundary_voxels(pm)).astype(np.float64) * scale
+            pb = np.argwhere(boundary_voxels(gm)).astype(np.float64) * scale
+            d = np.concatenate([cKDTree(pb).query(pa, k=1)[0], cKDTree(pa).query(pb, k=1)[0]])
+            h = float(np.percentile(d, 95.0))
+        rows.append((c, dice(pm, gm).hex(), None if h is None else h.hex()))
+    return rows
+
+
+def assert_evaluation_is_full_grid(pred, gt, spacing):
+    for policy in ("exclude", "max_diag"):
+        ev = evaluate_scan(pred, gt, spacing, hd95_missing=policy)
+        got = [(cm.class_id, cm.dsc.hex(), None if cm.hd95 is None else cm.hd95.hex())
+               for cm in ev.per_class]
+        assert got == full_grid_evaluate(pred, gt, spacing, policy), (policy, spacing)
+
+
+def grid_touching_maps():
+    """(pred, gt) pairs whose classes touch every face, edge and corner of
+    the grid, hold single voxels, or are empty in one map or in both."""
+    dims = (9, 8, 7)
+    corners = np.zeros(dims, np.uint8)
+    for k, (y, x, z) in enumerate(np.ndindex(2, 2, 2), start=1):  # one organ per corner
+        corners[y * 6:y * 6 + 3, x * 5:x * 5 + 3, z * 4:z * 4 + 3] = k
+    edges = np.zeros(dims, np.uint8)
+    edges[:, 0, 0] = 1                      # an edge along y
+    edges[0, :, 6] = 2                      # an edge along x
+    edges[8, 7, :] = 3                      # an edge along z
+    edges[3:6, 2:5, 2:5] = 4                # interior
+    edges[4, 0, 3] = 5                      # a single voxel on a face
+    faces = np.zeros(dims, np.uint8)
+    faces[0, :, :] = 1                      # whole faces
+    faces[:, :, 6] = 2
+    faces[4:7, 7, 1:4] = 3
+    faces[8, 7, 6] = 3                      # the far corner, apart from the rest of 3
+    for gt_data in (corners, edges, faces):
+        gt = LabelMap(gt_data, 10)          # classes past the last label are empty in both
+        yield gt, gt
+        yield LabelMap(np.roll(gt_data, 1, axis=0), 10), gt
+        yield LabelMap(np.roll(gt_data, (-2, 1, 3), axis=(0, 1, 2)), 10), gt
+        no_3 = np.where(gt_data == 3, 0, gt_data).astype(np.uint8)
+        yield LabelMap(no_3, 10), gt                            # 3 empty in pred only
+        yield gt, LabelMap(no_3, 10)                            # 3 empty in gt only
+        extra = gt_data.copy()
+        extra[4, 4, 3] = 9                                      # a class only pred has
+        yield LabelMap(extra, 10), gt
+    one = np.zeros((1, 5, 4), np.uint8)     # every voxel lies on two faces
+    one[0, 1:3, 1:3] = 1
+    one[0, 4, 3] = 2
+    yield LabelMap(np.roll(one, 1, axis=2), 3), LabelMap(one, 3)
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.9), (3.0, 0.25, 1.0)])
+def test_evaluate_scan_on_class_boxes_equals_full_grid_at_grid_faces(spacing):
+    for pred, gt in grid_touching_maps():
+        assert_evaluation_is_full_grid(pred, gt, spacing)
+
+
+def test_evaluate_scan_on_class_boxes_equals_full_grid_on_random_label_maps():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        dims = tuple(int(n) for n in rng.integers(1, 14, size=3))
+        C = int(rng.integers(2, 9))
+        gt_data = np.zeros(dims, np.uint8)
+        for c in range(1, C):
+            if rng.random() < 0.2:
+                continue                                      # an absent class
+            lo = rng.integers(0, dims)
+            hi = lo + rng.integers(1, 6, size=3)
+            gt_data[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = c
+        gt_data[rng.random(dims) < 0.03] = rng.integers(0, C)  # scattered voxels
+        pred_data = gt_data.copy()
+        flip = rng.random(dims) < rng.uniform(0.0, 0.3)
+        pred_data[flip] = rng.integers(0, C, size=int(flip.sum()))
+        if rng.random() < 0.3:
+            pred_data = np.roll(pred_data, tuple(rng.integers(-2, 3, size=3)), axis=(0, 1, 2))
+        spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, 3))
+        assert_evaluation_is_full_grid(LabelMap(pred_data, C), LabelMap(gt_data, C), spacing)
+
+
+def test_evaluate_scan_empty_in_both_maps_reads_the_policy():
+    gt = LabelMap(np.zeros((5, 6, 7), np.uint8), 3)
+    spacing = (1.0, 2.0, 0.5)
+    for policy, h in (("exclude", None), ("max_diag", volume_diagonal((5, 6, 7), spacing))):
+        ev = evaluate_scan(gt, gt, spacing, hd95_missing=policy)
+        assert [(cm.dsc, cm.hd95) for cm in ev.per_class] == [(1.0, h), (1.0, h)]

@@ -495,6 +495,58 @@ def test_specialist_predict_equals_full_grid_jitter():
                 assert spec.predict(vol).data.tobytes() == want.tobytes(), (seed, trial)
 
 
+def noise_peaks(seed, fp, gt):
+    """The largest ``|noise|`` of each class's draw (1 for the background,
+    which is never drawn)."""
+    return np.array([1.0] + [float(np.abs(_rng_for(seed, fp, c).standard_normal(gt.dims)).max())
+                             for c in range(1, gt.num_classes)])
+
+
+def test_specialist_predict_skips_only_draws_that_cannot_flip_a_voxel():
+    rng = np.random.default_rng(15)
+    cases = list(border_label_maps())
+    cases += [gt for _, _, gt in make_phantom_suite(1, 5, (26, 22, 18), seed=4)]
+    parity = np.indices((9, 8, 7)).sum(axis=0)
+    cases += [LabelMap((parity % k).astype(np.uint8), k) for k in (2, 3)]  # every |sd| is 1
+    for gt in cases:
+        registry = PhantomRegistry()
+        vol = Volume(rng.random(gt.dims).astype(np.float32))
+        fp = registry.register(vol, gt)
+        for seed in (0, 5, 9):
+            peaks = noise_peaks(seed, fp, gt)
+            spec = PhantomSpecialist(registry, seed=seed)
+            # scale * max|noise| per class: fresh just under 1/2, just over, under
+            # again, past the |sd| >= 1 margin, mixed; then q = 1 - 1e-4
+            for ratio in (0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-9, 1.1,
+                          np.where(rng.random(peaks.size) < 0.5, 0.5 - 1e-9, 0.5 + 1e-9)):
+                q = 1.0 - ratio / (PhantomSpecialist.JITTER_SIGMA * peaks)
+                spec._quality = {c: float(q[c]) for c in range(1, gt.num_classes)}
+                want = full_grid_predict(gt, fp, seed, q)
+                assert spec.predict(vol).data.tobytes() == want.tobytes(), (seed, ratio)
+            q = np.full(peaks.size, 1.0 - 1e-4)
+            spec._quality = {c: float(q[c]) for c in range(1, gt.num_classes)}
+            assert spec.predict(vol).data.tobytes() == full_grid_predict(gt, fp, seed, q).tobytes()
+
+
+def test_specialist_second_predict_at_high_quality_draws_nothing(monkeypatch):
+    suite, registry = registered_suite(n=1, organs=3)
+    _, vol, gt = suite[0]
+    fp = volume_fingerprint(vol)
+    draws = []
+    monkeypatch.setattr(oracles, "_rng_for", lambda *key: draws.append(key) or _rng_for(*key))
+    high = np.full(gt.num_classes, 1.0 - 1e-4)
+    for start in (0.5, 1.0 - 1e-4):       # an earlier draw at low q, or at this very q
+        spec = PhantomSpecialist(registry, quality=start, seed=3)
+        spec.predict(vol)
+        assert len(draws) == 3
+        assert spec._noise_peak == {(fp, c): float(p) for c, p in enumerate(noise_peaks(3, fp, gt))
+                                    if c > 0}
+        spec._quality = {c: float(high[c]) for c in range(1, gt.num_classes)}
+        assert spec.predict(vol).data.tobytes() == full_grid_predict(gt, fp, 3, high).tobytes()
+        assert len(draws) == 3
+        draws.clear()
+
+
 def test_signed_distance_on_a_region_is_the_full_grid_field_there():
     rng = np.random.default_rng(9)
     cases = list(border_label_maps())
@@ -787,6 +839,76 @@ def test_specialist_fit_equals_per_class_formula():
                 spec.fit(examples, supervision=supervision)
                 want = per_class_qualities(registry, examples, supervision, cw)
                 assert spec._quality == want, (masks, supervision, cw)
+
+
+def four_bincount_qualities(registry, examples, supervision, cw):
+    """The fit's qualities with its counts taken as four ``np.bincount``
+    calls per example, in the same float arithmetic."""
+    support, contra, gt_total = {}, {}, {}
+    for ex in examples:
+        _, scan = registry.lookup(ex.volume)
+        C = scan.gt.num_classes
+        gt = scan.gt.data.ravel()
+        y = ex.target.labels.data.ravel()
+        gt_count = np.bincount(gt, minlength=C)
+        if ex.weight_mask is not None:
+            w = ex.weight_mask.ravel() != 0
+            gt, y = gt[w], y[w]
+        gt_w = np.bincount(gt, minlength=C)
+        y_w = np.bincount(y, minlength=C)
+        both = np.bincount(gt[gt == y], minlength=C)
+        supervised = (frozenset(range(1, C)) if supervision == "full"
+                      else frozenset(ex.labeled_classes) | ex.target.pseudo_classes)
+        for c in range(1, C):
+            gt_total[c] = gt_total.get(c, 0.0) + float(gt_count[c])
+            if c not in supervised:
+                continue
+            support[c] = support.get(c, 0.0) + float(both[c])
+            contra[c] = contra.get(c, 0.0) + float(gt_w[c] + y_w[c] - 2 * both[c])
+    out = {}
+    for c, total in gt_total.items():
+        if total == 0.0 or (c not in support and c not in contra):
+            continue
+        out[c] = min(1.0, max(0.0, (support.get(c, 0.0) - cw * contra.get(c, 0.0)) / total))
+    return out
+
+
+def test_specialist_fit_joint_counts_equal_four_bincounts():
+    suite, registry = registered_suite(n=3, organs=5, dims=(24, 20, 16), seed=8)
+    rng = np.random.default_rng(16)
+    for masks in (False, True):
+        for supervision in ("full", "partial"):
+            examples = noisy_examples(suite, rng, masks)
+            # a target with more classes than the scan, holding labels past its last
+            ex = examples[0]
+            y = np.array(ex.target.labels.data)
+            y[rng.random(y.shape) < 0.05] = ex.target.labels.num_classes + 1
+            examples[0] = TrainingExample(
+                ex.volume, SupervisionTarget(LabelMap(y, ex.target.labels.num_classes + 2),
+                                             ex.target.pseudo_classes),
+                ex.labeled_classes, ex.weight_mask)
+            for cw in (0.0, 0.5, 2.0):
+                spec = PhantomSpecialist(registry, contradiction_weight=cw)
+                spec.fit(examples, supervision=supervision)
+                want = four_bincount_qualities(registry, examples, supervision, cw)
+                assert spec._quality == want, (masks, supervision, cw)
+
+
+def test_specialist_fit_joint_counts_hold_at_256_classes():
+    rng = np.random.default_rng(17)
+    dims = (20, 18, 16)
+    registry = PhantomRegistry()
+    gt = LabelMap(rng.integers(0, 256, size=dims).astype(np.uint8), 256)
+    vol = Volume(rng.random(dims).astype(np.float32))
+    registry.register(vol, gt)
+    y = np.where(rng.random(dims) < 0.7, gt.data, rng.integers(0, 256, size=dims)).astype(np.uint8)
+    for mask in (None, rng.random(dims) < 0.6):
+        examples = [TrainingExample(vol, SupervisionTarget(LabelMap(y, 256), frozenset({7})),
+                                    frozenset({1, 255}), mask)]
+        for supervision in ("full", "partial"):
+            spec = PhantomSpecialist(registry)
+            spec.fit(examples, supervision=supervision)
+            assert spec._quality == four_bincount_qualities(registry, examples, supervision, 0.5)
 
 
 def test_specialist_fit_reads_any_nonzero_weight_as_use():
@@ -1111,6 +1233,28 @@ def test_file_oracle_segment_on_a_region_is_the_crop_of_the_answer(tmp_path):
         responder.join()
 
 
+def test_file_oracle_segment_checks_the_probability_response_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    mask = rng.random(SEGMENT_DIMS) < 0.5
+    responder = StubResponder(tmp_path, mask,
+                              two_class_probs(rng.random(SEGMENT_DIMS).astype(np.float32)))
+    checks = []
+    real = ProbVolume.__post_init__
+    monkeypatch.setattr(ProbVolume, "__post_init__",
+                        lambda self: checks.append(self) or real(self))
+    responder.start()
+    try:
+        oracle = FileOracle(tmp_path, timeout=10.0)
+        vol = Volume(np.zeros(SEGMENT_DIMS, np.float32))
+        for region in (None, SEGMENT_REGION):
+            checks.clear()
+            oracle.segment(vol, box_prompts_for(mask), region)
+            assert [p.dims for p in checks] == [SEGMENT_DIMS]      # the response as read
+    finally:
+        responder.stop.set()
+        responder.join()
+
+
 @pytest.mark.parametrize("region", BAD_REGIONS, ids=range(len(BAD_REGIONS)))
 def test_file_oracle_rejects_a_bad_region_before_writing_a_request(tmp_path, region):
     oracle = FileOracle(tmp_path, timeout=0.1)
@@ -1138,3 +1282,24 @@ def test_fingerprint_sensitive_to_content():
     assert volume_fingerprint(a) != volume_fingerprint(b)
     c = Volume(np.zeros((4, 4, 4), dtype=np.float32))
     assert volume_fingerprint(a) == volume_fingerprint(c)
+
+
+def test_registry_lookup_hashes_only_arrays_it_did_not_register(monkeypatch):
+    suite, registry = registered_suite(n=2, organs=2, dims=(12, 12, 12))
+    hashed = []
+    real = oracles.volume_fingerprint
+    monkeypatch.setattr(oracles, "volume_fingerprint", lambda v: hashed.append(v) or real(v))
+    (_, vol, gt), (_, other, _) = suite
+    fp, scan = registry.lookup(vol)
+    assert fp == real(vol) and scan.gt is gt and not hashed
+    copy = Volume(np.array(vol.data), vol.spacing)          # byte-equal, another array
+    fp_copy, scan_copy = registry.lookup(copy)
+    assert fp_copy == fp and scan_copy is scan and hashed == [copy]
+    changed = np.array(vol.data)
+    changed[3, 4, 5] += 1.0
+    with pytest.raises(UnknownVolumeError):
+        registry.lookup(Volume(changed))
+    other.data.flags.writeable = True                       # a registered array, altered
+    other.data[0, 0, 0] += 1.0
+    with pytest.raises(UnknownVolumeError):
+        registry.lookup(other)

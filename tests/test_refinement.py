@@ -277,6 +277,20 @@ def test_refine_reads_whole_grid_and_roi_box_probabilities_alike():
     assert reasons == {ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY}
 
 
+def test_refine_crops_whole_grid_probabilities_without_checking_them_again(monkeypatch):
+    mask = sphere(DIMS, (16, 16, 16), 5)
+    prompts = gt_prompts(mask)
+    probs = two_class_probs(np.where(mask, np.float32(0.9), np.float32(0.2)))
+    checks = []
+    real = ProbVolume.__post_init__
+    monkeypatch.setattr(ProbVolume, "__post_init__",
+                        lambda self: checks.append(self) or real(self))
+    res = refine_pseudo_label(mask, probs, prompts, RefinementConfig(delta_roi=3),
+                              OrganRefinementState(class_id=1))
+    assert res.accepted and res.mask.tobytes() == mask.tobytes()
+    assert not checks
+
+
 def test_refine_rejects_probabilities_on_other_dims():
     mask = sphere(DIMS, (16, 16, 16), 5)
     prompts = gt_prompts(mask)

@@ -119,3 +119,21 @@ def test_labelmap_and_volume_validation():
     vol = Volume(np.zeros((2, 3, 4), dtype=np.float32), spacing=(1.0, 2.0, 3.0))
     assert vol.dims == (2, 3, 4)
     assert not vol.data.flags.writeable
+
+
+def test_probvolume_crop_is_a_contiguous_read_only_copy_not_checked_again(monkeypatch):
+    rng = np.random.default_rng(6)
+    p = softmax_from_logits(rng.normal(size=(3, 5, 6, 7)).astype(np.float32))
+    checks = []
+    real = ProbVolume.__post_init__
+    monkeypatch.setattr(ProbVolume, "__post_init__",
+                        lambda self: checks.append(self) or real(self))
+    for region in ((slice(1, 4), slice(0, 6), slice(2, 3)),
+                   (slice(0, 5), slice(0, 6), slice(0, 7))):
+        crop = p.crop(region)
+        assert crop.data.flags.c_contiguous and not crop.data.flags.writeable
+        assert not np.shares_memory(crop.data, p.data)
+        want = np.ascontiguousarray(p.data[(slice(None),) + region])
+        assert crop.data.tobytes() == want.tobytes()
+        assert crop.num_classes == 3 and crop.dims == tuple(s.stop - s.start for s in region)
+    assert not checks
