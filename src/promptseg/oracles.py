@@ -30,6 +30,7 @@ import os
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -90,7 +91,10 @@ class SpecialistOracle(abc.ABC):
 class GeneralistOracle(abc.ABC):
     """Frozen promptable model: box prompts in, candidate mask + 2-class
     (background, organ) probabilities out, both on ``region`` (the pipeline
-    passes the refinement ROI box; ``None`` is the whole grid)."""
+    passes the refinement ROI box; ``None`` is the whole grid).  Equal
+    volume, prompts and region give an equal answer, so the pipeline asks
+    once: while an organ's stored pseudo-label answers its prompts, it is
+    re-gated on that label instead."""
 
     @abc.abstractmethod
     def segment(self, volume: Volume, prompts: BoxPromptPair,
@@ -251,6 +255,11 @@ class _PhantomScan:
     sdist: dict[int, tuple[Region, np.ndarray]] = field(default_factory=dict)
     objects: list | None = None    # ndimage.find_objects(gt), taken on first use
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Voxels per class of the ground truth."""
+        return np.bincount(self.gt.data.ravel(), minlength=self.gt.num_classes)
+
 
 class PhantomRegistry:
     """Ground truth lookup for phantom oracles, keyed by volume fingerprint.
@@ -372,9 +381,9 @@ class PhantomSpecialist(SpecialistOracle):
 
     aggregated over the fit set, counting only voxels with a nonzero
     ``weight_mask``; the counts come from one joint ``np.bincount`` of the
-    used voxels' (ground truth, target) pairs per example, plus a count of
-    all ground truth voxels when a mask is given.  Each fit sets q
-    to target_q, which models training to convergence, so quality is
+    used voxels' (ground truth, target) pairs per example, plus, when a mask
+    is given, the scan's ground truth count, taken once per scan.  Each fit
+    sets q to target_q, which models training to convergence, so quality is
     proportional to the labeled voxel coverage and repeated fits on identical
     data are idempotent.
     Under "full" supervision every voxel of every class is supervised (absent
@@ -445,7 +454,7 @@ class PhantomSpecialist(SpecialistOracle):
                 code = code[ex.weight_mask.ravel() != 0]
             joint = np.bincount(code, minlength=K * K).reshape(K, K)  # |gt=r & y=s & w|
             gt_w, y_w, both = joint.sum(axis=1), joint.sum(axis=0), joint.diagonal()
-            gt_count = gt_w if ex.weight_mask is None else np.bincount(gt, minlength=C)
+            gt_count = gt_w if ex.weight_mask is None else scan.counts
             if supervision == "full":
                 supervised = frozenset(range(1, C))
             else:

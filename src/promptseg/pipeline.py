@@ -30,7 +30,7 @@ from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                       TrainingExample, make_phantom_suite)
 from .prompting import DEFAULT_PADDING, make_box_prompts
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
-                         RefinementConfig, refine_pseudo_label, roi_box)
+                         RefinementConfig, refine_pseudo_label, refine_stored, roi_box)
 from .vls_loss import SupervisionTarget, vls_mask
 # unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
 from .volgrid import MAX_CLASSES, LabelMap, Volume, argmax_labelmap, class_mask
@@ -323,9 +323,14 @@ class RoundEntry:
 class RoundReport:
     round_index: int
     entries: list[RoundEntry] = field(default_factory=list)
+    regated: int = 0  # prompted organs re-gated on their stored pseudo-label
 
     def accepted(self) -> list[RoundEntry]:
         return [e for e in self.entries if e.decision == "accept"]
+
+    def requests(self) -> int:
+        """Generalist requests sent: every prompted organ not re-gated."""
+        return sum(e.reason != "no-prediction" for e in self.entries) - self.regated
 
 
 def merged_target(partial_gt: LabelMap,
@@ -367,12 +372,15 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
     prompts drawn from ``predictions`` (see ``predict_labels``).  The
     generalist answers on the ROI box, the only part refinement reads.
 
-    Candidates are regenerated from scratch each round; the entropy gate
-    (active from ``entropy_gate_from_round``) decides whether the stored
+    The generalist is frozen, so it is asked only for an organ whose prompts
+    differ from those behind its stored pseudo-label; an organ whose prompts
+    repeat them is re-gated on that label (``refine_stored``).  The entropy
+    gate (active from ``entropy_gate_from_round``) decides whether the stored
     pseudo-label is replaced, which is all a scan's target derives from.
     Per-organ oracle failures skip that organ and never abort the round.
     """
     report = RoundReport(round_index=round_t)
+    refine_config = config.refinement_config(round_t)
     for scan in scans:
         sup = scan.supervision
         if not sup.unlabeled:
@@ -385,21 +393,24 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                 report.entries.append(RoundEntry(scan.scan_id, class_id,
                                                  "skip", "no-prediction", None, None))
                 continue
-            region = roi_box(prompts, config.delta_roi, scan.volume.dims)
-            try:
-                mask, gprobs = generalist.segment(scan.volume, prompts, region)
-            except PromptsegError as exc:
-                log.warning("%s organ %d: generalist failed: %s", scan.scan_id, class_id, exc)
-                report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                                 "skip", "oracle-error", None, None))
-                continue
-            candidate = np.zeros(scan.volume.dims, dtype=bool)
-            if np.shape(mask) != candidate[region].shape:
-                raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {region}")
-            candidate[region] = mask
-            result = refine_pseudo_label(candidate, gprobs, prompts,
-                                         config.refinement_config(round_t),
-                                         sup.organ_states[class_id])
+            state = sup.organ_states[class_id]
+            if prompts == state.prompts:
+                result = refine_stored(state, refine_config)
+                report.regated += 1
+            else:
+                region = roi_box(prompts, config.delta_roi, scan.volume.dims)
+                try:
+                    mask, gprobs = generalist.segment(scan.volume, prompts, region)
+                except PromptsegError as exc:
+                    log.warning("%s organ %d: generalist failed: %s", scan.scan_id, class_id, exc)
+                    report.entries.append(RoundEntry(scan.scan_id, class_id,
+                                                     "skip", "oracle-error", None, None))
+                    continue
+                candidate = np.zeros(scan.volume.dims, dtype=bool)
+                if np.shape(mask) != candidate[region].shape:
+                    raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {region}")
+                candidate[region] = mask
+                result = refine_pseudo_label(candidate, gprobs, prompts, refine_config, state)
             sup.organ_states[class_id] = result.state
             if result.accepted:
                 pdice = (dice(result.mask, class_mask(scan.gt, class_id))
@@ -579,8 +590,9 @@ def _run_stages(config: PipelineConfig, out: Path, train: list[Scan], test,
                    ([round_t, e.scan_id, e.class_id, e.decision, e.reason,
                      _fmt(e.mean_entropy), _fmt(e.pseudo_dice)] for e in report.entries))
         n_accept = len(report.accepted())
-        log.info("round %d: %d/%d organ updates accepted", round_t, n_accept,
-                 len(report.entries))
+        log.info("round %d: %d/%d organ updates accepted, %d generalist requests, "
+                 "%d re-gated on their stored pseudo-label", round_t, n_accept,
+                 len(report.entries), report.requests(), report.regated)
         retrain(train, specialist, predictions if config.use_vls else None,
                 supervision=config.supervision)
 

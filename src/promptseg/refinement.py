@@ -42,14 +42,17 @@ class RefinementConfig:
 @dataclass(frozen=True)
 class OrganRefinementState:
     """Per-(scan, organ) refinement memory: the stored pseudo-label, the
-    generalist probability at its voxels (1-D, C order) and the mean entropy
-    of the last accepted round, which the entropy gate compares against.
+    generalist probability at its voxels (1-D, C order), the mean entropy
+    of the last accepted round, which the entropy gate compares against, and
+    the ``prompts`` whose generalist answer the pseudo-label was filtered
+    from (``None`` before the first accept and for a seeded pseudo-label).
     States for different organs/scans are independent."""
 
     class_id: int
     current_pseudo: np.ndarray | None = None
     current_conf: np.ndarray | None = None
     mean_entropy: float | None = None
+    prompts: BoxPromptPair | None = None
 
 
 @dataclass(frozen=True)
@@ -146,10 +149,10 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
     candidate's grid or on exactly its ROI box ``roi_box(prompts,
     config.delta_roi, candidate.shape)``, the only part read; other dims or
     class counts are a ``RejectedInputError``.  On accept the result's
-    state holds the kept mask, the organ probability at its voxels and the
-    mask's mean entropy; on reject it is ``state`` itself.  Nothing given is
-    modified.  A candidate emptied by the voxel filters is a rejection, never
-    an empty accepted pseudo-label.
+    state holds the kept mask, the organ probability at its voxels, the
+    mask's mean entropy and ``prompts``; on reject it is ``state`` itself.
+    Nothing given is modified.  A candidate emptied by the voxel filters is
+    a rejection, never an empty accepted pseudo-label.
     """
     if probs.num_classes != 2:
         raise RejectedInputError(
@@ -167,4 +170,19 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
     conf = probs.class_probs(1)[inside]
     kept.flags.writeable = conf.flags.writeable = False
     return RefinementResult(kept, True, ACCEPTED, h,
-                            OrganRefinementState(state.class_id, kept, conf, h))
+                            OrganRefinementState(state.class_id, kept, conf, h, prompts))
+
+
+def refine_stored(state: OrganRefinementState, config: RefinementConfig) -> RefinementResult:
+    """What ``refine_pseudo_label`` returns for the answer to ``state.prompts``
+    without asking for it again.  A frozen generalist answers those prompts
+    and their ROI box as before, and ``tau_cls`` and ``delta_roi`` are those
+    of the accept, so the filters give back the stored mask and its mean
+    entropy, which the gate then compares with itself: an active gate
+    rejects, an inactive one accepts, and the state stays as it is."""
+    if state.prompts is None:
+        raise RejectedInputError(f"class {state.class_id}: no stored answer to re-gate")
+    h = state.mean_entropy
+    accepted = entropy_gate(h, h, config.entropy_gate_active)
+    return RefinementResult(state.current_pseudo, accepted,
+                            ACCEPTED if accepted else REJECT_ENTROPY, h, state)

@@ -146,8 +146,10 @@ class AdversarialGeneralist(GeneralistOracle):
     def __init__(self, dims, seed=0):
         self.dims = dims
         self.rng = np.random.default_rng(seed)
+        self.calls = 0
 
     def segment(self, volume, prompts, region=None):
+        self.calls += 1
         noise = self.rng.uniform(0.45, 0.55, size=self.dims).astype(np.float32)[region or ...]
         probs = ProbVolume(np.stack([np.float32(1.0) - noise, noise]))
         return noise > 0.5, probs
@@ -160,8 +162,11 @@ def test_adversarial_generalist_rejected_in_gated_round():
     pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=1)
     before = {s.scan_id: s.supervision.target.labels.data.tobytes() for s in scans}
     adversary = AdversarialGeneralist(scans[0].volume.dims, seed=1)
-    report = pseudo_label_round(scans, predict_labels(scans, specialist), adversary, config,
+    # a jittered specialist moves the prompts, so the adversary is asked
+    jittered = PhantomSpecialist(generalist.registry, quality=0.5, seed=1)
+    report = pseudo_label_round(scans, predict_labels(scans, jittered), adversary, config,
                                 round_t=2)
+    assert adversary.calls == report.requests() == len(report.entries) > 0
     assert not report.accepted()
     assert all(e.decision in ("reject", "skip") for e in report.entries)
     for scan in scans:
@@ -290,13 +295,14 @@ def test_merged_target_shrinking_reaccept_returns_voxels_to_other_class():
 
 
 class FixedSpecialist(SpecialistOracle):
-    """Predicts one fixed label map; fits are no-ops."""
+    """Predicts the label maps it is given in turn, one per predict, the last
+    from then on; fits are no-ops."""
 
-    def __init__(self, labels, num_classes):
-        self.labels = LabelMap(labels, num_classes)
+    def __init__(self, num_classes, *labels):
+        self.labels = [LabelMap(data, num_classes) for data in labels]
 
     def predict(self, volume):
-        return self.labels
+        return self.labels.pop(0) if len(self.labels) > 1 else self.labels[0]
 
     def fit(self, examples, supervision="full"):
         pass
@@ -307,28 +313,36 @@ class ScriptedGeneralist(GeneralistOracle):
     ``script[class_id]`` names; the probability is 0.05 off the mask."""
 
     def __init__(self):
-        self.script = {}
+        self.script, self.asked = {}, []
 
     def segment(self, volume, prompts, region=None):
+        self.asked.append(prompts.class_id)
         mask, p = self.script[prompts.class_id]
         fg = np.where(mask, np.float32(p), np.float32(0.05))[region or ...]
         return mask[region or ...], ProbVolume(np.stack([np.float32(1.0) - fg, fg]))
 
 
 def run_scripted_rounds(*rounds):
-    """Two ungated pipeline rounds on one 1x1x4 scan with organs 2 and 3
-    unlabeled; returns the target after the last round."""
+    """Ungated pipeline rounds on one 1x1x4 scan with organs 2 and 3
+    unlabeled; returns the target after the last round.  Organ 3 moves from
+    slice 0 to slice 1 in round 2's prediction, so its prompts change and the
+    generalist is asked again; organ 2's median slice stays 2, so its prompts
+    repeat and it is re-gated on its stored pseudo-label."""
     sup = ScanSupervision(scan_id="s", labeled=frozenset({1}),
                           given=SupervisionTarget(LabelMap(np.zeros((1, 1, 4), np.uint8), 4)))
     scan = Scan("s", Volume(np.zeros((1, 1, 4), np.float32)), sup)
-    specialist = FixedSpecialist(np.array([3, 2, 2, 2]).reshape(1, 1, 4), 4)
+    specialist = FixedSpecialist(4, np.array([3, 2, 2, 2]).reshape(1, 1, 4),
+                                 np.array([2, 3, 2, 2]).reshape(1, 1, 4))
     generalist = ScriptedGeneralist()
     config = PipelineConfig(rounds=3, entropy_gate_from_round=3)
     for round_t, script in enumerate(rounds, start=1):
         generalist.script = script
+        generalist.asked = []
         report = pseudo_label_round([scan], predict_labels([scan], specialist), generalist,
                                     config, round_t)
         assert [e.decision for e in report.entries] == ["accept", "accept"]
+        assert generalist.asked == ([2, 3] if round_t == 1 else [3])
+        assert report.regated == (0 if round_t == 1 else 1)
     return sup.target.labels.data.ravel().tolist()
 
 
@@ -450,22 +464,128 @@ def test_run_pipeline_determinism(tmp_path):
         assert outputs[0][key] == outputs[1][key], key
 
 
+def capture_phantom_world(monkeypatch):
+    """Let ``run_pipeline`` build its phantom dataset as usual and keep its
+    training scans and generalist in the returned dict."""
+    from promptseg import pipeline
+    world = {}
+    build = pipeline._build_phantom_dataset
+
+    def capturing(config):
+        train, test, specialist, generalist = built = build(config)
+        world.update(train=train, generalist=generalist)
+        return built
+
+    monkeypatch.setattr(pipeline, "_build_phantom_dataset", capturing)
+    return world
+
+
 def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
-    calls = []
-    segment = PhantomGeneralist.segment
+    from promptseg import pipeline
+    world = capture_phantom_world(monkeypatch)
+    calls, regated = [], []
+    segment, stored = PhantomGeneralist.segment, pipeline.refine_stored
 
     def recording(self, volume, prompts, region=None):
+        scan = next(s for s in world["train"] if s.volume is volume)
+        state = scan.supervision.organ_states[prompts.class_id]
+        assert prompts != state.prompts  # never a request the stored label answers
         calls.append((volume.dims, prompts, region))
         return segment(self, volume, prompts, region)
 
+    def recording_stored(state, config):
+        regated.append(state)
+        return stored(state, config)
+
     monkeypatch.setattr(PhantomGeneralist, "segment", recording)
-    config = PipelineConfig(seed=7, out_dir=str(tmp_path / "desk"))  # 20+5 scans at 32^3
+    monkeypatch.setattr(pipeline, "refine_stored", recording_stored)
+    config = PipelineConfig(seed=7, keep_fraction=0.33,  # the desk benchmark: 20+5 scans at 32^3
+                            out_dir=str(tmp_path / "desk"))
     result = run_pipeline(config)
     prompted = [e for r in result.round_reports for e in r.entries if e.reason != "no-prediction"]
-    assert len(calls) == len(prompted) > 100
+    # each prompted organ makes one call or repeats its stored pseudo-label's prompts
+    assert (len(calls), len(regated), len(prompted)) == (169, 151, 320)
     for dims, prompts, region in calls:
         assert region == roi_box(prompts, config.delta_roi, dims)
     assert any(region != tuple(slice(0, n) for n in dims) for dims, _, region in calls)
+
+
+@pytest.mark.parametrize("seed,gate_from", [(7, 2), (13, 2), (7, 4)])
+def test_regating_a_stored_pseudo_label_equals_asking_again(tmp_path, monkeypatch,
+                                                            seed, gate_from):
+    """Every re-gated organ gets what asking the generalist again and
+    refining its answer would give: decision, reason, entropy, pseudo Dice
+    and state content."""
+    from promptseg import pipeline
+    world = capture_phantom_world(monkeypatch)
+    gated = []
+    stored = pipeline.refine_stored
+
+    def checked(state, config):
+        result = stored(state, config)
+        scan = next(s for s in world["train"]
+                    if s.supervision.organ_states.get(state.class_id) is state)
+        dims = scan.volume.dims
+        region = roi_box(state.prompts, config.delta_roi, dims)
+        mask, probs = world["generalist"].segment(scan.volume, state.prompts, region)
+        candidate = np.zeros(dims, dtype=bool)
+        candidate[region] = mask
+        ref = refine_pseudo_label(candidate, probs, state.prompts, config, state)
+        assert (result.accepted, result.reason) == (ref.accepted, ref.reason)
+        assert result.mean_entropy == ref.mean_entropy == state.mean_entropy
+        assert result.mask.tobytes() == ref.mask.tobytes()
+        gt = scan.gt.data == state.class_id
+        assert dice(result.mask, gt) == dice(ref.mask, gt)
+        for got, want in ((result.state, ref.state), (result.state, state)):
+            assert got.class_id == want.class_id and got.prompts == want.prompts
+            assert got.current_pseudo.tobytes() == want.current_pseudo.tobytes()
+            assert got.current_conf.tobytes() == want.current_conf.tobytes()
+            assert got.mean_entropy == want.mean_entropy
+        gated.append(config.entropy_gate_active)
+        return result
+
+    monkeypatch.setattr(pipeline, "refine_stored", checked)
+    run_pipeline(PipelineConfig(seed=seed, keep_fraction=0.33, entropy_gate_from_round=gate_from,
+                                out_dir=str(tmp_path / "desk")))
+    assert len(gated) > 100
+    # prompts first repeat in round 3, so gating from round 4 also re-gates ungated
+    assert set(gated) == ({False, True} if gate_from == 4 else {True})
+
+
+def test_round_log_line_counts_requests_and_regated_organs(tmp_path, monkeypatch, caplog):
+    from promptseg import pipeline
+    calls, per_round = [], []
+    segment, round_fn = PhantomGeneralist.segment, pipeline.pseudo_label_round
+
+    def counting(self, volume, prompts, region=None):
+        calls.append(prompts)
+        return segment(self, volume, prompts, region)
+
+    def counted_round(*args, **kwargs):
+        before = len(calls)
+        report = round_fn(*args, **kwargs)
+        prompted = sum(e.reason != "no-prediction" for e in report.entries)
+        per_round.append((len(calls) - before, prompted))
+        return report
+
+    monkeypatch.setattr(PhantomGeneralist, "segment", counting)
+    monkeypatch.setattr(pipeline, "pseudo_label_round", counted_round)
+    config = PipelineConfig(rounds=3, entropy_gate_from_round=2, scans=4, test_scans=1,
+                            organs=3, dims=(20, 20, 20), keep_fraction=0.34, seed=5,
+                            out_dir=str(tmp_path / "out"))
+    with caplog.at_level(logging.INFO, logger="promptseg.pipeline"):
+        result = run_pipeline(config)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("round ")]
+    expected = []
+    for report, (sent, prompted) in zip(result.round_reports, per_round):
+        assert report.requests() == sent and report.regated == prompted - sent
+        expected.append(f"round {report.round_index}: {len(report.accepted())}/"
+                        f"{len(report.entries)} organ updates accepted, {sent} generalist "
+                        f"requests, {prompted - sent} re-gated on their stored pseudo-label")
+    assert lines == expected
+    assert per_round[0][0] == per_round[0][1] > 0  # round 1 asks for every prompted organ
+    assert any(sent < prompted for sent, prompted in per_round[1:])
+    assert (tmp_path / "out" / "run.log").read_text().count(" re-gated on ") == 3
 
 
 def test_run_pipeline_r0_is_plain_baseline(tmp_path):
@@ -623,6 +743,39 @@ def test_file_mode_pipeline_end_to_end(tmp_path):
     for scan_id, _, _ in suite:
         man = nifti_io.read_manifest(tmp_path / "out" / "targets" / f"{scan_id}.manifest")
         assert man.statuses == {1: "labeled", 2: "pseudo"}
+
+
+def test_file_mode_asks_once_while_the_stored_pseudo_label_answers(tmp_path):
+    """A responder that predicts ground truth gives the same prompts in both
+    rounds: each accepted organ's round-2 request is not sent, and the
+    gated round re-gates it on its stored pseudo-label."""
+    from promptseg.oracles import volume_fingerprint
+    dims = (12, 12, 12)
+    write_file_mode_data(tmp_path / "data", n=2, dims=dims)
+    suite = make_phantom_suite(2, 2, dims, seed=21)
+    spec_dir, gen_dir = tmp_path / "spec_xchg", tmp_path / "gen_xchg"
+    spec_dir.mkdir()
+    gen_dir.mkdir()
+    responder = FullResponder(spec_dir, gen_dir,
+                              {volume_fingerprint(vol): gt for _, vol, gt in suite})
+    responder.thread.start()
+    try:
+        result = run_pipeline(PipelineConfig(
+            oracle="file", data_dir=str(tmp_path / "data"), specialist_exchange=str(spec_dir),
+            generalist_exchange=str(gen_dir), oracle_timeout=30.0, rounds=2,
+            entropy_gate_from_round=2, out_dir=str(tmp_path / "out")))
+    finally:
+        responder.stop.set()
+        responder.thread.join(timeout=30)
+    assert not responder.thread.is_alive()
+    first, second = result.round_reports
+    assert [(e.scan_id, e.decision) for e in first.entries] == [
+        (scan_id, "accept") for scan_id, _, _ in suite]
+    assert [(e.scan_id, e.decision, e.reason, e.mean_entropy) for e in second.entries] == [
+        (e.scan_id, "reject", "entropy-not-decreased", e.mean_entropy) for e in first.entries]
+    assert (first.requests(), second.requests(), second.regated) == (2, 0, 2)
+    assert len(list(gen_dir.glob("req_*.prompts"))) == len(suite)  # no second request
+    assert len(list(spec_dir.glob("req_*.nii"))) == 2 * len(suite)  # still one predict a round
 
 
 def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path):

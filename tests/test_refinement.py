@@ -10,7 +10,7 @@ from promptseg.refinement import (ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY,
                                   OrganRefinementState, RefinementConfig,
                                   apply_class_threshold, apply_roi, build_roi,
                                   entropy_gate, mean_mask_entropy,
-                                  refine_pseudo_label, roi_box)
+                                  refine_pseudo_label, refine_stored, roi_box)
 from promptseg.volgrid import LabelMap, ProbVolume, softmax_from_logits, voxel_entropy
 
 DIMS = (32, 32, 32)
@@ -215,11 +215,37 @@ def test_refine_accept_returns_the_next_state_and_modifies_nothing_given():
     new = res.state
     assert new is not state and new.class_id == 2
     assert np.array_equal(new.current_pseudo, mask) and new.current_pseudo is res.mask
-    assert np.array_equal(new.current_conf, p_fg[mask])
+    assert np.array_equal(new.current_conf, p_fg[mask]) and new.prompts == prompts
     assert new.mean_entropy == res.mean_entropy == mean_mask_entropy(mask, voxel_entropy(probs))
     assert not new.current_pseudo.flags.writeable and not new.current_conf.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         new.mean_entropy = 0.0
+
+
+def test_refine_stored_equals_refining_the_same_answer_again():
+    mask = sphere(DIMS, (16, 16, 16), 5)
+    candidate = mask | sphere(DIMS, (3, 3, 3), 2)  # a blob outside the ROI
+    p_fg = np.where(candidate, np.random.default_rng(5).uniform(0.3, 1.0, DIMS), 0.05)
+    probs, prompts = two_class_probs(p_fg), gt_prompts(mask)
+    first = refine_pseudo_label(candidate, probs, prompts,
+                                RefinementConfig(entropy_gate_active=False),
+                                OrganRefinementState(class_id=1))
+    assert first.accepted and first.state.prompts == prompts
+    for gate in (False, True):
+        config = RefinementConfig(entropy_gate_active=gate)
+        again = refine_pseudo_label(candidate, probs, prompts, config, first.state)
+        stored = refine_stored(first.state, config)
+        assert ((stored.accepted, stored.reason, stored.mean_entropy)
+                == (again.accepted, again.reason, again.mean_entropy)
+                == (not gate, REJECT_ENTROPY if gate else ACCEPTED, first.mean_entropy))
+        assert stored.mask.tobytes() == again.mask.tobytes()
+        got, want = stored.state, again.state
+        assert got is first.state
+        assert got.current_pseudo.tobytes() == want.current_pseudo.tobytes()
+        assert got.current_conf.tobytes() == want.current_conf.tobytes()
+        assert (got.mean_entropy, got.prompts) == (want.mean_entropy, want.prompts)
+    with pytest.raises(RejectedInputError, match="no stored answer"):
+        refine_stored(OrganRefinementState(class_id=1), RefinementConfig())
 
 
 def test_refine_takes_two_class_probabilities_only():
