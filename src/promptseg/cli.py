@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: phantom-gen, simulate-partial, prompt, refine, vls-mask,
-metrics, run.  Every ``PipelineConfig`` field is a ``run`` flag, and flags
-override config-file values.
+metrics, run.  Every ``PipelineConfig`` field is exactly one ``run`` flag,
+its ``--key-name``, and flags override config-file values.  No parser
+accepts a prefix of a flag.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import logging
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +29,6 @@ from .vls_loss import SupervisionTarget, vls_mask
 from .volgrid import LabelMap, ProbVolume, argmax_labelmap, mask_to_labels
 
 log = logging.getLogger("promptseg.cli")
-
-#: Older spellings of ``run`` flags, kept alongside the ``--field-name`` ones.
-RUN_FLAG_ALIASES = {"out_dir": ["--out"],
-                    "entropy_gate_from_round": ["--gate-from-round"],
-                    "use_vls": ["--vls"]}
 
 
 def _read(path, what: str, kind: type = LabelMap):
@@ -50,9 +47,9 @@ def _config_value(name: str, text: str):
 def cmd_phantom_gen(args) -> int:
     scans, organs, dims, seed = (_config_value(name, getattr(args, name))
                                  for name in ("scans", "organs", "dims", "seed"))
+    suite = make_phantom_suite(scans, organs, dims, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    suite = make_phantom_suite(scans, organs, dims, seed)
     for scan_id, vol, gt in suite:
         nifti_io.write_volume(out / f"{scan_id}.nii", vol)
         nifti_io.write_volume(out / f"{scan_id}.gt.nii", gt)
@@ -168,13 +165,14 @@ def cmd_run(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="promptseg",
+        prog="promptseg", allow_abbrev=False,
         description="Box-prompted pseudo-label refinement for partially labeled 3D segmentation")
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, allow_abbrev=False)  # not inherited by sub-parsers
 
-    p = sub.add_parser("phantom-gen", help="generate a synthetic phantom suite")
+    p = add_parser("phantom-gen", help="generate a synthetic phantom suite")
     p.add_argument("--out", required=True)
     p.add_argument("--scans", default="1")
     p.add_argument("--organs", default="3")
@@ -182,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_phantom_gen)
 
-    p = sub.add_parser("simulate-partial", help="randomly drop organ annotations")
+    p = add_parser("simulate-partial", help="randomly drop organ annotations")
     p.add_argument("--gt", required=True)
     p.add_argument("--keep-fraction", type=float, required=True, dest="keep_fraction")
     p.add_argument("--seed", default="0")
@@ -192,14 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-manifest", required=True, dest="out_manifest")
     p.set_defaults(func=cmd_simulate_partial)
 
-    p = sub.add_parser("prompt", help="box prompts for one predicted class")
+    p = add_parser("prompt", help="box prompts for one predicted class")
     p.add_argument("--pred", required=True)
     p.add_argument("--class-id", type=int, required=True, dest="class_id")
     p.add_argument("--padding", type=int, default=DEFAULT_PADDING)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prompt)
 
-    p = sub.add_parser("refine", help="filter a candidate pseudo-label")
+    p = add_parser("refine", help="filter a candidate pseudo-label")
     p.add_argument("--candidate", required=True)
     p.add_argument("--probs", required=True)
     p.add_argument("--prompts", required=True)
@@ -211,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prev-entropy", type=float, default=None, dest="prev_entropy")
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("vls-mask", help="voxel selection mask from predictions")
+    p = add_parser("vls-mask", help="voxel selection mask from predictions")
     p.add_argument("--probs", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vls_mask)
 
-    p = sub.add_parser("metrics", help="Dice/HD95 between two label maps")
+    p = add_parser("metrics", help="Dice/HD95 between two label maps")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--manifest", default=None)
@@ -228,15 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="hd95_missing")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("run", help="run the full pipeline",
-                       description="Every config key is also a --key-name flag; "
-                                   "flags override the config file.")
+    p = add_parser("run", help="run the full pipeline",
+                   description="Each config key is exactly one flag: the key with dashes "
+                               "for underscores.  Flags override the config file.")
     p.add_argument("--config", default=None)
     for f in fields(pipeline.PipelineConfig):
-        flags = [f"--{f.name.replace('_', '-')}", *RUN_FLAG_ALIASES.get(f.name, ())]
         action = argparse.BooleanOptionalAction if isinstance(f.default, bool) else "store"
         help_text = None if f.default is None else f"default: {pipeline.format_value(f.default)}"
-        p.add_argument(*flags, dest=f.name, action=action, default=None, help=help_text)
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, action=action,
+                       default=None, help=help_text)
     p.set_defaults(func=cmd_run)
     return parser
 

@@ -12,7 +12,7 @@ external models through a directory exchange:
     resp_<uid>.prob.nii  float32 probabilities (predict, segment) or uint8 labels (predict)
     fit_<uid>/ + fit_<uid>.req / fit_<uid>.done   training handshake
 
-The exchange root defaults to the PROMPTSEG_EXCHANGE environment variable.
+Each FileOracle is given its exchange directory; nothing else names one.
 Exchange images are whole-grid: a segment answer is checked whole, then
 cropped to the requested region.  Polls pause 1 ms, doubling to 50 ms.
 Phantom oracles are bitwise deterministic given (seed, quality, inputs):
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import math
 import operator
-import os
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -116,6 +116,21 @@ class Ellipsoid:
 
 #: Standard deviation of the Gaussian noise added to phantom intensities.
 IMAGE_SIGMA = 0.05
+#: An organ's semi-axes are drawn from this range of fractions of the grid's shortest side.
+RADIUS_FRACTIONS = (0.11, 0.17)
+#: Voxels an organ's center keeps, beyond its largest semi-axis, from each grid face.
+CENTER_MARGIN = 1.5
+#: The shortest side on which any organ's center has room: side s has room
+#: iff s - 1 >= 2 * (RADIUS_FRACTIONS[1] * s + CENTER_MARGIN).
+MIN_PHANTOM_SIDE = math.ceil((1 + 2 * CENTER_MARGIN) / (1 - 2 * RADIUS_FRACTIONS[1]))
+
+
+def check_phantom_dims(dims: tuple[int, int, int]) -> None:
+    """A ``ConfigError`` unless every side of ``dims`` has room for any organ
+    ``random_phantom_spec`` may draw."""
+    if min(dims) < MIN_PHANTOM_SIDE:
+        raise ConfigError(f"dims must be >= {MIN_PHANTOM_SIDE} on every side for a phantom, "
+                          f"got {tuple(dims)}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +196,17 @@ def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[
 def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> PhantomSpec:
     """Random non-crowded ellipsoid layout; rejection-samples centers so
     organs rarely touch (residual overlaps fall back to rasterization
-    priority)."""
+    priority).  Dims too small for that are a ``ConfigError`` before any draw."""
+    check_phantom_dims(dims)
     side = min(dims)
-    r_lo, r_hi = 0.11 * side, 0.17 * side
+    r_lo, r_hi = (f * side for f in RADIUS_FRACTIONS)
     organs = []
     centers: list[np.ndarray] = []
     radii_max: list[float] = []
     for _ in range(num_organs):
         radii = rng.uniform(r_lo, r_hi, size=3)
         rmax = float(radii.max())
-        margin = rmax + 1.5
+        margin = rmax + CENTER_MARGIN
         center = None
         for attempt in range(400):
             cand = np.array([rng.uniform(margin, d - 1 - margin) for d in dims])
@@ -575,7 +591,6 @@ def _distance_from(region: Region, center: np.ndarray) -> np.ndarray:
 
 # --- directory-exchange oracle ----------------------------------------------
 
-EXCHANGE_ENV = "PROMPTSEG_EXCHANGE"
 POLL_INTERVAL_S = 0.05
 
 
@@ -585,21 +600,14 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
     Requests are written atomically (temp file + rename); responses are read
     with retry until the deadline, so responders need not write atomically.
     One FileOracle instance serializes its own requests; run separate
-    exchange directories for separate models.
+    exchange directories for separate models.  ``exchange_dir`` is created
+    if it does not exist.
     """
 
-    def __init__(self, exchange_dir=None, timeout: float = 60.0):
-        self.root = self.exchange_root(exchange_dir)
+    def __init__(self, exchange_dir, timeout: float = 60.0):
+        self.root = Path(exchange_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self.timeout = float(timeout)
-
-    @staticmethod
-    def exchange_root(exchange_dir=None) -> Path:
-        """The exchange directory an instance would use, without creating it."""
-        root = exchange_dir or os.environ.get(EXCHANGE_ENV)
-        if not root:
-            raise ConfigError(f"no exchange dir given and {EXCHANGE_ENV} is unset")
-        return Path(root)
 
     def _write_atomic(self, path: Path, writer) -> None:
         tmp = path.with_name(path.name + ".tmp")

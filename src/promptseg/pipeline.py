@@ -27,13 +27,14 @@ from .errors import (ConfigError, NoPredictionError, PromptsegError,
 from .metrics import HD95_MISSING_POLICIES, ScanEvaluation, dice, evaluate_scan, summarize
 from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                       PhantomRegistry, PhantomSpecialist, SpecialistOracle,
-                      TrainingExample, make_phantom_suite)
+                      TrainingExample, check_phantom_dims, make_phantom_suite)
 from .prompting import DEFAULT_PADDING, make_box_prompts
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
                          RefinementConfig, refine_pseudo_label, refine_stored, roi_box)
 from .vls_loss import SupervisionTarget, vls_mask
 # unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
-from .volgrid import MAX_CLASSES, LabelMap, Volume, argmax_labelmap, class_mask
+from .volgrid import (MAX_CLASSES, LabelMap, Volume, argmax_labelmap, class_mask,
+                      valid_spacing)
 
 log = logging.getLogger("promptseg.pipeline")
 
@@ -164,9 +165,8 @@ class PipelineConfig:
              f"oracle_timeout must be > 0, got {self.oracle_timeout}"),
             (len(self.dims) != 3 or min(self.dims) < 1,
              f"dims must be 3 positive integers, got {self.dims}"),
-            (len(self.spacing) != 3
-             or not all(np.isfinite(s) and s > 0.0 for s in self.spacing),
-             f"spacing must be 3 positive finite numbers, got {self.spacing}"),
+            (not valid_spacing(self.spacing),
+             f"spacing must be 3 positive finite float32 values, got {self.spacing}"),
             (not 0.0 <= self.specialist_contradiction_weight < np.inf,  # also rejects nan
              "specialist_contradiction_weight must be finite and >= 0, "
              f"got {self.specialist_contradiction_weight}"),
@@ -176,6 +176,8 @@ class PipelineConfig:
         for bad, message in problems:
             if bad:
                 raise ConfigError(message)
+        if self.oracle == "phantom":
+            check_phantom_dims(self.dims)
 
     def refinement_config(self, round_t: int) -> RefinementConfig:
         return RefinementConfig(
@@ -213,8 +215,9 @@ def parse_value(name: str, raw: str):
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a key=value config file (``#`` starts a comment line)."""
-    values = {}
+    """Parse a key=value config file (``#`` starts a comment line); setting
+    a key twice is a ``ConfigError``."""
+    values, set_on = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -222,6 +225,9 @@ def load_config(path) -> PipelineConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = parse_value(key, value)
         except ConfigError as exc:
@@ -492,10 +498,10 @@ def _build_phantom_dataset(config: PipelineConfig):
 
 def _load_file_dataset(config: PipelineConfig):
     """Read the file-mode scans, then open both exchanges: bad inputs create no directory."""
-    if not config.data_dir:
-        raise ConfigError("file oracle mode requires data_dir")
-    spec_root = FileOracle.exchange_root(config.specialist_exchange)
-    gen_root = FileOracle.exchange_root(config.generalist_exchange)
+    for key in ("data_dir", "specialist_exchange", "generalist_exchange"):
+        if not getattr(config, key):
+            raise ConfigError(f"file oracle mode requires {key}")
+    spec_root, gen_root = Path(config.specialist_exchange), Path(config.generalist_exchange)
     if spec_root.resolve() == gen_root.resolve():
         # predict and segment requests share the req_<uid>.nii pattern
         raise ConfigError(f"specialist and generalist share the exchange directory "

@@ -36,6 +36,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def valid_spacing(spacing: tuple[float, ...]) -> bool:
+    """Whether ``spacing`` is 3 values that stay positive and finite as
+    float32, the type NIfTI stores them in."""
+    with np.errstate(over="ignore"):
+        sp = np.array(spacing, dtype=np.float32)
+    return sp.shape == (3,) and bool(np.all(np.isfinite(sp) & (sp > 0.0)))
+
+
 def _as_grid(data, dtype, ndim, what: str) -> np.ndarray:
     arr = np.ascontiguousarray(data, dtype=dtype)
     if arr.ndim != ndim:
@@ -57,8 +65,9 @@ class Volume:
     def __post_init__(self):
         self.data = _as_grid(self.data, np.float32, 3, "volume data")
         sp = tuple(float(s) for s in self.spacing)
-        if len(sp) != 3 or any(not np.isfinite(s) or s <= 0.0 for s in sp):
-            raise RejectedInputError(f"spacing must be 3 positive finite floats, got {self.spacing}")
+        if not valid_spacing(sp):
+            raise RejectedInputError(f"spacing must be 3 positive finite float32 values, "
+                                     f"got {self.spacing}")
         self.spacing = sp
 
     @property

@@ -1,4 +1,7 @@
 import logging
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 
@@ -7,6 +10,8 @@ from promptseg.cli import main
 from promptseg.prompting import format_prompts, make_box_prompts
 from promptseg.refinement import OrganRefinementState, RefinementConfig, refine_pseudo_label
 from promptseg.volgrid import LabelMap, ProbVolume, Volume, mask_to_labels
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def sphere_mask(dims, center, radius):
@@ -164,7 +169,7 @@ def test_run_subcommand_with_config_and_overrides(tmp_path, capsys):
         "seed = 1\n")
     out_dir = tmp_path / "run_out"
     assert main(["run", "--config", str(cfg), "--seed", "2",
-                 "--out", str(out_dir)]) == 0
+                 "--out-dir", str(out_dir)]) == 0
     assert "mean DSC" in capsys.readouterr().out
     assert (out_dir / "round_1.csv").exists()
     assert (out_dir / "final_eval.csv").exists()
@@ -200,20 +205,50 @@ def test_grid_triple_flags_reject_bad_values(tmp_path, capsys):
     assert nifti_io.read_volume(tmp_path / "ok" / "scan000.nii").dims == (8, 9, 10)
 
 
+def test_phantom_gen_writes_nothing_for_dims_it_cannot_realise(tmp_path, capsys):
+    for flags, message in ((["--dims", "16,16,3"], "error: dims must be >= 7"),
+                           (["--dims", "7,7,7", "--organs", "40"],
+                            "error: phantom organ 3 rasterized empty")):
+        out = tmp_path / "phantoms"
+        assert main(["phantom-gen", "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err, flags
+        assert not out.exists()
+
+
+def test_metrics_refuses_a_spacing_float32_cannot_hold(tmp_path, capsys):
+    gt = tmp_path / "gt.nii"
+    nifti_io.write_volume(gt, LabelMap(np.ones((4, 4, 4), dtype=np.uint8), 2))
+    assert main(["metrics", "--pred", str(gt), "--gt", str(gt), "--spacing", "1e39,1,1"]) == 1
+    assert "error: spacing" in capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(tmp_path):
+    section = README.read_text().split("## Quick start", 1)[1]
+    command = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    argv = shlex.split(command)
+    assert argv[:2] == ["promptseg", "run"]
+    out = tmp_path / "demo"
+    argv[argv.index("--out-dir") + 1] = str(out)
+    assert main(argv[1:]) == 0
+    expected = [f"round_{t}.csv" for t in range(1, 5)] + [
+        "final_eval.csv", "final_summary.csv", "targets", "run_manifest.txt", "run.log"]
+    assert all((out / name).exists() for name in expected)
+
+
 def test_run_creates_nothing_before_its_checks_and_logs_a_good_run(tmp_path, capsys, caplog):
     empty, out = tmp_path / "empty", tmp_path / "out"
     empty.mkdir()
     sx, gx = tmp_path / "sx", tmp_path / "gx"
     assert main(["run", "--oracle", "file", "--data-dir", str(empty),
                  "--specialist-exchange", str(sx), "--generalist-exchange", str(gx),
-                 "--out", str(out)]) == 1
+                 "--out-dir", str(out)]) == 1
     assert "no *.manifest scans found" in capsys.readouterr().err
     assert not out.exists() and not sx.exists() and not gx.exists()
     # a good run still writes its records to out/run.log
     caplog.set_level(logging.INFO, logger="promptseg")
-    assert main(["run", "--rounds", "1", "--gate-from-round", "1", "--scans", "2",
+    assert main(["run", "--rounds", "1", "--entropy-gate-from-round", "1", "--scans", "2",
                  "--test-scans", "1", "--organs", "2", "--dims", "16,16,16",
-                 "--out", str(out)]) == 0
+                 "--out-dir", str(out)]) == 0
     lines = (out / "run.log").read_text().splitlines()
     assert lines[0] == "INFO promptseg.pipeline: initial training on 2 scans (partial supervision)"
     assert lines[1].startswith("INFO promptseg.pipeline: round 1: ")

@@ -50,10 +50,10 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, key, raw):
     with pytest.raises(ConfigError, match=r"bad\.cfg:1: "):
         load_config(cfg)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
     assert key in capsys.readouterr().err
     if key != "use_vls":  # booleans are --flag/--no-flag switches
-        assert main(["run", flag(key), raw, "--out", str(out)]) == 1
+        assert main(["run", flag(key), raw, "--out-dir", str(out)]) == 1
         assert key in capsys.readouterr().err
     assert not out.exists()
 
@@ -67,6 +67,9 @@ BAD_VALUES = [
     {"dims": (20, 20)},
     {"spacing": (0, 1, 1)},
     {"spacing": (1, float("nan"), 1)},
+    {"spacing": (1e39, 1, 1)},   # inf as float32
+    {"spacing": (1e-50, 1, 1)},  # 0 as float32
+    {"dims": (32, 32, 4)},       # too thin for a phantom organ
     {"generalist_cooperativeness": 1.5},
     {"oracle_timeout": 0.0},
     {"specialist_contradiction_weight": float("nan")},
@@ -83,7 +86,7 @@ def test_bad_value_fails_before_any_work(tmp_path, capsys, bad):
     with pytest.raises(ConfigError):
         PipelineConfig(out_dir=str(out), **bad)
     ((name, value),) = bad.items()
-    assert main(["run", flag(name), format_value(value), "--out", str(out)]) == 1
+    assert main(["run", flag(name), format_value(value), "--out-dir", str(out)]) == 1
     assert f"error: {name}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -93,18 +96,40 @@ def test_run_help_lists_a_flag_per_field(capsys):
         main(["run", "--help"])
     assert exc.value.code == 0
     listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
-    assert {flag(name) for name in FIELD_NAMES} <= listed
-    assert {"--out", "--gate-from-round", "--vls", "--no-vls"} <= listed
+    assert listed == {flag(name) for name in FIELD_NAMES} | {"--no-use-vls", "--config",
+                                                             "--help"}
+
+
+@pytest.mark.parametrize("argv", [["run", "--out", "X"], ["run", "--gate-from-round", "1"],
+                                  ["run", "--vls"], ["run", "--no-vls"], ["run", "--rou", "1"],
+                                  ["run", "--spa", "1,2,3"], ["phantom-gen", "--ou", "X"],
+                                  ["--log", "debug", "run"]], ids=" ".join)
+def test_only_full_flag_spellings_are_accepted(tmp_path, monkeypatch, argv):
+    """No alias and no prefix: each is argparse's usage error."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_key_set_twice_in_a_config_file_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\nrounds = 1\nseed = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert f"error: {cfg}:3: seed is already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_flags_set_refinement_phantom_and_output_fields(tmp_path):
     out = tmp_path / "out"
-    assert main(["run", "--rounds", "1", "--gate-from-round", "1", "--scans", "2",
+    assert main(["run", "--rounds", "1", "--entropy-gate-from-round", "1", "--scans", "2",
                  "--test-scans", "0", "--organs", "2", "--dims", "16,16,16",
                  "--tau-cls", "0.3", "--delta-roi", "2", "--box-padding", "4",
                  "--generalist-cooperativeness", "0.8", "--spacing", "1,1,2",
-                 "--no-vls", "--hd95-missing-policy", "max_diag",
-                 "--out", str(out)]) == 0
+                 "--no-use-vls", "--hd95-missing-policy", "max_diag",
+                 "--out-dir", str(out)]) == 0
     echoed = set((out / "run_manifest.txt").read_text().splitlines())
     assert {"entropy_gate_from_round=1", "dims=16,16,16", "tau_cls=0.3", "delta_roi=2",
             "box_padding=4", "generalist_cooperativeness=0.8",

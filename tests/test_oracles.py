@@ -429,6 +429,18 @@ def test_generate_phantom_equals_full_grid_rasterization():
         assert vol.data.tobytes() == image.tobytes(), trial
 
 
+def test_phantom_spec_refuses_a_side_without_room_before_drawing():
+    """Organs of up to 0.17 x 6 voxels plus the 1.5-voxel margin do not fit
+    on a 6-voxel side, so no draw is made at all."""
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match=r"^dims must be >= 7"):
+        random_phantom_spec((6, 6, 6), 2, rng)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ConfigError, match=r"^dims must be >= 7"):
+        make_phantom_suite(2, 2, (32, 32, 4), seed=0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_phantom_suite_names_the_first_empty_organ(seed):
     with pytest.raises(ConfigError) as err:
@@ -1263,17 +1275,6 @@ def test_file_oracle_rejects_a_bad_region_before_writing_a_request(tmp_path, reg
     with pytest.raises(RejectedInputError, match="not three non-empty slices"):
         oracle.segment(Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good), region)
     assert not list(tmp_path.iterdir())
-
-
-def test_file_oracle_exchange_root_from_environment(tmp_path, monkeypatch):
-    from promptseg.errors import ConfigError
-    monkeypatch.delenv("PROMPTSEG_EXCHANGE", raising=False)
-    with pytest.raises(ConfigError):
-        FileOracle()
-    monkeypatch.setenv("PROMPTSEG_EXCHANGE", str(tmp_path / "xchg"))
-    oracle = FileOracle(timeout=0.1)
-    assert oracle.root == tmp_path / "xchg"
-    assert oracle.root.is_dir()
 
 
 def test_fingerprint_sensitive_to_content():

@@ -909,16 +909,22 @@ def write_file_mode_data(data, n=2, dims=(12, 12, 12), seed=21):
                                                                 2: "unlabeled"}))
 
 
-def test_file_mode_refuses_exchange_dir_shared_through_environment(tmp_path, monkeypatch):
+def test_file_mode_takes_each_exchange_dir_from_its_key_only(tmp_path, monkeypatch):
+    """A missing or empty exchange key is a config error naming it, raised
+    before any directory exists; the environment never fills one in."""
     write_file_mode_data(tmp_path / "data")
-    xchg = tmp_path / "xchg"
-    monkeypatch.setenv("PROMPTSEG_EXCHANGE", str(xchg))
-    config = PipelineConfig(oracle="file", data_dir=str(tmp_path / "data"),
-                            oracle_timeout=0.5, rounds=1, entropy_gate_from_round=1,
-                            out_dir=str(tmp_path / "out"))
-    with pytest.raises(ConfigError, match="share the exchange directory"):
-        run_pipeline(config)
-    assert not list(xchg.glob("req_*")) and not list(xchg.glob("fit_*"))
+    env_xchg, out = tmp_path / "env_xchg", tmp_path / "out"
+    monkeypatch.setenv("PROMPTSEG_EXCHANGE", str(env_xchg))
+    for missing in ("specialist_exchange", "generalist_exchange"):
+        for value in (None, ""):
+            exchanges = {"specialist_exchange": str(tmp_path / "sx"),
+                         "generalist_exchange": str(tmp_path / "gx"), missing: value}
+            config = PipelineConfig(oracle="file", data_dir=str(tmp_path / "data"),
+                                    oracle_timeout=0.5, rounds=1, entropy_gate_from_round=1,
+                                    out_dir=str(out), **exchanges)
+            with pytest.raises(ConfigError, match=f"requires {missing}$"):
+                run_pipeline(config)
+            assert not any(p.exists() for p in (env_xchg, out, tmp_path / "sx", tmp_path / "gx"))
 
 
 def test_file_mode_refuses_equal_exchange_paths(tmp_path, monkeypatch):

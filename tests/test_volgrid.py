@@ -121,6 +121,14 @@ def test_labelmap_and_volume_validation():
     assert not vol.data.flags.writeable
 
 
+@pytest.mark.parametrize("spacing", [(1e-50, 1.0, 1.0), (1.0, 1e39, 1.0)])
+def test_volume_spacing_must_survive_float32(spacing):
+    """NIfTI stores spacing as float32: a value that underflows to 0 or
+    overflows to inf there is refused, with no overflow warning."""
+    with pytest.raises(RejectedInputError, match="spacing"):
+        Volume(np.zeros((2, 2, 2), dtype=np.float32), spacing=spacing)
+
+
 def test_probvolume_crop_is_a_contiguous_read_only_copy_not_checked_again(monkeypatch):
     rng = np.random.default_rng(6)
     p = softmax_from_logits(rng.normal(size=(3, 5, 6, 7)).astype(np.float32))
