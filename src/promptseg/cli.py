@@ -12,7 +12,6 @@ import argparse
 import logging
 import sys
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(sub.add_parser, allow_abbrev=False)  # not inherited by sub-parsers
+
+    def add_parser(name, **kwargs):
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)  # not inherited by sub-parsers
+        p.set_defaults(parser=p)
+        return p
 
     p = add_parser("phantom-gen", help="generate a synthetic phantom suite")
     p.add_argument("--out", required=True)
@@ -240,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the sub-command's usage, not the top-level list
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                         format="%(levelname)s %(name)s: %(message)s")
     try:

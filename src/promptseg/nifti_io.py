@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (CorruptFileError, NotNiftiError, RejectedInputError,
                      UnsupportedFormatError)
-from .volgrid import LabelMap, ProbVolume, Volume
+from .volgrid import LabelMap, ProbVolume, Volume, valid_spacing
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -205,7 +205,8 @@ def write_volume(path, grid: Volume | LabelMap | ProbVolume,
     lies on, and a Volume is its own: the file takes the template's spacing
     and, if it was read from a file, its header's qform/sform.  Without a
     template the file gets ``spacing`` (1 mm isotropic by default) and a
-    diagonal sform.
+    diagonal sform; an explicit ``spacing`` that is not 3 positive finite
+    float32 values is a ``RejectedInputError`` before the file is opened.
     """
     path = Path(path)
     if isinstance(grid, Volume):
@@ -223,6 +224,9 @@ def write_volume(path, grid: Volume | LabelMap | ProbVolume,
             raise RejectedInputError(f"{path}: a grid on a template takes its spacing and "
                                      f"dims {template.dims}, got {spacing} and {grid.dims}")
         spacing = template.spacing
+    elif spacing is not None and not valid_spacing(spacing):
+        raise RejectedInputError(f"{path}: spacing must be 3 positive finite float32 values, "
+                                 f"got {spacing}")
     shape = (grid.dims[1], grid.dims[0], grid.dims[2]) + channels
     header = _encode_header(shape, datatype, tuple(float(s) for s in spacing or (1, 1, 1)),
                             template.header if template is not None else None)

@@ -13,8 +13,12 @@ external models through a directory exchange:
     fit_<uid>/ + fit_<uid>.req / fit_<uid>.done   training handshake
 
 Each FileOracle is given its exchange directory; nothing else names one.
-Exchange images are whole-grid: a segment answer is checked whole, then
-cropped to the requested region.  Polls pause 1 ms, doubling to 50 ms.
+A batch (``predict_all``, ``segment_all``) writes every request before it
+awaits the first answer, then reads the answers in order, so the responder
+computes one answer while the client uses the last.  Exchange images are
+whole-grid: a segment answer is checked whole, then cropped to the requested
+region.  Polls pause 1 ms, doubling to 50 ms, and each answer may take
+``timeout`` seconds from when the client starts to await it.
 Phantom oracles are bitwise deterministic given (seed, quality, inputs):
 every stochastic field is drawn from an RNG keyed on the oracle seed, a
 fingerprint of the input volume, and the class (plus the prompt bytes for
@@ -32,7 +36,7 @@ import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -41,7 +45,7 @@ from scipy.spatial.transform import Rotation
 from . import nifti_io
 from .errors import (ConfigError, CorruptFileError, NiftiError,
                      OracleProtocolError, OracleUnavailableError,
-                     RejectedInputError, UnknownVolumeError)
+                     PromptsegError, RejectedInputError, UnknownVolumeError)
 from .prompting import DEFAULT_PADDING, BoxPromptPair, format_prompts
 from .refinement import roi_ranges
 from .vls_loss import SupervisionTarget
@@ -49,6 +53,7 @@ from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labe
 
 
 Region = tuple[slice, slice, slice]
+Answer = tuple[np.ndarray, ProbVolume]
 
 
 def _checked_region(region, dims: tuple[int, int, int]) -> Region:
@@ -64,6 +69,16 @@ def _checked_region(region, dims: tuple[int, int, int]) -> Region:
     except (TypeError, AttributeError):
         pass
     raise RejectedInputError(f"region {region!r} is not three non-empty slices in {dims}")
+
+
+def _each_answer(segment, requests: Iterable[tuple]) -> Iterator[Answer | PromptsegError]:
+    """``segment(*request)`` for each request, called as its item is taken:
+    the answer, or the ``PromptsegError`` it raised."""
+    for request in requests:
+        try:
+            yield segment(*request)
+        except PromptsegError as exc:
+            yield exc
 
 
 @dataclass(frozen=True)
@@ -84,6 +99,10 @@ class SpecialistOracle(abc.ABC):
     @abc.abstractmethod
     def predict(self, volume: Volume) -> LabelMap: ...
 
+    def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
+        """``predict`` of each volume, in order."""
+        return [self.predict(v) for v in volumes]
+
     @abc.abstractmethod
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None: ...
 
@@ -98,7 +117,14 @@ class GeneralistOracle(abc.ABC):
 
     @abc.abstractmethod
     def segment(self, volume: Volume, prompts: BoxPromptPair,
-                region: Region | None = None) -> tuple[np.ndarray, ProbVolume]: ...
+                region: Region | None = None) -> Answer: ...
+
+    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Region | None]]
+                    ) -> Iterator[Answer | PromptsegError]:
+        """The answers to ``(volume, prompts, region)`` requests, in order,
+        each item the answer or the ``PromptsegError`` its request raised.
+        Here each request is asked only as its item is taken."""
+        return _each_answer(self.segment, requests)
 
 
 # --- synthetic phantoms -----------------------------------------------------
@@ -541,7 +567,7 @@ class PhantomGeneralist(GeneralistOracle):
         return best + 1, float(iou[best]), roi_center - (plo[best] + phi[best]) / 2.0
 
     def segment(self, volume: Volume, prompts: BoxPromptPair,
-                region: Region | None = None) -> tuple[np.ndarray, ProbVolume]:
+                region: Region | None = None) -> Answer:
         """The whole-grid answer sliced to ``region``, byte for byte.  The
         noise is drawn on the whole grid, as the blob draws follow it in the
         RNG stream; every other field is taken on the region alone."""
@@ -599,9 +625,12 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
 
     Requests are written atomically (temp file + rename); responses are read
     with retry until the deadline, so responders need not write atomically.
-    One FileOracle instance serializes its own requests; run separate
-    exchange directories for separate models.  ``exchange_dir`` is created
-    if it does not exist.
+    ``predict_all`` and ``segment_all`` write every request of the batch
+    before awaiting the first answer, so a responder sees many outstanding
+    requests and may answer them in any order; the client reads them in
+    request order, one at a time, and gives each ``timeout`` seconds from
+    when it starts to await it.  Run separate exchange directories for
+    separate models.  ``exchange_dir`` is created if it does not exist.
     """
 
     def __init__(self, exchange_dir, timeout: float = 60.0):
@@ -635,13 +664,23 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
             time.sleep(pause)
             pause = min(2 * pause, POLL_INTERVAL_S)
 
-    def predict(self, volume: Volume) -> LabelMap:
-        """A probability response is decoded to its argmax; a uint8 label
-        image is taken as it is, with ``num_classes = max label + 1``."""
+    def _send(self, volume: Volume, prompts: BoxPromptPair | None = None) -> str:
+        """Write one request, the volume and then any prompts, each
+        atomically; returns its uid."""
         uid = uuid.uuid4().hex
-        deadline = time.monotonic() + self.timeout
         self._write_atomic(self.root / f"req_{uid}.nii",
                            lambda p: nifti_io.write_volume(p, volume))
+        if prompts is not None:
+            self._write_atomic(self.root / f"req_{uid}.prompts",
+                               lambda p: p.write_text(format_prompts(prompts)))
+        return uid
+
+    def predict(self, volume: Volume, *, sent: str | None = None) -> LabelMap:
+        """A probability response is decoded to its argmax; a uint8 label
+        image is taken as it is, with ``num_classes = max label + 1``.
+        ``sent`` is the uid of a request already written for ``volume``."""
+        deadline = time.monotonic() + self.timeout
+        uid = sent or self._send(volume)
         resp = self._await_file(self.root / f"resp_{uid}.prob.nii", deadline)
         if isinstance(resp, ProbVolume):
             resp = argmax_labelmap(resp)
@@ -652,16 +691,19 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                 f"predict response dims {resp.dims} != request dims {volume.dims}")
         return resp
 
+    def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
+        """Every request is written before the first answer is awaited."""
+        uids = [self._send(v) for v in volumes]
+        return [self.predict(v, sent=uid) for v, uid in zip(volumes, uids)]
+
     def segment(self, volume: Volume, prompts: BoxPromptPair,
-                region: Region | None = None) -> tuple[np.ndarray, ProbVolume]:
-        """The whole-grid answer is checked, then cropped to ``region``."""
+                region: Region | None = None, *, sent: str | None = None) -> Answer:
+        """The whole-grid answer is checked, then cropped to ``region``.
+        ``sent`` is the uid of a request already written for ``volume`` and
+        ``prompts``."""
         region = _checked_region(region, volume.dims)
-        uid = uuid.uuid4().hex
         deadline = time.monotonic() + self.timeout
-        self._write_atomic(self.root / f"req_{uid}.nii",
-                           lambda p: nifti_io.write_volume(p, volume))
-        self._write_atomic(self.root / f"req_{uid}.prompts",
-                           lambda p: p.write_text(format_prompts(prompts)))
+        uid = sent or self._send(volume, prompts)
         mask_img = self._await_file(self.root / f"resp_{uid}.nii", deadline)
         probs = self._await_file(self.root / f"resp_{uid}.prob.nii", deadline)
         if not isinstance(mask_img, LabelMap):
@@ -677,6 +719,14 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
             raise OracleProtocolError(
                 f"segment probability dims {probs.dims} != request dims {volume.dims}")
         return mask_img.data[region] > 0, probs.crop(region)
+
+    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Region | None]]
+                    ) -> Iterator[Answer | PromptsegError]:
+        """Every region is checked before any request is written, and every
+        request before this returns; each answer is awaited as it is taken."""
+        checked = [(v, p, _checked_region(r, v.dims)) for v, p, r in requests]
+        sent = [(v, p, r, self._send(v, p)) for v, p, r in checked]
+        return _each_answer(lambda v, p, r, uid: self.segment(v, p, r, sent=uid), sent)
 
     def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
         uid = uuid.uuid4().hex

@@ -357,18 +357,16 @@ def merged_target(partial_gt: LabelMap,
     return SupervisionTarget(LabelMap(labels, partial_gt.num_classes), frozenset(pseudo))
 
 
-def _predict(specialist: SpecialistOracle, volume: Volume, num_classes: int) -> LabelMap:
-    """The specialist's labels as a ``num_classes``-class map; a label >=
-    num_classes (say, from an external model) is a ``RejectedInputError``."""
-    return LabelMap(specialist.predict(volume).data, num_classes)
-
-
 def predict_labels(scans: list[Scan], specialist: SpecialistOracle) -> dict[str, LabelMap]:
     """The specialist's predicted labels for every scan with an unlabeled
-    organ: one predict per scan per round, read by the round's prompts and
-    by the VLS masks of the refit that follows it."""
-    return {scan.scan_id: _predict(specialist, scan.volume, scan.supervision.num_classes)
-            for scan in scans if scan.supervision.unlabeled}
+    organ, from one ``predict_all``: one predict per scan per round, read by
+    the round's prompts and by the VLS masks of the refit that follows it.
+    A label >= the scan's class count (say, from an external model) is a
+    ``RejectedInputError``."""
+    todo = [scan for scan in scans if scan.supervision.unlabeled]
+    labels = specialist.predict_all([scan.volume for scan in todo])
+    return {scan.scan_id: LabelMap(pred.data, scan.supervision.num_classes)
+            for scan, pred in zip(todo, labels)}
 
 
 def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
@@ -384,50 +382,64 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
     gate (active from ``entropy_gate_from_round``) decides whether the stored
     pseudo-label is replaced, which is all a scan's target derives from.
     Per-organ oracle failures skip that organ and never abort the round.
+
+    A first pass plans every organ (no prediction, re-gate, or ask on its
+    ROI box) and sends every request through one ``segment_all``; a second
+    pass refines the answers as they are taken, in plan order.  Organ states
+    are independent, so both passes see the states one loop would.
     """
     report = RoundReport(round_index=round_t)
     refine_config = config.refinement_config(round_t)
+    plan = []      # (scan, class_id, prompts or None, region or None to re-gate)
+    asks = []
     for scan in scans:
-        sup = scan.supervision
-        if not sup.unlabeled:
-            continue
-        pred = predictions[scan.scan_id]
-        for class_id in sorted(sup.unlabeled):
+        for class_id in sorted(scan.supervision.unlabeled):
             try:
-                prompts = make_box_prompts(pred, class_id, config.box_padding)
+                prompts = make_box_prompts(predictions[scan.scan_id], class_id,
+                                           config.box_padding)
             except NoPredictionError:
-                report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                                 "skip", "no-prediction", None, None))
+                plan.append((scan, class_id, None, None))
                 continue
-            state = sup.organ_states[class_id]
-            if prompts == state.prompts:
-                result = refine_stored(state, refine_config)
-                report.regated += 1
-            else:
+            region = None
+            if prompts != scan.supervision.organ_states[class_id].prompts:
                 region = roi_box(prompts, config.delta_roi, scan.volume.dims)
-                try:
-                    mask, gprobs = generalist.segment(scan.volume, prompts, region)
-                except PromptsegError as exc:
-                    log.warning("%s organ %d: generalist failed: %s", scan.scan_id, class_id, exc)
-                    report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                                     "skip", "oracle-error", None, None))
-                    continue
-                candidate = np.zeros(scan.volume.dims, dtype=bool)
-                if np.shape(mask) != candidate[region].shape:
-                    raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {region}")
-                candidate[region] = mask
-                result = refine_pseudo_label(candidate, gprobs, prompts, refine_config, state)
-            sup.organ_states[class_id] = result.state
-            if result.accepted:
-                pdice = (dice(result.mask, class_mask(scan.gt, class_id))
-                         if scan.gt is not None else None)
+                asks.append((scan.volume, prompts, region))
+            plan.append((scan, class_id, prompts, region))
+    answers = generalist.segment_all(asks)
+    for scan, class_id, prompts, region in plan:
+        sup = scan.supervision
+        if prompts is None:
+            report.entries.append(RoundEntry(scan.scan_id, class_id,
+                                             "skip", "no-prediction", None, None))
+            continue
+        state = sup.organ_states[class_id]
+        if region is None:
+            result = refine_stored(state, refine_config)
+            report.regated += 1
+        else:
+            answer = next(answers)
+            if isinstance(answer, PromptsegError):
+                log.warning("%s organ %d: generalist failed: %s", scan.scan_id, class_id, answer)
                 report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                                 "accept", "accepted",
-                                                 result.mean_entropy, pdice))
-            else:
-                report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                                 "reject", result.reason,
-                                                 result.mean_entropy, None))
+                                                 "skip", "oracle-error", None, None))
+                continue
+            mask, gprobs = answer
+            candidate = np.zeros(scan.volume.dims, dtype=bool)
+            if np.shape(mask) != candidate[region].shape:
+                raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {region}")
+            candidate[region] = mask
+            result = refine_pseudo_label(candidate, gprobs, prompts, refine_config, state)
+        sup.organ_states[class_id] = result.state
+        if result.accepted:
+            pdice = (dice(result.mask, class_mask(scan.gt, class_id))
+                     if scan.gt is not None else None)
+            report.entries.append(RoundEntry(scan.scan_id, class_id,
+                                             "accept", "accepted",
+                                             result.mean_entropy, pdice))
+        else:
+            report.entries.append(RoundEntry(scan.scan_id, class_id,
+                                             "reject", result.reason,
+                                             result.mean_entropy, None))
     return report
 
 
@@ -613,10 +625,10 @@ def _run_stages(config: PipelineConfig, out: Path, train: list[Scan], test,
                                                          sup.pseudo))
 
     evaluations: dict[str, ScanEvaluation] = {}
-    for scan_id, vol, gt in test:
-        pred = _predict(specialist, vol, gt.num_classes)
-        evaluations[scan_id] = evaluate_scan(pred, gt, vol.spacing,
-                                             hd95_missing=config.hd95_missing_policy)
+    preds = specialist.predict_all([vol for _, vol, _ in test])
+    for (scan_id, vol, gt), pred in zip(test, preds):
+        evaluations[scan_id] = evaluate_scan(LabelMap(pred.data, gt.num_classes), gt,
+                                             vol.spacing, hd95_missing=config.hd95_missing_policy)
     mean_dsc = mean_hd95 = None
     if evaluations:
         summary = summarize(evaluations)

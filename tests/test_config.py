@@ -113,6 +113,21 @@ def test_only_full_flag_spellings_are_accepted(tmp_path, monkeypatch, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["run", "--out", "X"], ["metrics", "--bogus", "1"]],
+                         ids=" ".join)
+def test_an_unknown_flag_is_reported_by_its_sub_commands_parser(tmp_path, monkeypatch, capsys,
+                                                                argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: promptseg {argv[0]}")
+    if argv[0] == "run":
+        assert "--out-dir" in err and "unrecognized arguments: --out X" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_a_key_set_twice_in_a_config_file_is_refused(tmp_path, capsys):
     cfg = tmp_path / "twice.cfg"
     cfg.write_text("seed = 1\nrounds = 1\nseed = 2\n")

@@ -181,6 +181,24 @@ def test_zero_pixdim_defaults_to_unit_spacing(tmp_path):
     assert back.spacing == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("spacing", [(1e39, 1, 1), (0, 1, 1), (1e-50, 1, 1), (1, 1)])
+def test_explicit_spacing_float32_cannot_hold_is_rejected_before_writing(tmp_path, spacing):
+    path = tmp_path / "labels.nii"
+    with pytest.raises(RejectedInputError, match="spacing must be 3 positive finite"):
+        write_volume(path, LabelMap(np.ones((2, 2, 2), dtype=np.uint8), 2), spacing=spacing)
+    assert not path.exists()
+
+
+def test_explicit_spacing_round_trips_bit_exactly(tmp_path):
+    labels = LabelMap(np.arange(24, dtype=np.uint8).reshape(2, 3, 4) % 5, 5)
+    spacing = (0.8, 1.25, 3.0)
+    path = tmp_path / "labels.nii"
+    write_volume(path, labels, spacing=spacing)
+    hdr, back = read_nifti(path)
+    assert back.data.tobytes() == labels.data.tobytes()
+    assert np.array(hdr.pixdim, np.float32).tobytes() == np.array(spacing, np.float32).tobytes()
+
+
 def test_read_rejects_unknown_dimensionality(tmp_path):
     vol = Volume(np.zeros((2, 2, 2), dtype=np.float32))
     path = tmp_path / "ndim.nii"

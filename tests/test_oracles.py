@@ -11,8 +11,8 @@ from scipy.spatial.transform import Rotation
 from promptseg.errors import (ConfigError, OracleProtocolError, OracleUnavailableError,
                               RejectedInputError, UnknownVolumeError)
 from promptseg.metrics import dice
-from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, PhantomGeneralist,
-                               PhantomRegistry,
+from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, GeneralistOracle,
+                               PhantomGeneralist, PhantomRegistry, SpecialistOracle,
                                PhantomSpecialist, PhantomSpec, TrainingExample,
                                _distance_from, _rng_for,
                                ellipsoid_mask, generate_phantom,
@@ -1272,9 +1272,189 @@ def test_file_oracle_rejects_a_bad_region_before_writing_a_request(tmp_path, reg
     oracle = FileOracle(tmp_path, timeout=0.1)
     good = np.zeros(SEGMENT_DIMS, bool)
     good[2:4, 2:4, 1:3] = True
+    vol, prompts = Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good)
     with pytest.raises(RejectedInputError, match="not three non-empty slices"):
-        oracle.segment(Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good), region)
+        oracle.segment(vol, prompts, region)
     assert not list(tmp_path.iterdir())
+    # anywhere in a batch: no request of the batch is written
+    for at in (0, 1, 2):
+        batch = [(vol, prompts, None), (vol, prompts, SEGMENT_REGION)]
+        batch.insert(at, (vol, prompts, region))
+        with pytest.raises(RejectedInputError, match="not three non-empty slices"):
+            oracle.segment_all(batch)
+        assert not list(tmp_path.iterdir())
+
+
+def indexed_volume(k):
+    """Request ``k`` of a batch: a volume filled with ``k``."""
+    return Volume(np.full(SEGMENT_DIMS, k, np.float32))
+
+
+def indexed_segment_answer(k):
+    """A distinct mask per request, written with its probabilities first."""
+    mask = np.random.default_rng(k).random(SEGMENT_DIMS) < 0.5
+    return {".prob.nii": two_class_probs(mask), ".nii": mask_to_labels(mask)}
+
+
+def indexed_predict_answer(k):
+    labels = np.random.default_rng(100 + k).integers(0, 4, SEGMENT_DIMS).astype(np.uint8)
+    return {".prob.nii": LabelMap(labels, 4)}
+
+
+class IndexedResponder(threading.Thread):
+    """Answers requests whose volume is filled with their index ``k`` by
+    committing ``answer(k)``, a {suffix: grid}, as ``resp_<uid><suffix>``.
+    Nothing is answered before ``batch`` requests are on disk; requests
+    found together are answered in index order (``reverse``: the other way
+    round), each after ``pause`` seconds."""
+
+    def __init__(self, root, answer, segment=True, batch=1, reverse=False, pause=0.0):
+        super().__init__(daemon=True)
+        self.root, self.answer, self.batch = root, answer, batch
+        self.pattern = "req_*.prompts" if segment else "req_*.nii"
+        self.reverse, self.pause = reverse, pause
+        self.stop = threading.Event()
+        self.answered = []
+
+    def _index(self, uid):
+        return int(nifti_io.read_volume(self.root / f"req_{uid}.nii").data.flat[0])
+
+    def run(self):
+        seen = set()
+        while not self.stop.is_set():
+            new = {p.name.split(".")[0][len("req_"):] for p in self.root.glob(self.pattern)}
+            new -= seen
+            if new and len(seen) + len(new) >= self.batch:
+                for k, uid in sorted(((self._index(u), u) for u in new), reverse=self.reverse):
+                    seen.add(uid)
+                    time.sleep(self.pause)
+                    for suffix, grid in self.answer(k).items():
+                        tmp = self.root / f"resp_{uid}{suffix}.tmp"
+                        nifti_io.write_volume(tmp, grid)
+                        tmp.rename(self.root / f"resp_{uid}{suffix}")
+                    self.answered.append(k)
+            time.sleep(0.005)
+
+
+def run_with(responder, call):
+    responder.start()
+    try:
+        return call()
+    finally:
+        responder.stop.set()
+        responder.join(timeout=10.0)
+        assert not responder.is_alive()
+
+
+def test_file_oracle_batches_are_on_disk_before_the_first_answer_is_awaited(tmp_path):
+    """A responder that answers nothing until the whole batch is on disk,
+    then answers in reverse: a serial client times out, a batch gets every
+    answer, each to its own request."""
+    n = 6
+    good = np.zeros(SEGMENT_DIMS, bool)
+    good[2:4, 2:4, 1:3] = True
+    prompts = box_prompts_for(good)
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    with pytest.raises(OracleUnavailableError):
+        run_with(IndexedResponder(serial, indexed_segment_answer, batch=n, reverse=True),
+                 lambda: FileOracle(serial, timeout=0.3).segment(indexed_volume(0), prompts))
+
+    regions = [None if k % 2 else SEGMENT_REGION for k in range(n)]
+    responder = IndexedResponder(tmp_path / "gen", indexed_segment_answer, batch=n,
+                                 reverse=True)
+    oracle = FileOracle(tmp_path / "gen", timeout=1.0)
+    got = run_with(responder, lambda: list(oracle.segment_all(
+        [(indexed_volume(k), prompts, region) for k, region in enumerate(regions)])))
+    assert responder.answered == list(range(n))[::-1]
+    for k, ((mask, probs), region) in enumerate(zip(got, regions)):
+        want = indexed_segment_answer(k)
+        at = region or (slice(None),) * 3
+        assert np.array_equal(mask, want[".nii"].data[at] > 0), k
+        assert probs.data.tobytes() == want[".prob.nii"].crop(at).data.tobytes(), k
+
+    responder = IndexedResponder(tmp_path / "spec", indexed_predict_answer, segment=False,
+                                 batch=n, reverse=True)
+    oracle = FileOracle(tmp_path / "spec", timeout=1.0)
+    got = run_with(responder, lambda: oracle.predict_all([indexed_volume(k) for k in range(n)]))
+    assert responder.answered == list(range(n))[::-1]
+    assert [labels.data.tobytes() for labels in got] == [
+        indexed_predict_answer(k)[".prob.nii"].data.tobytes() for k in range(n)]
+
+
+def test_file_oracle_batch_keeps_a_bad_answer_to_its_own_request(tmp_path):
+    def answer(k):
+        if k == 1:  # request 2 of 4: wrong dims
+            return {".prob.nii": two_class_probs(np.zeros((4, 4, 4), bool)),
+                    ".nii": mask_to_labels(np.zeros((4, 4, 4), bool))}
+        return indexed_segment_answer(k)
+
+    good = np.zeros(SEGMENT_DIMS, bool)
+    good[2:4, 2:4, 1:3] = True
+    oracle = FileOracle(tmp_path, timeout=10.0)
+    got = run_with(IndexedResponder(tmp_path, answer), lambda: list(oracle.segment_all(
+        [(indexed_volume(k), box_prompts_for(good), None) for k in range(4)])))
+    assert isinstance(got[1], OracleProtocolError) and "dims" in str(got[1])
+    for k in (0, 2, 3):
+        mask, probs = got[k]
+        assert np.array_equal(mask, indexed_segment_answer(k)[".nii"].data > 0)
+
+
+def test_file_oracle_gives_each_answer_its_own_timeout(tmp_path):
+    """A serial responder at 0.1 s a request answers 12 requests in more
+    than one timeout; each answer is awaited for ``timeout`` on its own."""
+    good = np.zeros(SEGMENT_DIMS, bool)
+    good[2:4, 2:4, 1:3] = True
+    responder = IndexedResponder(tmp_path, indexed_segment_answer, pause=0.1)
+    oracle = FileOracle(tmp_path, timeout=1.0)
+    start = time.monotonic()
+    got = run_with(responder, lambda: list(oracle.segment_all(
+        [(indexed_volume(k), box_prompts_for(good), None) for k in range(12)])))
+    assert time.monotonic() - start > oracle.timeout
+    assert responder.answered == list(range(12))
+    for k, (mask, _) in enumerate(got):
+        assert np.array_equal(mask, indexed_segment_answer(k)[".nii"].data > 0), k
+
+
+class ScriptedAnswers(GeneralistOracle):
+    """Answers each request with its prompts; "down" is an oracle failure
+    and "bug" a programming error."""
+
+    def __init__(self):
+        self.asked = []
+
+    def segment(self, volume, prompts, region=None):
+        self.asked.append(prompts)
+        if prompts == "down":
+            raise OracleUnavailableError("no answer")
+        if prompts == "bug":
+            raise TypeError("not an oracle failure")
+        return prompts, region
+
+
+def test_default_segment_all_asks_lazily_and_yields_oracle_errors():
+    oracle = ScriptedAnswers()
+    answers = oracle.segment_all([(None, p, k) for k, p in enumerate(["a", "down", "b", "bug"])])
+    assert oracle.asked == []              # nothing is asked before the first item
+    assert next(answers) == ("a", 0)
+    assert oracle.asked == ["a"]
+    assert isinstance(next(answers), OracleUnavailableError)
+    assert next(answers) == ("b", 2)
+    with pytest.raises(TypeError, match="not an oracle failure"):
+        next(answers)
+    assert oracle.asked == ["a", "down", "b", "bug"]
+
+
+def test_default_predict_all_predicts_each_volume_in_order():
+    class Echo(SpecialistOracle):
+        def predict(self, volume):
+            return LabelMap(volume.data.astype(np.uint8), 9)
+
+        def fit(self, examples, supervision="full"):
+            pass
+
+    got = Echo().predict_all([indexed_volume(k) for k in (3, 1, 2)])
+    assert [int(labels.data.flat[0]) for labels in got] == [3, 1, 2]
 
 
 def test_fingerprint_sensitive_to_content():

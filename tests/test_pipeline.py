@@ -8,7 +8,7 @@ from promptseg.metrics import dice
 from promptseg.oracles import (GeneralistOracle, PhantomGeneralist,
                                PhantomRegistry, PhantomSpecialist,
                                SpecialistOracle, make_phantom_suite)
-from promptseg.pipeline import (PipelineConfig, Scan, ScanSupervision,
+from promptseg.pipeline import (PipelineConfig, RoundEntry, Scan, ScanSupervision,
                                 initial_training, load_config, merged_target,
                                 predict_labels, pseudo_label_round, retrain,
                                 run_pipeline,
@@ -225,6 +225,77 @@ def test_generalist_failure_on_one_organ_skips_it_and_refines_the_rest(caplog):
     assert others and all(e.decision == "accept" for e in others)
     for scan in scans:
         assert scan.supervision.pseudo == scan.supervision.unlabeled - {failing}
+
+
+class PhantomAnswerer:
+    """A threaded external generalist: once ``batch`` segment requests are
+    on disk, answers each with ``generalist``'s whole-grid answer, except the
+    request for ``bad``, a (volume fingerprint, prompts text), whose mask
+    has the wrong dims."""
+
+    def __init__(self, root, generalist, bad, batch):
+        import threading
+        self.root, self.generalist, self.bad, self.batch = root, generalist, bad, batch
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self.run, daemon=True)
+
+    def run(self):
+        import time
+        from promptseg import nifti_io
+        from promptseg.oracles import volume_fingerprint
+        from promptseg.prompting import parse_prompts
+        from promptseg.volgrid import mask_to_labels
+        seen = set()
+        while not self.stop.is_set():
+            requests = list(self.root.glob("req_*.prompts"))
+            for req in requests if len(requests) >= self.batch else ():
+                uid = req.stem[len("req_"):]
+                if uid in seen:
+                    continue
+                seen.add(uid)
+                volume = nifti_io.read_volume(self.root / f"req_{uid}.nii")
+                text = req.read_text()
+                mask, probs = self.generalist.segment(volume, parse_prompts(text))
+                if (volume_fingerprint(volume), text) == self.bad:
+                    mask = mask[:-1]
+                for suffix, grid in ((".prob.nii", probs), (".nii", mask_to_labels(mask))):
+                    tmp = self.root / f"resp_{uid}{suffix}.tmp"
+                    nifti_io.write_volume(tmp, grid)
+                    tmp.rename(self.root / f"resp_{uid}{suffix}")
+            time.sleep(0.005)
+
+
+def test_a_bad_answer_mid_batch_skips_its_organ_and_refines_the_rest(tmp_path):
+    """The round's four requests are all on disk before the first answer is
+    awaited; request 2's bad answer skips its organ alone."""
+    from promptseg.oracles import FileOracle, volume_fingerprint
+    from promptseg.prompting import format_prompts, make_box_prompts
+    config = PipelineConfig(rounds=1, entropy_gate_from_round=1,
+                            scans=2, organs=3, dims=(24, 24, 24))
+    ref_scans, ref_specialist, ref_generalist = phantom_world(n_scans=2, quality=1.0, coop=1.0)
+    expected = pseudo_label_round(ref_scans, predict_labels(ref_scans, ref_specialist),
+                                  ref_generalist, config, round_t=1).entries
+    scans, specialist, generalist = phantom_world(n_scans=2, quality=1.0, coop=1.0)
+    predictions = predict_labels(scans, specialist)
+    asks = [(scan, c) for scan in scans for c in sorted(scan.supervision.unlabeled)]
+    assert len(asks) == 4 and all(e.decision == "accept" for e in expected)
+    bad_scan, bad_class = asks[1]                                    # request 2 of 4
+    prompts = make_box_prompts(predictions[bad_scan.scan_id], bad_class, config.box_padding)
+    responder = PhantomAnswerer(tmp_path, generalist,
+                                (volume_fingerprint(bad_scan.volume), format_prompts(prompts)),
+                                batch=len(asks))
+    responder.thread.start()
+    try:
+        report = pseudo_label_round(scans, predictions, FileOracle(tmp_path, timeout=5.0),
+                                    config, round_t=1)
+    finally:
+        responder.stop.set()
+        responder.thread.join(timeout=10.0)
+    assert not responder.thread.is_alive()
+    expected[1] = RoundEntry(bad_scan.scan_id, bad_class, "skip", "oracle-error", None, None)
+    assert report.entries == expected
+    assert bad_scan.supervision.pseudo == bad_scan.supervision.unlabeled - {bad_class}
+    assert all(scan.supervision.pseudo == scan.supervision.unlabeled for scan in scans[1:])
 
 
 def test_pseudo_merge_never_overwrites_ground_truth():
