@@ -22,6 +22,6 @@ from .refinement import (OrganRefinementState, RefinementConfig,
 from .vls_loss import (SupervisionTarget, masked_cross_entropy,
                        masked_soft_dice, vls_mask)
 from .volgrid import (LabelMap, ProbVolume, Volume, argmax_labelmap,
-                      class_mask, softmax_from_logits, voxel_entropy)
+                      class_mask, paste_mask, softmax_from_logits, voxel_entropy)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .prompting import (DEFAULT_PADDING, format_prompts, make_box_prompts,
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
                          RefinementConfig, refine_pseudo_label)
 from .vls_loss import SupervisionTarget, vls_mask
-from .volgrid import LabelMap, ProbVolume, argmax_labelmap, mask_to_labels
+from .volgrid import LabelMap, ProbVolume, argmax_labelmap, mask_to_labels, paste_mask
 
 log = logging.getLogger("promptseg.cli")
 
@@ -93,10 +93,11 @@ def cmd_refine(args) -> int:
                               entropy_gate_active=args.gate_active)
     state = OrganRefinementState(args.class_id, mean_entropy=args.prev_entropy)
     result = refine_pseudo_label(candidate, probs, prompts, config, state)
-    nifti_io.write_volume(args.out, mask_to_labels(result.mask))
+    kept = paste_mask(result.mask, result.box, candidate.shape)
+    nifti_io.write_volume(args.out, mask_to_labels(kept))
     entropy = "" if result.mean_entropy is None else f" mean_entropy={result.mean_entropy:.6f}"
     print(f"{'accept' if result.accepted else 'reject'} reason={result.reason}"
-          f" voxels={int(result.mask.sum())}{entropy}")
+          f" voxels={np.count_nonzero(kept)}{entropy}")
     return 0
 
 

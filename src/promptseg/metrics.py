@@ -24,7 +24,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import EmptyMaskError, RejectedInputError
-from .volgrid import LabelMap
+from .volgrid import LabelMap, union_box
 
 HD95_PERCENTILE = 95.0
 
@@ -116,9 +116,8 @@ def volume_diagonal(dims, spacing) -> float:
 def _class_box(boxes, dims) -> tuple[slice, ...]:
     """The union of the boxes that are not None, padded by one voxel and
     clipped to the grid."""
-    boxes = [b for b in boxes if b is not None]
-    return tuple(slice(max(min(b[i].start for b in boxes) - 1, 0),
-                       min(max(b[i].stop for b in boxes) + 1, n)) for i, n in enumerate(dims))
+    return tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n))
+                 for s, n in zip(union_box(b for b in boxes if b is not None), dims))
 
 
 def evaluate_scan(pred: LabelMap, gt: LabelMap, spacing=(1.0, 1.0, 1.0),

@@ -140,11 +140,10 @@ def read_nifti(path) -> tuple[NiftiHeader, Volume | LabelMap | ProbVolume]:
     hdr, bo = _parse_header(raw, path)
     dtype = np.dtype(_DTYPES[hdr.datatype]).newbyteorder(bo)
     expected = int(np.prod(hdr.shape)) * dtype.itemsize
-    payload = raw[hdr.vox_offset:]
-    if len(payload) != expected:
-        raise CorruptFileError(
-            f"{path}: payload is {len(payload)} bytes, header declares {expected}")
-    flat = np.frombuffer(payload, dtype=dtype)
+    size = max(len(raw) - hdr.vox_offset, 0)
+    if size != expected:
+        raise CorruptFileError(f"{path}: payload is {size} bytes, header declares {expected}")
+    flat = np.frombuffer(raw, dtype=dtype, offset=hdr.vox_offset)  # no copy of the payload
     if bo == ">":
         flat = flat.astype(dtype.newbyteorder("<"))
     if len(hdr.shape) == 3:
@@ -234,7 +233,7 @@ def write_volume(path, grid: Volume | LabelMap | ProbVolume,
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(b"\x00\x00\x00\x00")  # extension flag: none
-            fh.write(np.ascontiguousarray(data).tobytes())
+            fh.write(np.ascontiguousarray(data))  # its buffer: no second copy
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
 

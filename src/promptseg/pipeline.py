@@ -14,27 +14,31 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import numbers
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+from scipy import ndimage
 
 from . import nifti_io
 from .errors import (ConfigError, NoPredictionError, PromptsegError,
                      RejectedInputError)
+# dice is unused here: the traced benchmark probes wrap promptseg.pipeline.dice
 from .metrics import HD95_MISSING_POLICIES, ScanEvaluation, dice, evaluate_scan, summarize
 from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                       PhantomRegistry, PhantomSpecialist, SpecialistOracle,
                       TrainingExample, check_phantom_dims, make_phantom_suite)
 from .prompting import DEFAULT_PADDING, make_box_prompts
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
-                         RefinementConfig, refine_pseudo_label, refine_stored, roi_box)
+                         RefinementConfig, RefinementResult, refine_pseudo_label,
+                         refine_stored, roi_box)
 from .vls_loss import SupervisionTarget, vls_mask
 # unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
-from .volgrid import (MAX_CLASSES, LabelMap, Volume, argmax_labelmap, class_mask,
-                      valid_spacing)
+from .volgrid import (EMPTY_BOX, MAX_CLASSES, LabelMap, Volume, argmax_labelmap,
+                      union_box, valid_spacing)
 
 log = logging.getLogger("promptseg.pipeline")
 
@@ -44,45 +48,65 @@ ORACLE_KINDS = ("phantom", "file")
 
 @dataclass
 class ScanSupervision:
-    """A scan's supervision: the ``labeled`` ground-truth classes, the target
-    as ``given``, and the organ states that hold the accepted pseudo-labels.
-    Pseudo classes of ``given`` seed their states at conf 0, and each round
-    stores the state refinement returns; everything else is derived, and
-    ``target`` merges ``partial`` with what is accepted now."""
+    """A scan's supervision: the ``labeled`` ground-truth classes, their
+    labels as ``partial``, and the organ states that hold the accepted
+    pseudo-labels, each on its own box.  The target is ``given``, whose
+    pseudo classes seed their states at conf 0 and are kept as ``seeded``;
+    ``given_labels`` pastes them back onto ``partial``, so one label grid
+    per scan is held.  Each round stores the state refinement returns;
+    everything else is derived, and ``target`` merges ``partial`` with what
+    is accepted now."""
 
     scan_id: str
     labeled: frozenset[int]
-    given: SupervisionTarget
+    given: InitVar[SupervisionTarget]
     organ_states: dict[int, OrganRefinementState] = field(init=False)
     partial: LabelMap = field(init=False)
+    seeded: dict[int, OrganRefinementState] = field(init=False)
 
-    def __post_init__(self):
-        if not self.labeled <= frozenset(range(1, self.num_classes)):
-            raise RejectedInputError(f"labeled classes must lie in 1..{self.num_classes - 1}, "
+    def __post_init__(self, given: SupervisionTarget):
+        labels = given.labels
+        if not self.labeled <= frozenset(range(1, labels.num_classes)):
+            raise RejectedInputError(f"labeled classes must lie in 1..{labels.num_classes - 1}, "
                                      f"got {sorted(self.labeled)}")
-        seeded, labels = self.given.pseudo_classes, self.given.labels
-        if seeded & self.labeled:
+        if given.pseudo_classes & self.labeled:
             raise RejectedInputError("pseudo classes must be unlabeled")
+        self.seeded = {}
+        data = labels.data
+        if given.pseudo_classes:
+            data = np.array(data)
+            boxes = ndimage.find_objects(data, max_label=labels.num_classes - 1)
+            for c in sorted(given.pseudo_classes):
+                box = boxes[c - 1] or EMPTY_BOX
+                mask = data[box] == c
+                data[box][mask] = 0
+                mask.flags.writeable = False
+                self.seeded[c] = OrganRefinementState(
+                    c, mask, box, np.zeros(np.count_nonzero(mask), np.float32))
+        self.partial = LabelMap(data, labels.num_classes)
         self.organ_states = {c: OrganRefinementState(class_id=c) for c in self.unlabeled}
-        for c in seeded:
-            mask = labels.data == c
-            self.organ_states[c] = OrganRefinementState(
-                c, mask, np.zeros(np.count_nonzero(mask), np.float32))
-        self.partial = LabelMap(np.where(np.isin(labels.data, sorted(seeded)), 0, labels.data),
-                                labels.num_classes)
+        self.organ_states.update(self.seeded)
 
     @property
     def num_classes(self) -> int:
-        return self.given.labels.num_classes
+        return self.partial.num_classes
 
     @property
     def unlabeled(self) -> frozenset[int]:
         return frozenset(range(1, self.num_classes)) - self.labeled
 
-    def accepted(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """{class: (mask, conf)} of every organ state holding a pseudo-label."""
-        return {c: (s.current_pseudo, s.current_conf)
-                for c, s in self.organ_states.items() if s.current_pseudo is not None}
+    def given_labels(self) -> LabelMap:
+        """The labels as given: ``partial`` with the seeded pseudo-labels."""
+        if not self.seeded:
+            return self.partial
+        data = np.array(self.partial.data)
+        for c, state in self.seeded.items():
+            data[state.box][state.current_pseudo] = c
+        return LabelMap(data, self.num_classes)
+
+    def accepted(self) -> dict[int, OrganRefinementState]:
+        """{class: state} of every organ state holding a pseudo-label."""
+        return {c: s for c, s in self.organ_states.items() if s.current_pseudo is not None}
 
     @property
     def pseudo(self) -> frozenset[int]:
@@ -138,6 +162,12 @@ class PipelineConfig:
     hd95_missing_policy: str = "exclude"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_field_type(f.name, value):
+                hint = _FIELD_TYPES[f.name]
+                what = hint.__name__ if type(hint) is type else hint  # int, not <class 'int'>
+                raise ConfigError(f"{f.name}: expected {what}, got {value!r}")
         self.dims = tuple(int(d) for d in self.dims)
         self.spacing = tuple(float(s) for s in self.spacing)
         problems = [
@@ -192,6 +222,37 @@ _BOOL_VALUES = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
 
 
+def _field_kind(name: str) -> tuple[type, bool, bool]:
+    """(scalar type, is a tuple, may be None) of config field ``name``."""
+    hint = _FIELD_TYPES.get(name)
+    if hint is None:
+        raise ConfigError(f"unknown key {name!r}")
+    args = get_args(hint)
+    kind = next(a for a in args or (hint,) if a is not type(None))
+    return kind, get_origin(hint) is tuple, type(None) in args
+
+
+def _is_kind(kind: type, value) -> bool:
+    """Whether ``value`` passes as ``kind``: a bool is no number, an int
+    field takes no float, and a float field takes an int."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, kind)
+
+
+def _has_field_type(name: str, value) -> bool:
+    kind, is_tuple, optional = _field_kind(name)
+    if value is None:
+        return optional
+    if is_tuple:
+        return isinstance(value, (tuple, list)) and all(_is_kind(kind, v) for v in value)
+    return _is_kind(kind, value)
+
+
 def _parse_scalar(kind: type, text: str):
     return _BOOL_VALUES[text.lower()] if kind is bool else kind(text)
 
@@ -200,11 +261,7 @@ def parse_value(name: str, raw: str):
     """Parse the text form of config field ``name``, as written in a config
     file or on the ``run`` command line, into the field's type.  Tuples are
     comma-separated; booleans are true/false, yes/no or 1/0."""
-    hint = _FIELD_TYPES.get(name)
-    if hint is None:
-        raise ConfigError(f"unknown key {name!r}")
-    is_tuple = get_origin(hint) is tuple
-    kind = next(a for a in get_args(hint) or (hint,) if a is not type(None))
+    kind, is_tuple, _ = _field_kind(name)
     parts = raw.split(",") if is_tuple else [raw]
     try:
         values = [_parse_scalar(kind, part.strip()) for part in parts]
@@ -329,7 +386,7 @@ class RoundEntry:
 class RoundReport:
     round_index: int
     entries: list[RoundEntry] = field(default_factory=list)
-    regated: int = 0  # prompted organs re-gated on their stored pseudo-label
+    regated: int = 0  # prompted organs re-gated on a stored answer (refine_stored)
 
     def accepted(self) -> list[RoundEntry]:
         return [e for e in self.entries if e.decision == "accept"]
@@ -340,21 +397,30 @@ class RoundReport:
 
 
 def merged_target(partial_gt: LabelMap,
-                  pseudo: dict[int, tuple[np.ndarray, np.ndarray]]) -> SupervisionTarget:
-    """Merge ground truth and the accepted pseudo-labels ``{class: (mask,
-    conf)}``, ``conf`` the generalist probability at the mask's voxels in C
-    order.  Ground truth always wins; a voxel several pseudo-labels claim
-    goes to the higher probability, ties to the lower class."""
+                  accepted: dict[int, OrganRefinementState]) -> SupervisionTarget:
+    """Merge ground truth and the accepted pseudo-labels ``{class: state}``,
+    each state's mask on its box with its probabilities in C order.  Ground
+    truth always wins; a voxel several pseudo-labels claim goes to the
+    higher probability, ties to the lower class.  Only the union of the
+    boxes is read."""
     labels = np.array(partial_gt.data)
-    flat = labels.reshape(-1)
-    best = np.where(flat == 0, np.float32(-np.inf), np.float32(np.inf))
-    for c in sorted(pseudo):  # ascending, strict >: ties stay with the lower class
-        mask, conf = pseudo[c]
-        idx = np.flatnonzero(mask)
-        win = conf > best[idx]
-        flat[idx[win]] = c
-        best[idx[win]] = conf[win]
-    return SupervisionTarget(LabelMap(labels, partial_gt.num_classes), frozenset(pseudo))
+    held = {c: s for c, s in accepted.items() if s.current_pseudo.size}
+    if held:
+        outer = union_box(s.box for s in held.values())
+        claimed = labels[outer].copy()
+        flat = claimed.reshape(-1)
+        best = np.where(flat == 0, np.float32(-np.inf), np.float32(np.inf))
+        for c in sorted(held):  # ascending, strict >: ties stay with the lower class
+            state = held[c]
+            at = np.ravel_multi_index(  # C order, as the probabilities
+                [i + b.start - o.start
+                 for i, b, o in zip(np.nonzero(state.current_pseudo), state.box, outer)],
+                claimed.shape)
+            win = state.current_conf > best[at]
+            flat[at[win]] = c
+            best[at[win]] = state.current_conf[win]
+        labels[outer] = claimed
+    return SupervisionTarget(LabelMap(labels, partial_gt.num_classes), frozenset(accepted))
 
 
 def predict_labels(scans: list[Scan], specialist: SpecialistOracle) -> dict[str, LabelMap]:
@@ -377,11 +443,12 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
     generalist answers on the ROI box, the only part refinement reads.
 
     The generalist is frozen, so it is asked only for an organ whose prompts
-    differ from those behind its stored pseudo-label; an organ whose prompts
-    repeat them is re-gated on that label (``refine_stored``).  The entropy
-    gate (active from ``entropy_gate_from_round``) decides whether the stored
-    pseudo-label is replaced, which is all a scan's target derives from.
-    Per-organ oracle failures skip that organ and never abort the round.
+    differ from those behind its stored pseudo-label and from those of its
+    last rejected answer; an organ whose prompts repeat either is re-gated on
+    what its state holds (``refine_stored``).  The entropy gate (active from
+    ``entropy_gate_from_round``) decides whether the stored pseudo-label is
+    replaced, which is all a scan's target derives from.  Per-organ oracle
+    failures skip that organ and never abort the round.
 
     A first pass plans every organ (no prediction, re-gate, or ask on its
     ROI box) and sends every request through one ``segment_all``; a second
@@ -390,7 +457,7 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
     """
     report = RoundReport(round_index=round_t)
     refine_config = config.refinement_config(round_t)
-    plan = []      # (scan, class_id, prompts or None, region or None to re-gate)
+    plan = []      # (scan, class_id, prompts or None, stored result or region to ask on)
     asks = []
     for scan in scans:
         for class_id in sorted(scan.supervision.unlabeled):
@@ -400,21 +467,21 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
             except NoPredictionError:
                 plan.append((scan, class_id, None, None))
                 continue
-            region = None
-            if prompts != scan.supervision.organ_states[class_id].prompts:
-                region = roi_box(prompts, config.delta_roi, scan.volume.dims)
-                asks.append((scan.volume, prompts, region))
-            plan.append((scan, class_id, prompts, region))
+            known = refine_stored(scan.supervision.organ_states[class_id], prompts,
+                                  refine_config)
+            if known is None:
+                known = roi_box(prompts, config.delta_roi, scan.volume.dims)
+                asks.append((scan.volume, prompts, known))
+            plan.append((scan, class_id, prompts, known))
     answers = generalist.segment_all(asks)
-    for scan, class_id, prompts, region in plan:
+    for scan, class_id, prompts, known in plan:
         sup = scan.supervision
         if prompts is None:
             report.entries.append(RoundEntry(scan.scan_id, class_id,
                                              "skip", "no-prediction", None, None))
             continue
-        state = sup.organ_states[class_id]
-        if region is None:
-            result = refine_stored(state, refine_config)
+        if isinstance(known, RefinementResult):
+            result = known
             report.regated += 1
         else:
             answer = next(answers)
@@ -425,22 +492,33 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                 continue
             mask, gprobs = answer
             candidate = np.zeros(scan.volume.dims, dtype=bool)
-            if np.shape(mask) != candidate[region].shape:
-                raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {region}")
-            candidate[region] = mask
-            result = refine_pseudo_label(candidate, gprobs, prompts, refine_config, state)
+            if np.shape(mask) != candidate[known].shape:
+                raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {known}")
+            candidate[known] = mask
+            result = refine_pseudo_label(candidate, gprobs, prompts, refine_config,
+                                         sup.organ_states[class_id])
         sup.organ_states[class_id] = result.state
         if result.accepted:
-            pdice = (dice(result.mask, class_mask(scan.gt, class_id))
-                     if scan.gt is not None else None)
             report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                             "accept", "accepted",
-                                             result.mean_entropy, pdice))
+                                             "accept", "accepted", result.mean_entropy,
+                                             _pseudo_dice(scan, class_id, result)))
         else:
             report.entries.append(RoundEntry(scan.scan_id, class_id,
                                              "reject", result.reason,
                                              result.mean_entropy, None))
     return report
+
+
+def _pseudo_dice(scan: Scan, class_id: int, result: RefinementResult) -> float | None:
+    """``dice`` of an accepted mask, never empty, with the ground truth if
+    the scan has it.  The overlap is counted on the mask's box and the
+    class's voxels on the grid: the integer counts, and so the value, are
+    the whole-grid ones."""
+    if scan.gt is None:
+        return None
+    overlap = np.count_nonzero(result.mask & (scan.gt.data[result.box] == class_id))
+    return 2.0 * overlap / (np.count_nonzero(result.mask)
+                            + np.count_nonzero(scan.gt.data == class_id))
 
 
 # --- stage 4: re-training ------------------------------------------------------
@@ -539,9 +617,9 @@ def _load_file_dataset(config: PipelineConfig):
                 raise ConfigError(f"{scan_id}: {name} dims {img.dims} differ from "
                                   f"the image's {vol.dims}")
         num_classes = max(man.num_classes, labels.num_classes)
-        labels = LabelMap(np.array(labels.data), num_classes)
+        labels = LabelMap(labels.data, num_classes)  # frozen arrays: shared, not copied
         if gt is not None:
-            gt = LabelMap(np.array(gt.data), num_classes)
+            gt = LabelMap(gt.data, num_classes)
         sup = ScanSupervision(scan_id, man.classes_with_status("labeled"),
                               SupervisionTarget(labels, man.classes_with_status("pseudo")))
         train.append(Scan(scan_id, vol, sup, gt=gt))
@@ -556,12 +634,12 @@ def _input_hash(train, test) -> str:
     h = hashlib.sha256()
     for scan in train:
         h.update(scan.scan_id.encode())
-        h.update(scan.volume.data.tobytes())
-        h.update(scan.supervision.given.labels.data.tobytes())
+        h.update(scan.volume.data)
+        h.update(scan.supervision.given_labels().data)
     for scan_id, vol, gt in test:
         h.update(scan_id.encode())
-        h.update(vol.data.tobytes())
-        h.update(gt.data.tobytes())
+        h.update(vol.data)
+        h.update(gt.data)
     return h.hexdigest()
 
 
@@ -609,7 +687,7 @@ def _run_stages(config: PipelineConfig, out: Path, train: list[Scan], test,
                      _fmt(e.mean_entropy), _fmt(e.pseudo_dice)] for e in report.entries))
         n_accept = len(report.accepted())
         log.info("round %d: %d/%d organ updates accepted, %d generalist requests, "
-                 "%d re-gated on their stored pseudo-label", round_t, n_accept,
+                 "%d re-gated on a stored answer", round_t, n_accept,
                  len(report.entries), report.requests(), report.regated)
         retrain(train, specialist, predictions if config.use_vls else None,
                 supervision=config.supervision)

@@ -5,18 +5,19 @@ constraint built from the organ's box-prompt pair, and (3) an entropy gate
 comparing the candidate's mean voxel entropy against the last accepted
 round's.  Filtering is contractive: the refined mask is always a subset of
 the candidate, and the two voxel filters commute.  Refinement returns the
-organ's next state and modifies nothing it is given.
+organ's next state and modifies nothing it is given; a stored
+pseudo-label is held on its tight box of the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptyMaskError, RejectedInputError
 from .prompting import BoxPromptPair
-from .volgrid import ProbVolume, voxel_entropy
+from .volgrid import Box, ProbVolume, crop_mask, voxel_entropy
 
 DEFAULT_TAU_CLS = 0.4
 DEFAULT_DELTA_ROI = 3
@@ -41,27 +42,41 @@ class RefinementConfig:
 
 @dataclass(frozen=True)
 class OrganRefinementState:
-    """Per-(scan, organ) refinement memory: the stored pseudo-label, the
-    generalist probability at its voxels (1-D, C order), the mean entropy
-    of the last accepted round, which the entropy gate compares against, and
-    the ``prompts`` whose generalist answer the pseudo-label was filtered
-    from (``None`` before the first accept and for a seeded pseudo-label).
-    States for different organs/scans are independent."""
+    """Per-(scan, organ) refinement memory.  States for different
+    organs/scans are independent.
+
+    - ``current_pseudo``: the stored pseudo-label cut to its tight ``box``
+      of the scan's grid (``volgrid.crop_mask``), so it costs the box, not
+      the grid; ``None`` before the first accept.
+    - ``current_conf``: the generalist probability at its voxels, 1-D in C
+      order, which on a sub-box is the whole grid's C order.
+    - ``mean_entropy``: that of the last accepted round, which the entropy
+      gate compares against.
+    - ``prompts``: those whose generalist answer the pseudo-label was filtered
+      from (``None`` before the first accept and for a seeded pseudo-label).
+    - ``rejected``: the (prompts, reason, mean entropy) of the last answer
+      refinement rejected, if no accept followed it.
+    """
 
     class_id: int
     current_pseudo: np.ndarray | None = None
+    box: Box | None = None
     current_conf: np.ndarray | None = None
     mean_entropy: float | None = None
     prompts: BoxPromptPair | None = None
+    rejected: tuple[BoxPromptPair, str, float | None] | None = None
 
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Outcome of one refinement attempt.  ``mask`` is the filtered candidate
-    and ``state`` the organ's state after the attempt: the accepted mask on
-    accept, the given state itself on reject."""
+    """Outcome of one refinement attempt.  ``mask`` is the filtered
+    candidate cut to its tight ``box`` (shape (0, 0, 0) when emptied, and
+    ``None`` when ``refine_stored`` replays a rejection), and ``state`` the
+    organ's state after the attempt: the accepted mask on accept, the given
+    state with the attempt as ``rejected`` on reject."""
 
-    mask: np.ndarray
+    mask: np.ndarray | None
+    box: Box | None
     accepted: bool
     reason: str
     mean_entropy: float | None
@@ -143,16 +158,17 @@ def entropy_gate(prev: float | None, candidate_mean_entropy: float,
 
 def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPromptPair,
                         config: RefinementConfig, state: OrganRefinementState) -> RefinementResult:
-    """Run all three constraints on a candidate pseudo-label.
+    """Run all three constraints on a whole-grid candidate pseudo-label.
 
     ``probs`` is the generalist's 2-class (background, organ) field on the
     candidate's grid or on exactly its ROI box ``roi_box(prompts,
     config.delta_roi, candidate.shape)``, the only part read; other dims or
-    class counts are a ``RejectedInputError``.  On accept the result's
-    state holds the kept mask, the organ probability at its voxels, the
-    mask's mean entropy and ``prompts``; on reject it is ``state`` itself.
-    Nothing given is modified.  A candidate emptied by the voxel filters is
-    a rejection, never an empty accepted pseudo-label.
+    class counts are a ``RejectedInputError``.  The kept voxels come back
+    cut to their tight box.  On accept the result's state holds that mask
+    and box, the organ probability at its voxels, the mask's mean entropy
+    and ``prompts``; on reject it is ``state`` with the attempt recorded as
+    ``rejected``.  Nothing given is modified.  A candidate emptied by the
+    voxel filters is a rejection, never an empty accepted pseudo-label.
     """
     if probs.num_classes != 2:
         raise RejectedInputError(
@@ -160,29 +176,43 @@ def refine_pseudo_label(candidate: np.ndarray, probs: ProbVolume, prompts: BoxPr
     box = roi_box(prompts, config.delta_roi, candidate.shape)
     if probs.dims == candidate.shape != candidate[box].shape:
         probs = probs.crop(box)
-    kept = np.zeros(candidate.shape, dtype=bool)
-    kept[box] = inside = apply_class_threshold(candidate[box], probs, 1, config.tau_cls)
-    if not inside.any():
-        return RefinementResult(kept, False, REJECT_EMPTIED, None, state)
+    inside = apply_class_threshold(candidate[box], probs, 1, config.tau_cls)
+    kept, kept_box = crop_mask(inside, [s.start for s in box])
+    kept.flags.writeable = False
+    if not kept.size:
+        return RefinementResult(kept, kept_box, False, REJECT_EMPTIED, None,
+                                replace(state, rejected=(prompts, REJECT_EMPTIED, None)))
     h = mean_mask_entropy(inside, voxel_entropy(probs))
     if not entropy_gate(state.mean_entropy, h, config.entropy_gate_active):
-        return RefinementResult(kept, False, REJECT_ENTROPY, h, state)
+        return RefinementResult(kept, kept_box, False, REJECT_ENTROPY, h,
+                                replace(state, rejected=(prompts, REJECT_ENTROPY, h)))
     conf = probs.class_probs(1)[inside]
-    kept.flags.writeable = conf.flags.writeable = False
-    return RefinementResult(kept, True, ACCEPTED, h,
-                            OrganRefinementState(state.class_id, kept, conf, h, prompts))
+    conf.flags.writeable = False
+    return RefinementResult(kept, kept_box, True, ACCEPTED, h,
+                            OrganRefinementState(state.class_id, kept, kept_box, conf, h, prompts))
 
 
-def refine_stored(state: OrganRefinementState, config: RefinementConfig) -> RefinementResult:
-    """What ``refine_pseudo_label`` returns for the answer to ``state.prompts``
-    without asking for it again.  A frozen generalist answers those prompts
-    and their ROI box as before, and ``tau_cls`` and ``delta_roi`` are those
-    of the accept, so the filters give back the stored mask and its mean
-    entropy, which the gate then compares with itself: an active gate
-    rejects, an inactive one accepts, and the state stays as it is."""
-    if state.prompts is None:
-        raise RejectedInputError(f"class {state.class_id}: no stored answer to re-gate")
-    h = state.mean_entropy
-    accepted = entropy_gate(h, h, config.entropy_gate_active)
-    return RefinementResult(state.current_pseudo, accepted,
-                            ACCEPTED if accepted else REJECT_ENTROPY, h, state)
+def refine_stored(state: OrganRefinementState, prompts: BoxPromptPair,
+                  config: RefinementConfig) -> RefinementResult | None:
+    """What ``refine_pseudo_label`` returns for the answer to ``prompts``
+    when ``state`` already holds it, else ``None``: the generalist must be
+    asked.  A frozen generalist answers equal prompts and their ROI box as
+    before, and ``tau_cls`` and ``delta_roi`` are fixed for a run, so:
+
+    - prompts equal to ``state.prompts`` give back the stored mask and its
+      mean entropy, which the gate then compares with itself: an active gate
+      rejects, an inactive one accepts, and the state stays as it is;
+    - prompts equal to those ``state.rejected`` holds are rejected again for
+      the same reason at the same entropy: no accept has moved the gate's
+      comparator since, and the gate only ever switches on.  Such a result
+      carries no mask.
+    """
+    if prompts == state.prompts:
+        h = state.mean_entropy
+        accepted = entropy_gate(h, h, config.entropy_gate_active)
+        return RefinementResult(state.current_pseudo, state.box, accepted,
+                                ACCEPTED if accepted else REJECT_ENTROPY, h, state)
+    if state.rejected is not None and prompts == state.rejected[0]:
+        _, reason, h = state.rejected
+        return RefinementResult(None, None, False, reason, h, state)
+    return None

@@ -30,6 +30,9 @@ if TYPE_CHECKING:
 PROB_SUM_TOL = 1e-5
 MAX_CLASSES = 256  # labels are stored as uint8
 
+Box = tuple[slice, slice, slice]  # (y, x, z) slices with explicit, in-grid bounds
+EMPTY_BOX: Box = (slice(0, 0),) * 3
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -79,8 +82,8 @@ class Volume:
 class ProbVolume:
     """Per-class probability field of shape (C, H, W, D).
 
-    Entries lie in [0, 1] and sum to 1 over the class axis at every voxel
-    (within PROB_SUM_TOL).
+    Entries lie in [0, 1] (so none is NaN) and sum to 1 over the class axis
+    at every voxel (within PROB_SUM_TOL).
     """
 
     data: np.ndarray
@@ -91,12 +94,15 @@ class ProbVolume:
             raise RejectedInputError("ProbVolume needs at least 2 classes")
         if self.data.shape[0] > MAX_CLASSES:
             raise RejectedInputError(f"ProbVolume supports at most {MAX_CLASSES} classes")
-        lo = float(self.data.min())
+        lo = float(self.data.min())  # nan if any entry is nan
         hi = float(self.data.max())
-        if lo < 0.0 or hi > 1.0:
-            raise RejectedInputError(f"probabilities outside [0, 1]: min={lo}, max={hi}")
-        sums = self.data.sum(axis=0, dtype=np.float64)
-        err = float(np.abs(sums - 1.0).max())
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise RejectedInputError(f"probabilities not all in [0, 1]: min={lo}, max={hi}")
+        sums = self.data[0].astype(np.float64)  # one float64 plane, summed in place
+        for plane in self.data[1:]:
+            sums += plane
+        sums -= 1.0
+        err = float(np.abs(sums, out=sums).max())
         if err > PROB_SUM_TOL:
             raise RejectedInputError(f"per-voxel probabilities sum to 1 off by {err}")
 
@@ -141,6 +147,34 @@ class LabelMap:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
+
+
+def crop_mask(mask: np.ndarray, origin=(0, 0, 0)) -> tuple[np.ndarray, Box]:
+    """A 3D bool ``mask`` cut to the tight box of its set voxels, as a new
+    array, and that box on a grid where ``mask[0, 0, 0]`` sits at ``origin``.
+    An empty mask gives shape (0, 0, 0) and ``EMPTY_BOX``."""
+    ys = np.flatnonzero(mask.any(axis=(1, 2)))
+    if not ys.size:
+        return np.zeros((0, 0, 0), dtype=bool), EMPTY_BOX
+    xz = mask[ys[0]:ys[-1] + 1].any(axis=0)  # the rest of the box, on its y-extent
+    tight = tuple(slice(int(n[0]), int(n[-1]) + 1)
+                  for n in (ys, np.flatnonzero(xz.any(axis=1)), np.flatnonzero(xz.any(axis=0))))
+    return mask[tight].copy(), tuple(slice(t.start + o, t.stop + o)
+                                      for t, o in zip(tight, origin))
+
+
+def paste_mask(mask: np.ndarray, box: Box, dims) -> np.ndarray:
+    """The bool grid of ``dims`` that is ``mask`` on ``box`` and False elsewhere."""
+    out = np.zeros(dims, dtype=bool)
+    out[box] = mask
+    return out
+
+
+def union_box(boxes) -> Box:
+    """The smallest box holding every box of ``boxes`` (at least one)."""
+    boxes = list(boxes)
+    return tuple(slice(min(b[i].start for b in boxes), max(b[i].stop for b in boxes))
+                 for i in range(3))
 
 
 def mask_to_labels(mask: np.ndarray) -> LabelMap:

@@ -23,7 +23,7 @@ from promptseg.refinement import (OrganRefinementState, RefinementConfig,
 from promptseg.vls_loss import (SupervisionTarget, masked_cross_entropy,
                                 masked_soft_dice, vls_mask)
 from promptseg.volgrid import (LabelMap, ProbVolume, Volume, argmax_labelmap,
-                               softmax_from_logits)
+                               paste_mask, softmax_from_logits)
 
 logging.disable(logging.INFO)
 
@@ -93,7 +93,7 @@ def test_criterion_1_refinement_contraction_and_exactness():
             RefinementConfig(tau_cls=tau, delta_roi=3, entropy_gate_active=False),
             OrganRefinementState(class_id=1))
         assert result.accepted
-        refined = result.mask
+        refined = paste_mask(result.mask, result.box, dims)
         assert not (refined & noise).any(), trial          # 100% of noise removed
         true_pass = organ & roi & (p_fg >= tau)
         assert (refined & true_pass).sum() == true_pass.sum(), trial  # 0% true loss

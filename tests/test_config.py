@@ -4,7 +4,9 @@ parser, the ``run`` flags and the value checks all follow its fields."""
 import re
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
 
 from promptseg.cli import main
@@ -89,6 +91,39 @@ def test_bad_value_fails_before_any_work(tmp_path, capsys, bad):
     assert main(["run", flag(name), format_value(value), "--out-dir", str(out)]) == 1
     assert f"error: {name}" in capsys.readouterr().err
     assert not out.exists()
+
+
+WRONG_TYPED = {int: [2.5, True, "3", None], float: [True, "0.5", None],
+               bool: ["no", 1, None], str: [3, b"x", None]}
+
+
+def wrong_typed_values(f):
+    """Values of the wrong type for field ``f``: a bool is no number, an
+    int field takes no float, and a tuple's members are checked too."""
+    hint = get_type_hints(PipelineConfig)[f.name]
+    kinds = [a for a in get_args(hint) or (hint,) if a is not type(None)]
+    if get_origin(hint) is tuple:
+        members = [v for v in WRONG_TYPED[kinds[0]] if v is not None]
+        return [(bad,) + f.default[1:] for bad in members] + [",".join(map(str, f.default)), None]
+    optional = type(None) in get_args(hint)
+    return [v for v in WRONG_TYPED[kinds[0]] if not (optional and v is None)]
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_NAMES))
+def test_every_field_refuses_a_wrong_type_before_any_work(tmp_path, name):
+    (f,) = [f for f in fields(PipelineConfig) if f.name == name]
+    out = tmp_path / "out"
+    for bad in wrong_typed_values(f):
+        kwargs = {"out_dir": str(out), name: bad}
+        with pytest.raises(ConfigError, match=f"^{name}: expected"):
+            PipelineConfig(**kwargs)
+        assert not out.exists()
+
+
+def test_numbers_of_another_width_pass_as_their_field_type():
+    config = PipelineConfig(keep_fraction=1, oracle_timeout=30, seed=np.int64(3),
+                            dims=[20, 20, 20], spacing=(1, np.float32(0.5), 2))
+    assert config.dims == (20, 20, 20) and config.spacing == (1.0, 0.5, 2.0)
 
 
 def test_run_help_lists_a_flag_per_field(capsys):

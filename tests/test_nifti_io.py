@@ -101,6 +101,20 @@ def test_truncated_payload_rejected(tmp_path):
         read_volume(path)
 
 
+@pytest.mark.parametrize("grid", [
+    Volume(np.ones((4, 3, 2), dtype=np.float32)),
+    LabelMap(np.ones((4, 3, 2), dtype=np.uint8), 2),
+    ProbVolume(np.full((2, 4, 3, 2), np.float32(0.5)))], ids=["volume", "labels", "probs"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_payload_one_byte_off_is_corrupt(tmp_path, grid, delta):
+    path = tmp_path / "off.nii"
+    write_volume(path, grid)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-1] if delta < 0 else blob + b"\x00")
+    with pytest.raises(CorruptFileError, match="payload is"):
+        read_volume(path)
+
+
 def test_big_endian_file_is_byte_swapped(tmp_path):
     # hand-build a big-endian file the reader must decode identically
     data = np.arange(24, dtype=">f4").reshape(2, 3, 4)  # file order [z, y, x]

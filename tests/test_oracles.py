@@ -24,7 +24,7 @@ from promptseg.refinement import (OrganRefinementState, RefinementConfig, refine
                                   roi_ranges)
 from promptseg.vls_loss import SupervisionTarget
 from promptseg.volgrid import (LabelMap, ProbVolume, Volume, argmax_labelmap,
-                               class_mask, mask_to_labels)
+                               class_mask, mask_to_labels, paste_mask)
 
 
 # --- phantom generation -------------------------------------------------------
@@ -287,7 +287,8 @@ def test_end_to_end_refined_pseudo_label_equals_gt():
                                          RefinementConfig(entropy_gate_active=False),
                                          OrganRefinementState(class_id=c))
             assert result.accepted
-            assert np.array_equal(result.mask, class_mask(gt, c))
+            assert np.array_equal(paste_mask(result.mask, result.box, gt.dims),
+                                  class_mask(gt, c))
 
 
 # --- phantom geometry: cropped work equals the full-grid reference ---------------
@@ -1059,6 +1060,13 @@ def test_file_oracle_predict_rejects_other_responses(tmp_path):
         predict_answered_with(tmp_path / "dims", LabelMap(np.ones((6, 5, 3), np.uint8), 2))
 
 
+def test_file_oracle_predict_rejects_nan_probabilities(tmp_path):
+    data = np.full((2, 6, 5, 4), 0.5, np.float32)
+    data[1, 5, 4, 3] = np.nan
+    with pytest.raises(OracleProtocolError, match=r"not all in \[0, 1\]"):
+        predict_answered_with(tmp_path, unchecked_probs(data))
+
+
 def test_response_label_out_of_range_rejected_before_any_segment(tmp_path):
     from promptseg.pipeline import PipelineConfig, run_pipeline
     dims = (6, 6, 6)
@@ -1190,6 +1198,8 @@ SEGMENT_DIMS = (6, 5, 4)
 SEGMENT_REGION = (slice(1, 5), slice(1, 4), slice(1, 3))   # the response's interior
 OUTSIDE_REGION = np.full(SEGMENT_DIMS, 0.5, np.float32)
 OUTSIDE_REGION[0, 0, 0] = 0.7                               # sums to 1.2 off the region
+NAN_OFF_REGION = np.full(SEGMENT_DIMS, 0.5, np.float32)
+NAN_OFF_REGION[0, 0, 0] = np.nan
 BAD_SEGMENT_RESPONSES = {
     "mask-not-labels": (Volume(np.zeros(SEGMENT_DIMS, np.float32)), None, "not a uint8 label"),
     "mask-dims": (np.zeros((6, 5, 3), bool), None, "segment response dims"),
@@ -1202,6 +1212,8 @@ BAD_SEGMENT_RESPONSES = {
     "probs-dims": (None, two_class_probs(np.zeros((6, 5, 3), bool)), "probability dims"),
     "probs-sum-off-region": (None, unchecked_probs(np.stack([OUTSIDE_REGION, OUTSIDE_REGION])),
                              "sum to 1"),
+    "probs-nan-off-region": (None, unchecked_probs(np.stack([NAN_OFF_REGION, NAN_OFF_REGION])),
+                             r"not all in \[0, 1\]"),
 }
 
 

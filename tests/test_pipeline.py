@@ -14,9 +14,16 @@ from promptseg.pipeline import (PipelineConfig, RoundEntry, Scan, ScanSupervisio
                                 run_pipeline,
                                 simulate_partial_labels)
 from promptseg.prompting import Box2D, BoxPromptPair
-from promptseg.refinement import RefinementConfig, refine_pseudo_label, roi_box
+from promptseg.refinement import (OrganRefinementState, RefinementConfig, refine_pseudo_label,
+                                  roi_box)
 from promptseg.vls_loss import SupervisionTarget
-from promptseg.volgrid import LabelMap, ProbVolume, Volume
+from promptseg.volgrid import LabelMap, ProbVolume, Volume, crop_mask, paste_mask
+
+
+def holding(class_id, mask, conf):
+    """An organ state holding the whole-grid ``mask`` with probabilities
+    ``conf`` at its voxels, in C order."""
+    return OrganRefinementState(class_id, *crop_mask(mask), np.asarray(conf, np.float32))
 
 logging.disable(logging.INFO)
 
@@ -339,7 +346,8 @@ def test_pseudo_overlap_resolved_by_generalist_probability():
     mask3[0, 0, 0] = True  # tries to steal a ground-truth voxel
     conf3 = np.where(mask3, np.float32(0.8), np.float32(0.0))
     conf3[3, 3, 3] = 0.7  # exact tie at one contested voxel
-    target = merged_target(partial, {2: (mask2, conf2[mask2]), 3: (mask3, conf3[mask3])})
+    target = merged_target(partial, {2: holding(2, mask2, conf2[mask2]),
+                                     3: holding(3, mask3, conf3[mask3])})
     out = target.labels.data
     assert out[0, 0, 0] == 1                       # ground truth untouched
     assert out[3, 3, 3] == 2                       # tie goes to the lower class
@@ -358,10 +366,10 @@ def voxels(*flags):
 
 def test_merged_target_shrinking_reaccept_returns_voxels_to_other_class():
     partial = LabelMap(np.zeros((1, 1, 4), dtype=np.uint8), 4)
-    two = (voxels(0, 1, 1, 1), np.full(3, 0.6, np.float32))
-    before = merged_target(partial, {2: two, 3: (voxels(1, 1, 1, 0), np.full(3, 0.9, np.float32))})
+    two = holding(2, voxels(0, 1, 1, 1), np.full(3, 0.6))
+    before = merged_target(partial, {2: two, 3: holding(3, voxels(1, 1, 1, 0), np.full(3, 0.9))})
     assert before.labels.data.ravel().tolist() == [3, 3, 3, 2]
-    after = merged_target(partial, {2: two, 3: (voxels(1, 0, 0, 0), np.full(1, 0.9, np.float32))})
+    after = merged_target(partial, {2: two, 3: holding(3, voxels(1, 0, 0, 0), np.full(1, 0.9))})
     assert after.labels.data.ravel().tolist() == [3, 2, 2, 2]
 
 
@@ -441,7 +449,7 @@ def accept(state, mask, field):
     fg = np.where(mask, field, np.float32(0.05)).astype(np.float32)
     result = refine_pseudo_label(mask, ProbVolume(np.stack([1.0 - fg, fg])), prompts,
                                  RefinementConfig(), state)
-    assert result.accepted and np.array_equal(result.mask, mask)
+    assert result.accepted and np.array_equal(paste_mask(result.mask, result.box, mask.shape), mask)
     return result.state
 
 
@@ -560,13 +568,17 @@ def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
     def recording(self, volume, prompts, region=None):
         scan = next(s for s in world["train"] if s.volume is volume)
         state = scan.supervision.organ_states[prompts.class_id]
-        assert prompts != state.prompts  # never a request the stored label answers
+        # never a request the stored label or the last rejected answer answers
+        assert prompts != state.prompts
+        assert state.rejected is None or prompts != state.rejected[0]
         calls.append((volume.dims, prompts, region))
         return segment(self, volume, prompts, region)
 
-    def recording_stored(state, config):
-        regated.append(state)
-        return stored(state, config)
+    def recording_stored(state, prompts, config):
+        result = stored(state, prompts, config)
+        if result is not None:
+            regated.append(state)
+        return result
 
     monkeypatch.setattr(PhantomGeneralist, "segment", recording)
     monkeypatch.setattr(pipeline, "refine_stored", recording_stored)
@@ -574,8 +586,9 @@ def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
                             out_dir=str(tmp_path / "desk"))
     result = run_pipeline(config)
     prompted = [e for r in result.round_reports for e in r.entries if e.reason != "no-prediction"]
-    # each prompted organ makes one call or repeats its stored pseudo-label's prompts
-    assert (len(calls), len(regated), len(prompted)) == (169, 151, 320)
+    # each prompted organ makes one call or repeats the prompts of its stored
+    # pseudo-label (151) or of its last rejected answer (6)
+    assert (len(calls), len(regated), len(prompted)) == (163, 157, 320)
     for dims, prompts, region in calls:
         assert region == roi_box(prompts, config.delta_roi, dims)
     assert any(region != tuple(slice(0, n) for n in dims) for dims, _, region in calls)
@@ -586,32 +599,41 @@ def test_regating_a_stored_pseudo_label_equals_asking_again(tmp_path, monkeypatc
                                                             seed, gate_from):
     """Every re-gated organ gets what asking the generalist again and
     refining its answer would give: decision, reason, entropy, pseudo Dice
-    and state content."""
+    and state content, whether it repeats the prompts of its stored
+    pseudo-label or of its last rejected answer."""
     from promptseg import pipeline
     world = capture_phantom_world(monkeypatch)
-    gated = []
+    gated, replayed = [], []
     stored = pipeline.refine_stored
 
-    def checked(state, config):
-        result = stored(state, config)
+    def checked(state, prompts, config):
+        result = stored(state, prompts, config)
+        if result is None:
+            return None
         scan = next(s for s in world["train"]
                     if s.supervision.organ_states.get(state.class_id) is state)
         dims = scan.volume.dims
-        region = roi_box(state.prompts, config.delta_roi, dims)
-        mask, probs = world["generalist"].segment(scan.volume, state.prompts, region)
+        region = roi_box(prompts, config.delta_roi, dims)
+        mask, probs = world["generalist"].segment(scan.volume, prompts, region)
         candidate = np.zeros(dims, dtype=bool)
         candidate[region] = mask
-        ref = refine_pseudo_label(candidate, probs, state.prompts, config, state)
+        ref = refine_pseudo_label(candidate, probs, prompts, config, state)
         assert (result.accepted, result.reason) == (ref.accepted, ref.reason)
-        assert result.mean_entropy == ref.mean_entropy == state.mean_entropy
-        assert result.mask.tobytes() == ref.mask.tobytes()
-        gt = scan.gt.data == state.class_id
-        assert dice(result.mask, gt) == dice(ref.mask, gt)
+        assert result.mean_entropy == ref.mean_entropy
+        if result.mask is None:  # a replayed rejection
+            replayed.append(result.reason)
+        else:
+            assert result.mean_entropy == state.mean_entropy
+            assert result.mask.tobytes() == ref.mask.tobytes() and result.box == ref.box
+            gt = scan.gt.data == state.class_id
+            assert (dice(paste_mask(result.mask, result.box, dims), gt)
+                    == dice(paste_mask(ref.mask, ref.box, dims), gt))
         for got, want in ((result.state, ref.state), (result.state, state)):
             assert got.class_id == want.class_id and got.prompts == want.prompts
-            assert got.current_pseudo.tobytes() == want.current_pseudo.tobytes()
-            assert got.current_conf.tobytes() == want.current_conf.tobytes()
-            assert got.mean_entropy == want.mean_entropy
+            if want.current_pseudo is not None:
+                assert got.current_pseudo.tobytes() == want.current_pseudo.tobytes()
+                assert got.current_conf.tobytes() == want.current_conf.tobytes()
+            assert got.box == want.box and got.mean_entropy == want.mean_entropy
         gated.append(config.entropy_gate_active)
         return result
 
@@ -619,6 +641,7 @@ def test_regating_a_stored_pseudo_label_equals_asking_again(tmp_path, monkeypatc
     run_pipeline(PipelineConfig(seed=seed, keep_fraction=0.33, entropy_gate_from_round=gate_from,
                                 out_dir=str(tmp_path / "desk")))
     assert len(gated) > 100
+    assert replayed or gate_from != 2  # gated from round 2, rejected answers are repeated
     # prompts first repeat in round 3, so gating from round 4 also re-gates ungated
     assert set(gated) == ({False, True} if gate_from == 4 else {True})
 
@@ -652,7 +675,7 @@ def test_round_log_line_counts_requests_and_regated_organs(tmp_path, monkeypatch
         assert report.requests() == sent and report.regated == prompted - sent
         expected.append(f"round {report.round_index}: {len(report.accepted())}/"
                         f"{len(report.entries)} organ updates accepted, {sent} generalist "
-                        f"requests, {prompted - sent} re-gated on their stored pseudo-label")
+                        f"requests, {prompted - sent} re-gated on a stored answer")
     assert lines == expected
     assert per_round[0][0] == per_round[0][1] > 0  # round 1 asks for every prompted organ
     assert any(sent < prompted for sent, prompted in per_round[1:])
@@ -937,7 +960,8 @@ def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
     sup = scan.supervision
     state = sup.organ_states[2]
     assert sup.pseudo == {2} and sup.target.pseudo_classes == {2}
-    assert np.array_equal(state.current_pseudo, labels == 2)
+    assert np.array_equal(paste_mask(state.current_pseudo, state.box, labels.shape), labels == 2)
+    assert state.current_pseudo.shape == (2, 2, 4)  # on its box
     assert np.array_equal(state.current_conf, np.zeros(int((labels == 2).sum()), np.float32))
     assert np.array_equal(sup.partial.data, np.where(labels == 2, 0, labels))
     assert np.array_equal(merged_target(sup.partial, sup.accepted()).labels.data, labels)

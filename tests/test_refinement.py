@@ -11,9 +11,29 @@ from promptseg.refinement import (ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY,
                                   apply_class_threshold, apply_roi, build_roi,
                                   entropy_gate, mean_mask_entropy,
                                   refine_pseudo_label, refine_stored, roi_box)
-from promptseg.volgrid import LabelMap, ProbVolume, softmax_from_logits, voxel_entropy
+from promptseg.volgrid import (LabelMap, ProbVolume, crop_mask, paste_mask, softmax_from_logits,
+                               voxel_entropy)
 
 DIMS = (32, 32, 32)
+
+
+def whole(res, dims=DIMS):
+    """A refinement result's kept mask on the whole grid."""
+    return paste_mask(res.mask, res.box, dims)
+
+
+def held(state, dims=DIMS):
+    """A state's stored pseudo-label on the whole grid."""
+    return paste_mask(state.current_pseudo, state.box, dims)
+
+
+def assert_kept_after_rejection(new, old, rejected):
+    """``new`` holds what ``old`` held, the very same objects, and the
+    rejected attempt."""
+    for f in dataclasses.fields(old):
+        if f.name != "rejected":
+            assert getattr(new, f.name) is getattr(old, f.name), f.name
+    assert new.rejected == rejected
 
 
 def two_class_probs(p_fg):
@@ -130,8 +150,10 @@ def test_refine_identity_when_filters_vacuous():
     res = refine_pseudo_label(mask, probs, prompts,
                               RefinementConfig(entropy_gate_active=False), state)
     assert res.accepted and res.reason == ACCEPTED
-    assert np.array_equal(res.mask, mask)
-    assert np.array_equal(res.state.current_pseudo, mask)
+    assert np.array_equal(whole(res), mask)
+    assert np.array_equal(held(res.state), mask)
+    cut, box = crop_mask(mask)  # held on its tight box
+    assert res.box == res.state.box == box and res.mask.tobytes() == cut.tobytes()
 
 
 def test_refine_removes_blob_outside_roi():
@@ -148,9 +170,10 @@ def test_refine_removes_blob_outside_roi():
     roi = build_roi(prompts, 1, DIMS)
     expected = candidate & roi & (p_fg >= 0.4)
     assert res.accepted
-    assert np.array_equal(res.mask, expected)
-    assert not (res.mask & blob).any()
-    assert (res.mask & core).sum() == (core & roi).sum()
+    kept = whole(res)
+    assert np.array_equal(kept, expected)
+    assert not (kept & blob).any()
+    assert (kept & core).sum() == (core & roi).sum()
 
 
 def test_refine_gated_rejection_keeps_stored_label():
@@ -165,7 +188,9 @@ def test_refine_gated_rejection_keeps_stored_label():
     second = refine_pseudo_label(mask, fuzzy, prompts,
                                  RefinementConfig(entropy_gate_active=True), first.state)
     assert not second.accepted and second.reason == REJECT_ENTROPY
-    assert second.state is first.state  # the stored label and its comparator stay
+    # the stored label and its comparator stay; the attempt is remembered
+    assert_kept_after_rejection(second.state, first.state,
+                                (prompts, REJECT_ENTROPY, second.mean_entropy))
     assert second.state.mean_entropy == first.mean_entropy
 
 
@@ -179,7 +204,7 @@ def test_refine_stores_probabilities_at_the_accepted_voxels():
     assert res.accepted
     stored = res.state
     assert stored.current_conf.shape == (int(mask.sum()),)
-    assert np.array_equal(stored.current_conf, p_fg[stored.current_pseudo])  # C order
+    assert np.array_equal(stored.current_conf, p_fg[held(stored)])  # C order
     assert not stored.current_conf.flags.writeable
     fuzzy = two_class_probs(np.where(mask, np.float32(0.6), np.float32(0.4)))
     again = refine_pseudo_label(mask, fuzzy, gt_prompts(mask),
@@ -194,8 +219,8 @@ def test_refine_emptied_candidate_is_reject():
     res = refine_pseudo_label(mask, low, gt_prompts(mask),
                               RefinementConfig(entropy_gate_active=False), state)
     assert not res.accepted and res.reason == REJECT_EMPTIED
-    assert res.mean_entropy is None
-    assert res.state is state
+    assert res.mean_entropy is None and res.mask.shape == (0, 0, 0)
+    assert_kept_after_rejection(res.state, state, (gt_prompts(mask), REJECT_EMPTIED, None))
     assert state.current_pseudo is None and state.mean_entropy is None
 
 
@@ -204,17 +229,18 @@ def test_refine_accept_returns_the_next_state_and_modifies_nothing_given():
     old_mask = sphere(DIMS, (15, 16, 16), 4)
     p_fg = np.where(mask, np.float32(0.9), np.float32(0.05))
     probs, prompts = two_class_probs(p_fg), gt_prompts(mask)
-    state = OrganRefinementState(2, old_mask, np.full(int(old_mask.sum()), np.float32(0.7)), 0.5)
+    state = OrganRefinementState(2, *crop_mask(old_mask),
+                                 np.full(int(old_mask.sum()), np.float32(0.7)), 0.5)
     before = dict(vars(state))
     inputs = (mask.copy(), probs.data.copy())
     res = refine_pseudo_label(mask, probs, prompts, RefinementConfig(), state)
     assert res.accepted
     assert all(getattr(state, name) is value for name, value in before.items())
-    assert np.array_equal(state.current_pseudo, old_mask)
+    assert np.array_equal(held(state), old_mask)
     assert np.array_equal(mask, inputs[0]) and np.array_equal(probs.data, inputs[1])
     new = res.state
     assert new is not state and new.class_id == 2
-    assert np.array_equal(new.current_pseudo, mask) and new.current_pseudo is res.mask
+    assert np.array_equal(held(new), mask) and new.current_pseudo is res.mask
     assert np.array_equal(new.current_conf, p_fg[mask]) and new.prompts == prompts
     assert new.mean_entropy == res.mean_entropy == mean_mask_entropy(mask, voxel_entropy(probs))
     assert not new.current_pseudo.flags.writeable and not new.current_conf.flags.writeable
@@ -234,18 +260,51 @@ def test_refine_stored_equals_refining_the_same_answer_again():
     for gate in (False, True):
         config = RefinementConfig(entropy_gate_active=gate)
         again = refine_pseudo_label(candidate, probs, prompts, config, first.state)
-        stored = refine_stored(first.state, config)
+        stored = refine_stored(first.state, prompts, config)
         assert ((stored.accepted, stored.reason, stored.mean_entropy)
                 == (again.accepted, again.reason, again.mean_entropy)
                 == (not gate, REJECT_ENTROPY if gate else ACCEPTED, first.mean_entropy))
-        assert stored.mask.tobytes() == again.mask.tobytes()
+        assert stored.mask.tobytes() == again.mask.tobytes() and stored.box == again.box
         got, want = stored.state, again.state
         assert got is first.state
         assert got.current_pseudo.tobytes() == want.current_pseudo.tobytes()
         assert got.current_conf.tobytes() == want.current_conf.tobytes()
         assert (got.mean_entropy, got.prompts) == (want.mean_entropy, want.prompts)
-    with pytest.raises(RejectedInputError, match="no stored answer"):
-        refine_stored(OrganRefinementState(class_id=1), RefinementConfig())
+    # nothing stored, or other prompts: the generalist must be asked
+    assert refine_stored(OrganRefinementState(class_id=1), prompts, RefinementConfig()) is None
+    other = gt_prompts(mask, padding=2)
+    assert other != prompts and refine_stored(first.state, other, RefinementConfig()) is None
+
+
+def test_refine_stored_replays_the_last_rejection():
+    """A rejected answer is rejected again, for the same reason at the same
+    entropy, until an accept replaces the state."""
+    mask = sphere(DIMS, (16, 16, 16), 5)
+    sharp = two_class_probs(np.where(mask, np.float32(0.99), np.float32(0.01)))
+    fuzzy = two_class_probs(np.where(mask, np.float32(0.6), np.float32(0.4)))
+    low = two_class_probs(np.where(mask, np.float32(0.2), np.float32(0.1)))
+    first_prompts, fuzzy_prompts, low_prompts = (gt_prompts(mask, padding=k) for k in (6, 4, 2))
+    gated = RefinementConfig(entropy_gate_active=True)
+    state = refine_pseudo_label(mask, sharp, first_prompts, gated,
+                                OrganRefinementState(class_id=1)).state
+    for probs, prompts, reason in ((fuzzy, fuzzy_prompts, REJECT_ENTROPY),
+                                   (low, low_prompts, REJECT_EMPTIED)):
+        asked = refine_pseudo_label(mask, probs, prompts, gated, state)
+        assert not asked.accepted and asked.reason == reason
+        replayed = refine_stored(asked.state, prompts, gated)
+        assert ((replayed.accepted, replayed.reason, replayed.mean_entropy)
+                == (asked.accepted, asked.reason, asked.mean_entropy))
+        assert replayed.state is asked.state and replayed.mask is None
+        # asking again gives the same outcome and the same state content
+        again = refine_pseudo_label(mask, probs, prompts, gated, asked.state)
+        assert_kept_after_rejection(again.state, asked.state, asked.state.rejected)
+        # the stored pseudo-label's own prompts still re-gate on it
+        assert refine_stored(asked.state, first_prompts, gated).mask is state.current_pseudo
+        state = asked.state
+    # only the last rejection is kept, and an accept drops it
+    assert refine_stored(state, fuzzy_prompts, gated) is None
+    accepted = refine_pseudo_label(mask, sharp, fuzzy_prompts, RefinementConfig(), state).state
+    assert accepted.rejected is None and refine_stored(accepted, low_prompts, gated) is None
 
 
 def test_refine_takes_two_class_probabilities_only():
@@ -282,24 +341,27 @@ def test_refine_reads_whole_grid_and_roi_box_probabilities_alike():
                                   entropy_gate_active=bool(rng.random() < 0.5))
         state = OrganRefinementState(1, mean_entropy=float(rng.uniform(0.4, 0.7)))
         box = roi_box(prompts, config.delta_roi, dims)
-        whole = refine_pseudo_label(candidate, probs, prompts, config, state)
-        cropped = refine_pseudo_label(candidate, ProbVolume(probs.data[(slice(None),) + box]),
-                                      prompts, config, state)
+        on_grid = refine_pseudo_label(candidate, probs, prompts, config, state)
+        on_box = refine_pseudo_label(candidate, ProbVolume(probs.data[(slice(None),) + box]),
+                                     prompts, config, state)
         # the full-grid filters and entropy, as refinement computed them before it cropped
         kept = apply_roi(apply_class_threshold(candidate, probs, 1, config.tau_cls),
                          build_roi(prompts, config.delta_roi, dims))
-        for res in (whole, cropped):
-            assert res.mask.shape == dims and res.mask.tobytes() == kept.tobytes()
-            assert res.reason == whole.reason and res.mean_entropy == whole.mean_entropy
+        cut, cut_box = crop_mask(kept)
+        for res in (on_grid, on_box):
+            assert res.mask.tobytes() == cut.tobytes() and res.box == cut_box
+            assert res.mask.shape == cut.shape
+            assert res.reason == on_grid.reason and res.mean_entropy == on_grid.mean_entropy
             if kept.any():
                 assert res.mean_entropy == mean_mask_entropy(kept, voxel_entropy(probs))
             if res.accepted:
-                assert res.state.current_pseudo.tobytes() == kept.tobytes()
+                assert held(res.state, dims).tobytes() == kept.tobytes()
                 assert res.state.current_conf.tobytes() == probs.class_probs(1)[kept].tobytes()
                 assert res.state.mean_entropy == res.mean_entropy
             else:
-                assert res.state is state
-        reasons.add(whole.reason)
+                assert_kept_after_rejection(res.state, state,
+                                            (prompts, res.reason, res.mean_entropy))
+        reasons.add(on_grid.reason)
     assert reasons == {ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY}
 
 
@@ -313,7 +375,7 @@ def test_refine_crops_whole_grid_probabilities_without_checking_them_again(monke
                         lambda self: checks.append(self) or real(self))
     res = refine_pseudo_label(mask, probs, prompts, RefinementConfig(delta_roi=3),
                               OrganRefinementState(class_id=1))
-    assert res.accepted and res.mask.tobytes() == mask.tobytes()
+    assert res.accepted and whole(res).tobytes() == mask.tobytes()
     assert not checks
 
 
@@ -342,7 +404,7 @@ def test_refinement_contraction_randomized():
                                   entropy_gate_active=False)
         res = refine_pseudo_label(candidate, probs, prompts, config,
                                   OrganRefinementState(class_id=1))
-        assert not (res.mask & ~candidate).any()  # refined subseteq candidate
+        assert not (whole(res) & ~candidate).any()  # refined subseteq candidate
         # the two voxel filters commute
         t_then_r = apply_roi(apply_class_threshold(candidate, probs, 1, 0.4),
                              build_roi(prompts, config.delta_roi, DIMS))
@@ -365,7 +427,7 @@ def test_refine_degenerate_config_is_identity():
                               entropy_gate_active=False)
     res = refine_pseudo_label(candidate, probs, prompts, config,
                               OrganRefinementState(class_id=1))
-    assert np.array_equal(res.mask, candidate)
+    assert np.array_equal(whole(res), candidate)
 
 
 def test_config_validation():

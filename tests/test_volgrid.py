@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from promptseg.errors import RejectedInputError
-from promptseg.volgrid import (LabelMap, ProbVolume, Volume, argmax_labelmap,
-                               class_mask, softmax_from_logits, voxel_entropy)
+from promptseg.volgrid import (EMPTY_BOX, PROB_SUM_TOL, LabelMap, ProbVolume, Volume,
+                               argmax_labelmap, class_mask, crop_mask, paste_mask,
+                               softmax_from_logits, union_box, voxel_entropy)
 
 
 def probs_1vox(*values):
@@ -107,6 +108,55 @@ def test_probvolume_invariants_enforced():
         ProbVolume(bad)
     with pytest.raises(RejectedInputError):
         ProbVolume(np.full((1, 1, 1, 1), np.float32(1.0)))  # C < 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probvolume_rejects_non_finite_entries(bad):
+    data = np.full((2, 4, 4, 4), 0.5, np.float32)
+    data[1, 2, 3, 1] = bad
+    with pytest.raises(RejectedInputError, match=r"not all in \[0, 1\]"):
+        ProbVolume(data.copy())  # a constructor takes and freezes its array
+    data[0, 0, 0, 0] = bad  # also where the first plane seeds the sum
+    with pytest.raises(RejectedInputError):
+        ProbVolume(data)
+
+
+def test_probvolume_sum_check_equals_the_whole_volume_float64_sum():
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        C = int(rng.integers(2, 17))
+        data = rng.dirichlet(np.ones(C), size=(3, 4, 5)).astype(np.float32)
+        data = np.ascontiguousarray(np.moveaxis(data, -1, 0))
+        data[rng.integers(C), rng.integers(3), rng.integers(4), rng.integers(5)] *= (
+            np.float32(rng.choice([1.0, 1.0 + 2e-5, 1.0 - 2e-5, 1.5])))
+        data = np.clip(data, 0.0, 1.0)
+        err = float(np.abs(data.sum(axis=0, dtype=np.float64) - 1.0).max())
+        if err > PROB_SUM_TOL:
+            with pytest.raises(RejectedInputError, match="sum to 1"):
+                ProbVolume(data)
+        else:
+            ProbVolume(data)
+
+
+def test_crop_and_paste_mask_round_trip_on_tight_boxes():
+    rng = np.random.default_rng(12)
+    dims = (7, 6, 5)
+    for _ in range(50):
+        mask = rng.random(dims) < rng.uniform(0.0, 0.1)
+        cut, box = crop_mask(mask, origin=(2, 0, 3))
+        if not mask.any():
+            assert cut.shape == (0, 0, 0) and box == EMPTY_BOX
+            continue
+        nz = np.argwhere(mask)
+        lo, hi = nz.min(axis=0), nz.max(axis=0) + 1
+        assert box == tuple(slice(int(a) + o, int(b) + o) for a, b, o in zip(lo, hi, (2, 0, 3)))
+        assert cut.tobytes() == mask[tuple(slice(a, b) for a, b in zip(lo, hi))].tobytes()
+        assert not np.shares_memory(cut, mask)
+        grid = paste_mask(cut, crop_mask(mask)[1], dims)
+        assert grid.dtype == bool and np.array_equal(grid, mask)
+    a, b = (slice(1, 3), slice(0, 2), slice(4, 5)), (slice(2, 6), slice(1, 2), slice(0, 1))
+    outer = union_box([a, b])
+    assert outer == (slice(1, 6), slice(0, 2), slice(0, 5))
 
 
 def test_labelmap_and_volume_validation():
