@@ -28,6 +28,7 @@ the generalist), never from mutable RNG state.
 from __future__ import annotations
 
 import abc
+import functools
 import hashlib
 import math
 import operator
@@ -40,7 +41,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial.transform import Rotation
 
 from . import nifti_io
 from .errors import (ConfigError, CorruptFileError, NiftiError,
@@ -104,7 +104,10 @@ class SpecialistOracle(abc.ABC):
         return [self.predict(v) for v in volumes]
 
     @abc.abstractmethod
-    def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None: ...
+    def fit(self, examples: Iterable[TrainingExample], supervision: str = "full") -> None:
+        """Train on ``examples``, any iterable, consumed once: the pipeline
+        passes a generator that builds each scan's target and mask only as
+        it is taken, so a fit need not hold the whole set at once."""
 
 
 class GeneralistOracle(abc.ABC):
@@ -132,7 +135,8 @@ class GeneralistOracle(abc.ABC):
 @dataclass(frozen=True)
 class Ellipsoid:
     """Axis lengths are semi-axes in voxels along (y, x, z) before rotation;
-    angles are intrinsic z-y-x Euler angles in radians."""
+    the rotation turns by ``angles[i]`` radians about the fixed array axis
+    ``2 - i``, in that order (scipy's extrinsic ``from_euler("zyx", angles)``)."""
 
     center: tuple[float, float, float]
     radii: tuple[float, float, float]
@@ -169,6 +173,28 @@ class PhantomSpec:
         return len(self.organs) + 1
 
 
+def _rotation_matrix(angles: tuple[float, float, float]) -> np.ndarray:
+    """``Rotation.from_euler("zyx", angles).as_matrix()``, bit for bit: scipy's
+    extrinsic composition of the three elementary quaternions, then its
+    quaternion-to-matrix formulas, in the same operation order."""
+    q = None
+    for axis, angle in zip((2, 1, 0), angles):
+        p = [0.0, 0.0, 0.0, math.cos(angle / 2)]
+        p[axis] = math.sin(angle / 2)
+        if q is None:
+            q = p
+            continue
+        cross = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+        q = [p[3] * q[i] + q[3] * p[i] + cross[i] for i in range(3)] + [
+            p[3] * q[3] - p[0] * q[0] - p[1] * q[1] - p[2] * q[2]]
+    x, y, z, w = q
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
+
+
 def _ellipsoid_on_box(dims: tuple[int, int, int],
                       ell: Ellipsoid) -> tuple[tuple[slice, ...], np.ndarray]:
     """The box ``center +- max(radii)``, padded by one voxel and clipped to the
@@ -183,7 +209,7 @@ def _ellipsoid_on_box(dims: tuple[int, int, int],
         return (slice(0, 0),) * 3, np.zeros((0, 0, 0), dtype=bool)
     coords = np.indices(hi - lo, dtype=np.float64) + lo.reshape(3, 1, 1, 1)  # axes (y, x, z)
     offs = coords - center.reshape(3, 1, 1, 1)
-    rot = Rotation.from_euler("zyx", ell.angles).as_matrix()
+    rot = _rotation_matrix(ell.angles)
     local = np.einsum("ji,j...->i...", rot, offs)            # R^T (p - c)
     radii = np.asarray(ell.radii, dtype=np.float64).reshape(3, 1, 1, 1)
     box = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
@@ -274,7 +300,7 @@ def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int]
 def volume_fingerprint(volume: Volume) -> str:
     h = hashlib.sha256()
     h.update(np.asarray(volume.dims, dtype=np.int64).tobytes())
-    h.update(volume.data.tobytes())
+    h.update(volume.data)          # Volume data is C-contiguous
     return h.hexdigest()[:16]
 
 
@@ -291,16 +317,54 @@ def _within(inner: Region, outer: Region) -> Region | None:
     return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=8)
+def _signed_roots(dims: tuple[int, int, int]) -> np.ndarray:
+    """The float32 table that decodes a signed distance code on a grid of
+    ``dims``: entry ``k`` is ``sqrt(k)`` and entry ``-k`` (counted from the
+    end) is ``-sqrt(k)``, for every ``k`` up to the grid's largest squared
+    distance ``sum((n - 1) ** 2)``.  ``sqrt`` is taken in float64 and rounded
+    once, as scipy's EDT and then a float32 cast would."""
+    roots = np.sqrt(np.arange(sum((n - 1) ** 2 for n in dims) + 1.0)).astype(np.float32)
+    return _read_only(np.concatenate([roots, -roots[:0:-1]]))
+
+
+def _squared_edt(image: np.ndarray) -> np.ndarray:
+    """Each voxel's integer squared distance to its nearest zero voxel, int32,
+    from scipy's exact feature transform: its EDT squares these very offsets,
+    sums them in float64 and takes the root."""
+    ft = ndimage.distance_transform_edt(image, return_distances=False, return_indices=True)
+    for axis, nearest in enumerate(ft):
+        nearest -= np.arange(nearest.shape[axis], dtype=ft.dtype).reshape(
+            [-1 if a == axis else 1 for a in range(3)])
+        nearest *= nearest
+    return ft.sum(axis=0, dtype=np.int32)
+
+
 @dataclass
 class _PhantomScan:
     gt: LabelMap
+    # class -> (region, field): signed int16/int32 distance codes, or the decoded
+    # float32 field once the whole grid has been asked for
     sdist: dict[int, tuple[Region, np.ndarray]] = field(default_factory=dict)
-    objects: list | None = None    # ndimage.find_objects(gt), taken on first use
 
     @cached_property
     def counts(self) -> np.ndarray:
         """Voxels per class of the ground truth."""
         return np.bincount(self.gt.data.ravel(), minlength=self.gt.num_classes)
+
+    @cached_property
+    def corners(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
+        """Per class from 1, the read-only inclusive int64 corners ``(lo, hi)``
+        of its voxels (``None`` if it has none), from one ``find_objects`` pass."""
+        return [None if box is None else
+                (_read_only(np.array([s.start for s in box], dtype=np.int64)),
+                 _read_only(np.array([s.stop - 1 for s in box], dtype=np.int64)))
+                for box in ndimage.find_objects(self.gt.data)]
 
 
 class PhantomRegistry:
@@ -319,6 +383,14 @@ class PhantomRegistry:
       an organ voxel's nearest background voxel into that box moves it no
       farther, and lands it on the box's face, which is background or the
       grid border.
+
+    Every such distance is ``sqrt(k)`` for an integer squared distance ``k``,
+    so the field is kept as signed codes ``+k`` inside and ``-k`` outside:
+    int16, 2 bytes a voxel, unless the region's own ``sum((extent - 1) ** 2)``
+    (the largest ``k`` a voxel and its nearest feature, both inside the
+    region, can have) exceeds int16, then int32.  A read gathers the float32
+    values from a per-grid table of ``+-sqrt(k)``.  A whole-grid request
+    keeps the float32 field instead, so later requests are views of it.
 
     It also remembers each registered volume's read-only data array: a
     lookup that passes that very array, still read-only, takes its
@@ -349,38 +421,53 @@ class PhantomRegistry:
     def signed_distance(self, fp: str, class_id: int,
                         region: Region | None = None) -> np.ndarray:
         """The class's signed distance on ``region`` (in-grid slices with
-        integer bounds; default: the whole grid), read-only.  A region inside
-        the cached one is a view of the cached field, and the whole grid, once
-        computed, is that very array; any other region is computed afresh and
+        integer bounds; default: the whole grid), float32 and read-only.  A
+        region inside the cached one is decoded from its codes; once the whole
+        grid has been asked for, it is that very array each time and every
+        region is a view of it.  Any other region is computed afresh and
         replaces the cache."""
         scan = self._scans[fp]
-        want = region or tuple(slice(0, n) for n in scan.gt.dims)
-        cached = scan.sdist.get(class_id)
-        if cached is None or _within(want, cached[0]) is None:
-            lo, hi = self.organ_bbox(fp, class_id)
-            grown = _grow(lo, hi, 1, scan.gt.dims)
-            at = tuple(slice(min(w.start, g.start), max(w.stop, g.stop))
-                       for w, g in zip(want, grown))
-            mask = scan.gt.data[at] == class_id
-            sd = -ndimage.distance_transform_edt(~mask)
-            inner = _within(grown, at)
-            sd[inner] += ndimage.distance_transform_edt(mask[inner])
-            sd = sd.astype(np.float32)
-            sd.flags.writeable = False
-            cached = scan.sdist[class_id] = (at, sd)
-        at, sd = cached
-        return sd if at == want else sd[_within(want, at)]
+        whole = tuple(slice(0, n) for n in scan.gt.dims)
+        want = region or whole
+        at, sd = scan.sdist.get(class_id, (None, None))
+        if want == whole and (sd is None or sd.dtype != np.float32):
+            at, sd = scan.sdist[class_id] = self._field(fp, class_id, whole, squared=False)
+        elif at is None or _within(want, at) is None:
+            at, sd = scan.sdist[class_id] = self._field(fp, class_id, want, squared=True)
+        part = sd if at == want else sd[_within(want, at)]
+        return part if part.dtype == np.float32 else _read_only(
+            _signed_roots(scan.gt.dims)[part])
+
+    def _field(self, fp: str, class_id: int, want: Region,
+               squared: bool) -> tuple[Region, np.ndarray]:
+        """The signed field on ``want`` widened to hold the organ's box grown
+        by one voxel, and that region: int16/int32 codes if ``squared``, else
+        float32 distances from scipy's EDT, the same values.  The whole grid
+        is not decoded from codes: the EDT's larger temporaries raise glibc's
+        dynamic heap trim threshold, and below it a process that serves
+        whole-grid answers returns and re-faults their pages on every answer."""
+        scan = self._scans[fp]
+        grown = _grow(*self.organ_bbox(fp, class_id), 1, scan.gt.dims)
+        at = tuple(slice(min(w.start, g.start), max(w.stop, g.stop)) for w, g in zip(want, grown))
+        mask = scan.gt.data[at] == class_id
+        edt = _squared_edt if squared else ndimage.distance_transform_edt
+        sd = -edt(~mask)
+        inner = _within(grown, at)
+        sd[inner] += edt(mask[inner])      # edt(mask) is 0 off the mask, edt(~mask) on it
+        if not squared:
+            dtype = np.float32
+        elif sum((s.stop - s.start - 1) ** 2 for s in at) <= np.iinfo(np.int16).max:
+            dtype = np.int16
+        else:
+            dtype = np.int32
+        return at, _read_only(sd.astype(dtype))
 
     def organ_bbox(self, fp: str, class_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Inclusive int64 corners ``(lo, hi)`` of the class's voxels."""
-        scan = self._scans[fp]
-        if scan.objects is None:
-            scan.objects = ndimage.find_objects(scan.gt.data)
-        if not 1 <= class_id <= len(scan.objects) or scan.objects[class_id - 1] is None:
+        """Read-only inclusive int64 corners ``(lo, hi)`` of the class's voxels."""
+        corners = self._scans[fp].corners
+        if not 1 <= class_id <= len(corners) or corners[class_id - 1] is None:
             raise RejectedInputError(f"phantom class {class_id} is empty or not an organ")
-        box = scan.objects[class_id - 1]
-        return (np.array([s.start for s in box], dtype=np.int64),
-                np.array([s.stop - 1 for s in box], dtype=np.int64))
+        return corners[class_id - 1]
 
 
 def _rng_for(*key_parts) -> np.random.Generator:
@@ -424,7 +511,8 @@ class PhantomSpecialist(SpecialistOracle):
     aggregated over the fit set, counting only voxels with a nonzero
     ``weight_mask``; the counts come from one joint ``np.bincount`` of the
     used voxels' (ground truth, target) pairs per example, plus, when a mask
-    is given, the scan's ground truth count, taken once per scan.  Each fit
+    is given, the scan's ground truth count, taken once per scan.  Examples
+    are counted as they are taken, and an empty fit set is rejected.  Each fit
     sets q to target_q, which models training to convergence, so quality is
     proportional to the labeled voxel coverage and repeated fits on identical
     data are idempotent.
@@ -478,20 +566,20 @@ class PhantomSpecialist(SpecialistOracle):
             sub[(sub == 0) & corrupted] = c
         return LabelMap(labels, C)
 
-    def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
+    def fit(self, examples: Iterable[TrainingExample], supervision: str = "full") -> None:
         if supervision not in ("full", "partial"):
             raise RejectedInputError(f"unknown supervision mode {supervision!r}")
-        if not examples:
-            raise RejectedInputError("fit requires at least one example")
         support: dict[int, float] = {}
         contra: dict[int, float] = {}
         gt_total: dict[int, float] = {}
-        for ex in examples:
+        seen = 0
+        for seen, ex in enumerate(examples, start=1):
             _, scan = self.registry.lookup(ex.volume)
             C = scan.gt.num_classes
             K = max(C, ex.target.labels.num_classes)        # every label is below K
-            gt = scan.gt.data.ravel()
-            code = gt.astype(np.uint16) * K + ex.target.labels.data.ravel()
+            code = scan.gt.data.astype(np.uint16).ravel()
+            code *= K
+            code += ex.target.labels.data.ravel()
             if ex.weight_mask is not None:
                 code = code[ex.weight_mask.ravel() != 0]
             joint = np.bincount(code, minlength=K * K).reshape(K, K)  # |gt=r & y=s & w|
@@ -507,6 +595,9 @@ class PhantomSpecialist(SpecialistOracle):
                     continue
                 support[c] = support.get(c, 0.0) + float(both[c])
                 contra[c] = contra.get(c, 0.0) + float(gt_w[c] + y_w[c] - 2 * both[c])
+            del ex, code        # before the next example is built
+        if not seen:
+            raise RejectedInputError("fit requires at least one example")
         for c, total in gt_total.items():
             if total == 0.0 or (c not in support and c not in contra):
                 continue
@@ -728,7 +819,10 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         sent = [(v, p, r, self._send(v, p)) for v, p, r in checked]
         return _each_answer(lambda v, p, r, uid: self.segment(v, p, r, sent=uid), sent)
 
-    def fit(self, examples: Sequence[TrainingExample], supervision: str = "full") -> None:
+    def fit(self, examples: Iterable[TrainingExample], supervision: str = "full") -> None:
+        """Each example is written as it is taken.  If taking one raises, the
+        error propagates and leaves ``fit_<uid>/`` without a ``.req``, so no
+        trainer starts on it."""
         uid = uuid.uuid4().hex
         deadline = time.monotonic() + self.timeout
         fit_dir = self.root / f"fit_{uid}"

@@ -18,7 +18,7 @@ import numbers
 import zlib
 from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy import ndimage
@@ -340,21 +340,19 @@ def simulate_partial_labels(gt: LabelMap, num_classes: int, keep_fraction: float
 # --- stage 2: initial training ------------------------------------------------
 
 def _training_examples(scans: list[Scan],
-                       predictions: dict[str, LabelMap] | None) -> list[TrainingExample]:
-    examples = []
+                       predictions: dict[str, LabelMap] | None) -> Iterator[TrainingExample]:
+    """Each scan's example, its merged target and VLS mask built only as it
+    is taken, so a fit holds one scan's at a time, not the set's."""
     for scan in scans:
         target = scan.supervision.target
-        mask = None
-        if predictions is not None:
-            mask = (vls_mask(predictions[scan.scan_id], target) if target.pseudo_classes
-                    else np.ones(target.labels.dims, dtype=bool))  # no pseudo voxel to drop
-        examples.append(TrainingExample(
+        yield TrainingExample(
             volume=scan.volume,
             target=target,
             labeled_classes=scan.supervision.labeled,
-            weight_mask=mask,
-        ))
-    return examples
+            weight_mask=(None if predictions is None
+                         else vls_mask(predictions[scan.scan_id], target) if target.pseudo_classes
+                         else np.ones(target.labels.dims, dtype=bool)),  # no pseudo voxel to drop
+        )
 
 
 def initial_training(scans: list[Scan], specialist: SpecialistOracle,

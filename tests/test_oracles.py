@@ -14,7 +14,7 @@ from promptseg.metrics import dice
 from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, GeneralistOracle,
                                PhantomGeneralist, PhantomRegistry, SpecialistOracle,
                                PhantomSpecialist, PhantomSpec, TrainingExample,
-                               _distance_from, _rng_for,
+                               _distance_from, _rng_for, _rotation_matrix,
                                ellipsoid_mask, generate_phantom,
                                make_phantom_suite, random_phantom_spec,
                                volume_fingerprint)
@@ -79,6 +79,16 @@ def test_rotated_ellipsoid_matches_brute_force_formula():
         local = rot.T @ p
         inside = ((local / np.asarray(ell.radii)) ** 2).sum() <= 1.0
         assert mask[idx] == inside
+
+
+def test_rotation_port_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(21)
+    angles = np.concatenate([rng.uniform(0.0, np.pi, size=(5000, 3)),      # the suite's range
+                             rng.uniform(-7.0, 7.0, size=(5000, 3)),
+                             [[0.0, 0.0, 0.0], [np.pi, -np.pi, np.pi / 2]]])
+    for a in angles.tolist():
+        want = Rotation.from_euler("zyx", a).as_matrix()
+        assert _rotation_matrix(tuple(a)).tobytes() == want.tobytes(), a
 
 
 def test_suite_determinism_and_nonempty_organs():
@@ -587,6 +597,63 @@ def test_signed_distance_on_a_region_is_the_full_grid_field_there():
             assert registry.signed_distance(fp, c) is whole
 
 
+def cached_field(registry, fp, c):
+    return registry._scans[fp].sdist[c]
+
+
+def test_signed_distance_regions_are_held_as_2_byte_codes():
+    suite, registry = registered_suite(n=2, organs=6, dims=(32, 32, 32), seed=5)
+    for _, vol, gt in suite:
+        fp = volume_fingerprint(vol)
+        for c in range(1, gt.num_classes):
+            lo, hi = registry.organ_bbox(fp, c)
+            region = tuple(slice(max(int(a) - 3, 0), min(int(b) + 4, n))
+                           for a, b, n in zip(lo, hi, gt.dims))
+            got = registry.signed_distance(fp, c, region)
+            at, codes = cached_field(registry, fp, c)
+            assert codes.dtype == np.int16 and not codes.flags.writeable
+            assert got.dtype == np.float32 and not got.flags.writeable
+            want = full_grid_signed_distance(gt, c)
+            assert got.tobytes() == np.ascontiguousarray(want[region]).tobytes()
+            assert np.array_equal(np.sign(codes), np.sign(want[at]))
+
+
+def test_signed_distance_codes_take_4_bytes_only_past_int16():
+    dims = (130, 130, 8)                       # sum((n - 1) ** 2) = 33331 > 32767
+    data = np.zeros(dims, dtype=np.uint8)
+    data[0, 0, 0] = 1                          # the far corner is 33331 away, squared
+    data[60:70, 50:64, 2:6] = 2
+    gt = LabelMap(data, 3)
+    registry = PhantomRegistry()
+    fp = registry.register(Volume(np.zeros(dims, dtype=np.float32)), gt)
+    for region, dtype in (((slice(0, 130), slice(0, 130), slice(0, 7)), np.int32),  # 33318
+                          ((slice(0, 130), slice(0, 120), slice(0, 8)), np.int16),  # 30851
+                          ((slice(0, 130), slice(1, 130), slice(0, 8)), np.int32)):
+        for c in (1, 2):
+            got = registry.signed_distance(fp, c, region)
+            assert cached_field(registry, fp, c)[1].dtype == dtype
+            want = full_grid_signed_distance(gt, c)[region]
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (region, c)
+    assert registry.signed_distance(fp, 1)[129, 129, 7] == -np.float32(np.sqrt(33331.0))
+
+
+def test_regions_of_a_whole_grid_field_are_views_of_it():
+    suite, registry = registered_suite(n=1, organs=4, dims=(30, 26, 20), seed=4)
+    _, vol, gt = suite[0]
+    fp = volume_fingerprint(vol)
+    for c in range(1, gt.num_classes):
+        lo, hi = registry.organ_bbox(fp, c)
+        box = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        coded = registry.signed_distance(fp, c, box)        # codes on a region first
+        whole = registry.signed_distance(fp, c)
+        assert cached_field(registry, fp, c) == (tuple(slice(0, n) for n in gt.dims), whole)
+        assert whole.dtype == np.float32 and not whole.flags.writeable
+        assert registry.signed_distance(fp, c) is whole
+        part = registry.signed_distance(fp, c, box)
+        assert part.base is whole and not part.flags.writeable
+        assert part.tobytes() == coded.tobytes()
+
+
 def test_organ_bbox_equals_argwhere_and_rejects_non_organs():
     rng = np.random.default_rng(10)
     for gt in list(border_label_maps()) + [make_phantom_suite(1, 5, (24, 20, 16), 4)[0][2]]:
@@ -596,6 +663,8 @@ def test_organ_bbox_equals_argwhere_and_rejects_non_organs():
             coords = np.argwhere(gt.data == c)
             lo, hi = registry.organ_bbox(fp, c)
             assert lo.dtype == hi.dtype == np.int64
+            assert not lo.flags.writeable and not hi.flags.writeable
+            assert registry.organ_bbox(fp, c)[0] is lo       # built once per scan
             assert np.array_equal(lo, coords.min(axis=0))
             assert np.array_equal(hi, coords.max(axis=0))
         for c in (0, -1, gt.num_classes, gt.num_classes + 3):
@@ -938,6 +1007,26 @@ def test_specialist_fit_reads_any_nonzero_weight_as_use():
     assert qualities[0] == qualities[1] == qualities[2]
 
 
+def test_specialist_fit_takes_any_iterable_once():
+    suite, registry = registered_suite(n=3, organs=5, dims=(24, 20, 16), seed=6)
+    examples = noisy_examples(suite, np.random.default_rng(14), masks=True)
+    qualities = []
+    for as_iterable in (list, tuple, iter, lambda xs: (ex for ex in xs)):
+        spec = PhantomSpecialist(registry)
+        spec.fit(as_iterable(examples), supervision="partial")
+        qualities.append(spec._quality)
+    assert qualities[0] and all(q == qualities[0] for q in qualities)
+
+
+@pytest.mark.parametrize("empty", [[], (), iter([]), (ex for ex in [])])
+def test_specialist_fit_rejects_an_empty_iterable(empty):
+    _, registry = registered_suite(n=1, organs=2, dims=(12, 12, 12))
+    spec = PhantomSpecialist(registry, quality=0.5)
+    with pytest.raises(RejectedInputError):
+        spec.fit(empty)
+    assert spec.quality(1) == 0.5
+
+
 # --- file oracle ------------------------------------------------------------------
 
 class StubResponder(threading.Thread):
@@ -1014,6 +1103,48 @@ def test_file_oracle_round_trip(tmp_path):
     finally:
         responder.stop.set()
         responder.join()
+
+
+def fit_set_files(root):
+    """Each fit directory's file names and bytes."""
+    return [{f.name: f.read_bytes() for f in d.iterdir()} for d in root.glob("fit_*") if d.is_dir()]
+
+
+def test_file_oracle_fit_writes_the_same_files_from_a_generator(tmp_path):
+    suite, _ = registered_suite(n=3, organs=3, dims=(12, 10, 8), seed=2)
+    examples = noisy_examples(suite, np.random.default_rng(5), masks=True)
+    examples[1] = TrainingExample(examples[1].volume, examples[1].target,
+                                  examples[1].labeled_classes)       # one without a mask
+    written = []
+    for k, as_iterable in enumerate((list, lambda xs: (ex for ex in xs))):
+        root = tmp_path / str(k)
+        responder = StubResponder(root, np.zeros((2, 2, 2), dtype=bool), None)
+        root.mkdir()
+        responder.start()
+        try:
+            FileOracle(root, timeout=10.0).fit(as_iterable(examples), supervision="partial")
+        finally:
+            responder.stop.set()
+            responder.join()
+        assert responder.fits_seen == 1
+        written.append(fit_set_files(root))
+    assert len(written[0]) == 1 and len(written[0][0]) == 11
+    assert written[0] == written[1]
+
+
+def test_file_oracle_fit_leaves_no_request_when_an_example_fails(tmp_path):
+    suite, _ = registered_suite(n=2, organs=2, dims=(10, 10, 10))
+    example = TrainingExample(suite[0][1], SupervisionTarget(suite[0][2]), frozenset({1}))
+
+    def failing():
+        yield example
+        raise ConfigError("the second example cannot be built")
+
+    with pytest.raises(ConfigError):
+        FileOracle(tmp_path, timeout=0.1).fit(failing())
+    (fit_dir,) = tmp_path.glob("fit_*")
+    assert fit_dir.is_dir() and (fit_dir / "scan_0000.manifest").exists()
+    assert not list(tmp_path.glob("fit_*.req"))
 
 
 def predict_answered_with(root, response, dims=(6, 5, 4)):

@@ -594,6 +594,15 @@ def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
     assert any(region != tuple(slice(0, n) for n in dims) for dims, _, region in calls)
 
 
+def test_a_desk_run_caches_signed_distances_at_2_bytes_a_voxel(tmp_path, monkeypatch):
+    world = capture_phantom_world(monkeypatch)
+    run_pipeline(PipelineConfig(seed=13, keep_fraction=0.33, out_dir=str(tmp_path / "desk")))
+    cached = [field for scan in world["generalist"].registry._scans.values()
+              for _, field in scan.sdist.values()]
+    assert len(cached) > 100
+    assert all(field.dtype == np.int16 for field in cached)
+
+
 @pytest.mark.parametrize("seed,gate_from", [(7, 2), (13, 2), (7, 4)])
 def test_regating_a_stored_pseudo_label_equals_asking_again(tmp_path, monkeypatch,
                                                             seed, gate_from):
