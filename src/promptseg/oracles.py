@@ -4,21 +4,8 @@ Two oracle surfaces exist: a *specialist* (trainable; ``predict`` -> labels,
 ``fit``) and a *generalist* (frozen, promptable; ``segment``).  The phantom
 implementations below run the whole pipeline at desk scale against synthetic
 ellipsoid scans with exact ground truth, while ``FileOracle`` bridges to real
-external models through a directory exchange:
-
-    req_<uid>.nii        request volume (written atomically)
-    req_<uid>.prompts    box prompts, one line per box (segment only)
-    resp_<uid>.nii       uint8 mask response (segment only)
-    resp_<uid>.prob.nii  float32 probabilities (predict, segment) or uint8 labels (predict)
-    fit_<uid>/ + fit_<uid>.req / fit_<uid>.done   training handshake
-
-Each FileOracle is given its exchange directory; nothing else names one.
-A batch (``predict_all``, ``segment_all``) writes every request before it
-awaits the first answer, then reads the answers in order, so the responder
-computes one answer while the client uses the last.  Exchange images are
-whole-grid: a segment answer is checked whole, then cropped to the requested
-region.  Polls pause 1 ms, doubling to 50 ms, and each answer may take
-``timeout`` seconds from when the client starts to await it.
+external models as the client half of ``exchange``.  Each FileOracle is
+given its exchange directory; nothing else names one.
 Phantom oracles are bitwise deterministic given (seed, quality, inputs):
 every stochastic field is drawn from an RNG keyed on the oracle seed, a
 fingerprint of the input volume, and the class (plus the prompt bytes for
@@ -33,7 +20,6 @@ import hashlib
 import math
 import operator
 import time
-import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -42,14 +28,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy import ndimage
 
-from . import nifti_io
+from . import exchange, nifti_io
 from .errors import (ConfigError, CorruptFileError, NiftiError,
                      OracleProtocolError, OracleUnavailableError,
                      PromptsegError, RejectedInputError, UnknownVolumeError)
 from .prompting import DEFAULT_PADDING, BoxPromptPair, format_prompts
 from .refinement import roi_ranges
 from .vls_loss import SupervisionTarget
-from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labels
+from .volgrid import LabelMap, ProbVolume, Volume
 
 
 Region = tuple[slice, slice, slice]
@@ -712,27 +698,14 @@ POLL_INTERVAL_S = 0.05
 
 
 class FileOracle(SpecialistOracle, GeneralistOracle):
-    """Bridge to external model processes through a polled exchange directory.
-
-    Requests are written atomically (temp file + rename); responses are read
-    with retry until the deadline, so responders need not write atomically.
-    ``predict_all`` and ``segment_all`` write every request of the batch
-    before awaiting the first answer, so a responder sees many outstanding
-    requests and may answer them in any order; the client reads them in
-    request order, one at a time, and gives each ``timeout`` seconds from
-    when it starts to await it.  Run separate exchange directories for
-    separate models.  ``exchange_dir`` is created if it does not exist.
-    """
+    """Client half of ``exchange``: responses are read with retry until the
+    deadline, so responders need not write atomically.  ``exchange_dir`` is
+    created if it does not exist."""
 
     def __init__(self, exchange_dir, timeout: float = 60.0):
         self.root = Path(exchange_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self.timeout = float(timeout)
-
-    def _write_atomic(self, path: Path, writer) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        writer(tmp)
-        tmp.rename(path)
 
     def _await_file(self, path: Path, deadline: float, decode: bool = True):
         """Poll for ``path``; the pause starts at 1 ms and doubles to ``POLL_INTERVAL_S``."""
@@ -755,89 +728,39 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
             time.sleep(pause)
             pause = min(2 * pause, POLL_INTERVAL_S)
 
-    def _send(self, volume: Volume, prompts: BoxPromptPair | None = None) -> str:
-        """Write one request, the volume and then any prompts, each
-        atomically; returns its uid."""
-        uid = uuid.uuid4().hex
-        self._write_atomic(self.root / f"req_{uid}.nii",
-                           lambda p: nifti_io.write_volume(p, volume))
-        if prompts is not None:
-            self._write_atomic(self.root / f"req_{uid}.prompts",
-                               lambda p: p.write_text(format_prompts(prompts)))
-        return uid
-
     def predict(self, volume: Volume, *, sent: str | None = None) -> LabelMap:
-        """A probability response is decoded to its argmax; a uint8 label
-        image is taken as it is, with ``num_classes = max label + 1``.
-        ``sent`` is the uid of a request already written for ``volume``."""
+        """``sent`` is the uid of a request already written for ``volume``."""
+        uid = sent or exchange.send(self.root, volume)
         deadline = time.monotonic() + self.timeout
-        uid = sent or self._send(volume)
-        resp = self._await_file(self.root / f"resp_{uid}.prob.nii", deadline)
-        if isinstance(resp, ProbVolume):
-            resp = argmax_labelmap(resp)
-        elif not isinstance(resp, LabelMap):
-            raise OracleProtocolError("predict response is neither probabilities nor labels")
-        if resp.dims != volume.dims:
-            raise OracleProtocolError(
-                f"predict response dims {resp.dims} != request dims {volume.dims}")
-        return resp
+        resp = self._await_file(exchange.path(self.root, "probs", uid), deadline)
+        return exchange.predict_labels(resp, volume.dims)
 
     def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
         """Every request is written before the first answer is awaited."""
-        uids = [self._send(v) for v in volumes]
+        uids = [exchange.send(self.root, v) for v in volumes]
         return [self.predict(v, sent=uid) for v, uid in zip(volumes, uids)]
 
     def segment(self, volume: Volume, prompts: BoxPromptPair,
                 region: Region | None = None, *, sent: str | None = None) -> Answer:
-        """The whole-grid answer is checked, then cropped to ``region``.
-        ``sent`` is the uid of a request already written for ``volume`` and
-        ``prompts``."""
+        """The checked whole-grid answer, cropped; ``sent`` as for ``predict``."""
         region = _checked_region(region, volume.dims)
+        uid = sent or exchange.send(self.root, volume, prompts)
         deadline = time.monotonic() + self.timeout
-        uid = sent or self._send(volume, prompts)
-        mask_img = self._await_file(self.root / f"resp_{uid}.nii", deadline)
-        probs = self._await_file(self.root / f"resp_{uid}.prob.nii", deadline)
-        if not isinstance(mask_img, LabelMap):
-            raise OracleProtocolError("segment mask response is not a uint8 label image")
-        if mask_img.dims != volume.dims:
-            raise OracleProtocolError(
-                f"segment response dims {mask_img.dims} != request dims {volume.dims}")
-        if int(mask_img.data.max()) > 1:
-            raise OracleProtocolError("segment mask response is not binary")
-        if not isinstance(probs, ProbVolume) or probs.num_classes != 2:
-            raise OracleProtocolError("segment probability response must be 2-class")
-        if probs.dims != volume.dims:
-            raise OracleProtocolError(
-                f"segment probability dims {probs.dims} != request dims {volume.dims}")
-        return mask_img.data[region] > 0, probs.crop(region)
+        mask = self._await_file(exchange.path(self.root, "mask", uid), deadline)
+        probs = self._await_file(exchange.path(self.root, "probs", uid), deadline)
+        exchange.check_segment(mask, probs, volume.dims)
+        return mask.data[region] > 0, probs.crop(region)
 
     def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Region | None]]
                     ) -> Iterator[Answer | PromptsegError]:
         """Every region is checked before any request is written, and every
         request before this returns; each answer is awaited as it is taken."""
         checked = [(v, p, _checked_region(r, v.dims)) for v, p, r in requests]
-        sent = [(v, p, r, self._send(v, p)) for v, p, r in checked]
+        sent = [(v, p, r, exchange.send(self.root, v, p)) for v, p, r in checked]
         return _each_answer(lambda v, p, r, uid: self.segment(v, p, r, sent=uid), sent)
 
     def fit(self, examples: Iterable[TrainingExample], supervision: str = "full") -> None:
-        """Each example is written as it is taken.  If taking one raises, the
-        error propagates and leaves ``fit_<uid>/`` without a ``.req``, so no
-        trainer starts on it."""
-        uid = uuid.uuid4().hex
+        """Each example is written as it is taken; if taking one raises, no trainer starts."""
+        uid = exchange.send_fit(self.root, examples, supervision)
         deadline = time.monotonic() + self.timeout
-        fit_dir = self.root / f"fit_{uid}"
-        fit_dir.mkdir()
-        for idx, ex in enumerate(examples):
-            stem = fit_dir / f"scan_{idx:04d}"
-            nifti_io.write_volume(stem.with_suffix(".nii"), ex.volume)
-            nifti_io.write_volume(Path(str(stem) + ".target.nii"), ex.target.labels,
-                                  template=ex.volume)
-            if ex.weight_mask is not None:
-                nifti_io.write_volume(Path(str(stem) + ".mask.nii"),
-                                      mask_to_labels(ex.weight_mask), template=ex.volume)
-            man = nifti_io.status_manifest(ex.target.labels.num_classes,
-                                           ex.labeled_classes, ex.target.pseudo_classes)
-            nifti_io.write_manifest(Path(str(stem) + ".manifest"), man)
-        self._write_atomic(self.root / f"fit_{uid}.req",
-                           lambda p: p.write_text(f"supervision={supervision}\n"))
-        self._await_file(self.root / f"fit_{uid}.done", deadline, decode=False)
+        self._await_file(exchange.path(self.root, "done", uid), deadline, decode=False)

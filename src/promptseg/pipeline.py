@@ -591,7 +591,7 @@ def _load_file_dataset(config: PipelineConfig):
             raise ConfigError(f"file oracle mode requires {key}")
     spec_root, gen_root = Path(config.specialist_exchange), Path(config.generalist_exchange)
     if spec_root.resolve() == gen_root.resolve():
-        # predict and segment requests share the req_<uid>.nii pattern
+        # predict and segment requests share one file name (see exchange)
         raise ConfigError(f"specialist and generalist share the exchange directory "
                           f"{spec_root}; give each its own")
     root = Path(config.data_dir)

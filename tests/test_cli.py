@@ -1,12 +1,14 @@
 import logging
 import re
 import shlex
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from promptseg import nifti_io
 from promptseg.cli import main
+from promptseg.oracles import FileOracle
 from promptseg.prompting import format_prompts, make_box_prompts
 from promptseg.refinement import OrganRefinementState, RefinementConfig, refine_pseudo_label
 from promptseg.volgrid import LabelMap, ProbVolume, Volume, mask_to_labels
@@ -222,9 +224,14 @@ def test_metrics_refuses_a_spacing_float32_cannot_hold(tmp_path, capsys):
     assert "error: spacing" in capsys.readouterr().err
 
 
+def readme_block(heading, lang):
+    """The first ``lang`` code block under the README's ``heading``."""
+    section = README.read_text().split(f"## {heading}", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
 def test_readme_quick_start_runs(tmp_path):
-    section = README.read_text().split("## Quick start", 1)[1]
-    command = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    command = readme_block("Quick start", "sh").replace("\\\n", " ")
     argv = shlex.split(command)
     assert argv[:2] == ["promptseg", "run"]
     out = tmp_path / "demo"
@@ -233,6 +240,28 @@ def test_readme_quick_start_runs(tmp_path):
     expected = [f"round_{t}.csv" for t in range(1, 5)] + [
         "final_eval.csv", "final_summary.csv", "targets", "run_manifest.txt", "run.log"]
     assert all((out / name).exists() for name in expected)
+
+
+def test_readme_server_example_serves_its_model(tmp_path, monkeypatch):
+    """The README's server example, run as it is, answers a file oracle's
+    segment request with its model's whole-grid answer."""
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    thread = threading.Thread(target=exec, daemon=True,
+                              args=(readme_block("Plugging in real models", "python"), namespace))
+    thread.start()
+    image = np.zeros((12, 10, 8), np.float32)
+    image[3:8, 2:6, 2:6] = 1.0
+    prompts = make_box_prompts(LabelMap((image > 0).astype(np.uint8), 2), 1, padding=1)
+    try:
+        got = FileOracle("xchg/generalist", timeout=10.0).segment(Volume(image), prompts)
+    finally:
+        namespace.get("stop", threading.Event()).set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    want = namespace["BrightInBox"]().segment(Volume(image), prompts)
+    assert got[0].tobytes() == want[0].tobytes() and got[0].sum() == 5 * 4 * 4
+    assert got[1].data.tobytes() == want[1].data.tobytes()
 
 
 def test_run_creates_nothing_before_its_checks_and_logs_a_good_run(tmp_path, capsys, caplog):

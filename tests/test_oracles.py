@@ -1,15 +1,17 @@
-import threading
+import logging
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from promptseg import nifti_io, oracles
+from promptseg import exchange, nifti_io, oracles
 from scipy import ndimage
 from scipy.spatial.transform import Rotation
 
 from promptseg.errors import (ConfigError, OracleProtocolError, OracleUnavailableError,
                               RejectedInputError, UnknownVolumeError)
+from promptseg.exchange import Server
 from promptseg.metrics import dice
 from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, GeneralistOracle,
                                PhantomGeneralist, PhantomRegistry, SpecialistOracle,
@@ -21,7 +23,7 @@ from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, Generalis
 from promptseg.prompting import (Box2D, BoxPromptPair, AXIAL, SAGITTAL, format_prompts,
                                  make_box_prompts)
 from promptseg.refinement import (OrganRefinementState, RefinementConfig, refine_pseudo_label,
-                                  roi_ranges)
+                                  roi_box, roi_ranges)
 from promptseg.vls_loss import SupervisionTarget
 from promptseg.volgrid import (LabelMap, ProbVolume, Volume, argmax_labelmap,
                                class_mask, mask_to_labels, paste_mask)
@@ -1029,36 +1031,23 @@ def test_specialist_fit_rejects_an_empty_iterable(empty):
 
 # --- file oracle ------------------------------------------------------------------
 
-class StubResponder(threading.Thread):
-    """Minimal external model: answers requests in an exchange directory.
-    ``mask`` is a boolean array, written as a 0/1 label image, or any grid,
-    written as it is."""
+class Stub(SpecialistOracle, GeneralistOracle):
+    """A stub model: ``answer(k)``, after ``pause`` seconds, to the request whose
+    volume is filled with ``k``, listing each ``k`` in ``answered``; counts fits."""
 
-    def __init__(self, root, mask, probs):
-        super().__init__(daemon=True)
-        self.root = root
-        self.mask = mask_to_labels(mask) if isinstance(mask, np.ndarray) else mask
-        self.probs = probs
-        self.stop = threading.Event()
-        self.fits_seen = 0
+    def __init__(self, answer=None, pause=0.0):
+        self.answer, self.pause, self.answered, self.fits = answer, pause, [], 0
 
-    def run(self):
-        seen = set()
-        while not self.stop.is_set():
-            for req in self.root.glob("req_*.nii"):
-                uid = req.stem[len("req_"):]
-                if uid in seen:
-                    continue
-                seen.add(uid)
-                nifti_io.write_volume(self.root / f"resp_{uid}.nii", self.mask)
-                nifti_io.write_volume(self.root / f"resp_{uid}.prob.nii", self.probs)
-            for req in self.root.glob("fit_*.req"):
-                uid = req.stem[len("fit_"):]
-                marker = self.root / f"fit_{uid}.done"
-                if not marker.exists():
-                    self.fits_seen += 1
-                    marker.write_text("ok\n")
-            time.sleep(0.01)
+    def predict(self, volume):
+        time.sleep(self.pause)
+        self.answered.append(int(volume.data.flat[0]))
+        return self.answer(self.answered[-1])
+
+    def segment(self, volume, prompts, region=None):
+        return self.predict(volume)
+
+    def fit(self, examples, supervision="full"):
+        self.fits += 1
 
 
 def two_class_probs(mask):
@@ -1070,39 +1059,32 @@ def box_prompts_for(mask):
     return make_box_prompts(LabelMap(mask.astype(np.uint8), 2), 1, padding=2)
 
 
-def test_file_oracle_round_trip(tmp_path):
-    dims = (10, 10, 10)
-    mask = np.zeros(dims, dtype=bool)
-    mask[3:7, 3:7, 3:7] = True
-    probs = two_class_probs(mask)
-    responder = StubResponder(tmp_path, mask, probs)
-    responder.start()
-    try:
-        oracle = FileOracle(tmp_path, timeout=10.0)
-        vol = Volume(np.zeros(dims, dtype=np.float32))
-        got = oracle.predict(vol)
-        assert got.data.tobytes() == argmax_labelmap(probs).data.tobytes()
-        got_mask, got_probs = oracle.segment(vol, box_prompts_for(mask))
-        assert np.array_equal(got_mask, mask)
-        assert got_probs.data.tobytes() == probs.data.tobytes()
-        labels = mask.astype(np.uint8)
-        labels[0, 0, :2] = 2  # a pseudo-labeled class next to the labeled one
-        oracle.fit([TrainingExample(volume=vol,
-                                    target=SupervisionTarget(LabelMap(labels, 3),
-                                                             frozenset({2})),
-                                    labeled_classes=frozenset({1}),
-                                    weight_mask=mask)])
-        assert responder.fits_seen == 1
-        fit_dirs = [p for p in tmp_path.glob("fit_*") if p.is_dir()]
-        assert len(fit_dirs) == 1
-        assert (fit_dirs[0] / "scan_0000.nii").exists()
-        assert (fit_dirs[0] / "scan_0000.target.nii").exists()
-        assert (fit_dirs[0] / "scan_0000.mask.nii").exists()
-        man = nifti_io.read_manifest(fit_dirs[0] / "scan_0000.manifest")
-        assert man.statuses == {1: "labeled", 2: "pseudo"}
-    finally:
-        responder.stop.set()
-        responder.join()
+def test_file_oracle_round_trip(tmp_path, serve):
+    """Phantom oracles served over the exchange answer a file oracle as
+    direct calls do, byte for byte, and a served fit (VLS masks, pseudo
+    classes) leaves the qualities of a direct one."""
+    suite, registry = registered_suite(n=2, organs=3, dims=(16, 16, 16))
+    registries = (registry, registered_suite(n=2, organs=3, dims=(16, 16, 16))[1])
+    direct_spec, served_spec = (PhantomSpecialist(r, quality=0.6, seed=5) for r in registries)
+    direct_gen, served_gen = (PhantomGeneralist(r, 0.5, seed=5) for r in registries)
+    serve(Server(tmp_path / "spec", specialist=served_spec))
+    serve(Server(tmp_path / "gen", generalist=served_gen))
+    specialist, generalist = (FileOracle(tmp_path / d, timeout=10.0) for d in ("spec", "gen"))
+    for _, vol, gt in suite:
+        got = specialist.predict(vol)
+        assert got.data.tobytes() == direct_spec.predict(vol).data.tobytes()
+        for c in range(1, gt.num_classes):
+            prompts = make_box_prompts(got, c, padding=2)
+            roi = roi_box(prompts, 2, vol.dims)
+            (mask, probs), (want_mask, want_probs) = (
+                oracle.segment(vol, prompts, roi) for oracle in (generalist, direct_gen))
+            assert mask.tobytes() == want_mask.tobytes()
+            assert probs.data.tobytes() == want_probs.data.tobytes()
+    examples = noisy_examples(suite, np.random.default_rng(2), masks=True)
+    for oracle in (specialist, direct_spec):
+        oracle.fit(examples, supervision="partial")
+    qualities = [direct_spec.quality(c) for c in range(1, 4)]
+    assert qualities != [0.6] * 3 and [served_spec.quality(c) for c in range(1, 4)] == qualities
 
 
 def fit_set_files(root):
@@ -1110,26 +1092,25 @@ def fit_set_files(root):
     return [{f.name: f.read_bytes() for f in d.iterdir()} for d in root.glob("fit_*") if d.is_dir()]
 
 
-def test_file_oracle_fit_writes_the_same_files_from_a_generator(tmp_path):
+def test_file_oracle_fit_writes_the_same_files_from_a_generator(tmp_path, serve):
     suite, _ = registered_suite(n=3, organs=3, dims=(12, 10, 8), seed=2)
     examples = noisy_examples(suite, np.random.default_rng(5), masks=True)
     examples[1] = TrainingExample(examples[1].volume, examples[1].target,
                                   examples[1].labeled_classes)       # one without a mask
     written = []
     for k, as_iterable in enumerate((list, lambda xs: (ex for ex in xs))):
-        root = tmp_path / str(k)
-        responder = StubResponder(root, np.zeros((2, 2, 2), dtype=bool), None)
-        root.mkdir()
-        responder.start()
-        try:
-            FileOracle(root, timeout=10.0).fit(as_iterable(examples), supervision="partial")
-        finally:
-            responder.stop.set()
-            responder.join()
-        assert responder.fits_seen == 1
-        written.append(fit_set_files(root))
+        model = serve(Server(tmp_path / str(k), specialist=Stub())).specialist
+        FileOracle(tmp_path / str(k), timeout=10.0).fit(as_iterable(examples), "partial")
+        assert model.fits == 1
+        written.append(fit_set_files(tmp_path / str(k)))
     assert len(written[0]) == 1 and len(written[0][0]) == 11
     assert written[0] == written[1]
+
+    def fields(ex):                     # and the server half reads back what was written
+        mask = None if ex.weight_mask is None else ex.weight_mask.tobytes()
+        return ex.labeled_classes, ex.target.pseudo_classes, ex.target.labels.data.tobytes(), mask
+    (fit_dir,) = [d for d in (tmp_path / "0").iterdir() if d.is_dir()]
+    assert [fields(ex) for ex in exchange.read_examples(fit_dir)] == [fields(ex) for ex in examples]
 
 
 def test_file_oracle_fit_leaves_no_request_when_an_example_fails(tmp_path):
@@ -1140,41 +1121,37 @@ def test_file_oracle_fit_leaves_no_request_when_an_example_fails(tmp_path):
         yield example
         raise ConfigError("the second example cannot be built")
 
+    server = Server(tmp_path, specialist=Stub())
     with pytest.raises(ConfigError):
         FileOracle(tmp_path, timeout=0.1).fit(failing())
     (fit_dir,) = tmp_path.glob("fit_*")
     assert fit_dir.is_dir() and (fit_dir / "scan_0000.manifest").exists()
     assert not list(tmp_path.glob("fit_*.req"))
+    assert server.serve_once() == 0 and server.specialist.fits == 0    # no trainer starts
 
 
-def predict_answered_with(root, response, dims=(6, 5, 4)):
-    """``FileOracle.predict`` of a zero volume of ``dims``, answered by a
-    StubResponder that writes ``response`` as ``resp_<uid>.prob.nii``."""
-    responder = StubResponder(root, np.zeros(response.dims, dtype=bool), response)
-    responder.start()
-    try:
-        return FileOracle(root, timeout=10.0).predict(Volume(np.zeros(dims, dtype=np.float32)))
-    finally:
-        responder.stop.set()
-        responder.join()
+def predict_answered_with(serve, root, response, dims=(6, 5, 4)):
+    """``FileOracle.predict`` of a zero volume, answered ``response`` as it is."""
+    serve(Server(root, specialist=Stub(lambda k: response)))
+    return FileOracle(root, timeout=10.0).predict(Volume(np.zeros(dims, dtype=np.float32)))
 
 
-def test_file_oracle_predict_takes_a_label_image_as_it_is(tmp_path):
+def test_file_oracle_predict_takes_a_label_image_as_it_is(tmp_path, serve):
     labels = np.random.default_rng(0).integers(0, 3, size=(6, 5, 4)).astype(np.uint8)
     labels[5, 4, 3] = 3
-    got = predict_answered_with(tmp_path, LabelMap(labels, 6))
+    got = predict_answered_with(serve, tmp_path, LabelMap(labels, 6))
     assert isinstance(got, LabelMap)
     assert got.data.tobytes() == labels.tobytes()
     assert got.num_classes == 4  # read from disk: max label + 1
 
 
-def test_file_oracle_predict_argmaxes_probabilities(tmp_path):
+def test_file_oracle_predict_argmaxes_probabilities(tmp_path, serve):
     C, dims = 5, (6, 5, 4)
     raw = np.random.default_rng(1).dirichlet(np.ones(C), size=dims).astype(np.float32)
     raw = np.ascontiguousarray(np.moveaxis(raw, -1, 0))
     raw[:, 0, 0, 0] = 0.2                          # a five-way tie
     raw[:, 1, 0, 0] = [0.0, 0.0, 0.5, 0.5, 0.0]    # a two-way tie
-    got = predict_answered_with(tmp_path, ProbVolume(raw))
+    got = predict_answered_with(serve, tmp_path, ProbVolume(raw))
     assert isinstance(got, LabelMap) and got.num_classes == C
     for idx in np.ndindex(dims):
         p = [float(raw[(c,) + idx]) for c in range(C)]
@@ -1182,28 +1159,25 @@ def test_file_oracle_predict_argmaxes_probabilities(tmp_path):
     assert got.data[0, 0, 0] == 0 and got.data[1, 0, 0] == 2
 
 
-def test_file_oracle_predict_rejects_other_responses(tmp_path):
-    (tmp_path / "image").mkdir()
-    (tmp_path / "dims").mkdir()
+def test_file_oracle_predict_rejects_other_responses(tmp_path, serve):
     with pytest.raises(OracleProtocolError, match="neither probabilities nor labels"):
-        predict_answered_with(tmp_path / "image", Volume(np.ones((6, 5, 4), np.float32)))
+        predict_answered_with(serve, tmp_path / "image", Volume(np.ones((6, 5, 4), np.float32)))
     with pytest.raises(OracleProtocolError, match="dims"):
-        predict_answered_with(tmp_path / "dims", LabelMap(np.ones((6, 5, 3), np.uint8), 2))
+        predict_answered_with(serve, tmp_path / "dims", LabelMap(np.ones((6, 5, 3), np.uint8), 2))
 
 
-def test_file_oracle_predict_rejects_nan_probabilities(tmp_path):
+def test_file_oracle_predict_rejects_nan_probabilities(tmp_path, serve):
     data = np.full((2, 6, 5, 4), 0.5, np.float32)
     data[1, 5, 4, 3] = np.nan
     with pytest.raises(OracleProtocolError, match=r"not all in \[0, 1\]"):
-        predict_answered_with(tmp_path, unchecked_probs(data))
+        predict_answered_with(serve, tmp_path, unchecked_probs(data))
 
 
-def test_response_label_out_of_range_rejected_before_any_segment(tmp_path):
+def test_response_label_out_of_range_rejected_before_any_segment(tmp_path, serve):
     from promptseg.pipeline import PipelineConfig, run_pipeline
     dims = (6, 6, 6)
     data, spec_dir, gen_dir = tmp_path / "data", tmp_path / "spec", tmp_path / "gen"
-    for d in (data, spec_dir, gen_dir):
-        d.mkdir()
+    data.mkdir()
     labels = np.zeros(dims, dtype=np.uint8)
     labels[1:3, 1:3, 1:3] = 1
     nifti_io.write_volume(data / "s.nii", Volume(np.zeros(dims, np.float32)))
@@ -1212,20 +1186,29 @@ def test_response_label_out_of_range_rejected_before_any_segment(tmp_path):
         statuses={1: "labeled", 2: "unlabeled"}))
     answer = labels.copy()
     answer[4, 4, 4] = 3  # a class the 3-class scan does not have
-    responder = StubResponder(spec_dir, labels > 0, LabelMap(answer, 4))
-    responder.start()
-    try:
-        with pytest.raises(RejectedInputError, match="label 3 >= num_classes 3"):
-            run_pipeline(PipelineConfig(
-                oracle="file", data_dir=str(data), specialist_exchange=str(spec_dir),
-                generalist_exchange=str(gen_dir), oracle_timeout=10.0, rounds=1,
-                entropy_gate_from_round=1, out_dir=str(tmp_path / "out")))
-    finally:
-        responder.stop.set()
-        responder.join()
-    assert responder.fits_seen == 1                      # initial training ran
+    model = serve(Server(spec_dir, specialist=Stub(lambda k: LabelMap(answer, 4)))).specialist
+    with pytest.raises(RejectedInputError, match="label 3 >= num_classes 3"):
+        run_pipeline(PipelineConfig(
+            oracle="file", data_dir=str(data), specialist_exchange=str(spec_dir),
+            generalist_exchange=str(gen_dir), oracle_timeout=10.0, rounds=1,
+            entropy_gate_from_round=1, out_dir=str(tmp_path / "out")))
+    assert model.fits == 1                               # initial training ran
     assert len(list(spec_dir.glob("resp_*.prob.nii"))) == 1  # then one predict
     assert not list(gen_dir.iterdir())                   # and no segment request
+
+
+class AsIs(Server):
+    """Answers every request by writing ``files``, {exchange name: grid or
+    bytes}, in place and as they are: broken answers on purpose."""
+
+    def __init__(self, root, files, segment=True):
+        super().__init__(root, **{"generalist" if segment else "specialist": Stub()})
+        self.files = files
+
+    def answer(self, kind, uid):
+        for name, content in self.files.items():
+            write = Path.write_bytes if isinstance(content, bytes) else nifti_io.write_volume
+            write(exchange.path(self.root, name, uid), content)
 
 
 def test_file_oracle_timeout(tmp_path):
@@ -1235,45 +1218,18 @@ def test_file_oracle_timeout(tmp_path):
         oracle.predict(vol)
 
 
-def test_file_oracle_response_that_stays_corrupt_is_protocol_error(tmp_path):
-    stop = threading.Event()
-
-    def write_garbage():
-        while not stop.is_set():
-            for req in tmp_path.glob("req_*.nii"):
-                uid = req.stem[len("req_"):]
-                (tmp_path / f"resp_{uid}.prob.nii").write_bytes(b"\x00" * 100)
-                return
-            time.sleep(0.01)
-
-    writer = threading.Thread(target=write_garbage, daemon=True)
-    writer.start()
-    try:
-        oracle = FileOracle(tmp_path, timeout=0.3)
-        with pytest.raises(OracleProtocolError, match="still corrupt") as info:
-            oracle.predict(Volume(np.zeros((4, 4, 4), dtype=np.float32)))
-        (resp,) = tmp_path.glob("resp_*.prob.nii")
-        assert str(resp) in str(info.value)
-    finally:
-        stop.set()
-        writer.join(timeout=5.0)
-    assert not writer.is_alive()
+def test_file_oracle_response_that_stays_corrupt_is_protocol_error(tmp_path, serve):
+    serve(AsIs(tmp_path, {"probs": b"\x00" * 100}, segment=False))
+    with pytest.raises(OracleProtocolError, match="still corrupt") as info:
+        FileOracle(tmp_path, timeout=0.3).predict(Volume(np.zeros((4, 4, 4), dtype=np.float32)))
+    (resp,) = tmp_path.glob("resp_*.prob.nii")
+    assert str(resp) in str(info.value)
 
 
-def test_file_oracle_wrong_dims_is_protocol_error(tmp_path):
-    dims = (10, 10, 10)
-    small = np.zeros((4, 4, 4), dtype=bool)
-    small[1:3, 1:3, 1:3] = True
-    responder = StubResponder(tmp_path, small, two_class_probs(small))
-    responder.start()
-    try:
-        oracle = FileOracle(tmp_path, timeout=10.0)
-        vol = Volume(np.zeros(dims, dtype=np.float32))
-        with pytest.raises(OracleProtocolError):
-            oracle.predict(vol)
-    finally:
-        responder.stop.set()
-        responder.join()
+def test_file_oracle_wrong_dims_is_protocol_error(tmp_path, serve):
+    small = mask_to_labels(np.ones((4, 4, 4), dtype=bool))
+    with pytest.raises(OracleProtocolError):
+        predict_answered_with(serve, tmp_path, small, dims=(10, 10, 10))
 
 
 class FakeClock:
@@ -1327,13 +1283,16 @@ def unchecked_probs(data):
 
 SEGMENT_DIMS = (6, 5, 4)
 SEGMENT_REGION = (slice(1, 5), slice(1, 4), slice(1, 3))   # the response's interior
+GOOD_MASK = np.zeros(SEGMENT_DIMS, bool)
+GOOD_MASK[2:4, 2:4, 1:3] = True                             # a well-formed answer's mask
+GOOD_PROMPTS = box_prompts_for(GOOD_MASK)
 OUTSIDE_REGION = np.full(SEGMENT_DIMS, 0.5, np.float32)
 OUTSIDE_REGION[0, 0, 0] = 0.7                               # sums to 1.2 off the region
 NAN_OFF_REGION = np.full(SEGMENT_DIMS, 0.5, np.float32)
 NAN_OFF_REGION[0, 0, 0] = np.nan
 BAD_SEGMENT_RESPONSES = {
     "mask-not-labels": (Volume(np.zeros(SEGMENT_DIMS, np.float32)), None, "not a uint8 label"),
-    "mask-dims": (np.zeros((6, 5, 3), bool), None, "segment response dims"),
+    "mask-dims": (mask_to_labels(np.zeros((6, 5, 3), bool)), None, "segment response dims"),
     "mask-not-binary": (LabelMap(np.full(SEGMENT_DIMS, 2, np.uint8), 3), None, "not binary"),
     "mask-not-binary-off-region": (
         LabelMap(np.pad(np.zeros((4, 3, 2), np.uint8), 1, constant_values=2), 3), None,
@@ -1351,71 +1310,52 @@ BAD_SEGMENT_RESPONSES = {
 @pytest.mark.parametrize("case, region", [
     pytest.param(case, region, id=case if region is None else f"{case}-region")
     for case in sorted(BAD_SEGMENT_RESPONSES) for region in (None, SEGMENT_REGION)])
-def test_file_oracle_segment_rejects_bad_responses(tmp_path, case, region):
+def test_file_oracle_segment_rejects_bad_responses(tmp_path, serve, case, region):
     mask, probs, message = BAD_SEGMENT_RESPONSES[case]
-    good = np.zeros(SEGMENT_DIMS, bool)
-    good[2:4, 2:4, 1:3] = True
-    responder = StubResponder(tmp_path, good if mask is None else mask,
-                              two_class_probs(good) if probs is None else probs)
-    responder.start()
-    try:
-        oracle = FileOracle(tmp_path, timeout=10.0)
-        with pytest.raises(OracleProtocolError, match=message):
-            oracle.segment(Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good),
-                           region)
-    finally:
-        responder.stop.set()
-        responder.join()
+    serve(AsIs(tmp_path, {"probs": two_class_probs(GOOD_MASK) if probs is None else probs,
+                          "mask": mask_to_labels(GOOD_MASK) if mask is None else mask}))
+    with pytest.raises(OracleProtocolError, match=message):
+        FileOracle(tmp_path, timeout=10.0).segment(
+            Volume(np.zeros(SEGMENT_DIMS, np.float32)), GOOD_PROMPTS, region)
 
 
-def test_file_oracle_segment_on_a_region_is_the_crop_of_the_answer(tmp_path):
+def test_file_oracle_segment_on_a_region_is_the_crop_of_the_answer(tmp_path, serve):
     rng = np.random.default_rng(3)
     mask = rng.random(SEGMENT_DIMS) < 0.5
     probs = two_class_probs(rng.random(SEGMENT_DIMS).astype(np.float32))
-    responder = StubResponder(tmp_path, mask, probs)
-    responder.start()
-    try:
-        oracle = FileOracle(tmp_path, timeout=10.0)
-        vol = Volume(np.zeros(SEGMENT_DIMS, np.float32))
-        for region in (SEGMENT_REGION, (slice(0, 6), slice(4, 5), slice(0, 1))):
-            got_mask, got_probs = oracle.segment(vol, box_prompts_for(mask), region)
-            assert got_mask.dtype == bool
-            assert got_mask.tobytes() == np.ascontiguousarray(mask[region]).tobytes()
-            assert got_probs.data.tobytes() == np.ascontiguousarray(
-                probs.data[(slice(None),) + region]).tobytes()
-    finally:
-        responder.stop.set()
-        responder.join()
+    serve(Server(tmp_path, generalist=Stub(lambda k: (mask, probs))))
+    oracle = FileOracle(tmp_path, timeout=10.0)
+    vol = Volume(np.zeros(SEGMENT_DIMS, np.float32))
+    for region in (SEGMENT_REGION, (slice(0, 6), slice(4, 5), slice(0, 1))):
+        got_mask, got_probs = oracle.segment(vol, box_prompts_for(mask), region)
+        assert got_mask.dtype == bool
+        assert got_mask.tobytes() == np.ascontiguousarray(mask[region]).tobytes()
+        assert got_probs.data.tobytes() == np.ascontiguousarray(
+            probs.data[(slice(None),) + region]).tobytes()
 
 
-def test_file_oracle_segment_checks_the_probability_response_once(tmp_path, monkeypatch):
+def test_file_oracle_segment_checks_the_probability_response_once(tmp_path, serve,
+                                                                  monkeypatch):
     rng = np.random.default_rng(4)
     mask = rng.random(SEGMENT_DIMS) < 0.5
-    responder = StubResponder(tmp_path, mask,
-                              two_class_probs(rng.random(SEGMENT_DIMS).astype(np.float32)))
+    probs = two_class_probs(rng.random(SEGMENT_DIMS).astype(np.float32))
     checks = []
     real = ProbVolume.__post_init__
     monkeypatch.setattr(ProbVolume, "__post_init__",
                         lambda self: checks.append(self) or real(self))
-    responder.start()
-    try:
-        oracle = FileOracle(tmp_path, timeout=10.0)
-        vol = Volume(np.zeros(SEGMENT_DIMS, np.float32))
-        for region in (None, SEGMENT_REGION):
-            checks.clear()
-            oracle.segment(vol, box_prompts_for(mask), region)
-            assert [p.dims for p in checks] == [SEGMENT_DIMS]      # the response as read
-    finally:
-        responder.stop.set()
-        responder.join()
+    serve(Server(tmp_path, generalist=Stub(lambda k: (mask, probs))))
+    oracle = FileOracle(tmp_path, timeout=10.0)
+    vol = Volume(np.zeros(SEGMENT_DIMS, np.float32))
+    for region in (None, SEGMENT_REGION):
+        checks.clear()
+        oracle.segment(vol, box_prompts_for(mask), region)
+        assert [p.dims for p in checks] == [SEGMENT_DIMS]      # the response as read
 
 
 @pytest.mark.parametrize("region", BAD_REGIONS, ids=range(len(BAD_REGIONS)))
 def test_file_oracle_rejects_a_bad_region_before_writing_a_request(tmp_path, region):
     oracle = FileOracle(tmp_path, timeout=0.1)
-    good = np.zeros(SEGMENT_DIMS, bool)
-    good[2:4, 2:4, 1:3] = True
-    vol, prompts = Volume(np.zeros(SEGMENT_DIMS, np.float32)), box_prompts_for(good)
+    vol, prompts = Volume(np.zeros(SEGMENT_DIMS, np.float32)), GOOD_PROMPTS
     with pytest.raises(RejectedInputError, match="not three non-empty slices"):
         oracle.segment(vol, prompts, region)
     assert not list(tmp_path.iterdir())
@@ -1434,129 +1374,143 @@ def indexed_volume(k):
 
 
 def indexed_segment_answer(k):
-    """A distinct mask per request, written with its probabilities first."""
+    """A distinct mask and its probabilities per request."""
     mask = np.random.default_rng(k).random(SEGMENT_DIMS) < 0.5
-    return {".prob.nii": two_class_probs(mask), ".nii": mask_to_labels(mask)}
+    return mask, two_class_probs(mask)
 
 
 def indexed_predict_answer(k):
     labels = np.random.default_rng(100 + k).integers(0, 4, SEGMENT_DIMS).astype(np.uint8)
-    return {".prob.nii": LabelMap(labels, 4)}
+    return LabelMap(labels, 4)
 
 
-class IndexedResponder(threading.Thread):
-    """Answers requests whose volume is filled with their index ``k`` by
-    committing ``answer(k)``, a {suffix: grid}, as ``resp_<uid><suffix>``.
-    Nothing is answered before ``batch`` requests are on disk; requests
-    found together are answered in index order (``reverse``: the other way
-    round), each after ``pause`` seconds."""
+class InIndexOrder(Server):
+    """Answers the requests it finds together in index order (``reverse``:
+    the other way round)."""
 
-    def __init__(self, root, answer, segment=True, batch=1, reverse=False, pause=0.0):
-        super().__init__(daemon=True)
-        self.root, self.answer, self.batch = root, answer, batch
-        self.pattern = "req_*.prompts" if segment else "req_*.nii"
-        self.reverse, self.pause = reverse, pause
-        self.stop = threading.Event()
-        self.answered = []
+    def __init__(self, root, reverse=False, **oracle):
+        super().__init__(root, **oracle)
+        self.reverse = reverse
 
-    def _index(self, uid):
-        return int(nifti_io.read_volume(self.root / f"req_{uid}.nii").data.flat[0])
-
-    def run(self):
-        seen = set()
-        while not self.stop.is_set():
-            new = {p.name.split(".")[0][len("req_"):] for p in self.root.glob(self.pattern)}
-            new -= seen
-            if new and len(seen) + len(new) >= self.batch:
-                for k, uid in sorted(((self._index(u), u) for u in new), reverse=self.reverse):
-                    seen.add(uid)
-                    time.sleep(self.pause)
-                    for suffix, grid in self.answer(k).items():
-                        tmp = self.root / f"resp_{uid}{suffix}.tmp"
-                        nifti_io.write_volume(tmp, grid)
-                        tmp.rename(self.root / f"resp_{uid}{suffix}")
-                    self.answered.append(k)
-            time.sleep(0.005)
+    def pending(self):
+        def index(request):
+            return nifti_io.read_volume(exchange.path(self.root, "image", request[1])).data.flat[0]
+        return sorted(super().pending(), key=index, reverse=self.reverse)
 
 
-def run_with(responder, call):
-    responder.start()
-    try:
-        return call()
-    finally:
-        responder.stop.set()
-        responder.join(timeout=10.0)
-        assert not responder.is_alive()
-
-
-def test_file_oracle_batches_are_on_disk_before_the_first_answer_is_awaited(tmp_path):
-    """A responder that answers nothing until the whole batch is on disk,
-    then answers in reverse: a serial client times out, a batch gets every
+def test_file_oracle_batches_are_on_disk_before_the_first_answer_is_awaited(tmp_path, serve):
+    """A server that answers nothing until the whole batch is on disk, then
+    answers in reverse: a serial client times out, a batch gets every
     answer, each to its own request."""
-    n = 6
-    good = np.zeros(SEGMENT_DIMS, bool)
-    good[2:4, 2:4, 1:3] = True
-    prompts = box_prompts_for(good)
-    serial = tmp_path / "serial"
-    serial.mkdir()
+    n, serial = 6, tmp_path / "serial"
+    serve(InIndexOrder(serial, reverse=True, generalist=Stub(indexed_segment_answer)), batch=n)
     with pytest.raises(OracleUnavailableError):
-        run_with(IndexedResponder(serial, indexed_segment_answer, batch=n, reverse=True),
-                 lambda: FileOracle(serial, timeout=0.3).segment(indexed_volume(0), prompts))
+        FileOracle(serial, timeout=0.3).segment(indexed_volume(0), GOOD_PROMPTS)
 
     regions = [None if k % 2 else SEGMENT_REGION for k in range(n)]
-    responder = IndexedResponder(tmp_path / "gen", indexed_segment_answer, batch=n,
-                                 reverse=True)
-    oracle = FileOracle(tmp_path / "gen", timeout=1.0)
-    got = run_with(responder, lambda: list(oracle.segment_all(
-        [(indexed_volume(k), prompts, region) for k, region in enumerate(regions)])))
-    assert responder.answered == list(range(n))[::-1]
+    model = Stub(indexed_segment_answer)
+    serve(InIndexOrder(tmp_path / "gen", reverse=True, generalist=model), batch=n)
+    got = list(FileOracle(tmp_path / "gen", timeout=1.0).segment_all(
+        [(indexed_volume(k), GOOD_PROMPTS, region) for k, region in enumerate(regions)]))
+    assert model.answered == list(range(n))[::-1]
     for k, ((mask, probs), region) in enumerate(zip(got, regions)):
-        want = indexed_segment_answer(k)
+        want_mask, want_probs = indexed_segment_answer(k)
         at = region or (slice(None),) * 3
-        assert np.array_equal(mask, want[".nii"].data[at] > 0), k
-        assert probs.data.tobytes() == want[".prob.nii"].crop(at).data.tobytes(), k
+        assert np.array_equal(mask, want_mask[at]), k
+        assert probs.data.tobytes() == want_probs.crop(at).data.tobytes(), k
 
-    responder = IndexedResponder(tmp_path / "spec", indexed_predict_answer, segment=False,
-                                 batch=n, reverse=True)
-    oracle = FileOracle(tmp_path / "spec", timeout=1.0)
-    got = run_with(responder, lambda: oracle.predict_all([indexed_volume(k) for k in range(n)]))
-    assert responder.answered == list(range(n))[::-1]
+    model = Stub(indexed_predict_answer)
+    serve(InIndexOrder(tmp_path / "spec", reverse=True, specialist=model), batch=n)
+    got = FileOracle(tmp_path / "spec", timeout=1.0).predict_all(
+        [indexed_volume(k) for k in range(n)])
+    assert model.answered == list(range(n))[::-1]
     assert [labels.data.tobytes() for labels in got] == [
-        indexed_predict_answer(k)[".prob.nii"].data.tobytes() for k in range(n)]
+        indexed_predict_answer(k).data.tobytes() for k in range(n)]
 
 
-def test_file_oracle_batch_keeps_a_bad_answer_to_its_own_request(tmp_path):
+def test_file_oracle_batch_keeps_a_bad_answer_to_its_own_request(tmp_path, serve):
     def answer(k):
         if k == 1:  # request 2 of 4: wrong dims
-            return {".prob.nii": two_class_probs(np.zeros((4, 4, 4), bool)),
-                    ".nii": mask_to_labels(np.zeros((4, 4, 4), bool))}
+            return np.zeros((4, 4, 4), bool), two_class_probs(np.zeros((4, 4, 4), bool))
         return indexed_segment_answer(k)
 
-    good = np.zeros(SEGMENT_DIMS, bool)
-    good[2:4, 2:4, 1:3] = True
-    oracle = FileOracle(tmp_path, timeout=10.0)
-    got = run_with(IndexedResponder(tmp_path, answer), lambda: list(oracle.segment_all(
-        [(indexed_volume(k), box_prompts_for(good), None) for k in range(4)])))
+    serve(Server(tmp_path, generalist=Stub(answer)))
+    got = list(FileOracle(tmp_path, timeout=10.0).segment_all(
+        [(indexed_volume(k), GOOD_PROMPTS, None) for k in range(4)]))
     assert isinstance(got[1], OracleProtocolError) and "dims" in str(got[1])
     for k in (0, 2, 3):
         mask, probs = got[k]
-        assert np.array_equal(mask, indexed_segment_answer(k)[".nii"].data > 0)
+        assert np.array_equal(mask, indexed_segment_answer(k)[0])
 
 
-def test_file_oracle_gives_each_answer_its_own_timeout(tmp_path):
-    """A serial responder at 0.1 s a request answers 12 requests in more
-    than one timeout; each answer is awaited for ``timeout`` on its own."""
-    good = np.zeros(SEGMENT_DIMS, bool)
-    good[2:4, 2:4, 1:3] = True
-    responder = IndexedResponder(tmp_path, indexed_segment_answer, pause=0.1)
+def test_file_oracle_gives_each_answer_its_own_timeout(tmp_path, serve):
+    """A serial server at 0.1 s a request answers 12 requests in more than
+    one timeout; each answer is awaited for ``timeout`` on its own."""
+    model = Stub(indexed_segment_answer, pause=0.1)
+    serve(InIndexOrder(tmp_path, generalist=model))
     oracle = FileOracle(tmp_path, timeout=1.0)
     start = time.monotonic()
-    got = run_with(responder, lambda: list(oracle.segment_all(
-        [(indexed_volume(k), box_prompts_for(good), None) for k in range(12)])))
+    got = list(oracle.segment_all(
+        [(indexed_volume(k), GOOD_PROMPTS, None) for k in range(12)]))
     assert time.monotonic() - start > oracle.timeout
-    assert responder.answered == list(range(12))
+    assert model.answered == list(range(12))
     for k, (mask, _) in enumerate(got):
-        assert np.array_equal(mask, indexed_segment_answer(k)[".nii"].data > 0), k
+        assert np.array_equal(mask, indexed_segment_answer(k)[0]), k
+
+
+def test_file_oracle_fit_times_its_answer_from_the_committed_request(tmp_path, serve):
+    """Building the one example takes longer than the timeout, and the
+    trainer answers at once: the fit's clock starts only at its request."""
+    suite, _ = registered_suite(n=1, organs=2, dims=(10, 10, 10))
+
+    def slow():
+        time.sleep(0.6)
+        yield TrainingExample(suite[0][1], SupervisionTarget(suite[0][2]), frozenset({1}))
+
+    model = serve(Server(tmp_path, specialist=Stub())).specialist
+    FileOracle(tmp_path, timeout=0.5).fit(slow())
+    assert model.fits == 1
+
+
+# --- exchange server ------------------------------------------------------------
+
+def test_server_answers_each_complete_request_once(tmp_path, monkeypatch):
+    """A segment request is complete once its prompts are committed; each is answered
+    once, probabilities before mask, and no temporary file remains."""
+    server = Server(tmp_path, generalist=Stub(indexed_segment_answer))
+    first = exchange.send(tmp_path, indexed_volume(0))          # prompts not yet committed
+    second = exchange.send(tmp_path, indexed_volume(1), GOOD_PROMPTS)
+    committed, real = [], exchange.commit
+    monkeypatch.setattr(exchange, "commit",
+                        lambda dest, content: committed.append(dest.name) or real(dest, content))
+    assert server.serve_once() == 1 and server.generalist.answered == [1]
+    real(exchange.path(tmp_path, "prompts", first), format_prompts(GOOD_PROMPTS))
+    assert [server.serve_once() for _ in range(3)] == [1, 0, 0]
+    assert server.generalist.answered == [1, 0]
+    assert committed == [exchange.path(tmp_path, name, uid).name
+                         for uid in (second, first) for name in ("probs", "mask")]
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".nii"] * 6 + [".prompts"] * 2
+
+
+def test_server_logs_a_failing_answer_and_answers_later_requests(tmp_path, caplog):
+    server = Server(tmp_path, specialist=Stub(lambda k: indexed_predict_answer(k) if k else 1 / 0))
+    bad = exchange.send(tmp_path, indexed_volume(0))
+    with caplog.at_level(logging.ERROR, logger="promptseg"):
+        assert server.serve_once() == 1
+        later = exchange.send(tmp_path, indexed_volume(2))
+        assert server.serve_once() == 1 and server.serve_once() == 0
+    assert server.specialist.answered == [0, 2]              # the failed one is not retried
+    (record,) = caplog.records
+    assert record.name == "promptseg.exchange" and bad in record.getMessage()
+    assert "ZeroDivisionError" in caplog.text
+    files = [("image", bad), ("image", later), ("probs", later)]
+    assert {p.name for p in tmp_path.iterdir()} == {exchange.path(tmp_path, *f).name for f in files}
+
+
+def test_server_takes_one_model_per_directory(tmp_path):
+    for models in ({"specialist": Stub(), "generalist": Stub()}, {}):
+        with pytest.raises(ConfigError, match="share a name"):
+            Server(tmp_path, **models)
 
 
 class ScriptedAnswers(GeneralistOracle):

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from promptseg.errors import ConfigError, OracleUnavailableError
+from promptseg.exchange import Server
 from promptseg.metrics import dice
-from promptseg.oracles import (GeneralistOracle, PhantomGeneralist,
+from promptseg.oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
                                PhantomRegistry, PhantomSpecialist,
-                               SpecialistOracle, make_phantom_suite)
+                               SpecialistOracle, make_phantom_suite, volume_fingerprint)
 from promptseg.pipeline import (PipelineConfig, RoundEntry, Scan, ScanSupervision,
                                 initial_training, load_config, merged_target,
                                 predict_labels, pseudo_label_round, retrain,
                                 run_pipeline,
                                 simulate_partial_labels)
-from promptseg.prompting import Box2D, BoxPromptPair
-from promptseg.refinement import (OrganRefinementState, RefinementConfig, refine_pseudo_label,
-                                  roi_box)
+from promptseg.prompting import Box2D, BoxPromptPair, format_prompts, make_box_prompts
+from promptseg.refinement import (OrganRefinementState, RefinementConfig, build_roi,
+                                  refine_pseudo_label, roi_box)
 from promptseg.vls_loss import SupervisionTarget
 from promptseg.volgrid import LabelMap, ProbVolume, Volume, crop_mask, paste_mask
 
@@ -234,49 +235,23 @@ def test_generalist_failure_on_one_organ_skips_it_and_refines_the_rest(caplog):
         assert scan.supervision.pseudo == scan.supervision.unlabeled - {failing}
 
 
-class PhantomAnswerer:
-    """A threaded external generalist: once ``batch`` segment requests are
-    on disk, answers each with ``generalist``'s whole-grid answer, except the
-    request for ``bad``, a (volume fingerprint, prompts text), whose mask
-    has the wrong dims."""
+class OneBadAnswer(GeneralistOracle):
+    """``generalist``'s answers, except that the answer to ``bad``, a (volume
+    fingerprint, prompts text), has a mask of the wrong dims."""
 
-    def __init__(self, root, generalist, bad, batch):
-        import threading
-        self.root, self.generalist, self.bad, self.batch = root, generalist, bad, batch
-        self.stop = threading.Event()
-        self.thread = threading.Thread(target=self.run, daemon=True)
+    def __init__(self, generalist, bad):
+        self.generalist, self.bad = generalist, bad
 
-    def run(self):
-        import time
-        from promptseg import nifti_io
-        from promptseg.oracles import volume_fingerprint
-        from promptseg.prompting import parse_prompts
-        from promptseg.volgrid import mask_to_labels
-        seen = set()
-        while not self.stop.is_set():
-            requests = list(self.root.glob("req_*.prompts"))
-            for req in requests if len(requests) >= self.batch else ():
-                uid = req.stem[len("req_"):]
-                if uid in seen:
-                    continue
-                seen.add(uid)
-                volume = nifti_io.read_volume(self.root / f"req_{uid}.nii")
-                text = req.read_text()
-                mask, probs = self.generalist.segment(volume, parse_prompts(text))
-                if (volume_fingerprint(volume), text) == self.bad:
-                    mask = mask[:-1]
-                for suffix, grid in ((".prob.nii", probs), (".nii", mask_to_labels(mask))):
-                    tmp = self.root / f"resp_{uid}{suffix}.tmp"
-                    nifti_io.write_volume(tmp, grid)
-                    tmp.rename(self.root / f"resp_{uid}{suffix}")
-            time.sleep(0.005)
+    def segment(self, volume, prompts, region=None):
+        mask, probs = self.generalist.segment(volume, prompts, region)
+        if (volume_fingerprint(volume), format_prompts(prompts)) == self.bad:
+            mask = mask[:-1]
+        return mask, probs
 
 
-def test_a_bad_answer_mid_batch_skips_its_organ_and_refines_the_rest(tmp_path):
+def test_a_bad_answer_mid_batch_skips_its_organ_and_refines_the_rest(tmp_path, serve):
     """The round's four requests are all on disk before the first answer is
     awaited; request 2's bad answer skips its organ alone."""
-    from promptseg.oracles import FileOracle, volume_fingerprint
-    from promptseg.prompting import format_prompts, make_box_prompts
     config = PipelineConfig(rounds=1, entropy_gate_from_round=1,
                             scans=2, organs=3, dims=(24, 24, 24))
     ref_scans, ref_specialist, ref_generalist = phantom_world(n_scans=2, quality=1.0, coop=1.0)
@@ -288,17 +263,10 @@ def test_a_bad_answer_mid_batch_skips_its_organ_and_refines_the_rest(tmp_path):
     assert len(asks) == 4 and all(e.decision == "accept" for e in expected)
     bad_scan, bad_class = asks[1]                                    # request 2 of 4
     prompts = make_box_prompts(predictions[bad_scan.scan_id], bad_class, config.box_padding)
-    responder = PhantomAnswerer(tmp_path, generalist,
-                                (volume_fingerprint(bad_scan.volume), format_prompts(prompts)),
-                                batch=len(asks))
-    responder.thread.start()
-    try:
-        report = pseudo_label_round(scans, predictions, FileOracle(tmp_path, timeout=5.0),
-                                    config, round_t=1)
-    finally:
-        responder.stop.set()
-        responder.thread.join(timeout=10.0)
-    assert not responder.thread.is_alive()
+    bad = (volume_fingerprint(bad_scan.volume), format_prompts(prompts))
+    serve(Server(tmp_path, generalist=OneBadAnswer(generalist, bad)), batch=len(asks))
+    report = pseudo_label_round(scans, predictions, FileOracle(tmp_path, timeout=5.0),
+                                config, round_t=1)
     expected[1] = RoundEntry(bad_scan.scan_id, bad_class, "skip", "oracle-error", None, None)
     assert report.entries == expected
     assert bad_scan.supervision.pseudo == bad_scan.supervision.unlabeled - {bad_class}
@@ -737,189 +705,84 @@ def test_gate_entropy_sequences_strictly_decreasing(tmp_path):
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
-class FullResponder:
-    """Plays both external models for a file-mode pipeline run: predicts the
-    stored ground truth with full confidence and segments exactly the prompted
-    organ."""
+class GroundTruthModels(SpecialistOracle, GeneralistOracle):
+    """Both models of a file-mode run: predicts the labels stored for the volume's
+    fingerprint, and segments exactly the organ its prompts overlap most."""
 
-    def __init__(self, spec_dir, gen_dir, gts):
-        import threading
-        self.spec_dir, self.gen_dir = spec_dir, gen_dir
-        self.gts = gts  # fingerprint -> LabelMap
-        self.stop = threading.Event()
-        self.thread = threading.Thread(target=self.run, daemon=True)
+    def __init__(self, labels):
+        self.labels = labels  # fingerprint -> LabelMap
 
-    def _gt_for(self, path):
-        from promptseg import nifti_io
-        from promptseg.oracles import volume_fingerprint
-        vol = nifti_io.read_volume(path)
-        return self.gts[volume_fingerprint(vol)]
+    def predict(self, volume):
+        return self.labels[volume_fingerprint(volume)]
 
-    def run(self):
-        import time as _time
-        from promptseg import nifti_io
-        from promptseg.prompting import parse_prompts
-        from promptseg.refinement import build_roi
-        from promptseg.volgrid import ProbVolume, mask_to_labels
-        seen = set()
-        while not self.stop.is_set():
-            for req in self.spec_dir.glob("req_*.nii"):
-                uid = req.stem[len("req_"):]
-                if uid in seen:
-                    continue
-                seen.add(uid)
-                gt = self._gt_for(req)
-                C = gt.num_classes
-                onehot = np.full((C,) + gt.dims, 0.01 / (C - 1), dtype=np.float32)
-                for c in range(C):
-                    onehot[c][gt.data == c] = 0.99
-                onehot /= onehot.sum(axis=0, keepdims=True)
-                nifti_io.write_volume(self.spec_dir / f"resp_{uid}.prob.nii",
-                                      ProbVolume(onehot))
-            for req in self.spec_dir.glob("fit_*.req"):
-                uid = req.stem[len("fit_"):]
-                marker = self.spec_dir / f"fit_{uid}.done"
-                if not marker.exists():
-                    marker.write_text("ok\n")
-            for req in self.gen_dir.glob("req_*.prompts"):
-                uid = req.stem[len("req_"):]
-                if uid in seen:
-                    continue
-                vol_path = self.gen_dir / f"req_{uid}.nii"
-                if not vol_path.exists():
-                    continue
-                seen.add(uid)
-                gt = self._gt_for(vol_path)
-                prompts = parse_prompts(req.read_text())
-                roi = build_roi(prompts, 0, gt.dims)
-                best, best_overlap = 0, -1
-                for c in range(1, gt.num_classes):
-                    overlap = int((roi & (gt.data == c)).sum())
-                    if overlap > best_overlap:
-                        best, best_overlap = c, overlap
-                mask = gt.data == best
-                p = np.where(mask, np.float32(0.95), np.float32(0.05))
-                nifti_io.write_volume(self.gen_dir / f"resp_{uid}.nii",
-                                      mask_to_labels(mask))
-                nifti_io.write_volume(self.gen_dir / f"resp_{uid}.prob.nii",
-                                      ProbVolume(np.stack([1.0 - p, p])))
-            _time.sleep(0.01)
+    def fit(self, examples, supervision="full"):
+        pass
+
+    def segment(self, volume, prompts, region=None):
+        labels = self.labels[volume_fingerprint(volume)]
+        roi = build_roi(prompts, 0, labels.dims)
+        overlap = [int((roi & (labels.data == c)).sum()) for c in range(1, labels.num_classes)]
+        mask = labels.data == 1 + int(np.argmax(overlap))
+        p = np.where(mask, np.float32(0.95), np.float32(0.05))
+        return mask, ProbVolume(np.stack([1.0 - p, p]))
 
 
-def test_file_mode_pipeline_end_to_end(tmp_path):
+def run_served(serve, tmp_path, labels, data, **config):
+    """A file-mode run on ``data``, its models ``GroundTruthModels(labels)``
+    served from ``tmp_path``'s ``spec_xchg`` and ``gen_xchg``."""
+    model = GroundTruthModels(labels)
+    spec = serve(Server(tmp_path / "spec_xchg", specialist=model)).root
+    gen = serve(Server(tmp_path / "gen_xchg", generalist=model)).root
+    return run_pipeline(PipelineConfig(oracle="file", data_dir=str(data), oracle_timeout=30.0,
+                                       specialist_exchange=str(spec), generalist_exchange=str(gen),
+                                       out_dir=str(tmp_path / "out"), **config))
+
+
+def test_file_mode_pipeline_end_to_end(tmp_path, serve):
     from promptseg import nifti_io
-    from promptseg.oracles import make_phantom_suite, volume_fingerprint
-    data = tmp_path / "data"
-    data.mkdir()
-    suite = make_phantom_suite(3, 2, (16, 16, 16), seed=21)
-    gts = {}
-    for scan_id, vol, gt in suite:
-        gts[volume_fingerprint(vol)] = gt
-        nifti_io.write_volume(data / f"{scan_id}.nii", vol)
-        nifti_io.write_volume(data / f"{scan_id}.gt.nii", gt)
-        partial = np.array(gt.data)
-        partial[partial == 2] = 0  # organ 2 unannotated in every scan
-        nifti_io.write_volume(data / f"{scan_id}.labels.nii",
-                              LabelMap(partial, gt.num_classes))
-        man = nifti_io.ScanManifest(statuses={1: "labeled", 2: "unlabeled"})
-        nifti_io.write_manifest(data / f"{scan_id}.manifest", man)
-    spec_dir = tmp_path / "spec_xchg"
-    gen_dir = tmp_path / "gen_xchg"
-    spec_dir.mkdir()
-    gen_dir.mkdir()
-    responder = FullResponder(spec_dir, gen_dir, gts)
-    responder.thread.start()
-    try:
-        config = PipelineConfig(
-            oracle="file", data_dir=str(data),
-            specialist_exchange=str(spec_dir), generalist_exchange=str(gen_dir),
-            oracle_timeout=30.0, rounds=1, entropy_gate_from_round=1,
-            out_dir=str(tmp_path / "out"))
-        result = run_pipeline(config)
-    finally:
-        responder.stop.set()
-        responder.thread.join()
+    suite = write_file_mode_data(tmp_path / "data", n=3, dims=(16, 16, 16), with_gt=True)
+    result = run_served(serve, tmp_path, {volume_fingerprint(vol): gt for _, vol, gt in suite},
+                        tmp_path / "data", rounds=1, entropy_gate_from_round=1)
     accepted = result.round_reports[0].accepted()
     assert {e.class_id for e in accepted} == {2}
     assert all(e.pseudo_dice == 1.0 for e in accepted)
-    assert result.mean_dsc == 1.0  # responder predicts ground truth exactly
+    assert result.mean_dsc == 1.0  # the specialist predicts ground truth exactly
     for scan_id, _, _ in suite:
         man = nifti_io.read_manifest(tmp_path / "out" / "targets" / f"{scan_id}.manifest")
         assert man.statuses == {1: "labeled", 2: "pseudo"}
 
 
-def test_file_mode_asks_once_while_the_stored_pseudo_label_answers(tmp_path):
-    """A responder that predicts ground truth gives the same prompts in both
+def test_file_mode_asks_once_while_the_stored_pseudo_label_answers(tmp_path, serve):
+    """A specialist that predicts ground truth gives the same prompts in both
     rounds: each accepted organ's round-2 request is not sent, and the
     gated round re-gates it on its stored pseudo-label."""
-    from promptseg.oracles import volume_fingerprint
-    dims = (12, 12, 12)
-    write_file_mode_data(tmp_path / "data", n=2, dims=dims)
-    suite = make_phantom_suite(2, 2, dims, seed=21)
-    spec_dir, gen_dir = tmp_path / "spec_xchg", tmp_path / "gen_xchg"
-    spec_dir.mkdir()
-    gen_dir.mkdir()
-    responder = FullResponder(spec_dir, gen_dir,
-                              {volume_fingerprint(vol): gt for _, vol, gt in suite})
-    responder.thread.start()
-    try:
-        result = run_pipeline(PipelineConfig(
-            oracle="file", data_dir=str(tmp_path / "data"), specialist_exchange=str(spec_dir),
-            generalist_exchange=str(gen_dir), oracle_timeout=30.0, rounds=2,
-            entropy_gate_from_round=2, out_dir=str(tmp_path / "out")))
-    finally:
-        responder.stop.set()
-        responder.thread.join(timeout=30)
-    assert not responder.thread.is_alive()
+    suite = write_file_mode_data(tmp_path / "data", n=2, dims=(12, 12, 12))
+    result = run_served(serve, tmp_path, {volume_fingerprint(vol): gt for _, vol, gt in suite},
+                        tmp_path / "data", rounds=2, entropy_gate_from_round=2)
     first, second = result.round_reports
     assert [(e.scan_id, e.decision) for e in first.entries] == [
         (scan_id, "accept") for scan_id, _, _ in suite]
     assert [(e.scan_id, e.decision, e.reason, e.mean_entropy) for e in second.entries] == [
         (e.scan_id, "reject", "entropy-not-decreased", e.mean_entropy) for e in first.entries]
     assert (first.requests(), second.requests(), second.regated) == (2, 0, 2)
-    assert len(list(gen_dir.glob("req_*.prompts"))) == len(suite)  # no second request
-    assert len(list(spec_dir.glob("req_*.nii"))) == 2 * len(suite)  # still one predict a round
+    assert len(list(tmp_path.glob("gen_xchg/req_*.prompts"))) == len(suite)  # no second request
+    assert len(list(tmp_path.glob("spec_xchg/req_*.nii"))) == 2 * len(suite)  # one predict a round
 
 
-def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path):
+def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path, serve):
     from promptseg import nifti_io
     from promptseg.metrics import hd95
-    from promptseg.oracles import volume_fingerprint
-    data = tmp_path / "data"
-    data.mkdir()
-    spacing = (0.8, 1.5, 2.5)
+    data, spacing = tmp_path / "data", (0.8, 1.5, 2.5)
     template = nifti_io.NiftiHeader(
         shape=(16, 16, 16), datatype=nifti_io.DT_FLOAT32, pixdim=spacing,
         vox_offset=nifti_io.VOX_OFFSET, qform_code=1, sform_code=2,
         quatern=(0.0, 0.0, 0.5, -12.0, 20.0, 31.5),
         srow=(0.0, -1.5, 0.0, 12.0, 0.8, 0.0, 0.0, -20.0, 0.0, 0.0, 2.5, 31.5), qfac=-1.0)
-    suite = make_phantom_suite(3, 2, (16, 16, 16), seed=21, spacing=spacing)
-    predicted = {}  # the responder's answer: ground truth moved one slice in z
-    for scan_id, vol, gt in suite:
-        predicted[volume_fingerprint(vol)] = LabelMap(np.roll(gt.data, 1, axis=2),
-                                                      gt.num_classes)
-        nifti_io.write_volume(data / f"{scan_id}.nii", Volume(vol.data, vol.spacing,
-                                                              header=template))
-        nifti_io.write_volume(data / f"{scan_id}.gt.nii", gt)
-        partial = np.array(gt.data)
-        partial[partial == 2] = 0
-        nifti_io.write_volume(data / f"{scan_id}.labels.nii",
-                              LabelMap(partial, gt.num_classes))
-        nifti_io.write_manifest(data / f"{scan_id}.manifest", nifti_io.ScanManifest(
-            statuses={1: "labeled", 2: "unlabeled"}))
-    spec_dir, gen_dir = tmp_path / "spec_xchg", tmp_path / "gen_xchg"
-    spec_dir.mkdir()
-    gen_dir.mkdir()
-    responder = FullResponder(spec_dir, gen_dir, predicted)
-    responder.thread.start()
-    try:
-        result = run_pipeline(PipelineConfig(
-            oracle="file", data_dir=str(data), specialist_exchange=str(spec_dir),
-            generalist_exchange=str(gen_dir), oracle_timeout=30.0, rounds=1,
-            entropy_gate_from_round=1, out_dir=str(tmp_path / "out")))
-    finally:
-        responder.stop.set()
-        responder.thread.join()
+    suite = write_file_mode_data(data, n=3, dims=(16, 16, 16), with_gt=True, spacing=spacing,
+                                 header=template)
+    predicted = {volume_fingerprint(vol): LabelMap(np.roll(gt.data, 1, axis=2), gt.num_classes)
+                 for _, vol, gt in suite}  # the specialist's answer: moved one slice in z
+    result = run_served(serve, tmp_path, predicted, data, rounds=1, entropy_gate_from_round=1)
     for scan_id, vol, gt in suite:
         pred = predicted[volume_fingerprint(vol)].data
         for cm in result.evaluations[scan_id].per_class:
@@ -936,12 +799,12 @@ def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path):
     image_hdr = nifti_io.read_nifti(data / f"{suite[0][0]}.nii")[0]
     image_pixdim = image_hdr.pixdim
     assert image_pixdim == tuple(float(np.float32(s)) for s in spacing)
-    fit_files = sorted(spec_dir.glob("fit_*/scan_*.nii"))
+    fit_files = sorted(tmp_path.glob("spec_xchg/fit_*/scan_*.nii"))
     assert {p.name.split(".", 1)[1] for p in fit_files} == {"nii", "target.nii", "mask.nii"}
     for path in fit_files:
         assert nifti_io.read_nifti(path)[0].pixdim == image_pixdim, path.name
     # and every exchange file, requests included, on the image's spacing and qform/sform
-    requests = sorted(spec_dir.glob("req_*.nii")) + sorted(gen_dir.glob("req_*.nii"))
+    requests = sorted(tmp_path.glob("*_xchg/req_*.nii"))
     assert len(requests) == 3 * len(suite)  # per scan: the round's and the evaluation's
                                             # predict, and one segment of organ 2
     for path in requests + fit_files:
@@ -999,11 +862,17 @@ def test_phantom_volumes_carry_the_configured_spacing():
         (2.0, 1.0, 0.5)}
 
 
-def write_file_mode_data(data, n=2, dims=(12, 12, 12), seed=21):
+def write_file_mode_data(data, n=2, dims=(12, 12, 12), seed=21, with_gt=False,
+                         spacing=(1.0, 1.0, 1.0), header=None):
+    """File-mode data: phantom scans, organ 2 unannotated, their images on
+    ``header``'s orientation, ground truth if ``with_gt``; returns the suite."""
     from promptseg import nifti_io
     data.mkdir()
-    for scan_id, vol, gt in make_phantom_suite(n, 2, dims, seed=seed):
-        nifti_io.write_volume(data / f"{scan_id}.nii", vol)
+    suite = make_phantom_suite(n, 2, dims, seed=seed, spacing=spacing)
+    for scan_id, vol, gt in suite:
+        nifti_io.write_volume(data / f"{scan_id}.nii", Volume(vol.data, spacing, header=header))
+        if with_gt:
+            nifti_io.write_volume(data / f"{scan_id}.gt.nii", gt)
         partial = np.array(gt.data)
         partial[partial == 2] = 0
         nifti_io.write_volume(data / f"{scan_id}.labels.nii",
@@ -1011,6 +880,7 @@ def write_file_mode_data(data, n=2, dims=(12, 12, 12), seed=21):
         nifti_io.write_manifest(data / f"{scan_id}.manifest",
                                 nifti_io.ScanManifest(statuses={1: "labeled",
                                                                 2: "unlabeled"}))
+    return suite
 
 
 def test_file_mode_takes_each_exchange_dir_from_its_key_only(tmp_path, monkeypatch):
