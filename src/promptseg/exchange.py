@@ -20,10 +20,12 @@ once its ``.prompts`` exists (the two share a name: a directory serves one
 model), and a fit once ``.req`` exists, which is committed after the last
 example (a failed build leaves none).  A segment answer's probabilities are
 committed before its mask, which the client awaits first.  A batch writes
-every request before it awaits the first answer, which the server may answer
-in any order.  The client polls after 1 ms, doubling to 50 ms, and gives each
-answer ``timeout`` seconds from when it starts to await it, once its request
-or batch is committed; a missing answer is an ``OracleUnavailableError``, one
+every request before it awaits the first answer.  A uid starts with a
+zero-padded per-process sequence number, so one client's uids sort in commit
+order, and ``Server`` takes pending requests in uid order, the first awaited
+first.  The client polls after 1 ms, doubling to 50 ms, and gives each answer
+``timeout`` seconds from when it starts to await it, once its request or
+batch is committed; a missing answer is an ``OracleUnavailableError``, one
 still unreadable an ``OracleProtocolError``.
 """
 
@@ -43,6 +45,7 @@ from .vls_loss import SupervisionTarget
 from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labels
 
 log = logging.getLogger("promptseg.exchange")
+_sequence = itertools.count()
 
 _NAMES = {"image": "req_{}.nii", "prompts": "req_{}.prompts", "probs": "resp_{}.prob.nii",
           "mask": "resp_{}.nii", "examples": "fit_{}", "fit": "fit_{}.req", "done": "fit_{}.done"}
@@ -69,9 +72,14 @@ def _example_paths(fit_dir: Path, idx: int) -> list[Path]:
             for suffix in (".nii", ".target.nii", ".mask.nii", ".manifest")]
 
 
+def _new_uid() -> str:
+    """A uid that sorts after every earlier one of this process."""
+    return f"{next(_sequence):012d}{uuid.uuid4().hex}"
+
+
 def send(root, volume: Volume, prompts: BoxPromptPair | None = None) -> str:
     """Commit one request, its image and then any prompts; returns its uid."""
-    uid = uuid.uuid4().hex
+    uid = _new_uid()
     commit(path(root, "image", uid), volume)
     if prompts is not None:
         commit(path(root, "prompts", uid), format_prompts(prompts))
@@ -80,7 +88,7 @@ def send(root, volume: Volume, prompts: BoxPromptPair | None = None) -> str:
 
 def send_fit(root, examples, supervision: str) -> str:
     """Write each example as it is taken, then commit the request; returns its uid."""
-    uid = uuid.uuid4().hex
+    uid = _new_uid()
     fit_dir = path(root, "examples", uid)
     fit_dir.mkdir()
     for idx, ex in enumerate(examples):
@@ -152,7 +160,7 @@ class Server:
         self.taken: set[str] = set()
 
     def pending(self) -> list[tuple[str, str]]:
-        """``(kind, uid)`` of every complete request not taken yet."""
+        """``(kind, uid)`` of every complete request not taken yet, in uid order."""
         kinds = ({"prompts": "segment"} if self.generalist is not None
                  else {"image": "predict", "fit": "fit"})
         found = []
@@ -161,7 +169,7 @@ class Server:
             uid = name[len(prefix):-len(suffix)]
             if name.startswith(prefix) and name.endswith(suffix) and uid not in self.taken:
                 found.append((kind, uid))
-        return found
+        return sorted(found, key=lambda request: request[1])
 
     def answer(self, kind: str, uid: str) -> None:
         """Answer one complete request of ``kind`` predict, segment or fit."""

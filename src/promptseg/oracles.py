@@ -10,6 +10,14 @@ Phantom oracles are bitwise deterministic given (seed, quality, inputs):
 every stochastic field is drawn from an RNG keyed on the oracle seed, a
 fingerprint of the input volume, and the class (plus the prompt bytes for
 the generalist), never from mutable RNG state.
+A phantom batch (``PhantomSpecialist.predict_all``,
+``PhantomGeneralist.segment_all``, ``make_phantom_suite``) thus has pure
+items, and on more than one CPU a helper thread computes item 2j + 1 while the
+caller computes item 2j.  Each predict or segment item still goes through one
+public call on the caller's thread, in batch order, which returns a helper
+item's result or raises its exception.  The caches both threads fill are keyed
+per (scan, class) and hold the same bytes whichever thread fills them, so no
+output depends on the helper.
 """
 
 from __future__ import annotations
@@ -17,9 +25,13 @@ from __future__ import annotations
 import abc
 import functools
 import hashlib
+import itertools
 import math
 import operator
+import os
+import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -65,6 +77,49 @@ def _each_answer(segment, requests: Iterable[tuple]) -> Iterator[Answer | Prompt
             yield segment(*request)
         except PromptsegError as exc:
             yield exc
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _overlapped(work, items: Iterable) -> Iterator[tuple[object, Future | None]]:
+    """Each item, in order, with ``None`` (the caller computes it) or with a
+    helper thread's ``Future`` of ``work(item)``: on more than one CPU, item
+    2j + 1 goes to the helper as item 2j is taken; on one, no thread starts."""
+    items = iter(items)
+    if _cpus() < 2:
+        yield from ((item, None) for item in items)
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="promptseg-helper") as helper:
+        for item in items:
+            ahead = [(nxt, helper.submit(work, nxt)) for nxt in itertools.islice(items, 1)]
+            yield item, None
+            yield from ahead    # if the caller stops first, the helper's item is dropped
+
+
+class _HandOff:
+    """A helper's item goes through its public call, which takes the helper's
+    result from ``_handoff``, (thread id, ``Future``), on that thread only."""
+
+    _handoff: tuple[int | None, Future | None] = (None, None)
+
+    def _handed(self, ahead: Future | None, call, *args):
+        """``call(*args)``, with ``ahead`` on hand for its public call."""
+        self._handoff = threading.get_ident(), ahead
+        try:
+            return call(*args)
+        finally:
+            self._handoff = None, None
+
+    def _take(self, work, *args):
+        """The result on hand for this thread, or else ``work(*args)``."""
+        thread, ahead = self._handoff
+        if ahead is None or thread != threading.get_ident():
+            return work(*args)
+        self._handoff = None, None
+        return ahead.result()
 
 
 @dataclass(frozen=True)
@@ -134,6 +189,8 @@ class Ellipsoid:
 IMAGE_SIGMA = 0.05
 #: An organ's semi-axes are drawn from this range of fractions of the grid's shortest side.
 RADIUS_FRACTIONS = (0.11, 0.17)
+#: Values in one block of y-planes of a whole-grid draw taken block by block.
+DRAW_BLOCK = 1 << 16
 #: Voxels an organ's center keeps, beyond its largest semi-axis, from each grid face.
 CENTER_MARGIN = 1.5
 #: The shortest side on which any organ's center has room: side s has room
@@ -211,24 +268,33 @@ def ellipsoid_mask(dims: tuple[int, int, int], ell: Ellipsoid) -> np.ndarray:
     return mask
 
 
+def _plane_blocks(dims: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """``[y0, y1)`` blocks of about ``DRAW_BLOCK`` values that tile the y-planes
+    in order.  A ``Generator`` draws the same values in consecutive pieces as
+    in one call, and leaves the same state."""
+    step = max(1, DRAW_BLOCK // max(1, dims[1] * dims[2]))
+    return [(y, min(y + step, dims[0])) for y in range(0, dims[0], step)]
+
+
 def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[Volume, LabelMap]:
     """Rasterize a phantom: exact label map plus a noisy intensity image.
 
     Deterministic for a fixed seed.  Overlapping ellipsoids are resolved by
     organ-index priority: earlier organs keep contested voxels.  Each organ is
-    written on its ellipsoid's box.
+    written on its ellipsoid's box; the image is built by blocks of y-planes.
     """
     labels = np.zeros(spec.dims, dtype=np.uint8)
-    image = np.zeros(spec.dims, dtype=np.float64)
     for idx, ell in enumerate(spec.organs, start=1):
         box, inside = _ellipsoid_on_box(spec.dims, ell)
         sub = labels[box]
-        new = inside & (sub == 0)
-        sub[new] = idx
-        image[box][new] = ell.intensity
+        sub[inside & (sub == 0)] = idx
+    intensity = np.array([0.0] + [ell.intensity for ell in spec.organs], dtype=np.float64)
+    image = np.empty(spec.dims, dtype=np.float32)
     rng = np.random.default_rng(seed)
-    image += rng.normal(0.0, IMAGE_SIGMA, size=spec.dims)
-    return Volume(image.astype(np.float32), spacing), LabelMap(labels, max(2, spec.num_classes))
+    for y0, y1 in _plane_blocks(spec.dims):
+        image[y0:y1] = intensity[labels[y0:y1]] + rng.normal(
+            0.0, IMAGE_SIGMA, size=(y1 - y0,) + tuple(spec.dims[1:]))
+    return Volume(image, spacing), LabelMap(labels, max(2, spec.num_classes))
 
 
 def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> PhantomSpec:
@@ -268,10 +334,9 @@ def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> Pha
 
 def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int], seed: int,
                        spacing=(1.0, 1.0, 1.0)) -> list[tuple[str, Volume, LabelMap]]:
-    """Deterministic list of (scan_id, image, ground truth) phantoms; the
-    images have voxel spacing ``spacing``."""
-    scans = []
-    for idx in range(n_scans):
+    """Deterministic list of (scan_id, image, ground truth) phantoms, built as
+    a phantom batch; the images have voxel spacing ``spacing``."""
+    def scan(idx: int) -> tuple[str, Volume, LabelMap]:
         rng = np.random.default_rng((seed, 1000 + idx))
         spec = random_phantom_spec(dims, num_organs, rng)
         vol, gt = generate_phantom(spec, (seed, 2000 + idx), spacing)
@@ -279,8 +344,10 @@ def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int]
         empty = np.flatnonzero(counts[1:] == 0) + 1
         if empty.size:
             raise ConfigError(f"phantom organ {empty[0]} rasterized empty; dims too small")
-        scans.append((f"scan{idx:03d}", vol, gt))
-    return scans
+        return f"scan{idx:03d}", vol, gt
+
+    return [scan(idx) if ahead is None else ahead.result()
+            for idx, ahead in _overlapped(scan, range(n_scans))]
 
 
 def volume_fingerprint(volume: Volume) -> str:
@@ -464,7 +531,7 @@ def _rng_for(*key_parts) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(h.digest()[:8], "little"))
 
 
-class PhantomSpecialist(SpecialistOracle):
+class PhantomSpecialist(_HandOff, SpecialistOracle):
     """Closed-form stand-in for a trainable segmentation network.
 
     ``predict`` returns labels: the registered ground truth corrupted by the
@@ -525,6 +592,14 @@ class PhantomSpecialist(SpecialistOracle):
         return self._quality.get(class_id, self._base_quality)
 
     def predict(self, volume: Volume) -> LabelMap:
+        return self._take(self._predict, volume)
+
+    def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
+        """``predict`` of each volume, in order, as a phantom batch."""
+        return [self._handed(ahead, self.predict, volume)
+                for volume, ahead in _overlapped(self._predict, volumes)]
+
+    def _predict(self, volume: Volume) -> LabelMap:
         fp, scan = self.registry.lookup(volume)
         C = scan.gt.num_classes
         dims = scan.gt.dims
@@ -592,7 +667,7 @@ class PhantomSpecialist(SpecialistOracle):
             self._quality[c] = min(1.0, max(0.0, target_q))
 
 
-class PhantomGeneralist(GeneralistOracle):
+class PhantomGeneralist(_HandOff, GeneralistOracle):
     """Closed-form stand-in for a frozen promptable segmentation model.
 
     The organ whose padded bounding box best overlaps the prompt-derived ROI
@@ -645,9 +720,20 @@ class PhantomGeneralist(GeneralistOracle):
 
     def segment(self, volume: Volume, prompts: BoxPromptPair,
                 region: Region | None = None) -> Answer:
-        """The whole-grid answer sliced to ``region``, byte for byte.  The
-        noise is drawn on the whole grid, as the blob draws follow it in the
-        RNG stream; every other field is taken on the region alone."""
+        """The whole-grid answer sliced to ``region``, byte for byte."""
+        return self._take(self._segment, volume, prompts, region)
+
+    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Region | None]]
+                    ) -> Iterator[Answer | PromptsegError]:
+        """``GeneralistOracle.segment_all`` as a phantom batch."""
+        pairs = _overlapped(lambda req: self._segment(*req), requests)
+        return _each_answer(lambda req, ahead: self._handed(ahead, self.segment, *req), pairs)
+
+    def _segment(self, volume: Volume, prompts: BoxPromptPair,
+                 region: Region | None = None) -> Answer:
+        """The noise is drawn on the whole grid, a block of y-planes at a time, as
+        the blob draws follow it in the RNG stream; only its rows of ``region``
+        are kept, and every other field is taken on the region alone."""
         fp, scan = self.registry.lookup(volume)
         dims = scan.gt.dims
         region = _checked_region(region, dims)
@@ -669,8 +755,14 @@ class PhantomGeneralist(GeneralistOracle):
         else:
             sd = self.registry.signed_distance(fp, c, region).astype(np.float64)
         rng = _rng_for(self.seed, fp, c, format_prompts(prompts))
-        noise = rng.standard_normal(dims)
-        sd = sd + (1.0 - self.g) * self.NOISE_SIGMA * noise[region]
+        scale = (1.0 - self.g) * self.NOISE_SIGMA
+        rows, cols, deps = region
+        buf = np.empty((_plane_blocks(dims)[0][1],) + dims[1:])
+        for y0, y1 in _plane_blocks(dims):
+            noise = rng.standard_normal(out=buf[:y1 - y0])
+            a, b = max(y0, rows.start), min(y1, rows.stop)       # the block's rows in region
+            if a < b:
+                sd[a - rows.start:b - rows.start] += scale * noise[a - y0:b - y0, cols, deps]
         lo, hi = self.registry.organ_bbox(fp, c)
         spread = (np.asarray(hi) - lo) / 2.0 + self.assumed_padding
         organ_center = (np.asarray(lo) + hi) / 2.0

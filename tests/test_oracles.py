@@ -1,4 +1,7 @@
 import logging
+import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -36,6 +39,39 @@ def test_generate_phantom_zero_organs():
     vol, gt = generate_phantom(spec, seed=0)
     assert not gt.data.any()
     assert vol.dims == (8, 8, 8)
+
+
+def test_generator_draws_the_same_values_in_consecutive_pieces():
+    """Phantom noise is drawn one block of y-planes at a time: pieces of a
+    ``standard_normal`` (into a reused buffer) or ``normal`` draw hold the values
+    of one whole draw and leave the same state for the draws that follow."""
+    sizes = [1, 4480, 7, 65536, 3, 100]
+    whole = np.random.default_rng(11)
+    want = whole.standard_normal(sum(sizes))
+    pieces, buf = np.random.default_rng(11), np.empty(max(sizes))
+    got = np.concatenate([pieces.standard_normal(out=buf[:n]).copy() for n in sizes])
+    assert got.tobytes() == want.tobytes()
+    assert pieces.uniform(size=5).tobytes() == whole.uniform(size=5).tobytes()
+    whole, pieces = np.random.default_rng((5, 2000)), np.random.default_rng((5, 2000))
+    want = whole.normal(0.0, 0.05, size=(9, 8, 7))
+    got = np.concatenate([pieces.normal(0.0, 0.05, size=(n, 8, 7)) for n in (2, 1, 4, 2)])
+    assert got.tobytes() == want.tobytes()
+    assert pieces.standard_normal(3).tobytes() == whole.standard_normal(3).tobytes()
+
+
+def test_generate_phantom_equals_its_whole_grid_draw(monkeypatch):
+    """The block-by-block image equals the float32 cast of a whole-grid float64
+    image plus one whole-grid noise draw, also when a block holds one plane."""
+    spec = random_phantom_spec((20, 18, 16), 4, np.random.default_rng(3))
+    _, gt = generate_phantom(spec, seed=(1, 2))
+    intensity = np.array([0.0] + [ell.intensity for ell in spec.organs])
+    noise = np.random.default_rng((1, 2)).normal(0.0, oracles.IMAGE_SIGMA, size=spec.dims)
+    want = (intensity[gt.data] + noise).astype(np.float32)
+    for block in (oracles.DRAW_BLOCK, 18 * 16 * 3, 1):
+        monkeypatch.setattr(oracles, "DRAW_BLOCK", block)
+        vol, labels = generate_phantom(spec, seed=(1, 2))
+        assert vol.data.tobytes() == want.tobytes(), block
+        assert labels.data.tobytes() == gt.data.tobytes()
 
 
 def test_sphere_voxel_count_matches_brute_force():
@@ -762,7 +798,8 @@ def face_regions(dims):
     return regions
 
 
-def test_generalist_on_a_region_is_the_whole_grid_answer_there():
+def test_generalist_on_a_region_is_the_whole_grid_answer_there(monkeypatch):
+    monkeypatch.setattr(oracles, "DRAW_BLOCK", 300)     # noise drawn one to a few planes at a time
     rng = np.random.default_rng(12)
     lone = np.zeros((16, 12, 10), dtype=np.uint8)
     lone[1:3, 1:3, 1:3] = 1                                # most prompts miss it
@@ -1507,6 +1544,16 @@ def test_server_logs_a_failing_answer_and_answers_later_requests(tmp_path, caplo
     assert {p.name for p in tmp_path.iterdir()} == {exchange.path(tmp_path, *f).name for f in files}
 
 
+def test_server_takes_pending_requests_in_commit_order(tmp_path):
+    """uids sort in commit order, so a serial server answers a batch's first
+    awaited request first, whatever order the directory lists its files in."""
+    server = Server(tmp_path, specialist=Stub(indexed_predict_answer))
+    uids = [exchange.send(tmp_path, indexed_volume(k)) for k in range(14)]
+    assert server.pending() == [("predict", uid) for uid in uids]
+    server.serve_once()
+    assert server.specialist.answered == list(range(14))
+
+
 def test_server_takes_one_model_per_directory(tmp_path):
     for models in ({"specialist": Stub(), "generalist": Stub()}, {}):
         with pytest.raises(ConfigError, match="share a name"):
@@ -1552,6 +1599,162 @@ def test_default_predict_all_predicts_each_volume_in_order():
 
     got = Echo().predict_all([indexed_volume(k) for k in (3, 1, 2)])
     assert [int(labels.data.flat[0]) for labels in got] == [3, 1, 2]
+
+
+# --- phantom batches on a helper thread -----------------------------------------
+
+def fresh_oracles(suite, seed=7):
+    """A new registry (empty caches) and its specialist and generalist."""
+    registry = PhantomRegistry()
+    for _, vol, gt in suite:
+        registry.register(vol, gt)
+    return (PhantomSpecialist(registry, quality=0.6, seed=seed),
+            PhantomGeneralist(registry, cooperativeness=0.4, seed=seed))
+
+
+@pytest.fixture
+def helper_on(monkeypatch):
+    """Phantom batches use their helper thread whatever this machine's CPUs,
+    and thread switches come often, so the two threads interleave finely."""
+    monkeypatch.setattr(oracles, "_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_predict_all_over_a_repeated_volume_equals_one_by_one(helper_on):
+    """Both threads fill the caches of one scan and class at once (signed
+    distances, organ boxes, noise peaks); every prediction still equals the
+    one-by-one call of an oracle whose caches were filled in order."""
+    suite = make_phantom_suite(3, 4, (24, 22, 20), seed=2)
+    vols = [vol for _, vol, _ in suite]
+    batch = [vols[k] for k in (0, 0, 1, 0, 2, 2, 1, 0, 0)]
+    for trial in range(3):
+        batched, _ = fresh_oracles(suite, seed=trial)
+        single, _ = fresh_oracles(suite, seed=trial)
+        got = batched.predict_all(batch)
+        want = [single.predict(vol) for vol in batch]
+        assert [g.data.tobytes() for g in got] == [w.data.tobytes() for w in want], trial
+
+
+def test_segment_all_keeps_each_error_at_its_position(helper_on):
+    """A request that fails with ``RejectedInputError``, whether the caller
+    (even positions) or the helper (odd) computes it, is yielded at its
+    position, and every answer equals the one-by-one call."""
+    suite = make_phantom_suite(2, 3, (24, 20, 18), seed=4)
+    _, generalist = fresh_oracles(suite)
+    asks = []
+    for _, vol, gt in suite:
+        for c in (1, 2, 3):
+            prompts = make_box_prompts(gt, c, padding=2)
+            asks.append((vol, prompts, roi_box(prompts, 4, vol.dims)))
+    asks.append((suite[0][1], asks[0][1], None))                # the whole grid
+    bad = (slice(0, 0), slice(0, 4), slice(0, 4))
+    for failing in ({0, 3}, {1, 4}, {2, 5, 6}):
+        requests = [(v, p, bad if k in failing else r) for k, (v, p, r) in enumerate(asks)]
+        got = list(generalist.segment_all(requests))
+        _, single = fresh_oracles(suite)
+        for k, (answer, request) in enumerate(zip(got, requests)):
+            if k in failing:
+                assert isinstance(answer, RejectedInputError), k
+                with pytest.raises(RejectedInputError):
+                    single.segment(*request)
+                continue
+            mask, probs = single.segment(*request)
+            assert answer[0].tobytes() == mask.tobytes(), k
+            assert answer[1].data.tobytes() == probs.data.tobytes(), k
+
+
+def test_an_error_in_a_helper_item_propagates_out_of_predict_all(helper_on):
+    """Only ``PromptsegError``s are answers: any other exception raised in a
+    helper item leaves ``predict_all`` as itself, after the items before it."""
+    suite, registry = registered_suite(n=3, organs=2, dims=(12, 12, 12))
+    vols = [vol for _, vol, _ in suite]
+    ran = []
+
+    class Faulty(PhantomSpecialist):
+        def _predict(self, volume):
+            ran.append((volume is vols[1], threading.current_thread() is threading.main_thread()))
+            if volume is vols[1]:
+                raise TypeError("not an oracle failure")
+            return super()._predict(volume)
+
+    with pytest.raises(TypeError, match="not an oracle failure"):
+        Faulty(registry, quality=1.0).predict_all(vols)
+    assert (True, False) in ran                     # raised on the helper thread
+    assert (False, True) in ran                     # item 0 ran on the caller's
+
+
+def test_a_phantom_batch_has_at_most_two_items_in_flight(helper_on):
+    """An item is in flight from when its computation starts until its public
+    ``predict`` returns it: the helper runs one item ahead of the caller, never
+    more.  Each item is computed once and goes through one public ``predict``
+    on the caller's thread, in order."""
+    suite, registry = registered_suite(n=2, organs=2, dims=(12, 12, 12))
+    vols = [suite[k % 2][1] for k in range(7)]
+    lock, flight, calls = threading.Lock(), [0, 0, 0], []    # in flight, most, computed
+
+    class Slow(PhantomSpecialist):
+        def predict(self, volume):
+            labels = super().predict(volume)
+            calls.append(([v is volume for v in vols].index(True),
+                          threading.current_thread() is threading.main_thread()))
+            with lock:
+                flight[0] -= 1
+            return labels
+
+        def _predict(self, volume):
+            with lock:
+                flight[0] += 1
+                flight[1:] = max(flight[:2]), flight[2] + 1
+            time.sleep(0.02)
+            return super()._predict(volume)
+
+    got = Slow(registry, quality=1.0).predict_all(vols)
+    assert flight == [0, 2, 7]
+    assert calls == [(k % 2, True) for k in range(7)]
+    assert [g.data.tobytes() for g in got] == [suite[k % 2][2].data.tobytes() for k in range(7)]
+
+
+def test_a_call_on_another_thread_never_takes_a_helper_result(helper_on):
+    """While the caller's public ``predict`` of a helper item runs, a
+    ``predict`` of the same oracle on another thread computes its own answer."""
+    suite, registry = registered_suite(n=2, organs=2, dims=(12, 12, 12))
+    (_, a, gt_a), (_, b, gt_b) = suite
+    other = []
+
+    class Shared(PhantomSpecialist):
+        def predict(self, volume):
+            if volume is b:                 # item 1: the helper's result is on hand
+                thread = threading.Thread(target=lambda: other.append(self.predict(a)))
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            return super().predict(volume)
+
+    got = Shared(registry, quality=1.0).predict_all([a, b])
+    assert other[0].data.tobytes() == gt_a.data.tobytes()
+    assert [g.data.tobytes() for g in got] == [gt_a.data.tobytes(), gt_b.data.tobytes()]
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    """Pinned to one CPU, phantom batches run on the caller's thread alone."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert oracles._cpus() == 1
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    suite = make_phantom_suite(3, 2, (12, 12, 12), seed=1)
+    specialist, generalist = fresh_oracles(suite)
+    assert len(specialist.predict_all([vol for _, vol, _ in suite])) == 3
+    prompts = make_box_prompts(suite[0][2], 1, padding=2)
+    assert len(list(generalist.segment_all([(suite[0][1], prompts, None)] * 3))) == 3
 
 
 def test_fingerprint_sensitive_to_content():

@@ -930,6 +930,22 @@ def test_file_mode_gt_that_is_not_a_label_image_is_a_config_error(tmp_path):
     assert not list(spec.glob("req_*")) and not list(spec.glob("fit_*"))
 
 
+def test_phantom_run_is_byte_identical_with_and_without_the_helper(tmp_path, monkeypatch):
+    """Phantom batches computed by the caller and a helper thread give the
+    outputs of one thread: every CSV and every file under ``targets/``."""
+    from promptseg import oracles
+    outputs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(oracles, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        run_pipeline(PipelineConfig(keep_fraction=0.33, rounds=3, entropy_gate_from_round=2,
+                                    scans=9, test_scans=3, organs=5, dims=(24, 22, 20),
+                                    generalist_cooperativeness=0.6, seed=7, out_dir=str(out)))
+        files = sorted(out.glob("*.csv")) + sorted((out / "targets").iterdir())
+        outputs.append({f.relative_to(out).as_posix(): f.read_bytes() for f in files})
+    assert len(outputs[0]) > 9 * 2 and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("keep_fraction", [1.0, 0.5])
 def test_run_predicts_each_scan_once_per_round(tmp_path, monkeypatch, keep_fraction):
     from promptseg.oracles import volume_fingerprint
