@@ -11,11 +11,11 @@ every stochastic field is drawn from an RNG keyed on the oracle seed, a
 fingerprint of the input volume, and the class (plus the prompt bytes for
 the generalist), never from mutable RNG state.
 A phantom batch (``PhantomSpecialist.predict_all``,
-``PhantomGeneralist.segment_all``, ``make_phantom_suite``) thus has pure
-items, and on more than one CPU a helper thread computes item 2j + 1 while the
-caller computes item 2j.  Each predict or segment item still goes through one
-public call on the caller's thread, in batch order, which returns a helper
-item's result or raises its exception.  The caches both threads fill are keyed
+``PhantomGeneralist.segment_all``) thus has pure items, and on more than one
+CPU a helper thread computes item 2j + 1 while the caller computes item 2j.
+Each item still goes through one public call on the caller's thread, in batch
+order, which returns a helper item's result, or raises its exception, when
+called with that item's very arguments.  The caches both threads fill are keyed
 per (scan, class) and hold the same bytes whichever thread fills them, so no
 output depends on the helper.
 """
@@ -101,24 +101,25 @@ def _overlapped(work, items: Iterable) -> Iterator[tuple[object, Future | None]]
 
 class _HandOff:
     """A helper's item goes through its public call, which takes the helper's
-    result from ``_handoff``, (thread id, ``Future``), on that thread only."""
+    result from ``_handoff``, (key, ``Future``), only on the thread and with
+    the very arguments the key names: (thread id, each argument's ``id``)."""
 
-    _handoff: tuple[int | None, Future | None] = (None, None)
+    _handoff: tuple[tuple, Future | None] = ((), None)
 
     def _handed(self, ahead: Future | None, call, *args):
         """``call(*args)``, with ``ahead`` on hand for its public call."""
-        self._handoff = threading.get_ident(), ahead
+        self._handoff = (threading.get_ident(), *map(id, args)), ahead
         try:
             return call(*args)
         finally:
-            self._handoff = None, None
+            self._handoff = (), None
 
     def _take(self, work, *args):
-        """The result on hand for this thread, or else ``work(*args)``."""
-        thread, ahead = self._handoff
-        if ahead is None or thread != threading.get_ident():
+        """The result on hand for this thread and ``args``, or else ``work(*args)``."""
+        key, ahead = self._handoff
+        if ahead is None or key != (threading.get_ident(), *map(id, args)):
             return work(*args)
-        self._handoff = None, None
+        self._handoff = (), None
         return ahead.result()
 
 
@@ -334,9 +335,10 @@ def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> Pha
 
 def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int], seed: int,
                        spacing=(1.0, 1.0, 1.0)) -> list[tuple[str, Volume, LabelMap]]:
-    """Deterministic list of (scan_id, image, ground truth) phantoms, built as
-    a phantom batch; the images have voxel spacing ``spacing``."""
-    def scan(idx: int) -> tuple[str, Volume, LabelMap]:
+    """Deterministic list of (scan_id, image, ground truth) phantoms; the
+    images have voxel spacing ``spacing``."""
+    scans = []
+    for idx in range(n_scans):
         rng = np.random.default_rng((seed, 1000 + idx))
         spec = random_phantom_spec(dims, num_organs, rng)
         vol, gt = generate_phantom(spec, (seed, 2000 + idx), spacing)
@@ -344,10 +346,8 @@ def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int]
         empty = np.flatnonzero(counts[1:] == 0) + 1
         if empty.size:
             raise ConfigError(f"phantom organ {empty[0]} rasterized empty; dims too small")
-        return f"scan{idx:03d}", vol, gt
-
-    return [scan(idx) if ahead is None else ahead.result()
-            for idx, ahead in _overlapped(scan, range(n_scans))]
+        scans.append((f"scan{idx:03d}", vol, gt))
+    return scans
 
 
 def volume_fingerprint(volume: Volume) -> str:

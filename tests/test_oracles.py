@@ -1740,6 +1740,46 @@ def test_a_call_on_another_thread_never_takes_a_helper_result(helper_on):
     assert [g.data.tobytes() for g in got] == [gt_a.data.tobytes(), gt_b.data.tobytes()]
 
 
+def test_a_public_call_on_other_arguments_never_takes_a_helper_result(helper_on):
+    """An override that first predicts another volume, or segments with other
+    prompts, before it forwards its item gets that call's own answer; the
+    item still gets the helper's."""
+    suite, registry = registered_suite(n=3, organs=2, dims=(12, 12, 12))
+    vols = [vol for _, vol, _ in suite]
+    side = []
+
+    class Probing(PhantomSpecialist):
+        def predict(self, volume):
+            other = ([v is volume for v in vols].index(True) + 1) % 3
+            side.append((other, super().predict(vols[other])))
+            return super().predict(volume)
+
+    got = Probing(registry, quality=1.0).predict_all(vols * 2)
+    assert [g.data.tobytes() for g in got] == [gt.data.tobytes() for _, _, gt in suite * 2]
+    assert [other for other, _ in side] == [1, 2, 0] * 2
+    for other, labels in side:
+        assert labels.data.tobytes() == suite[other][2].data.tobytes()
+
+    vol, gt = suite[0][1], suite[0][2]
+    requests = [(vol, make_box_prompts(gt, c, padding=2), None) for c in (1, 2, 1, 2)]
+
+    class Asking(PhantomGeneralist):
+        def segment(self, volume, prompts, region=None):
+            side.append(super().segment(volume, requests[0][1] if prompts is not requests[0][1]
+                                        else requests[1][1], region))
+            return super().segment(volume, prompts, region)
+
+    _, plain = fresh_oracles(suite)
+    asking = Asking(registry, cooperativeness=0.4, seed=7)
+    side.clear()
+    got = list(asking.segment_all(requests))
+    for answer, request in zip(got, requests):
+        assert answer[1].data.tobytes() == plain.segment(*request)[1].data.tobytes()
+    for answer, request in zip(side, requests):
+        other = requests[0] if request[1] is not requests[0][1] else requests[1]
+        assert answer[1].data.tobytes() == plain.segment(*other)[1].data.tobytes()
+
+
 def test_one_cpu_starts_no_thread(monkeypatch):
     """Pinned to one CPU, phantom batches run on the caller's thread alone."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
