@@ -1,7 +1,8 @@
 """Reader/writer for a NIfTI-1 single-file subset, plus sidecar manifests.
 
 Supported subset: magic ``n+1\\0``, datatype uint8 (code 2) or float32
-(code 16), 3 or 4 dims.  Files are written little-endian with
+(code 16), 3 or 4 dims, and no intensity scaling (``scl_slope`` 0, or 1
+with ``scl_inter`` 0).  Files are written little-endian with
 ``vox_offset = 352`` (348-byte header + 4 zero extension-flag bytes); the
 reader detects byte order from the ``sizeof_hdr`` pattern and swaps on read.
 The payload order is the standard NIfTI one - x fastest, then y, then z,
@@ -115,6 +116,9 @@ def _parse_header(raw: bytes, path) -> tuple[NiftiHeader, str]:
     vox_offset = float(_unpack(bo + "f", raw, _OFF_VOX_OFFSET))
     if vox_offset < HEADER_SIZE or vox_offset != int(vox_offset):
         raise CorruptFileError(f"{path}: bad vox_offset {vox_offset}")
+    slope, inter = _unpack(bo + "2f", raw, _OFF_SCL_SLOPE)
+    if slope != 0.0 and (slope, inter) != (1.0, 0.0):
+        raise UnsupportedFormatError(f"{path}: scl_slope {slope}, scl_inter {inter} not supported")
     hdr = NiftiHeader(
         shape=shape,
         datatype=int(datatype),

@@ -3,7 +3,9 @@ training, prompt -> generalist -> refine rounds, supervision merging, and
 re-training.
 
 Scans are independent within a round and rounds are a global barrier;
-specialist fits are exclusive.  With phantom oracles the whole pipeline is a
+specialist fits are exclusive.  A scan and its supervision are frozen
+values, and a round returns the next scans, so each round is a function of
+the supervision it is given.  With phantom oracles the whole pipeline is a
 pure function of (dataset, config, seed): per-scan randomness is keyed on
 the scan id, all reports use fixed number formatting, and no timestamps are
 written, so repeated runs produce byte-identical CSV and NIfTI outputs.
@@ -16,9 +18,10 @@ import hashlib
 import logging
 import numbers
 import zlib
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, get_args, get_origin, get_type_hints
+from types import MappingProxyType
+from typing import Iterator, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy import ndimage
@@ -46,46 +49,47 @@ SUPERVISION_MODES = ("full", "partial")
 ORACLE_KINDS = ("phantom", "file")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanSupervision:
-    """A scan's supervision: the ``labeled`` ground-truth classes, their
-    labels as ``partial``, and the organ states that hold the accepted
-    pseudo-labels, each on its own box.  The target is ``given``, whose
-    pseudo classes seed their states at conf 0 and are kept as ``seeded``;
-    ``given_labels`` pastes them back onto ``partial``, so one label grid
-    per scan is held.  Each round stores the state refinement returns;
-    everything else is derived, and ``target`` merges ``partial`` with what
-    is accepted now."""
+    """A scan's supervision, a frozen value: the ``labeled`` ground-truth
+    classes, their labels as ``partial``, and ``states``, a read-only map of
+    one organ state per unlabeled class, each pseudo-label on its own box.
+    ``from_target`` builds it; a round returns the next one, and ``target``
+    merges ``partial`` with what is accepted now."""
 
-    scan_id: str
     labeled: frozenset[int]
-    given: InitVar[SupervisionTarget]
-    organ_states: dict[int, OrganRefinementState] = field(init=False)
-    partial: LabelMap = field(init=False)
-    seeded: dict[int, OrganRefinementState] = field(init=False)
+    partial: LabelMap
+    states: Mapping[int, OrganRefinementState]
 
-    def __post_init__(self, given: SupervisionTarget):
+    def __post_init__(self):
+        object.__setattr__(self, "states", MappingProxyType(dict(self.states)))
+
+    @classmethod
+    def from_target(cls, labeled: frozenset[int], given: SupervisionTarget) -> ScanSupervision:
+        """The supervision of labels as given: ground truth for ``labeled``,
+        each pseudo class seeding its state at conf 0, and no other class."""
         labels = given.labels
-        if not self.labeled <= frozenset(range(1, labels.num_classes)):
+        if not labeled <= frozenset(range(1, labels.num_classes)):
             raise RejectedInputError(f"labeled classes must lie in 1..{labels.num_classes - 1}, "
-                                     f"got {sorted(self.labeled)}")
-        if given.pseudo_classes & self.labeled:
+                                     f"got {sorted(labeled)}")
+        if given.pseudo_classes & labeled:
             raise RejectedInputError("pseudo classes must be unlabeled")
-        self.seeded = {}
-        data = labels.data
-        if given.pseudo_classes:
-            data = np.array(data)
-            boxes = ndimage.find_objects(data, max_label=labels.num_classes - 1)
-            for c in sorted(given.pseudo_classes):
-                box = boxes[c - 1] or EMPTY_BOX
-                mask = data[box] == c
-                data[box][mask] = 0
-                mask.flags.writeable = False
-                self.seeded[c] = OrganRefinementState(
-                    c, mask, box, np.zeros(np.count_nonzero(mask), np.float32))
-        self.partial = LabelMap(data, labels.num_classes)
-        self.organ_states = {c: OrganRefinementState(class_id=c) for c in self.unlabeled}
-        self.organ_states.update(self.seeded)
+        boxes = ndimage.find_objects(labels.data, max_label=labels.num_classes - 1)
+        stray = {c for c, box in enumerate(boxes, 1) if box} - labeled - given.pseudo_classes
+        if stray:
+            raise RejectedInputError(f"classes {sorted(stray)} have labels but are neither "
+                                     "labeled nor pseudo")
+        states = {c: OrganRefinementState(c) for c in range(1, labels.num_classes)
+                  if c not in labeled}
+        data = np.array(labels.data) if given.pseudo_classes else labels.data
+        for c in sorted(given.pseudo_classes):
+            box = boxes[c - 1] or EMPTY_BOX
+            mask = data[box] == c
+            data[box][mask] = 0
+            mask.flags.writeable = False
+            states[c] = OrganRefinementState(
+                c, mask, box, np.zeros(np.count_nonzero(mask), np.float32))
+        return cls(frozenset(labeled), LabelMap(data, labels.num_classes), states)
 
     @property
     def num_classes(self) -> int:
@@ -93,20 +97,11 @@ class ScanSupervision:
 
     @property
     def unlabeled(self) -> frozenset[int]:
-        return frozenset(range(1, self.num_classes)) - self.labeled
-
-    def given_labels(self) -> LabelMap:
-        """The labels as given: ``partial`` with the seeded pseudo-labels."""
-        if not self.seeded:
-            return self.partial
-        data = np.array(self.partial.data)
-        for c, state in self.seeded.items():
-            data[state.box][state.current_pseudo] = c
-        return LabelMap(data, self.num_classes)
+        return frozenset(self.states)
 
     def accepted(self) -> dict[int, OrganRefinementState]:
         """{class: state} of every organ state holding a pseudo-label."""
-        return {c: s for c, s in self.organ_states.items() if s.current_pseudo is not None}
+        return {c: s for c, s in self.states.items() if s.current_pseudo is not None}
 
     @property
     def pseudo(self) -> frozenset[int]:
@@ -117,7 +112,7 @@ class ScanSupervision:
         return merged_target(self.partial, self.accepted())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scan:
     scan_id: str
     volume: Volume
@@ -334,7 +329,7 @@ def simulate_partial_labels(gt: LabelMap, num_classes: int, keep_fraction: float
     labeled = frozenset(int(c) for c in rng.choice(np.arange(1, num_classes),
                                                    size=n_keep, replace=False))
     data = np.where(np.isin(gt.data, sorted(labeled)), gt.data, 0)
-    return ScanSupervision(scan_id, labeled, SupervisionTarget(LabelMap(data, num_classes)))
+    return ScanSupervision.from_target(labeled, SupervisionTarget(LabelMap(data, num_classes)))
 
 
 # --- stage 2: initial training ------------------------------------------------
@@ -435,10 +430,12 @@ def predict_labels(scans: list[Scan], specialist: SpecialistOracle) -> dict[str,
 
 def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                        generalist: GeneralistOracle, config: PipelineConfig,
-                       round_t: int) -> RoundReport:
+                       round_t: int) -> tuple[RoundReport, list[Scan]]:
     """One prompt -> segment -> refine pass over every unlabeled organ, the
     prompts drawn from ``predictions`` (see ``predict_labels``).  The
     generalist answers on the ROI box, the only part refinement reads.
+    Returns the round's report and the next scans, each organ holding the
+    state refinement returned; nothing given is modified.
 
     The generalist is frozen, so it is asked only for an organ whose prompts
     differ from those behind its stored pseudo-label and from those of its
@@ -450,30 +447,29 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
 
     A first pass plans every organ (no prediction, re-gate, or ask on its
     ROI box) and sends every request through one ``segment_all``; a second
-    pass refines the answers as they are taken, in plan order.  Organ states
-    are independent, so both passes see the states one loop would.
+    pass refines the answers as they are taken, in plan order.  Each organ is
+    planned once, so both passes read the state it was given.
     """
     report = RoundReport(round_index=round_t)
     refine_config = config.refinement_config(round_t)
-    plan = []      # (scan, class_id, prompts or None, stored result or region to ask on)
+    plan = []      # (next states, scan, class_id, prompts or None, stored result or region)
     asks = []
-    for scan in scans:
-        for class_id in sorted(scan.supervision.unlabeled):
+    next_states = [dict(scan.supervision.states) for scan in scans]
+    for scan, states in zip(scans, next_states):
+        for class_id in sorted(states):
             try:
                 prompts = make_box_prompts(predictions[scan.scan_id], class_id,
                                            config.box_padding)
             except NoPredictionError:
-                plan.append((scan, class_id, None, None))
+                plan.append((states, scan, class_id, None, None))
                 continue
-            known = refine_stored(scan.supervision.organ_states[class_id], prompts,
-                                  refine_config)
+            known = refine_stored(states[class_id], prompts, refine_config)
             if known is None:
                 known = roi_box(prompts, config.delta_roi, scan.volume.dims)
                 asks.append((scan.volume, prompts, known))
-            plan.append((scan, class_id, prompts, known))
+            plan.append((states, scan, class_id, prompts, known))
     answers = generalist.segment_all(asks)
-    for scan, class_id, prompts, known in plan:
-        sup = scan.supervision
+    for states, scan, class_id, prompts, known in plan:
         if prompts is None:
             report.entries.append(RoundEntry(scan.scan_id, class_id,
                                              "skip", "no-prediction", None, None))
@@ -494,17 +490,13 @@ def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],
                 raise RejectedInputError(f"generalist mask dims {np.shape(mask)} off {known}")
             candidate[known] = mask
             result = refine_pseudo_label(candidate, gprobs, prompts, refine_config,
-                                         sup.organ_states[class_id])
-        sup.organ_states[class_id] = result.state
-        if result.accepted:
-            report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                             "accept", "accepted", result.mean_entropy,
-                                             _pseudo_dice(scan, class_id, result)))
-        else:
-            report.entries.append(RoundEntry(scan.scan_id, class_id,
-                                             "reject", result.reason,
-                                             result.mean_entropy, None))
-    return report
+                                         states[class_id])
+        states[class_id] = result.state
+        report.entries.append(RoundEntry(
+            scan.scan_id, class_id, "accept" if result.accepted else "reject", result.reason,
+            result.mean_entropy, _pseudo_dice(scan, class_id, result) if result.accepted else None))
+    return report, [replace(scan, supervision=replace(scan.supervision, states=states))
+                    for scan, states in zip(scans, next_states)]
 
 
 def _pseudo_dice(scan: Scan, class_id: int, result: RefinementResult) -> float | None:
@@ -618,8 +610,11 @@ def _load_file_dataset(config: PipelineConfig):
         labels = LabelMap(labels.data, num_classes)  # frozen arrays: shared, not copied
         if gt is not None:
             gt = LabelMap(gt.data, num_classes)
-        sup = ScanSupervision(scan_id, man.classes_with_status("labeled"),
-                              SupervisionTarget(labels, man.classes_with_status("pseudo")))
+        try:
+            sup = ScanSupervision.from_target(man.classes_with_status("labeled"), SupervisionTarget(
+                labels, man.classes_with_status("pseudo")))
+        except RejectedInputError as exc:
+            raise ConfigError(f"{scan_id}: {exc}") from None
         train.append(Scan(scan_id, vol, sup, gt=gt))
         if gt is not None:
             test.append((scan_id, vol, gt))
@@ -633,7 +628,7 @@ def _input_hash(train, test) -> str:
     for scan in train:
         h.update(scan.scan_id.encode())
         h.update(scan.volume.data)
-        h.update(scan.supervision.given_labels().data)
+        h.update(scan.supervision.target.labels.data)
     for scan_id, vol, gt in test:
         h.update(scan_id.encode())
         h.update(vol.data)
@@ -677,7 +672,7 @@ def _run_stages(config: PipelineConfig, out: Path, train: list[Scan], test,
     reports: list[RoundReport] = []
     for round_t in range(1, config.rounds + 1):
         predictions = predict_labels(train, specialist)
-        report = pseudo_label_round(train, predictions, generalist, config, round_t)
+        report, train = pseudo_label_round(train, predictions, generalist, config, round_t)
         reports.append(report)
         _write_csv(out / f"round_{round_t}.csv", ["round", "scan_id", "class_id", "decision",
                                                   "reason", "mean_entropy", "pseudo_dice"],

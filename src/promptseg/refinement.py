@@ -53,7 +53,7 @@ class OrganRefinementState:
     - ``mean_entropy``: that of the last accepted round, which the entropy
       gate compares against.
     - ``prompts``: those whose generalist answer the pseudo-label was filtered
-      from (``None`` before the first accept and for a seeded pseudo-label).
+      from (``None`` before the first accept and for a given pseudo-label).
     - ``rejected``: the (prompts, reason, mean entropy) of the last answer
       refinement rejected, if no accept followed it.
     """

@@ -44,7 +44,8 @@ def face_layout(rng, dims, organs, faces):
 
 def build_world(rng, trial):
     """A few phantom scans on one random layout family, partially labelled,
-    some with a seeded pseudo-label as a file-mode manifest gives one."""
+    some with a seeded pseudo-label as a file-mode manifest gives one;
+    ``given`` maps each scan to its labels and seeded classes."""
     dims = tuple(int(n) for n in rng.integers(12, 19, size=3))
     organs = int(rng.integers(3, 6))
     registry = PhantomRegistry()
@@ -66,9 +67,9 @@ def build_world(rng, trial):
             c = int(rng.choice(sorted(set(range(1, organs + 1)) - labeled)))
             data[(gt.data == c) & (rng.random(dims) < 0.8)] = c
             seeded = frozenset({c})
-        given[scan_id] = data
-        sup = ScanSupervision(scan_id, labeled,
-                              SupervisionTarget(LabelMap(data, organs + 1), seeded))
+        given[scan_id] = data, seeded
+        sup = ScanSupervision.from_target(labeled,
+                                          SupervisionTarget(LabelMap(data, organs + 1), seeded))
         scans.append(Scan(scan_id, vol, sup, gt=gt))
     return scans, registry, given
 
@@ -137,27 +138,29 @@ def test_boxed_states_equal_the_whole_grid_reference():
         states, partial = {}, {}
         for scan in scans:
             sup = scan.supervision
-            seeded = sorted(sup.seeded)
+            labels, seeded = given[scan.scan_id]
+            assert sup.pseudo == seeded  # the seeded states are the only ones held
             seen["seeded"] += len(seeded)
-            labels = given[scan.scan_id]
-            partial[scan.scan_id] = np.where(np.isin(labels, seeded), 0, labels)
+            partial[scan.scan_id] = np.where(np.isin(labels, sorted(seeded)), 0, labels)
             for c in seeded:
                 mask = labels == c
                 states[scan.scan_id, c] = (mask, np.zeros(int(mask.sum()), np.float32), None)
             assert sup.partial.data.tobytes() == partial[scan.scan_id].tobytes()
-            assert sup.given_labels().data.tobytes() == labels.tobytes()
+            assert sup.target.labels.data.tobytes() == labels.tobytes()
         want = hashlib.sha256()
         for scan in scans:
             for part in (scan.scan_id.encode(), scan.volume.data.tobytes(),
-                         given[scan.scan_id].tobytes()):
+                         given[scan.scan_id][0].tobytes()):
                 want.update(part)
         assert _input_hash(scans, []) == want.hexdigest()
 
         initial_training(scans, specialist)
         for round_t in range(1, rounds + 1):
             predictions = predict_labels(scans, specialist)
-            report = pseudo_label_round(scans, predictions, generalist, config, round_t)
+            report, next_scans = pseudo_label_round(scans, predictions, generalist, config,
+                                                    round_t)
             rows = reference_round(scans, predictions, generalist, config, round_t, states)
+            scans = next_scans
             got = [(e.scan_id, e.class_id, e.decision, e.reason, e.mean_entropy, e.pseudo_dice)
                    for e in report.entries]
             assert got == rows, (trial, round_t)
@@ -180,14 +183,13 @@ def test_stored_pseudo_labels_cost_their_box(tmp_path, monkeypatch):
     bytes, one per voxel, and no whole grid."""
     from promptseg import pipeline
     world = {}
-    build = pipeline._build_phantom_dataset
+    fit = pipeline.retrain
 
-    def capturing(config):
-        built = build(config)
-        world["train"] = built[0]
-        return built
+    def capturing(scans, *args, **kwargs):  # the last retrain gets the final scans
+        world["train"] = scans
+        return fit(scans, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_build_phantom_dataset", capturing)
+    monkeypatch.setattr(pipeline, "retrain", capturing)
     run_pipeline(PipelineConfig(rounds=2, seed=7, keep_fraction=0.33, out_dir=str(tmp_path)))
     held = 0
     for scan in world["train"]:

@@ -73,6 +73,23 @@ def test_unsupported_datatype_rejected(tmp_path):
         read_volume(path)
 
 
+def test_intensity_scaling_rejected(tmp_path):
+    """A float32 image stored as 3.0 with slope 2 and inter 10 means 16.0;
+    the reader refuses it rather than read 3.0.  Slope 0 means no scaling."""
+    path = tmp_path / "scaled.nii"
+    for slope, inter, ok in ((2.0, 10.0, False), (1.0, 10.0, False), (2.0, 0.0, False),
+                             (0.0, 10.0, True), (1.0, 0.0, True)):
+        write_volume(path, Volume(np.full((2, 2, 2), 3.0, dtype=np.float32)))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<2f", raw, 112, slope, inter)  # scl_slope, scl_inter
+        path.write_bytes(bytes(raw))
+        if ok:
+            assert (read_volume(path).data == 3.0).all()
+        else:
+            with pytest.raises(UnsupportedFormatError, match="scl_slope"):
+                read_volume(path)
+
+
 def test_magic_mismatch_is_not_nifti(tmp_path):
     vol = Volume(np.zeros((2, 2, 2), dtype=np.float32))
     path = tmp_path / "bad_magic.nii"

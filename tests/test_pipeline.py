@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,9 +102,8 @@ def test_initial_training_preconditions():
     scans, specialist, _ = phantom_world()
     with pytest.raises(ConfigError):
         initial_training([], specialist)
-    broken = ScanSupervision(
-        scan_id="x", labeled=frozenset(),
-        given=SupervisionTarget(LabelMap(np.zeros((4, 4, 4), dtype=np.uint8), 4)))
+    broken = ScanSupervision.from_target(
+        frozenset(), SupervisionTarget(LabelMap(np.zeros((4, 4, 4), dtype=np.uint8), 4)))
     with pytest.raises(ConfigError):
         initial_training([Scan("x", Volume(np.zeros((4, 4, 4), dtype=np.float32)),
                                broken)], specialist)
@@ -116,8 +116,11 @@ def test_scan_supervision_rejects_bad_labeled_and_seeded_classes():
     given = SupervisionTarget(LabelMap(labels, 4), frozenset({2}))
     for labeled in ({0}, {0, 1}, {4}, {1, 5}, {2}, {1, 2}):
         with pytest.raises(RejectedInputError):
-            ScanSupervision("s", frozenset(labeled), given)
-    sup = ScanSupervision("s", frozenset({1, 3}), given)
+            ScanSupervision.from_target(frozenset(labeled), given)
+    # class 2 has labels but is given as neither labeled nor pseudo
+    with pytest.raises(RejectedInputError, match=r"classes \[2\] have labels"):
+        ScanSupervision.from_target(frozenset({1, 3}), SupervisionTarget(LabelMap(labels, 4)))
+    sup = ScanSupervision.from_target(frozenset({1, 3}), given)
     assert sup.num_classes == 4 and sup.unlabeled == {2}
     assert sup.pseudo == {2} and np.array_equal(sup.target.labels.data, labels)
 
@@ -136,8 +139,8 @@ def test_initial_training_raises_quality_of_labeled_classes_only():
 def test_cooperative_round_accepts_everything_exactly():
     scans, specialist, generalist = phantom_world(quality=1.0, coop=1.0)
     config = PipelineConfig(rounds=4, scans=4, organs=3, dims=(24, 24, 24))
-    report = pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config,
-                                round_t=1)
+    report, scans = pseudo_label_round(scans, predict_labels(scans, specialist), generalist,
+                                       config, round_t=1)
     expected = sum(len(s.supervision.unlabeled) for s in scans)
     accepted = report.accepted()
     assert len(accepted) == expected
@@ -167,13 +170,14 @@ def test_adversarial_generalist_rejected_in_gated_round():
     scans, specialist, generalist = phantom_world(quality=1.0, coop=1.0)
     config = PipelineConfig(rounds=4, entropy_gate_from_round=2,
                             scans=4, organs=3, dims=(24, 24, 24))
-    pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=1)
+    _, scans = pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config,
+                                  round_t=1)
     before = {s.scan_id: s.supervision.target.labels.data.tobytes() for s in scans}
     adversary = AdversarialGeneralist(scans[0].volume.dims, seed=1)
     # a jittered specialist moves the prompts, so the adversary is asked
     jittered = PhantomSpecialist(generalist.registry, quality=0.5, seed=1)
-    report = pseudo_label_round(scans, predict_labels(scans, jittered), adversary, config,
-                                round_t=2)
+    report, scans = pseudo_label_round(scans, predict_labels(scans, jittered), adversary,
+                                       config, round_t=2)
     assert adversary.calls == report.requests() == len(report.entries) > 0
     assert not report.accepted()
     assert all(e.decision in ("reject", "skip") for e in report.entries)
@@ -197,8 +201,8 @@ def test_absent_organ_skipped_with_reason():
     specialist = ForgetfulSpecialist(registry, quality=1.0)
     config = PipelineConfig(rounds=1, entropy_gate_from_round=1,
                             scans=4, organs=3, dims=(24, 24, 24))
-    report = pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config,
-                                round_t=1)
+    report, _ = pseudo_label_round(scans, predict_labels(scans, specialist), generalist,
+                                   config, round_t=1)
     skipped = [e for e in report.entries if e.class_id == 3]
     assert skipped and all(e.decision == "skip" and e.reason == "no-prediction"
                            for e in skipped)
@@ -222,8 +226,9 @@ def test_generalist_failure_on_one_organ_skips_it_and_refines_the_rest(caplog):
                             scans=4, organs=3, dims=(24, 24, 24))
     failing = next(c for s in scans for c in sorted(s.supervision.unlabeled))
     with caplog.at_level(logging.WARNING, logger="promptseg.pipeline"):
-        report = pseudo_label_round(scans, predict_labels(scans, specialist),
-                                    FailingOnOneClass(generalist, failing), config, round_t=1)
+        report, scans = pseudo_label_round(scans, predict_labels(scans, specialist),
+                                           FailingOnOneClass(generalist, failing), config,
+                                           round_t=1)
     skipped = [e for e in report.entries if e.class_id == failing]
     others = [e for e in report.entries if e.class_id != failing]
     assert skipped and all(e.decision == "skip" and e.reason == "oracle-error"
@@ -256,7 +261,7 @@ def test_a_bad_answer_mid_batch_skips_its_organ_and_refines_the_rest(tmp_path, s
                             scans=2, organs=3, dims=(24, 24, 24))
     ref_scans, ref_specialist, ref_generalist = phantom_world(n_scans=2, quality=1.0, coop=1.0)
     expected = pseudo_label_round(ref_scans, predict_labels(ref_scans, ref_specialist),
-                                  ref_generalist, config, round_t=1).entries
+                                  ref_generalist, config, round_t=1)[0].entries
     scans, specialist, generalist = phantom_world(n_scans=2, quality=1.0, coop=1.0)
     predictions = predict_labels(scans, specialist)
     asks = [(scan, c) for scan in scans for c in sorted(scan.supervision.unlabeled)]
@@ -265,10 +270,11 @@ def test_a_bad_answer_mid_batch_skips_its_organ_and_refines_the_rest(tmp_path, s
     prompts = make_box_prompts(predictions[bad_scan.scan_id], bad_class, config.box_padding)
     bad = (volume_fingerprint(bad_scan.volume), format_prompts(prompts))
     serve(Server(tmp_path, generalist=OneBadAnswer(generalist, bad)), batch=len(asks))
-    report = pseudo_label_round(scans, predictions, FileOracle(tmp_path, timeout=5.0),
-                                config, round_t=1)
+    report, scans = pseudo_label_round(scans, predictions, FileOracle(tmp_path, timeout=5.0),
+                                       config, round_t=1)
     expected[1] = RoundEntry(bad_scan.scan_id, bad_class, "skip", "oracle-error", None, None)
     assert report.entries == expected
+    bad_scan = next(s for s in scans if s.scan_id == bad_scan.scan_id)
     assert bad_scan.supervision.pseudo == bad_scan.supervision.unlabeled - {bad_class}
     assert all(scan.supervision.pseudo == scan.supervision.unlabeled for scan in scans[1:])
 
@@ -282,7 +288,8 @@ def test_pseudo_merge_never_overwrites_ground_truth():
                        sorted(scan.supervision.labeled))
         gt_voxels[scan.scan_id] = (keep, scan.supervision.target.labels.data[keep])
     for t in (1, 2):
-        pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=t)
+        _, scans = pseudo_label_round(scans, predict_labels(scans, specialist), generalist,
+                                      config, round_t=t)
     for scan in scans:
         keep, values = gt_voxels[scan.scan_id]
         assert np.array_equal(scan.supervision.target.labels.data[keep], values)
@@ -295,10 +302,45 @@ def test_pseudo_set_grows_monotonically():
                             scans=4, organs=3, dims=(24, 24, 24))
     seen = {s.scan_id: set() for s in scans}
     for t in (1, 2, 3):
-        pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=t)
+        _, scans = pseudo_label_round(scans, predict_labels(scans, specialist), generalist,
+                                      config, round_t=t)
         for s in scans:
             assert seen[s.scan_id] <= s.supervision.pseudo
             seen[s.scan_id] = set(s.supervision.pseudo)
+
+
+def state_content(state):
+    """Everything an organ state holds, its arrays as bytes."""
+    arrays = (state.current_pseudo, state.current_conf)
+    return (state.class_id, state.box, state.mean_entropy, state.prompts, state.rejected,
+            *(None if a is None else a.tobytes() for a in arrays))
+
+
+def test_a_round_modifies_nothing_it_is_given():
+    """A round is a function of the scans it is given: run twice on the same
+    scans and predictions it gives equal reports and equal next states, and
+    the given scans keep their states and target bytes."""
+    scans, specialist, generalist = phantom_world(quality=0.5, coop=0.6)
+    config = PipelineConfig(rounds=2, entropy_gate_from_round=2,
+                            scans=4, organs=3, dims=(24, 24, 24))
+    _, scans = pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config,
+                                  round_t=1)
+    jittered = PhantomSpecialist(generalist.registry, quality=0.5, seed=1)
+    predictions = predict_labels(scans, jittered)  # new prompts: the generalist is asked again
+    states = [dict(s.supervision.states) for s in scans]
+    targets = [s.supervision.target.labels.data.tobytes() for s in scans]
+    first, after_first = pseudo_label_round(scans, predictions, generalist, config, round_t=2)
+    second, after_second = pseudo_label_round(scans, predictions, generalist, config, round_t=2)
+    assert first == second and first.requests() > 0
+    for scan, a, b, given, target in zip(scans, after_first, after_second, states, targets):
+        assert a.scan_id == b.scan_id == scan.scan_id
+        assert a.supervision.states.keys() == b.supervision.states.keys() == given.keys()
+        for c, state in given.items():
+            assert state_content(a.supervision.states[c]) == state_content(b.supervision.states[c])
+            assert scan.supervision.states[c] is state
+        assert scan.supervision.target.labels.data.tobytes() == target
+    assert any(a.supervision.states[c] is not state
+               for a, given in zip(after_first, states) for c, state in given.items())
 
 
 def test_pseudo_overlap_resolved_by_generalist_probability():
@@ -375,8 +417,8 @@ def run_scripted_rounds(*rounds):
     slice 0 to slice 1 in round 2's prediction, so its prompts change and the
     generalist is asked again; organ 2's median slice stays 2, so its prompts
     repeat and it is re-gated on its stored pseudo-label."""
-    sup = ScanSupervision(scan_id="s", labeled=frozenset({1}),
-                          given=SupervisionTarget(LabelMap(np.zeros((1, 1, 4), np.uint8), 4)))
+    sup = ScanSupervision.from_target(
+        frozenset({1}), SupervisionTarget(LabelMap(np.zeros((1, 1, 4), np.uint8), 4)))
     scan = Scan("s", Volume(np.zeros((1, 1, 4), np.float32)), sup)
     specialist = FixedSpecialist(4, np.array([3, 2, 2, 2]).reshape(1, 1, 4),
                                  np.array([2, 3, 2, 2]).reshape(1, 1, 4))
@@ -385,12 +427,12 @@ def run_scripted_rounds(*rounds):
     for round_t, script in enumerate(rounds, start=1):
         generalist.script = script
         generalist.asked = []
-        report = pseudo_label_round([scan], predict_labels([scan], specialist), generalist,
-                                    config, round_t)
+        report, (scan,) = pseudo_label_round([scan], predict_labels([scan], specialist),
+                                             generalist, config, round_t)
         assert [e.decision for e in report.entries] == ["accept", "accept"]
         assert generalist.asked == ([2, 3] if round_t == 1 else [3])
         assert report.regated == (0 if round_t == 1 else 1)
-    return sup.target.labels.data.ravel().tolist()
+    return scan.supervision.target.labels.data.ravel().tolist()
 
 
 def test_round_rebuilds_target_when_a_pseudo_label_shrinks():
@@ -451,13 +493,13 @@ def test_merged_target_is_order_independent_and_matches_brute_force():
         final = {c: ev[-1] for c, ev in events.items()}
         expected = brute_force_target(gt, final)
         for order in range(6):
-            sup = ScanSupervision(scan_id="s", labeled=frozenset({1}),
-                                  given=SupervisionTarget(LabelMap(gt, C)))
+            sup = ScanSupervision.from_target(frozenset({1}), SupervisionTarget(LabelMap(gt, C)))
             queue = [c for c, ev in events.items() for _ in ev]
             rng.shuffle(queue)  # an interleaving that keeps each organ's own order
             pending = {c: list(ev) for c, ev in events.items()}
             for c in queue:
-                sup.organ_states[c] = accept(sup.organ_states[c], *pending[c].pop(0))
+                sup = replace(sup, states={**sup.states,
+                                           c: accept(sup.states[c], *pending[c].pop(0))})
             pseudo = sup.accepted()
             shuffled = dict(sorted(pseudo.items(), key=lambda kv: rng.random()))
             assert np.array_equal(merged_target(sup.partial, shuffled).labels.data,
@@ -483,7 +525,8 @@ def test_retrain_with_clean_pseudo_labels_is_vls_insensitive():
     scans, specialist, generalist = phantom_world(quality=1.0, coop=1.0)
     config = PipelineConfig(rounds=1, entropy_gate_from_round=1,
                             scans=4, organs=3, dims=(24, 24, 24))
-    pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config, round_t=1)
+    _, scans = pseudo_label_round(scans, predict_labels(scans, specialist), generalist, config,
+                                  round_t=1)
     registry = specialist.registry
     a = PhantomSpecialist(registry, quality=1.0)
     b = PhantomSpecialist(registry, quality=1.0)
@@ -513,17 +556,23 @@ def test_run_pipeline_determinism(tmp_path):
 
 def capture_phantom_world(monkeypatch):
     """Let ``run_pipeline`` build its phantom dataset as usual and keep its
-    training scans and generalist in the returned dict."""
+    generalist and the training scans of the round now running (the
+    initial ones before round 1) in the returned dict."""
     from promptseg import pipeline
     world = {}
-    build = pipeline._build_phantom_dataset
+    build, round_fn = pipeline._build_phantom_dataset, pipeline.pseudo_label_round
 
     def capturing(config):
         train, test, specialist, generalist = built = build(config)
         world.update(train=train, generalist=generalist)
         return built
 
+    def capturing_round(scans, *args, **kwargs):
+        world["train"] = scans
+        return round_fn(scans, *args, **kwargs)
+
     monkeypatch.setattr(pipeline, "_build_phantom_dataset", capturing)
+    monkeypatch.setattr(pipeline, "pseudo_label_round", capturing_round)
     return world
 
 
@@ -535,7 +584,7 @@ def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
 
     def recording(self, volume, prompts, region=None):
         scan = next(s for s in world["train"] if s.volume is volume)
-        state = scan.supervision.organ_states[prompts.class_id]
+        state = scan.supervision.states[prompts.class_id]
         # never a request the stored label or the last rejected answer answers
         assert prompts != state.prompts
         assert state.rejected is None or prompts != state.rejected[0]
@@ -588,7 +637,7 @@ def test_regating_a_stored_pseudo_label_equals_asking_again(tmp_path, monkeypatc
         if result is None:
             return None
         scan = next(s for s in world["train"]
-                    if s.supervision.organ_states.get(state.class_id) is state)
+                    if s.supervision.states.get(state.class_id) is state)
         dims = scan.volume.dims
         region = roi_box(prompts, config.delta_roi, dims)
         mask, probs = world["generalist"].segment(scan.volume, prompts, region)
@@ -634,10 +683,10 @@ def test_round_log_line_counts_requests_and_regated_organs(tmp_path, monkeypatch
 
     def counted_round(*args, **kwargs):
         before = len(calls)
-        report = round_fn(*args, **kwargs)
+        report, scans = round_fn(*args, **kwargs)
         prompted = sum(e.reason != "no-prediction" for e in report.entries)
         per_round.append((len(calls) - before, prompted))
-        return report
+        return report, scans
 
     monkeypatch.setattr(PhantomGeneralist, "segment", counting)
     monkeypatch.setattr(pipeline, "pseudo_label_round", counted_round)
@@ -830,7 +879,7 @@ def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
                             generalist_exchange=str(tmp_path / "gen"))
     (scan,), _, _, _ = _load_file_dataset(config)
     sup = scan.supervision
-    state = sup.organ_states[2]
+    state = sup.states[2]
     assert sup.pseudo == {2} and sup.target.pseudo_classes == {2}
     assert np.array_equal(paste_mask(state.current_pseudo, state.box, labels.shape), labels == 2)
     assert state.current_pseudo.shape == (2, 2, 4)  # on its box
@@ -840,14 +889,14 @@ def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
     # a later organ wins every seeded voxel it claims, even at the lowest probability
     mask3 = np.zeros((4, 4, 4), dtype=bool)
     mask3[1:3, 1:3] = True
-    sup.organ_states[3] = accept(sup.organ_states[3], mask3, np.float32(0.4))
+    sup = replace(sup, states={**sup.states, 3: accept(sup.states[3], mask3, np.float32(0.4))})
     merged = merged_target(sup.partial, sup.accepted()).labels.data
     assert (merged[mask3 & (labels == 2)] == 3).all()
     assert (merged[(labels == 2) & ~mask3] == 2).all()
     # the seeded voxels stay until the class is accepted again
     shrunk = labels == 2
     shrunk[3] = False
-    sup.organ_states[2] = accept(state, shrunk, np.float32(0.9))
+    sup = replace(sup, states={**sup.states, 2: accept(state, shrunk, np.float32(0.9))})
     again = merged_target(sup.partial, sup.accepted()).labels.data
     assert np.array_equal(again == 2, shrunk)
     assert (again[(labels == 2) & ~shrunk] == 0).all()
@@ -1036,9 +1085,14 @@ def test_hd95_missing_policy_reaches_every_hd95_output(tmp_path):
 
 
 def test_file_mode_bad_inputs_create_no_directories(tmp_path):
+    from promptseg import nifti_io
     write_file_mode_data(tmp_path / "good")
     empty = tmp_path / "empty"
     empty.mkdir()
+    contradicting = tmp_path / "contradicting"
+    scan_id, _, gt = write_file_mode_data(contradicting)[1]
+    assert scan_id == "scan001"  # its labels now hold organ 2, which its manifest leaves unlabeled
+    nifti_io.write_volume(contradicting / "scan001.labels.nii", gt)
     out, sx, gx = tmp_path / "out", tmp_path / "sx", tmp_path / "gx"
     cases = [
         (dict(data_dir=None), "requires data_dir"),
@@ -1046,6 +1100,8 @@ def test_file_mode_bad_inputs_create_no_directories(tmp_path):
         (dict(data_dir=str(tmp_path / "absent")), "no \\*.manifest"),
         (dict(data_dir=str(tmp_path / "good"), generalist_exchange=str(tmp_path / "sx")),
          "share the exchange directory"),
+        (dict(data_dir=str(contradicting)),
+         r"scan001: classes \[2\] have labels but are neither labeled nor pseudo"),
     ]
     for overrides, message in cases:
         config = PipelineConfig(**{**dict(oracle="file", specialist_exchange=str(sx),
