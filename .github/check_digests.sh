@@ -3,9 +3,13 @@
 # workload must equal the values recorded below.  The values were made with
 # numpy 2.4.6 and scipy 1.17.1; other versions may move them.  A change that
 # fixes a defect and moves the outputs updates them and says so in CHANGES.md.
+# The traced seed-7 runs of the phantom workloads must also make the recorded
+# numbers of specialist predict and generalist segment calls.
 #
-# Reads the `digest` line of each run's saved output, <dir>/<workload>.seed<seed>.txt,
-# as written by:  python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 1
+# Reads the `digest` line, and for seed 7 the `oracles.predict_calls` and
+# `oracles.segment_calls` lines, of each run's saved output,
+# <dir>/<workload>.seed<seed>.txt, as written by:
+#   python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 1 [--trace 1]
 # Run from the repository root:  bash .github/check_digests.sh <dir>
 set -euo pipefail
 
@@ -20,6 +24,9 @@ declare -A expected=(
   [file-exchange.seed13]=ea01fa25d23d715a6f0c41c6613144f57374e320d2166848cb2862d4cdf57cf6
 )
 
+# run, then its oracles.predict_calls and oracles.segment_calls
+calls=("desk.seed7 85 163" "ct.seed7 9 8")
+
 status=0
 for seed in 7 13; do
   for workload in desk ct file-exchange; do
@@ -29,6 +36,19 @@ for seed in 7 13; do
       echo "$run digest $got ok"
     else
       echo "$run digest '$got' differs from ${expected[$run]}"
+      status=1
+    fi
+  done
+done
+for entry in "${calls[@]}"; do
+  read -r run predicts segments <<<"$entry"
+  for want in "predict_calls $predicts" "segment_calls $segments"; do
+    read -r metric count <<<"$want"
+    got=$(sed -n "s/^oracles\.$metric \([0-9]*\) count\$/\1/p" "$dir/$run.txt" 2>/dev/null || true)
+    if [ "$got" = "$count" ]; then
+      echo "$run oracles.$metric $got ok"
+    else
+      echo "$run oracles.$metric '$got' differs from $count"
       status=1
     fi
   done

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (CorruptFileError, NotNiftiError, RejectedInputError,
                      UnsupportedFormatError)
-from .volgrid import LabelMap, ProbVolume, Volume, valid_spacing
+from .volgrid import MAX_CLASSES, LabelMap, ProbVolume, Volume, valid_spacing
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -273,7 +273,9 @@ def status_manifest(num_classes: int, labeled, pseudo=()) -> ScanManifest:
 
 
 def read_manifest(path) -> ScanManifest:
-    man = ScanManifest()
+    """Parse a sidecar manifest; a key set twice or a class id outside
+    ``0..MAX_CLASSES - 1`` is a ``CorruptFileError``, as is any unknown line."""
+    man, set_on = ScanManifest(), {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -288,6 +290,13 @@ def read_manifest(path) -> ScanManifest:
             cid = int(parts[1])
         except ValueError as exc:
             raise CorruptFileError(f"{path}:{lineno}: bad class id in {key!r}") from exc
+        if not 0 <= cid < MAX_CLASSES:
+            raise CorruptFileError(f"{path}:{lineno}: class id in {key!r} must lie in "
+                                   f"[0, {MAX_CLASSES - 1}]")
+        if (cid, parts[2]) in set_on:
+            raise CorruptFileError(f"{path}:{lineno}: {key} is already set on line "
+                                   f"{set_on[cid, parts[2]]}")
+        set_on[cid, parts[2]] = lineno
         if parts[2] == "name":
             man.names[cid] = value
         elif parts[2] == "status":

@@ -14,10 +14,10 @@ A phantom batch (``PhantomSpecialist.predict_all``,
 ``PhantomGeneralist.segment_all``) thus has pure items, and on more than one
 CPU a helper thread computes item 2j + 1 while the caller computes item 2j.
 Each item still goes through one public call on the caller's thread, in batch
-order, which returns a helper item's result, or raises its exception, when
-called with that item's very arguments.  The caches both threads fill are keyed
-per (scan, class) and hold the same bytes whichever thread fills them, so no
-output depends on the helper.
+order; the batch passes a helper item's ``Future`` to that call as ``ahead``,
+and the call returns its result, or raises its exception.  The caches both
+threads fill are keyed per (scan, class) and hold the same bytes whichever
+thread fills them, so no output depends on the helper.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import itertools
 import math
 import operator
 import os
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,14 +46,13 @@ from .errors import (ConfigError, CorruptFileError, NiftiError,
 from .prompting import DEFAULT_PADDING, BoxPromptPair, format_prompts
 from .refinement import roi_ranges
 from .vls_loss import SupervisionTarget
-from .volgrid import LabelMap, ProbVolume, Volume
+from .volgrid import Box, LabelMap, ProbVolume, Volume, _freeze
 
 
-Region = tuple[slice, slice, slice]
 Answer = tuple[np.ndarray, ProbVolume]
 
 
-def _checked_region(region, dims: tuple[int, int, int]) -> Region:
+def _checked_region(region, dims: tuple[int, int, int]) -> Box:
     """``region`` as integer slices, the whole grid for ``None``; anything but
     three non-empty in-grid slices is a ``RejectedInputError``."""
     if region is None:
@@ -99,30 +97,6 @@ def _overlapped(work, items: Iterable) -> Iterator[tuple[object, Future | None]]
             yield from ahead    # if the caller stops first, the helper's item is dropped
 
 
-class _HandOff:
-    """A helper's item goes through its public call, which takes the helper's
-    result from ``_handoff``, (key, ``Future``), only on the thread and with
-    the very arguments the key names: (thread id, each argument's ``id``)."""
-
-    _handoff: tuple[tuple, Future | None] = ((), None)
-
-    def _handed(self, ahead: Future | None, call, *args):
-        """``call(*args)``, with ``ahead`` on hand for its public call."""
-        self._handoff = (threading.get_ident(), *map(id, args)), ahead
-        try:
-            return call(*args)
-        finally:
-            self._handoff = (), None
-
-    def _take(self, work, *args):
-        """The result on hand for this thread and ``args``, or else ``work(*args)``."""
-        key, ahead = self._handoff
-        if ahead is None or key != (threading.get_ident(), *map(id, args)):
-            return work(*args)
-        self._handoff = (), None
-        return ahead.result()
-
-
 @dataclass(frozen=True)
 class TrainingExample:
     """One scan's contribution to a specialist fit: image, merged supervision
@@ -162,9 +136,9 @@ class GeneralistOracle(abc.ABC):
 
     @abc.abstractmethod
     def segment(self, volume: Volume, prompts: BoxPromptPair,
-                region: Region | None = None) -> Answer: ...
+                region: Box | None = None) -> Answer: ...
 
-    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Region | None]]
+    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Box | None]]
                     ) -> Iterator[Answer | PromptsegError]:
         """The answers to ``(volume, prompts, region)`` requests, in order,
         each item the answer or the ``PromptsegError`` its request raised.
@@ -357,22 +331,17 @@ def volume_fingerprint(volume: Volume) -> str:
     return h.hexdigest()[:16]
 
 
-def _grow(lo: np.ndarray, hi: np.ndarray, by: int, dims: tuple[int, int, int]) -> Region:
+def _grow(lo: np.ndarray, hi: np.ndarray, by: int, dims: tuple[int, int, int]) -> Box:
     """The inclusive box ``[lo, hi]`` grown by ``by`` voxels, clipped to the grid."""
     return tuple(slice(max(int(a) - by, 0), min(int(b) + by + 1, n))
                  for a, b, n in zip(lo, hi, dims))
 
 
-def _within(inner: Region, outer: Region) -> Region | None:
+def _within(inner: Box, outer: Box) -> Box | None:
     """``inner`` in the coordinates of ``outer``, or None if it sticks out."""
     if any(i.start < o.start or i.stop > o.stop for i, o in zip(inner, outer)):
         return None
     return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,7 +352,7 @@ def _signed_roots(dims: tuple[int, int, int]) -> np.ndarray:
     distance ``sum((n - 1) ** 2)``.  ``sqrt`` is taken in float64 and rounded
     once, as scipy's EDT and then a float32 cast would."""
     roots = np.sqrt(np.arange(sum((n - 1) ** 2 for n in dims) + 1.0)).astype(np.float32)
-    return _read_only(np.concatenate([roots, -roots[:0:-1]]))
+    return _freeze(np.concatenate([roots, -roots[:0:-1]]))
 
 
 def _squared_edt(image: np.ndarray) -> np.ndarray:
@@ -403,7 +372,7 @@ class _PhantomScan:
     gt: LabelMap
     # class -> (region, field): signed int16/int32 distance codes, or the decoded
     # float32 field once the whole grid has been asked for
-    sdist: dict[int, tuple[Region, np.ndarray]] = field(default_factory=dict)
+    sdist: dict[int, tuple[Box, np.ndarray]] = field(default_factory=dict)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -415,8 +384,8 @@ class _PhantomScan:
         """Per class from 1, the read-only inclusive int64 corners ``(lo, hi)``
         of its voxels (``None`` if it has none), from one ``find_objects`` pass."""
         return [None if box is None else
-                (_read_only(np.array([s.start for s in box], dtype=np.int64)),
-                 _read_only(np.array([s.stop - 1 for s in box], dtype=np.int64)))
+                (_freeze(np.array([s.start for s in box], dtype=np.int64)),
+                 _freeze(np.array([s.stop - 1 for s in box], dtype=np.int64)))
                 for box in ndimage.find_objects(self.gt.data)]
 
 
@@ -472,7 +441,7 @@ class PhantomRegistry:
         return fp, scan
 
     def signed_distance(self, fp: str, class_id: int,
-                        region: Region | None = None) -> np.ndarray:
+                        region: Box | None = None) -> np.ndarray:
         """The class's signed distance on ``region`` (in-grid slices with
         integer bounds; default: the whole grid), float32 and read-only.  A
         region inside the cached one is decoded from its codes; once the whole
@@ -488,11 +457,11 @@ class PhantomRegistry:
         elif at is None or _within(want, at) is None:
             at, sd = scan.sdist[class_id] = self._field(fp, class_id, want, squared=True)
         part = sd if at == want else sd[_within(want, at)]
-        return part if part.dtype == np.float32 else _read_only(
+        return part if part.dtype == np.float32 else _freeze(
             _signed_roots(scan.gt.dims)[part])
 
-    def _field(self, fp: str, class_id: int, want: Region,
-               squared: bool) -> tuple[Region, np.ndarray]:
+    def _field(self, fp: str, class_id: int, want: Box,
+               squared: bool) -> tuple[Box, np.ndarray]:
         """The signed field on ``want`` widened to hold the organ's box grown
         by one voxel, and that region: int16/int32 codes if ``squared``, else
         float32 distances from scipy's EDT, the same values.  The whole grid
@@ -513,7 +482,7 @@ class PhantomRegistry:
             dtype = np.int16
         else:
             dtype = np.int32
-        return at, _read_only(sd.astype(dtype))
+        return at, _freeze(sd.astype(dtype))
 
     def organ_bbox(self, fp: str, class_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only inclusive int64 corners ``(lo, hi)`` of the class's voxels."""
@@ -531,7 +500,7 @@ def _rng_for(*key_parts) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(h.digest()[:8], "little"))
 
 
-class PhantomSpecialist(_HandOff, SpecialistOracle):
+class PhantomSpecialist(SpecialistOracle):
     """Closed-form stand-in for a trainable segmentation network.
 
     ``predict`` returns labels: the registered ground truth corrupted by the
@@ -591,12 +560,13 @@ class PhantomSpecialist(_HandOff, SpecialistOracle):
     def quality(self, class_id: int) -> float:
         return self._quality.get(class_id, self._base_quality)
 
-    def predict(self, volume: Volume) -> LabelMap:
-        return self._take(self._predict, volume)
+    def predict(self, volume: Volume, *, ahead: Future | None = None) -> LabelMap:
+        """``ahead`` is a batch's ``Future`` of this very prediction."""
+        return self._predict(volume) if ahead is None else ahead.result()
 
     def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
         """``predict`` of each volume, in order, as a phantom batch."""
-        return [self._handed(ahead, self.predict, volume)
+        return [self.predict(volume, ahead=ahead)
                 for volume, ahead in _overlapped(self._predict, volumes)]
 
     def _predict(self, volume: Volume) -> LabelMap:
@@ -667,7 +637,7 @@ class PhantomSpecialist(_HandOff, SpecialistOracle):
             self._quality[c] = min(1.0, max(0.0, target_q))
 
 
-class PhantomGeneralist(_HandOff, GeneralistOracle):
+class PhantomGeneralist(GeneralistOracle):
     """Closed-form stand-in for a frozen promptable segmentation model.
 
     The organ whose padded bounding box best overlaps the prompt-derived ROI
@@ -718,19 +688,20 @@ class PhantomGeneralist(_HandOff, GeneralistOracle):
             return None, 0.0, roi_center
         return best + 1, float(iou[best]), roi_center - (plo[best] + phi[best]) / 2.0
 
-    def segment(self, volume: Volume, prompts: BoxPromptPair,
-                region: Region | None = None) -> Answer:
-        """The whole-grid answer sliced to ``region``, byte for byte."""
-        return self._take(self._segment, volume, prompts, region)
+    def segment(self, volume: Volume, prompts: BoxPromptPair, region: Box | None = None,
+                *, ahead: Future | None = None) -> Answer:
+        """The whole-grid answer sliced to ``region``, byte for byte; ``ahead``
+        is a batch's ``Future`` of this very answer."""
+        return self._segment(volume, prompts, region) if ahead is None else ahead.result()
 
-    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Region | None]]
+    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Box | None]]
                     ) -> Iterator[Answer | PromptsegError]:
         """``GeneralistOracle.segment_all`` as a phantom batch."""
         pairs = _overlapped(lambda req: self._segment(*req), requests)
-        return _each_answer(lambda req, ahead: self._handed(ahead, self.segment, *req), pairs)
+        return _each_answer(lambda req, ahead: self.segment(*req, ahead=ahead), pairs)
 
     def _segment(self, volume: Volume, prompts: BoxPromptPair,
-                 region: Region | None = None) -> Answer:
+                 region: Box | None = None) -> Answer:
         """The noise is drawn on the whole grid, a block of y-planes at a time, as
         the blob draws follow it in the RNG stream; only its rows of ``region``
         are kept, and every other field is taken on the region alone."""
@@ -776,7 +747,7 @@ class PhantomGeneralist(_HandOff, GeneralistOracle):
         return sd > 0.0, ProbVolume(np.stack([np.float32(1.0) - p_fg, p_fg]))
 
 
-def _distance_from(region: Region, center: np.ndarray) -> np.ndarray:
+def _distance_from(region: Box, center: np.ndarray) -> np.ndarray:
     """Euclidean distance of every voxel of ``region`` from ``center``, from
     three broadcast 1-D squared offsets."""
     sq = [(np.arange(s.start, s.stop, dtype=np.float64) - float(c)) ** 2
@@ -833,7 +804,7 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         return [self.predict(v, sent=uid) for v, uid in zip(volumes, uids)]
 
     def segment(self, volume: Volume, prompts: BoxPromptPair,
-                region: Region | None = None, *, sent: str | None = None) -> Answer:
+                region: Box | None = None, *, sent: str | None = None) -> Answer:
         """The checked whole-grid answer, cropped; ``sent`` as for ``predict``."""
         region = _checked_region(region, volume.dims)
         uid = sent or exchange.send(self.root, volume, prompts)
@@ -843,7 +814,7 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         exchange.check_segment(mask, probs, volume.dims)
         return mask.data[region] > 0, probs.crop(region)
 
-    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Region | None]]
+    def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Box | None]]
                     ) -> Iterator[Answer | PromptsegError]:
         """Every region is checked before any request is written, and every
         request before this returns; each answer is awaited as it is taken."""

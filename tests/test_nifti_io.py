@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -271,6 +272,14 @@ def test_manifest_errors(tmp_path):
     path.write_text("no equals sign\n")
     with pytest.raises(CorruptFileError):
         read_manifest(path)
+    for text, line in (("class.1.status=labeled\nclass.2.name=x\nclass.01.status=pseudo\n", 3),
+                       ("class.999.status=unlabeled\n", 1),
+                       ("class.1.status=labeled\nclass.-1.status=labeled\n", 2)):
+        path.write_text(text)
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_manifest(path)
+    path.write_text("class.0.name=background\nclass.255.status=unlabeled\n")
+    assert read_manifest(path).num_classes == 256
     path.write_text("# comment only\n\nclass.2.name=liver\n")
     man = read_manifest(path)
     assert man.names == {2: "liver"}

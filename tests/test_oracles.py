@@ -1688,35 +1688,60 @@ def test_an_error_in_a_helper_item_propagates_out_of_predict_all(helper_on):
     assert (False, True) in ran                     # item 0 ran on the caller's
 
 
-def test_a_phantom_batch_has_at_most_two_items_in_flight(helper_on):
+@pytest.mark.parametrize("batch", ["predict_all", "segment_all"])
+def test_a_phantom_batch_has_at_most_two_items_in_flight(helper_on, batch):
     """An item is in flight from when its computation starts until its public
-    ``predict`` returns it: the helper runs one item ahead of the caller, never
-    more.  Each item is computed once and goes through one public ``predict``
-    on the caller's thread, in order."""
+    ``predict`` or ``segment`` returns it: the helper runs one item ahead of
+    the caller, never more.  Each item is computed once and goes through one
+    public call on the caller's thread, in order."""
     suite, registry = registered_suite(n=2, organs=2, dims=(12, 12, 12))
     vols = [suite[k % 2][1] for k in range(7)]
     lock, flight, calls = threading.Lock(), [0, 0, 0], []    # in flight, most, computed
 
-    class Slow(PhantomSpecialist):
-        def predict(self, volume):
-            labels = super().predict(volume)
-            calls.append(([v is volume for v in vols].index(True),
-                          threading.current_thread() is threading.main_thread()))
-            with lock:
-                flight[0] -= 1
-            return labels
+    def started():
+        with lock:
+            flight[0] += 1
+            flight[1:] = max(flight[:2]), flight[2] + 1
+        time.sleep(0.02)
+
+    def returned(volume, answer):
+        calls.append(([v is volume for v in vols].index(True),
+                      threading.current_thread() is threading.main_thread()))
+        with lock:
+            flight[0] -= 1
+        return answer
+
+    class SlowSpecialist(PhantomSpecialist):
+        def predict(self, volume, **kwargs):
+            return returned(volume, super().predict(volume, **kwargs))
 
         def _predict(self, volume):
-            with lock:
-                flight[0] += 1
-                flight[1:] = max(flight[:2]), flight[2] + 1
-            time.sleep(0.02)
+            started()
             return super()._predict(volume)
 
-    got = Slow(registry, quality=1.0).predict_all(vols)
+    class SlowGeneralist(PhantomGeneralist):
+        def segment(self, volume, *request, **kwargs):
+            return returned(volume, super().segment(volume, *request, **kwargs))
+
+        def _segment(self, *request):
+            started()
+            return super()._segment(*request)
+
+    if batch == "predict_all":
+        got = SlowSpecialist(registry, quality=1.0).predict_all(vols)
+        assert [g.data.tobytes() for g in got] == [suite[k % 2][2].data.tobytes()
+                                                   for k in range(7)]
+    else:
+        prompts = [make_box_prompts(gt, 1, padding=2) for _, _, gt in suite]
+        requests = [(vol, prompts[k % 2], None) for k, vol in enumerate(vols)]
+        got = list(SlowGeneralist(registry, cooperativeness=0.4, seed=7).segment_all(requests))
+        plain = PhantomGeneralist(registry, cooperativeness=0.4, seed=7)
+        for answer, request in zip(got, requests, strict=True):
+            mask, probs = plain.segment(*request)
+            assert answer[0].tobytes() == mask.tobytes()
+            assert answer[1].data.tobytes() == probs.data.tobytes()
     assert flight == [0, 2, 7]
     assert calls == [(k % 2, True) for k in range(7)]
-    assert [g.data.tobytes() for g in got] == [suite[k % 2][2].data.tobytes() for k in range(7)]
 
 
 def test_a_call_on_another_thread_never_takes_a_helper_result(helper_on):
@@ -1727,13 +1752,13 @@ def test_a_call_on_another_thread_never_takes_a_helper_result(helper_on):
     other = []
 
     class Shared(PhantomSpecialist):
-        def predict(self, volume):
+        def predict(self, volume, **kwargs):
             if volume is b:                 # item 1: the helper's result is on hand
                 thread = threading.Thread(target=lambda: other.append(self.predict(a)))
                 thread.start()
                 thread.join(timeout=10)
                 assert not thread.is_alive()
-            return super().predict(volume)
+            return super().predict(volume, **kwargs)
 
     got = Shared(registry, quality=1.0).predict_all([a, b])
     assert other[0].data.tobytes() == gt_a.data.tobytes()
@@ -1749,10 +1774,10 @@ def test_a_public_call_on_other_arguments_never_takes_a_helper_result(helper_on)
     side = []
 
     class Probing(PhantomSpecialist):
-        def predict(self, volume):
+        def predict(self, volume, **kwargs):
             other = ([v is volume for v in vols].index(True) + 1) % 3
             side.append((other, super().predict(vols[other])))
-            return super().predict(volume)
+            return super().predict(volume, **kwargs)
 
     got = Probing(registry, quality=1.0).predict_all(vols * 2)
     assert [g.data.tobytes() for g in got] == [gt.data.tobytes() for _, _, gt in suite * 2]
@@ -1764,10 +1789,10 @@ def test_a_public_call_on_other_arguments_never_takes_a_helper_result(helper_on)
     requests = [(vol, make_box_prompts(gt, c, padding=2), None) for c in (1, 2, 1, 2)]
 
     class Asking(PhantomGeneralist):
-        def segment(self, volume, prompts, region=None):
+        def segment(self, volume, prompts, region=None, **kwargs):
             side.append(super().segment(volume, requests[0][1] if prompts is not requests[0][1]
                                         else requests[1][1], region))
-            return super().segment(volume, prompts, region)
+            return super().segment(volume, prompts, region, **kwargs)
 
     _, plain = fresh_oracles(suite)
     asking = Asking(registry, cooperativeness=0.4, seed=7)

@@ -188,8 +188,8 @@ def test_adversarial_generalist_rejected_in_gated_round():
 class ForgetfulSpecialist(PhantomSpecialist):
     """Never predicts the highest class, whatever its quality."""
 
-    def predict(self, volume):
-        labels = super().predict(volume)
+    def predict(self, volume, **kwargs):
+        labels = super().predict(volume, **kwargs)
         data = np.array(labels.data)
         data[data == labels.num_classes - 1] = 0
         return LabelMap(data, labels.num_classes)
@@ -582,14 +582,14 @@ def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
     calls, regated = [], []
     segment, stored = PhantomGeneralist.segment, pipeline.refine_stored
 
-    def recording(self, volume, prompts, region=None):
+    def recording(self, volume, prompts, region=None, **kwargs):
         scan = next(s for s in world["train"] if s.volume is volume)
         state = scan.supervision.states[prompts.class_id]
         # never a request the stored label or the last rejected answer answers
         assert prompts != state.prompts
         assert state.rejected is None or prompts != state.rejected[0]
         calls.append((volume.dims, prompts, region))
-        return segment(self, volume, prompts, region)
+        return segment(self, volume, prompts, region, **kwargs)
 
     def recording_stored(state, prompts, config):
         result = stored(state, prompts, config)
@@ -677,9 +677,9 @@ def test_round_log_line_counts_requests_and_regated_organs(tmp_path, monkeypatch
     calls, per_round = [], []
     segment, round_fn = PhantomGeneralist.segment, pipeline.pseudo_label_round
 
-    def counting(self, volume, prompts, region=None):
+    def counting(self, volume, prompts, region=None, **kwargs):
         calls.append(prompts)
-        return segment(self, volume, prompts, region)
+        return segment(self, volume, prompts, region, **kwargs)
 
     def counted_round(*args, **kwargs):
         before = len(calls)
@@ -1001,9 +1001,9 @@ def test_run_predicts_each_scan_once_per_round(tmp_path, monkeypatch, keep_fract
     predicted = []
     real_predict = PhantomSpecialist.predict
 
-    def counting_predict(self, volume):
+    def counting_predict(self, volume, **kwargs):
         predicted.append(volume_fingerprint(volume))
-        return real_predict(self, volume)
+        return real_predict(self, volume, **kwargs)
 
     monkeypatch.setattr(PhantomSpecialist, "predict", counting_predict)
     config = PipelineConfig(keep_fraction=keep_fraction, rounds=2, entropy_gate_from_round=1,
