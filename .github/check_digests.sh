@@ -4,10 +4,12 @@
 # numpy 2.4.6 and scipy 1.17.1; other versions may move them.  A change that
 # fixes a defect and moves the outputs updates them and says so in CHANGES.md.
 # The traced seed-7 runs of the phantom workloads must also make the recorded
-# numbers of specialist predict and generalist segment calls.
+# numbers of specialist predict and generalist segment calls, and the traced
+# seed-7 file-exchange run the recorded number of requests and of NIfTI writes
+# (each scan image is written once per exchange; later requests link to it).
 #
-# Reads the `digest` line, and for seed 7 the `oracles.predict_calls` and
-# `oracles.segment_calls` lines, of each run's saved output,
+# Reads the `digest` line, and for seed 7 the per-layer count lines named
+# below, of each run's saved output,
 # <dir>/<workload>.seed<seed>.txt, as written by:
 #   python3 perfbench/run.py --workload <workload> --seed <seed> --seconds 1 [--trace 1]
 # Run from the repository root:  bash .github/check_digests.sh <dir>
@@ -24,8 +26,11 @@ declare -A expected=(
   [file-exchange.seed13]=ea01fa25d23d715a6f0c41c6613144f57374e320d2166848cb2862d4cdf57cf6
 )
 
-# run, then its oracles.predict_calls and oracles.segment_calls
-calls=("desk.seed7 85 163" "ct.seed7 9 8")
+# run, a per-layer count metric and the count it must read
+counts=("desk.seed7 oracles.predict_calls 85" "desk.seed7 oracles.segment_calls 163"
+        "ct.seed7 oracles.predict_calls 9" "ct.seed7 oracles.segment_calls 8"
+        "file-exchange.seed7 file_oracle.requests 48"
+        "file-exchange.seed7 nifti_io.write_calls 64")
 
 status=0
 for seed in 7 13; do
@@ -40,17 +45,14 @@ for seed in 7 13; do
     fi
   done
 done
-for entry in "${calls[@]}"; do
-  read -r run predicts segments <<<"$entry"
-  for want in "predict_calls $predicts" "segment_calls $segments"; do
-    read -r metric count <<<"$want"
-    got=$(sed -n "s/^oracles\.$metric \([0-9]*\) count\$/\1/p" "$dir/$run.txt" 2>/dev/null || true)
-    if [ "$got" = "$count" ]; then
-      echo "$run oracles.$metric $got ok"
-    else
-      echo "$run oracles.$metric '$got' differs from $count"
-      status=1
-    fi
-  done
+for entry in "${counts[@]}"; do
+  read -r run metric count <<<"$entry"
+  got=$(sed -n "s/^${metric//./\\.} \([0-9]*\) count\$/\1/p" "$dir/$run.txt" 2>/dev/null || true)
+  if [ "$got" = "$count" ]; then
+    echo "$run $metric $got ok"
+  else
+    echo "$run $metric '$got' differs from $count"
+    status=1
+  fi
 done
 exit "$status"

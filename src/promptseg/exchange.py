@@ -14,19 +14,25 @@ half) talk through a directory, and the protocol's one description.
     fit_<uid>.done       the trainer's answer: the fit is over
 
 Images are whole-grid.  Each file is committed: written under its name plus
-``.tmp``, then renamed.  A request's image is committed before its prompts,
-so a predict request is complete once its ``.nii`` exists, a segment request
-once its ``.prompts`` exists (the two share a name: a directory serves one
-model), and a fit once ``.req`` exists, which is committed after the last
-example (a failed build leaves none).  A segment answer's probabilities are
+``.tmp``, then renamed, or, for a request or fit image whose very array this
+exchange has already written, hard-linked to that first file; a link commits
+at once, as a rename does.  So a request's image may share its inode with an
+earlier file of the same exchange, and a server must never write to a request
+file.  A request's image is committed before its prompts, so a predict
+request is complete once its ``.nii`` exists, a segment request once its
+``.prompts`` exists (the two share a name: a directory serves one model), and
+a fit once ``.req`` exists, which is committed after the last example (a
+failed build leaves none).  A segment answer's probabilities are
 committed before its mask, which the client awaits first.  A batch writes
 every request before it awaits the first answer.  A uid starts with a
 zero-padded per-process sequence number, so one client's uids sort in commit
 order, and ``Server`` takes pending requests in uid order, the first awaited
-first.  The client polls after 1 ms, doubling to 50 ms, and gives each answer
-``timeout`` seconds from when it starts to await it, once its request or
-batch is committed; a missing answer is an ``OracleUnavailableError``, one
-still unreadable an ``OracleProtocolError``.
+first.  While it awaits an answer the client pauses an eighth of the time
+waited so far, at least 1 ms and at most 50 ms, so it sees an answer at most
+about 1/8 of its wait after it lands.  It gives each answer ``timeout``
+seconds from when it starts to await it, once its request or batch is
+committed; a missing answer is an ``OracleUnavailableError``, one still
+unreadable an ``OracleProtocolError``.
 """
 
 from __future__ import annotations
@@ -66,6 +72,26 @@ def commit(dest: Path, content) -> None:
     tmp.rename(dest)
 
 
+def commit_image(dest: Path, volume: Volume, copies: dict | None) -> None:
+    """Commit ``volume`` at ``dest`` as a hard link to the first file that
+    ``copies`` holds for its very array, spacing and header, while that array
+    is read-only; else write it, and a read-only one's file becomes the first.
+    ``copies`` maps ``id(data)`` to ``(data, spacing, header, first path)``;
+    without it the image is written."""
+    data, copies = volume.data, {} if copies is None else copies
+    held, spacing, header, first = copies.get(id(data), (None,) * 4)
+    if data.flags.writeable:
+        copies.pop(id(data), None)
+    elif held is data and (spacing, header) == (volume.spacing, volume.header):
+        try:
+            return os.link(first, dest)
+        except OSError:     # no hard links here, or the first copy is gone
+            pass
+    commit(dest, volume)
+    if not data.flags.writeable:
+        copies[id(data)] = (data, volume.spacing, volume.header, dest)
+
+
 def _example_paths(fit_dir: Path, idx: int) -> list[Path]:
     """Example ``idx``'s image, target, mask and manifest in ``fit_dir``."""
     return [fit_dir / f"scan_{idx:04d}{suffix}"
@@ -77,23 +103,26 @@ def _new_uid() -> str:
     return f"{next(_sequence):012d}{uuid.uuid4().hex}"
 
 
-def send(root, volume: Volume, prompts: BoxPromptPair | None = None) -> str:
-    """Commit one request, its image and then any prompts; returns its uid."""
+def send(root, volume: Volume, prompts: BoxPromptPair | None = None, *,
+         copies: dict | None = None) -> str:
+    """Commit one request, its image (by way of ``copies``, as for
+    ``commit_image``) and then any prompts; returns its uid."""
     uid = _new_uid()
-    commit(path(root, "image", uid), volume)
+    commit_image(path(root, "image", uid), volume, copies)
     if prompts is not None:
         commit(path(root, "prompts", uid), format_prompts(prompts))
     return uid
 
 
-def send_fit(root, examples, supervision: str) -> str:
-    """Write each example as it is taken, then commit the request; returns its uid."""
+def send_fit(root, examples, supervision: str, *, copies: dict | None = None) -> str:
+    """Write each example as it is taken, its image by way of ``copies`` as
+    for ``send``, then commit the request; returns its uid."""
     uid = _new_uid()
     fit_dir = path(root, "examples", uid)
     fit_dir.mkdir()
     for idx, ex in enumerate(examples):
         image, target, mask, manifest = _example_paths(fit_dir, idx)
-        nifti_io.write_volume(image, ex.volume)
+        commit_image(image, ex.volume, copies)
         nifti_io.write_volume(target, ex.target.labels, template=ex.volume)
         if ex.weight_mask is not None:
             nifti_io.write_volume(mask, mask_to_labels(ex.weight_mask), template=ex.volume)

@@ -763,16 +763,22 @@ POLL_INTERVAL_S = 0.05
 class FileOracle(SpecialistOracle, GeneralistOracle):
     """Client half of ``exchange``: responses are read with retry until the
     deadline, so responders need not write atomically.  ``exchange_dir`` is
-    created if it does not exist."""
+    created if it does not exist.  Each image goes to the exchange once: the
+    oracle keeps its first copy of each (``exchange.commit_image``) for as
+    long as it lives."""
 
     def __init__(self, exchange_dir, timeout: float = 60.0):
         self.root = Path(exchange_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self.timeout = float(timeout)
+        self._copies: dict = {}
 
     def _await_file(self, path: Path, deadline: float, decode: bool = True):
-        """Poll for ``path``; the pause starts at 1 ms and doubles to ``POLL_INTERVAL_S``."""
-        pause = 0.001
+        """Poll for ``path`` until ``deadline``: each pause is an eighth of the
+        time waited so far, at least 1 ms and at most ``POLL_INTERVAL_S``, so an
+        answer is seen at most about 1/8 of the wait after it lands.  A file
+        still missing or unreadable at the first look past the deadline raises."""
+        start = time.monotonic()
         while True:
             corrupt = None
             if path.exists():
@@ -782,32 +788,32 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                     corrupt = exc  # mid-write; retry
                 except (NiftiError, RejectedInputError) as exc:
                     raise OracleProtocolError(f"{path}: {exc}") from exc
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 if corrupt is not None:
                     raise OracleProtocolError(
                         f"response at {path} still corrupt after {self.timeout}s: "
                         f"{corrupt}") from corrupt
                 raise OracleUnavailableError(f"no response at {path} within {self.timeout}s")
-            time.sleep(pause)
-            pause = min(2 * pause, POLL_INTERVAL_S)
+            time.sleep(min(max(0.001, (now - start) / 8), POLL_INTERVAL_S))
 
     def predict(self, volume: Volume, *, sent: str | None = None) -> LabelMap:
         """``sent`` is the uid of a request already written for ``volume``."""
-        uid = sent or exchange.send(self.root, volume)
+        uid = sent or exchange.send(self.root, volume, copies=self._copies)
         deadline = time.monotonic() + self.timeout
         resp = self._await_file(exchange.path(self.root, "probs", uid), deadline)
         return exchange.predict_labels(resp, volume.dims)
 
     def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
         """Every request is written before the first answer is awaited."""
-        uids = [exchange.send(self.root, v) for v in volumes]
+        uids = [exchange.send(self.root, v, copies=self._copies) for v in volumes]
         return [self.predict(v, sent=uid) for v, uid in zip(volumes, uids)]
 
     def segment(self, volume: Volume, prompts: BoxPromptPair,
                 region: Box | None = None, *, sent: str | None = None) -> Answer:
         """The checked whole-grid answer, cropped; ``sent`` as for ``predict``."""
         region = _checked_region(region, volume.dims)
-        uid = sent or exchange.send(self.root, volume, prompts)
+        uid = sent or exchange.send(self.root, volume, prompts, copies=self._copies)
         deadline = time.monotonic() + self.timeout
         mask = self._await_file(exchange.path(self.root, "mask", uid), deadline)
         probs = self._await_file(exchange.path(self.root, "probs", uid), deadline)
@@ -819,11 +825,12 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         """Every region is checked before any request is written, and every
         request before this returns; each answer is awaited as it is taken."""
         checked = [(v, p, _checked_region(r, v.dims)) for v, p, r in requests]
-        sent = [(v, p, r, exchange.send(self.root, v, p)) for v, p, r in checked]
+        sent = [(v, p, r, exchange.send(self.root, v, p, copies=self._copies))
+                for v, p, r in checked]
         return _each_answer(lambda v, p, r, uid: self.segment(v, p, r, sent=uid), sent)
 
     def fit(self, examples: Iterable[TrainingExample], supervision: str = "full") -> None:
         """Each example is written as it is taken; if taking one raises, no trainer starts."""
-        uid = exchange.send_fit(self.root, examples, supervision)
+        uid = exchange.send_fit(self.root, examples, supervision, copies=self._copies)
         deadline = time.monotonic() + self.timeout
         self._await_file(exchange.path(self.root, "done", uid), deadline, decode=False)

@@ -1,3 +1,4 @@
+import errno
 import logging
 import os
 import sys
@@ -1286,20 +1287,38 @@ class FakeClock:
         self.now += seconds
 
 
-def assert_backoff(clock, deadline):
+class AnswerAt(FakeClock):
+    """A ``FakeClock`` under which an empty file appears at ``path`` once the
+    clock reaches ``at``."""
+
+    def __init__(self, path, at):
+        super().__init__()
+        self.path, self.at = path, at
+
+    def sleep(self, seconds):
+        super().sleep(seconds)
+        if self.now >= self.at:
+            self.path.touch()
+
+
+def assert_bounded_lag(clock, deadline=None):
+    """Each pause of a wait that started at 0 is max(1 ms, waited / 8), at most
+    the poll interval; a wait that timed out gave up at its first look past
+    ``deadline``."""
     assert POLL_INTERVAL_S == 0.05
-    assert clock.pauses[:7] == [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.05]
-    assert set(clock.pauses[7:]) <= {0.05}
-    assert clock.slept_at[-1] <= deadline < clock.now   # gave up at the first look past it
+    assert clock.pauses[0] == 0.001
+    assert clock.pauses == [min(max(0.001, at / 8), POLL_INTERVAL_S) for at in clock.slept_at]
+    if deadline is not None:
+        assert clock.pauses[-1] == POLL_INTERVAL_S       # a long wait polls every 50 ms
+        assert clock.slept_at[-1] <= deadline < clock.now
 
 
-def test_file_oracle_wait_starts_at_1ms_and_doubles_to_the_poll_interval(tmp_path,
-                                                                          monkeypatch):
+def test_file_oracle_wait_pauses_an_eighth_of_the_time_waited(tmp_path, monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(oracles, "time", clock)
     with pytest.raises(OracleUnavailableError, match="no response"):
         FileOracle(tmp_path, timeout=1.0).predict(Volume(np.zeros((4, 4, 4), np.float32)))
-    assert_backoff(clock, 1.0)
+    assert_bounded_lag(clock, 1.0)
     assert len(list(tmp_path.glob("req_*.nii"))) == 1
     clock = FakeClock()
     monkeypatch.setattr(oracles, "time", clock)
@@ -1307,7 +1326,19 @@ def test_file_oracle_wait_starts_at_1ms_and_doubles_to_the_poll_interval(tmp_pat
     resp.write_bytes(b"\x00" * 100)
     with pytest.raises(OracleProtocolError, match="still corrupt"):
         FileOracle(tmp_path, timeout=0.5)._await_file(resp, deadline=0.5)
-    assert_backoff(clock, 0.5)
+    assert_bounded_lag(clock, 0.5)
+
+
+@pytest.mark.parametrize("at", [0.0004, 0.001, 0.0035, 0.008, 0.0213, 0.1, 0.37, 2.5])
+def test_file_oracle_sees_an_answer_within_an_eighth_of_its_wait(tmp_path, monkeypatch, at):
+    """An answer that lands ``at`` seconds into the wait is seen by
+    max(at + 1 ms, 9 at / 8), and not before it lands."""
+    done = tmp_path / "fit_x.done"
+    clock = AnswerAt(done, at)
+    monkeypatch.setattr(oracles, "time", clock)
+    FileOracle(tmp_path)._await_file(done, deadline=10.0, decode=False)
+    assert at <= clock.now <= max(at + 0.001, 9 * at / 8) + 1e-12
+    assert_bounded_lag(clock)
 
 
 def unchecked_probs(data):
@@ -1507,6 +1538,104 @@ def test_file_oracle_fit_times_its_answer_from_the_committed_request(tmp_path, s
     model = serve(Server(tmp_path, specialist=Stub())).specialist
     FileOracle(tmp_path, timeout=0.5).fit(slow())
     assert model.fits == 1
+
+
+class Images:
+    """Predict requests committed to ``root`` through one cache of first
+    copies, as one ``FileOracle`` sends them; ``written`` lists every
+    ``write_volume`` path."""
+
+    def __init__(self, root, monkeypatch):
+        self.root, self.copies, self.written, write = root, {}, [], nifti_io.write_volume
+
+        def counting(path, grid, *args, **kwargs):
+            self.written.append(Path(path))
+            return write(path, grid, *args, **kwargs)
+        monkeypatch.setattr(nifti_io, "write_volume", counting)
+
+    def send(self, volume):
+        """The committed request image's path."""
+        return exchange.path(self.root, "image",
+                             exchange.send(self.root, volume, copies=self.copies))
+
+
+def fresh_bytes(tmp_path, volume):
+    """The bytes of ``volume`` written on its own."""
+    nifti_io.write_volume(tmp_path / "fresh.nii", volume)
+    return (tmp_path / "fresh.nii").read_bytes()
+
+
+def ramp_volume():
+    return Volume(np.arange(60, dtype=np.float32).reshape(5, 4, 3), (0.5, 1.0, 2.0))
+
+
+def test_file_oracle_links_each_later_request_of_an_image_to_its_first_copy(tmp_path,
+                                                                            monkeypatch):
+    images, vol = Images(tmp_path, monkeypatch), ramp_volume()
+    first = images.send(vol)
+    later = [images.send(vol), images.send(Volume(vol.data, vol.spacing))]  # the very array
+    assert images.written == [first.with_name(first.name + ".tmp")]
+    assert {p.stat().st_ino for p in later} == {first.stat().st_ino}
+    assert first.stat().st_nlink == 3
+    assert first.read_bytes() == fresh_bytes(tmp_path, vol)
+
+
+def a_byte_equal_copy(vol, first, monkeypatch):
+    return Volume(np.array(vol.data), vol.spacing)
+
+
+def other_spacing(vol, first, monkeypatch):
+    return Volume(vol.data, (1.0, 1.0, 1.0))
+
+
+def link_raises(vol, first, monkeypatch):
+    real = os.link
+
+    def fails_once(src, dst):
+        monkeypatch.setattr(os, "link", real)
+        raise OSError(errno.EPERM, "no hard links on this filesystem")
+    monkeypatch.setattr(os, "link", fails_once)
+    return vol
+
+
+def first_copy_deleted(vol, first, monkeypatch):
+    first.unlink()
+    return vol
+
+
+@pytest.mark.parametrize("case", [a_byte_equal_copy, other_spacing, link_raises,
+                                  first_copy_deleted])
+def test_an_image_that_cannot_link_to_a_first_copy_is_written_and_becomes_it(
+        tmp_path, monkeypatch, case):
+    images, vol = Images(tmp_path, monkeypatch), ramp_volume()
+    first = images.send(vol)
+    again = case(vol, first, monkeypatch)
+    new = images.send(again)
+    assert images.written[1:] == [new.with_name(new.name + ".tmp")]
+    assert not first.exists() or first.stat().st_ino != new.stat().st_ino
+    later = [images.send(again) for _ in range(2)]
+    assert len(images.written) == 2
+    assert {p.stat().st_ino for p in later} == {new.stat().st_ino}
+    assert new.read_bytes() == fresh_bytes(tmp_path, again)
+
+
+def test_a_writable_array_is_written_each_time_until_it_is_read_only_again(tmp_path,
+                                                                           monkeypatch):
+    """The array may change while it is writable, so no copy made before or
+    during that time is reused."""
+    images, vol = Images(tmp_path, monkeypatch), ramp_volume()
+    first = images.send(vol)
+    vol.data.flags.writeable = True
+    vol.data[0, 0, 0] = 7.0
+    writable = [images.send(vol) for _ in range(2)]
+    vol.data.flags.writeable = False
+    frozen = [images.send(vol) for _ in range(3)]
+    assert len(images.written) == 4
+    assert len({p.stat().st_ino for p in [first, *writable, frozen[0]]}) == 4
+    assert {p.stat().st_ino for p in frozen} == {frozen[0].stat().st_ino}
+    want = fresh_bytes(tmp_path, vol)
+    assert first.read_bytes() != want
+    assert all(p.read_bytes() == want for p in writable + frozen)
 
 
 # --- exchange server ------------------------------------------------------------

@@ -1,5 +1,9 @@
+import errno
 import logging
+import os
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -860,6 +864,67 @@ def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path, serve):
         hdr = nifti_io.read_nifti(path)[0]
         for name in ("pixdim", "qform_code", "sform_code", "quatern", "srow", "qfac"):
             assert getattr(hdr, name) == getattr(image_hdr, name), (path.name, name)
+
+
+def test_file_mode_writes_each_scan_image_once_per_exchange(tmp_path, serve, monkeypatch):
+    """Every request and fit image of one scan in one exchange is one file
+    under many names: written once, its bytes those of the scan on its own."""
+    from promptseg import nifti_io
+    data = tmp_path / "data"
+    suite = write_file_mode_data(data, n=3, dims=(12, 12, 12), with_gt=True)
+    scan_of = {volume_fingerprint(vol): scan_id for scan_id, vol, _ in suite}
+    written, write = Counter(), nifti_io.write_volume
+
+    def counting(path, grid, *args, **kwargs):
+        if isinstance(grid, Volume):
+            xchg = Path(path).relative_to(tmp_path).parts[0]
+            written[xchg, scan_of[volume_fingerprint(grid)]] += 1
+        return write(path, grid, *args, **kwargs)
+    monkeypatch.setattr(nifti_io, "write_volume", counting)
+    run_served(serve, tmp_path, {volume_fingerprint(vol): gt for _, vol, gt in suite},
+               data, rounds=2, entropy_gate_from_round=2)
+    monkeypatch.undo()
+    images = {}
+    for xchg in ("spec_xchg", "gen_xchg"):
+        for path in [*tmp_path.glob(f"{xchg}/req_*.nii"),
+                     *tmp_path.glob(f"{xchg}/fit_*/scan_????.nii")]:
+            key = xchg, scan_of[volume_fingerprint(nifti_io.read_volume(path))]
+            images.setdefault(key, []).append(path)
+    assert written == Counter(dict.fromkeys(images, 1))    # one write per scan per exchange
+    assert {scan_id for xchg, scan_id in images} == set(scan_of.values())
+    for (xchg, scan_id), paths in images.items():
+        assert len({p.stat().st_ino for p in paths}) == 1, (xchg, scan_id)
+        nifti_io.write_volume(tmp_path / "fresh.nii", nifti_io.read_volume(data / f"{scan_id}.nii"))
+        assert paths[0].read_bytes() == (tmp_path / "fresh.nii").read_bytes()
+    # per scan: the initial fit's example, a predict and a fit example a round, and the
+    # evaluation's predict
+    assert {len(paths) for (xchg, _), paths in images.items() if xchg == "spec_xchg"} == {6}
+
+
+def test_file_mode_outputs_do_not_depend_on_hard_links(tmp_path, serve, monkeypatch):
+    """A run whose exchange cannot hard-link writes every image and leaves
+    the same CSVs, targets and manifest as one that links them."""
+    suite = write_file_mode_data(tmp_path / "data", n=3, dims=(12, 12, 12), with_gt=True)
+    labels = {volume_fingerprint(vol): gt for _, vol, gt in suite}
+    outputs, links = {}, {}
+
+    def no_link(src, dst):
+        raise OSError(errno.EPERM, "no hard links on this filesystem")
+    for way in ("linked", "written"):
+        root = tmp_path / way
+        root.mkdir()
+        if way == "written":
+            monkeypatch.setattr(os, "link", no_link)
+        run_served(serve, root, labels, tmp_path / "data", rounds=2, entropy_gate_from_round=2)
+        out = root / "out"
+        outputs[way] = {p.relative_to(out): p.read_bytes().replace(str(root).encode(), b"<root>")
+                        for p in out.rglob("*") if p.is_file()}
+        links[way] = max(p.stat().st_nlink for p in root.glob("spec_xchg/**/*.nii"))
+    assert links == {"linked": 6, "written": 1}
+    names = {str(p) for p in outputs["linked"]}
+    assert "run_manifest.txt" in names and any(n.endswith(".csv") for n in names)
+    assert any(n.startswith("targets/") for n in names)
+    assert outputs["linked"] == outputs["written"]
 
 
 def test_file_mode_pseudo_class_seeds_its_organ_state(tmp_path):
