@@ -77,7 +77,8 @@ def commit_image(dest: Path, volume: Volume, copies: dict | None) -> None:
     ``copies`` holds for its very array, spacing and header, while that array
     is read-only; else write it, and a read-only one's file becomes the first.
     ``copies`` maps ``id(data)`` to ``(data, spacing, header, first path)``;
-    without it the image is written."""
+    without it the image is written.  The array itself names the image, so an
+    array the package has made read-only must not be made writable and changed."""
     data, copies = volume.data, {} if copies is None else copies
     held, spacing, header, first = copies.get(id(data), (None,) * 4)
     if data.flags.writeable:

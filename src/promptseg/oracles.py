@@ -164,8 +164,10 @@ class Ellipsoid:
 IMAGE_SIGMA = 0.05
 #: An organ's semi-axes are drawn from this range of fractions of the grid's shortest side.
 RADIUS_FRACTIONS = (0.11, 0.17)
-#: Values in one block of y-planes of a whole-grid draw taken block by block.
+#: Values in one block of a whole-grid draw (a block of y-planes) or count.
 DRAW_BLOCK = 1 << 16
+#: A standard normal exceeds this with probability about 1e-9 (see ``PhantomSpecialist``).
+NOISE_BOUND = 6.0
 #: Voxels an organ's center keeps, beyond its largest semi-axis, from each grid face.
 CENTER_MARGIN = 1.5
 #: The shortest side on which any organ's center has room: side s has room
@@ -251,6 +253,30 @@ def _plane_blocks(dims: tuple[int, int, int]) -> list[tuple[int, int]]:
     return [(y, min(y + step, dims[0])) for y in range(0, dims[0], step)]
 
 
+def _noise_blocks(rng: np.random.Generator, dims: tuple[int, int, int],
+                  box: Box) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
+    """``rng.standard_normal(dims)``, one ``_plane_blocks`` block at a time in one
+    reused buffer: each block, the rows of ``box`` it holds (from the box's first
+    row; maybe none) and its values on ``box`` there."""
+    rows, cols, deps = box
+    buf = np.empty((_plane_blocks(dims)[0][1],) + tuple(dims[1:]))
+    for y0, y1 in _plane_blocks(dims):
+        block = rng.standard_normal(out=buf[:y1 - y0])
+        a, b = (min(max(r, y0), y1) for r in (rows.start, rows.stop))
+        yield block, slice(a - rows.start, b - rows.start), block[a - y0:b - y0, cols, deps]
+
+
+def _noise_on(rng: np.random.Generator, dims: tuple[int, int, int],
+              box: Box) -> tuple[float, float, np.ndarray]:
+    """The max and min of ``rng.standard_normal(dims)``, and its float32 values on ``box``."""
+    top, bottom = -math.inf, math.inf
+    noise = np.empty(tuple(s.stop - s.start for s in box), dtype=np.float32)
+    for block, at, part in _noise_blocks(rng, dims, box):
+        top, bottom = max(top, float(block.max())), min(bottom, float(block.min()))
+        noise[at] = part
+    return top, bottom, noise
+
+
 def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[Volume, LabelMap]:
     """Rasterize a phantom: exact label map plus a noisy intensity image.
 
@@ -265,10 +291,9 @@ def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[
         sub[inside & (sub == 0)] = idx
     intensity = np.array([0.0] + [ell.intensity for ell in spec.organs], dtype=np.float64)
     image = np.empty(spec.dims, dtype=np.float32)
-    rng = np.random.default_rng(seed)
-    for y0, y1 in _plane_blocks(spec.dims):
-        image[y0:y1] = intensity[labels[y0:y1]] + rng.normal(
-            0.0, IMAGE_SIGMA, size=(y1 - y0,) + tuple(spec.dims[1:]))
+    whole = tuple(slice(0, n) for n in spec.dims)
+    for _, at, noise in _noise_blocks(np.random.default_rng(seed), spec.dims, whole):
+        image[at] = intensity[labels[at]] + IMAGE_SIGMA * noise
     return Volume(image, spacing), LabelMap(labels, max(2, spec.num_classes))
 
 
@@ -376,8 +401,10 @@ class _PhantomScan:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """Voxels per class of the ground truth."""
-        return np.bincount(self.gt.data.ravel(), minlength=self.gt.num_classes)
+        """Voxels per class of the ground truth, counted a block at a time."""
+        flat = self.gt.data.ravel()
+        return sum(np.bincount(flat[i:i + DRAW_BLOCK], minlength=self.gt.num_classes)
+                   for i in range(0, flat.size, DRAW_BLOCK))
 
     @cached_property
     def corners(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
@@ -413,10 +440,6 @@ class PhantomRegistry:
     region, can have) exceeds int16, then int32.  A read gathers the float32
     values from a per-grid table of ``+-sqrt(k)``.  A whole-grid request
     keeps the float32 field instead, so later requests are views of it.
-
-    It also remembers each registered volume's read-only data array: a
-    lookup that passes that very array, still read-only, takes its
-    fingerprint from the registration, and any other array is hashed.
     """
 
     def __init__(self):
@@ -432,6 +455,10 @@ class PhantomRegistry:
         return fp
 
     def lookup(self, volume: Volume) -> tuple[str, _PhantomScan]:
+        """The fingerprint and scan of ``volume``.  A registered volume's data
+        array, passed again and still read-only, is not hashed: the array itself
+        names the image.  So an array the package has made read-only must not be
+        made writable and changed; any other array is hashed."""
         data, fp = self._registered.get(id(volume.data), (None, None))
         if data is not volume.data or volume.data.flags.writeable:
             fp = volume_fingerprint(volume)
@@ -516,13 +543,16 @@ class PhantomSpecialist(SpecialistOracle):
       the class's field has been drawn: its noise is keyed on (seed, volume,
       class) alone, so the largest ``|noise|`` of each draw is kept as one
       float, and a later predict at a high enough q skips the draw;
-    - otherwise the noise is drawn over the whole grid, so the RNG stream and
-      the values on the box do not depend on the box.  With
-      ``reach = ceil(scale * max(noise))``, a voxel outside the organ's box
-      grown by ``reach`` is at least ``reach + 1`` voxels from the organ, so
-      its ``sd + scale * noise`` is at most -1 (a margin that float32
-      rounding cannot cross) and it stays unlabeled.  The signed distance,
-      the float32 noise and the comparison are taken on that grown box alone.
+    - otherwise the noise is drawn over the whole grid, a block of y-planes at
+      a time, so the RNG stream and the values on the box do not depend on the
+      box.  With ``reach = ceil(scale * max(noise))``, a voxel outside the
+      organ's box grown by ``reach`` is at least ``reach + 1`` voxels from the
+      organ, so its ``sd + scale * noise`` is at most -1 (a margin that float32
+      rounding cannot cross) and it stays unlabeled.  The signed distance, the
+      float32 noise and the comparison are taken on that grown box alone.  The
+      draw keeps its max and min and the noise on the organ's box grown by
+      ``ceil(scale * NOISE_BOUND)``; in the rare case that ``reach`` passes
+      that, the same key draws the same field again and keeps the reach box.
 
     fit() is a closed-form quality update, not gradient descent: each
     supervised class's q moves toward a target derived from how much of the
@@ -583,16 +613,18 @@ class PhantomSpecialist(SpecialistOracle):
             peak = self._noise_peak.get((fp, c))
             noise = None
             if scale > 0.0 and (peak is None or scale * peak >= 0.5):
-                noise = _rng_for(self.seed, fp, c).standard_normal(dims)
-                peak = self._noise_peak[fp, c] = max(float(noise.max()), -float(noise.min()))
+                kept = _grow(lo, hi, math.ceil(scale * NOISE_BOUND), dims)
+                top, bottom, noise = _noise_on(_rng_for(self.seed, fp, c), dims, kept)
+                peak = self._noise_peak[fp, c] = max(top, -bottom)
             if noise is None or scale * peak < 0.5:
                 box = _grow(lo, hi, 0, dims)
                 corrupted = scan.gt.data[box] == c    # == signed_distance(fp, c) > 0
             else:
-                reach = int(np.ceil(scale * max(float(noise.max()), 0.0)))
-                box = _grow(lo, hi, reach, dims)
+                box = _grow(lo, hi, math.ceil(scale * max(top, 0.0)), dims)
+                if _within(box, kept) is None:    # past NOISE_BOUND: the same draw again
+                    kept, (_, _, noise) = box, _noise_on(_rng_for(self.seed, fp, c), dims, box)
                 sd = self.registry.signed_distance(fp, c, box)
-                corrupted = sd + scale * noise[box].astype(np.float32) > 0.0
+                corrupted = sd + scale * noise[_within(box, kept)] > 0.0
             sub = labels[box]
             sub[(sub == 0) & corrupted] = c
         return LabelMap(labels, C)
@@ -608,12 +640,13 @@ class PhantomSpecialist(SpecialistOracle):
             _, scan = self.registry.lookup(ex.volume)
             C = scan.gt.num_classes
             K = max(C, ex.target.labels.num_classes)        # every label is below K
-            code = scan.gt.data.astype(np.uint16).ravel()
-            code *= K
-            code += ex.target.labels.data.ravel()
-            if ex.weight_mask is not None:
-                code = code[ex.weight_mask.ravel() != 0]
-            joint = np.bincount(code, minlength=K * K).reshape(K, K)  # |gt=r & y=s & w|
+            gt, y = scan.gt.data.ravel(), ex.target.labels.data.reshape(scan.gt.data.size)
+            w = None if ex.weight_mask is None else ex.weight_mask.reshape(gt.size)
+            joint = np.zeros((K, K), dtype=np.intp)      # |gt=r & y=s & w|, a block at a time
+            for at in (slice(i, i + DRAW_BLOCK) for i in range(0, gt.size, DRAW_BLOCK)):
+                code = gt[at] * np.uint16(K) + y[at]
+                joint += np.bincount(code if w is None else code[w[at] != 0],
+                                     minlength=K * K).reshape(K, K)
             gt_w, y_w, both = joint.sum(axis=1), joint.sum(axis=0), joint.diagonal()
             gt_count = gt_w if ex.weight_mask is None else scan.counts
             if supervision == "full":
@@ -626,7 +659,7 @@ class PhantomSpecialist(SpecialistOracle):
                     continue
                 support[c] = support.get(c, 0.0) + float(both[c])
                 contra[c] = contra.get(c, 0.0) + float(gt_w[c] + y_w[c] - 2 * both[c])
-            del ex, code        # before the next example is built
+            del ex, y, w, code  # before the next example is built
         if not seen:
             raise RejectedInputError("fit requires at least one example")
         for c, total in gt_total.items():
@@ -702,9 +735,9 @@ class PhantomGeneralist(GeneralistOracle):
 
     def _segment(self, volume: Volume, prompts: BoxPromptPair,
                  region: Box | None = None) -> Answer:
-        """The noise is drawn on the whole grid, a block of y-planes at a time, as
-        the blob draws follow it in the RNG stream; only its rows of ``region``
-        are kept, and every other field is taken on the region alone."""
+        """The noise is drawn on the whole grid by ``_noise_blocks``, as the blob
+        draws follow it in the RNG stream; only its values on ``region`` are
+        added, and every other field is taken on the region alone."""
         fp, scan = self.registry.lookup(volume)
         dims = scan.gt.dims
         region = _checked_region(region, dims)
@@ -727,13 +760,8 @@ class PhantomGeneralist(GeneralistOracle):
             sd = self.registry.signed_distance(fp, c, region).astype(np.float64)
         rng = _rng_for(self.seed, fp, c, format_prompts(prompts))
         scale = (1.0 - self.g) * self.NOISE_SIGMA
-        rows, cols, deps = region
-        buf = np.empty((_plane_blocks(dims)[0][1],) + dims[1:])
-        for y0, y1 in _plane_blocks(dims):
-            noise = rng.standard_normal(out=buf[:y1 - y0])
-            a, b = max(y0, rows.start), min(y1, rows.stop)       # the block's rows in region
-            if a < b:
-                sd[a - rows.start:b - rows.start] += scale * noise[a - y0:b - y0, cols, deps]
+        for _, at, part in _noise_blocks(rng, dims, region):
+            sd[at] += scale * part
         lo, hi = self.registry.organ_bbox(fp, c)
         spread = (np.asarray(hi) - lo) / 2.0 + self.assumed_padding
         organ_center = (np.asarray(lo) + hi) / 2.0

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from promptseg.metrics import dice
 from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, GeneralistOracle,
                                PhantomGeneralist, PhantomRegistry, SpecialistOracle,
                                PhantomSpecialist, PhantomSpec, TrainingExample,
-                               _distance_from, _rng_for, _rotation_matrix,
+                               _distance_from, _grow, _rng_for, _rotation_matrix, _within,
                                ellipsoid_mask, generate_phantom,
                                make_phantom_suite, random_phantom_spec,
                                volume_fingerprint)
@@ -609,6 +610,84 @@ def test_specialist_second_predict_at_high_quality_draws_nothing(monkeypatch):
         draws.clear()
 
 
+def whole_draw_predict(spec, vol):
+    """The phantom predict with one whole-grid draw per drawn class:
+    ``standard_normal(dims)``, then ``noise[box].astype(np.float32)`` on the
+    organ's box grown by the reach."""
+    fp, scan = spec.registry.lookup(vol)
+    gt, dims = scan.gt, scan.gt.dims
+    labels = np.zeros(dims, dtype=np.uint8)
+    for c in range(1, gt.num_classes):
+        q = spec.quality(c)
+        if q <= 0.0:
+            continue
+        lo, hi = spec.registry.organ_bbox(fp, c)
+        scale = (1.0 - q) * PhantomSpecialist.JITTER_SIGMA
+        noise = _rng_for(spec.seed, fp, c).standard_normal(dims)
+        if scale * max(float(noise.max()), -float(noise.min())) < 0.5:
+            box = _grow(lo, hi, 0, dims)
+            corrupted = gt.data[box] == c
+        else:
+            box = _grow(lo, hi, int(np.ceil(scale * max(float(noise.max()), 0.0))), dims)
+            sd = spec.registry.signed_distance(fp, c, box)
+            corrupted = sd + scale * noise[box].astype(np.float32) > 0.0
+        sub = labels[box]
+        sub[(sub == 0) & corrupted] = c
+    return labels
+
+
+def block_draw_cases():
+    """(label map, draw block) pairs whose grid's y-size is not a multiple of
+    the block's rows, each drawn in more than one block."""
+    gt = next(border_label_maps())                                  # 19 y-planes
+    yield gt, 15 * 11 * 4
+    yield make_phantom_suite(1, 5, (50, 40, 33), seed=3)[0][2], oracles.DRAW_BLOCK  # 49 + 1
+    yield make_phantom_suite(1, 4, (23, 20, 17), seed=5)[0][2], 20 * 17 * 4
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_specialist_block_draw_equals_the_whole_grid_draw(monkeypatch, case):
+    gt, block = list(block_draw_cases())[case]
+    monkeypatch.setattr(oracles, "DRAW_BLOCK", block)
+    rows = oracles._plane_blocks(gt.dims)[0][1]
+    assert gt.dims[0] > rows and gt.dims[0] % rows
+    registry = PhantomRegistry()
+    vol = Volume(np.random.default_rng(case).random(gt.dims).astype(np.float32))
+    fp = registry.register(vol, gt)
+    rng = np.random.default_rng(20 + case)
+    for seed in (0, 4):
+        peaks = noise_peaks(seed, fp, gt)
+        qualities = [np.full(peaks.size, q) for q in (1e-6, 0.2, 0.5, 0.8, 0.97)]
+        # scale * max|noise| just under, at and just over 1/2: the skip threshold
+        qualities += [1.0 - r / (PhantomSpecialist.JITTER_SIGMA * peaks)
+                      for r in (0.5 - 1e-9, 0.5, 0.5 + 1e-9)]
+        qualities.append(rng.uniform(0.0, 1.0, size=peaks.size))
+        for q in qualities:
+            spec = PhantomSpecialist(registry, seed=seed)
+            spec._quality = {c: float(q[c]) for c in range(1, gt.num_classes)}
+            want = whole_draw_predict(spec, vol)
+            assert spec.predict(vol).data.tobytes() == want.tobytes(), (seed, q)
+            assert spec.predict(vol).data.tobytes() == want.tobytes(), (seed, q)  # peaks known
+
+
+def test_specialist_redraws_the_reach_box_past_the_noise_bound(monkeypatch):
+    """With ``NOISE_BOUND`` low, the reach box sticks out of the kept box: the
+    class is drawn again, keeping the reach box, and the labels do not move."""
+    monkeypatch.setattr(oracles, "NOISE_BOUND", 0.3)
+    boxes = []
+    noise_on = oracles._noise_on
+    monkeypatch.setattr(oracles, "_noise_on",
+                        lambda rng, dims, box: boxes.append(box) or noise_on(rng, dims, box))
+    suite, registry = registered_suite(n=2, organs=4, dims=(26, 22, 18), seed=2)
+    for q in (1e-6, 0.3, 0.7):
+        spec = PhantomSpecialist(registry, quality=q, seed=6)
+        for _, vol, _ in suite:
+            boxes.clear()
+            assert spec.predict(vol).data.tobytes() == whole_draw_predict(spec, vol).tobytes()
+            assert len(boxes) == 8                  # each of the 4 classes drawn twice
+            assert all(_within(reach, kept) is None for kept, reach in zip(boxes[::2], boxes[1::2]))
+
+
 def test_signed_distance_on_a_region_is_the_full_grid_field_there():
     rng = np.random.default_rng(9)
     cases = list(border_label_maps())
@@ -1031,6 +1110,81 @@ def test_specialist_fit_joint_counts_hold_at_256_classes():
             spec = PhantomSpecialist(registry)
             spec.fit(examples, supervision=supervision)
             assert spec._quality == four_bincount_qualities(registry, examples, supervision, 0.5)
+
+
+def fit_block_cases():
+    """(gt, target, K) triples whose voxel counts are not a multiple of the
+    count block, the last with K = 256 and the code 65535 in its last block."""
+    rng = np.random.default_rng(21)
+    for dims, K in (((50, 40, 33), 7), ((21, 19, 17), 256)):  # 65536 + 464; 6783 voxels
+        gt = rng.integers(0, K, size=dims).astype(np.uint8)
+        y = np.where(rng.random(dims) < 0.7, gt, rng.integers(0, K, size=dims)).astype(np.uint8)
+        gt.flat[-1] = y.flat[-1] = K - 1
+        yield LabelMap(gt, K), LabelMap(y, K), K
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_specialist_fit_block_counts_equal_one_whole_grid_bincount(monkeypatch, case):
+    gt, y, K = list(fit_block_cases())[case]
+    if K == 256:
+        monkeypatch.setattr(oracles, "DRAW_BLOCK", 1000)
+    assert gt.data.size % oracles.DRAW_BLOCK and gt.data.size > oracles.DRAW_BLOCK
+    vol = Volume(np.random.default_rng(case).random(gt.dims).astype(np.float32))
+    mask = np.random.default_rng(30 + case).random(gt.dims) < 0.6
+    mask.flat[-1] = True
+    for mask in (None, mask):
+        registry = PhantomRegistry()           # the scan's class counts not yet taken
+        registry.register(vol, gt)
+        ex = TrainingExample(vol, SupervisionTarget(y, frozenset({2})), frozenset({1, K - 1}), mask)
+        for supervision in ("full", "partial"):
+            spec = PhantomSpecialist(registry)
+            spec.fit([ex], supervision=supervision)
+            assert spec._quality == four_bincount_qualities(registry, [ex], supervision, 0.5)
+        code = gt.data.astype(np.intp) * K + y.data
+        used = code.ravel() if mask is None else code[mask]
+        assert used.max() == K * K - 1
+        assert registry.lookup(vol)[1].counts.tobytes() == np.bincount(
+            gt.data.ravel(), minlength=K).tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 20 * 18 * 16 // 3])   # the grid ends a block
+def test_specialist_fit_refuses_a_target_or_mask_of_another_size(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(oracles, "DRAW_BLOCK", block)
+    suite, registry = registered_suite(n=1, organs=3, dims=(20, 18, 16))
+    _, vol, gt = suite[0]
+    longer = np.zeros((21, 18, 16), dtype=np.uint8)
+    for target, mask in ((LabelMap(longer, gt.num_classes), None),
+                         (gt, np.ones(longer.shape, dtype=bool)),
+                         (gt, np.ones((19, 18, 16), dtype=bool))):
+        ex = TrainingExample(vol, SupervisionTarget(target), frozenset({1}), mask)
+        with pytest.raises((ValueError, IndexError)):
+            PhantomSpecialist(registry).fit([ex])
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phantom_predict_and_fit_hold_no_whole_grid_8_byte_array():
+    """One predict at q = 0.5 peaks below one whole-grid float64 noise field,
+    and one single-example fit below one whole-grid intp copy of its codes."""
+    suite, registry = registered_suite(n=1, organs=4, dims=(64, 64, 48), seed=7)
+    _, vol, gt = suite[0]
+    whole = gt.data.size * 8
+    spec = PhantomSpecialist(registry, quality=0.5, seed=1)
+    assert traced_peak(lambda: spec.predict(vol)) < whole
+    y = LabelMap(np.array(gt.data), gt.num_classes)
+    for mask in (None, np.random.default_rng(4).random(gt.dims) < 0.5):
+        ex = TrainingExample(vol, SupervisionTarget(y, frozenset()), frozenset({1, 2}), mask)
+        assert traced_peak(lambda: spec.fit([ex], supervision="partial")) < whole
+        assert spec._quality == four_bincount_qualities(registry, [ex], "partial", 0.5)
 
 
 def test_specialist_fit_reads_any_nonzero_weight_as_use():
