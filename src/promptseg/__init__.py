@@ -10,9 +10,9 @@ desk scale and a file-exchange oracle bridges to real models.
 
 from .errors import PromptsegError
 from .metrics import dice, evaluate_scan, hd95, summarize
-from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
-                      PhantomRegistry, PhantomSpecialist, SpecialistOracle,
-                      TrainingExample, generate_phantom, make_phantom_suite)
+from .oracles import FileOracle, GeneralistOracle, SpecialistOracle, TrainingExample
+from .phantom import (PhantomGeneralist, PhantomRegistry, PhantomSpecialist,
+                      generate_phantom, make_phantom_suite)
 from .pipeline import (PipelineConfig, RunResult, ScanSupervision,
                        run_pipeline, simulate_partial_labels)
 from .prompting import (Box2D, BoxPromptPair, bbox_2d, make_box_prompts,

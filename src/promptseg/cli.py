@@ -19,7 +19,7 @@ import numpy as np
 from . import nifti_io, pipeline
 from .errors import PromptsegError, RejectedInputError
 from .metrics import HD95_MISSING_POLICIES, evaluate_scan, summarize
-from .oracles import make_phantom_suite
+from .phantom import make_phantom_suite
 from .prompting import (DEFAULT_PADDING, format_prompts, make_box_prompts,
                         parse_prompts)
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,

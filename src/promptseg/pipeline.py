@@ -31,9 +31,9 @@ from .errors import (ConfigError, NoPredictionError, PromptsegError,
                      RejectedInputError)
 # dice is unused here: the traced benchmark probes wrap promptseg.pipeline.dice
 from .metrics import HD95_MISSING_POLICIES, ScanEvaluation, dice, evaluate_scan, summarize
-from .oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
-                      PhantomRegistry, PhantomSpecialist, SpecialistOracle,
-                      TrainingExample, check_phantom_dims, make_phantom_suite)
+from .oracles import FileOracle, GeneralistOracle, SpecialistOracle, TrainingExample
+from .phantom import (PhantomGeneralist, PhantomRegistry, PhantomSpecialist,
+                      check_phantom_dims, make_phantom_suite)
 from .prompting import DEFAULT_PADDING, make_box_prompts
 from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementState,
                          RefinementConfig, RefinementResult, refine_pseudo_label,

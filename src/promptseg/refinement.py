@@ -134,12 +134,6 @@ def build_roi(prompts: BoxPromptPair, delta_roi: int, dims: tuple[int, int, int]
     return roi
 
 
-def apply_roi(candidate: np.ndarray, roi: np.ndarray) -> np.ndarray:
-    """Zero candidate voxels outside the ROI (elementwise AND)."""
-    _check_dims(candidate.shape, roi.shape, "candidate vs ROI")
-    return candidate & roi
-
-
 def mean_mask_entropy(mask: np.ndarray, entropy_field: np.ndarray) -> float:
     """Arithmetic mean of the entropy field over the mask's voxels."""
     _check_dims(mask.shape, entropy_field.shape, "mask vs entropy field")

@@ -15,7 +15,7 @@ import pytest
 from promptseg import nifti_io
 from promptseg.errors import UnsupportedFormatError
 from promptseg.metrics import dice, hd95
-from promptseg.oracles import Ellipsoid, PhantomSpec, generate_phantom
+from promptseg.phantom import Ellipsoid, PhantomSpec, generate_phantom
 from promptseg.pipeline import PipelineConfig, run_pipeline, simulate_partial_labels
 from promptseg.prompting import make_box_prompts
 from promptseg.refinement import (OrganRefinementState, RefinementConfig,

@@ -13,7 +13,7 @@ import numpy as np
 
 from promptseg.errors import NoPredictionError
 from promptseg.metrics import dice
-from promptseg.oracles import (Ellipsoid, PhantomGeneralist, PhantomRegistry,
+from promptseg.phantom import (Ellipsoid, PhantomGeneralist, PhantomRegistry,
                                PhantomSpec, PhantomSpecialist, generate_phantom)
 from promptseg.pipeline import (PipelineConfig, Scan, ScanSupervision, _input_hash,
                                 initial_training, predict_labels, pseudo_label_round,

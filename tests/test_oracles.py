@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptseg import exchange, nifti_io, oracles
+from promptseg import exchange, nifti_io, oracles, phantom
 from scipy import ndimage
 from scipy.spatial.transform import Rotation
 
@@ -18,13 +18,12 @@ from promptseg.errors import (ConfigError, OracleProtocolError, OracleUnavailabl
                               RejectedInputError, UnknownVolumeError)
 from promptseg.exchange import Server
 from promptseg.metrics import dice
-from promptseg.oracles import (POLL_INTERVAL_S, Ellipsoid, FileOracle, GeneralistOracle,
-                               PhantomGeneralist, PhantomRegistry, SpecialistOracle,
-                               PhantomSpecialist, PhantomSpec, TrainingExample,
-                               _distance_from, _grow, _rng_for, _rotation_matrix, _within,
-                               ellipsoid_mask, generate_phantom,
-                               make_phantom_suite, random_phantom_spec,
-                               volume_fingerprint)
+from promptseg.oracles import (POLL_INTERVAL_S, FileOracle, GeneralistOracle, SpecialistOracle,
+                               TrainingExample)
+from promptseg.phantom import (Ellipsoid, PhantomGeneralist, PhantomRegistry, PhantomSpecialist,
+                               PhantomSpec, _distance_from, _ellipsoid_on_box, _grow, _rng_for,
+                               _within, generate_phantom, make_phantom_suite,
+                               random_phantom_spec, volume_fingerprint)
 from promptseg.prompting import (Box2D, BoxPromptPair, AXIAL, SAGITTAL, format_prompts,
                                  make_box_prompts)
 from promptseg.refinement import (OrganRefinementState, RefinementConfig, refine_pseudo_label,
@@ -67,10 +66,10 @@ def test_generate_phantom_equals_its_whole_grid_draw(monkeypatch):
     spec = random_phantom_spec((20, 18, 16), 4, np.random.default_rng(3))
     _, gt = generate_phantom(spec, seed=(1, 2))
     intensity = np.array([0.0] + [ell.intensity for ell in spec.organs])
-    noise = np.random.default_rng((1, 2)).normal(0.0, oracles.IMAGE_SIGMA, size=spec.dims)
+    noise = np.random.default_rng((1, 2)).normal(0.0, phantom.IMAGE_SIGMA, size=spec.dims)
     want = (intensity[gt.data] + noise).astype(np.float32)
-    for block in (oracles.DRAW_BLOCK, 18 * 16 * 3, 1):
-        monkeypatch.setattr(oracles, "DRAW_BLOCK", block)
+    for block in (phantom.DRAW_BLOCK, 18 * 16 * 3, 1):
+        monkeypatch.setattr(phantom, "DRAW_BLOCK", block)
         vol, labels = generate_phantom(spec, seed=(1, 2))
         assert vol.data.tobytes() == want.tobytes(), block
         assert labels.data.tobytes() == gt.data.tobytes()
@@ -98,6 +97,12 @@ def test_generate_phantom_deterministic():
     assert g1.data.tobytes() == g2.data.tobytes()
 
 
+def ellipsoid_mask(dims, ell):
+    """The ellipsoid's mask on its box, pasted on the grid."""
+    box, inside = _ellipsoid_on_box(dims, ell)
+    return paste_mask(inside, box, dims)
+
+
 def test_overlap_resolved_by_organ_priority():
     spec = PhantomSpec(dims=(16, 16, 16),
                        organs=(Ellipsoid(center=(8, 8, 8), radii=(4, 4, 4)),
@@ -112,7 +117,6 @@ def test_overlap_resolved_by_organ_priority():
 def test_rotated_ellipsoid_matches_brute_force_formula():
     ell = Ellipsoid(center=(8.3, 7.6, 9.1), radii=(5, 3, 2), angles=(0.4, 1.1, 2.0))
     mask = ellipsoid_mask((18, 18, 18), ell)
-    from scipy.spatial.transform import Rotation
     rot = Rotation.from_euler("zyx", ell.angles).as_matrix()
     for idx in [(8, 8, 9), (4, 4, 4), (12, 9, 9), (8, 10, 11), (0, 0, 0)]:
         p = np.asarray(idx, dtype=np.float64) - ell.center
@@ -121,14 +125,20 @@ def test_rotated_ellipsoid_matches_brute_force_formula():
         assert mask[idx] == inside
 
 
-def test_rotation_port_equals_scipy_bit_for_bit():
-    rng = np.random.default_rng(21)
-    angles = np.concatenate([rng.uniform(0.0, np.pi, size=(5000, 3)),      # the suite's range
-                             rng.uniform(-7.0, 7.0, size=(5000, 3)),
-                             [[0.0, 0.0, 0.0], [np.pi, -np.pi, np.pi / 2]]])
-    for a in angles.tolist():
-        want = Rotation.from_euler("zyx", a).as_matrix()
-        assert _rotation_matrix(tuple(a)).tobytes() == want.tobytes(), a
+BENCHMARK_IMPORTS = ("PhantomGeneralist", "PhantomRegistry", "PhantomSpecialist",
+                     "make_phantom_suite")
+
+
+def test_oracles_reexports_only_the_testbed_names_the_benchmark_imports():
+    import promptseg
+    for name in BENCHMARK_IMPORTS:
+        assert getattr(oracles, name) is getattr(phantom, name) is getattr(promptseg, name)
+    own = {name for name, value in vars(phantom).items()
+           if getattr(value, "__module__", None) == phantom.__name__}
+    assert set(BENCHMARK_IMPORTS) < own
+    assert not any(hasattr(oracles, name) for name in own - set(BENCHMARK_IMPORTS))
+    with pytest.raises(AttributeError):
+        oracles.generate_phantom
 
 
 def test_suite_determinism_and_nonempty_organs():
@@ -493,13 +503,15 @@ def test_phantom_spec_refuses_a_side_without_room_before_drawing():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_phantom_suite_names_the_first_empty_organ(seed):
-    with pytest.raises(ConfigError) as err:
-        make_phantom_suite(1, 6, (7, 7, 7), seed=seed)
+def test_phantom_suite_names_the_first_empty_organ(seed, monkeypatch):
     spec = random_phantom_spec((7, 7, 7), 6, np.random.default_rng((seed, 1000)))
     _, labels = full_grid_phantom(spec, (seed, 2000))
     first = next(c for c in range(1, 7) if not (labels == c).any())
-    assert str(err.value) == f"phantom organ {first} rasterized empty; dims too small"
+    for block in (phantom.DRAW_BLOCK, 20):          # 20 values: less than one 7 x 7 plane
+        monkeypatch.setattr(phantom, "DRAW_BLOCK", block)
+        with pytest.raises(ConfigError) as err:
+            make_phantom_suite(1, 6, (7, 7, 7), seed=seed)
+        assert str(err.value) == f"phantom organ {first} rasterized empty; dims too small"
 
 
 def border_label_maps():
@@ -596,7 +608,7 @@ def test_specialist_second_predict_at_high_quality_draws_nothing(monkeypatch):
     _, vol, gt = suite[0]
     fp = volume_fingerprint(vol)
     draws = []
-    monkeypatch.setattr(oracles, "_rng_for", lambda *key: draws.append(key) or _rng_for(*key))
+    monkeypatch.setattr(phantom, "_rng_for", lambda *key: draws.append(key) or _rng_for(*key))
     high = np.full(gt.num_classes, 1.0 - 1e-4)
     for start in (0.5, 1.0 - 1e-4):       # an earlier draw at low q, or at this very q
         spec = PhantomSpecialist(registry, quality=start, seed=3)
@@ -641,15 +653,15 @@ def block_draw_cases():
     the block's rows, each drawn in more than one block."""
     gt = next(border_label_maps())                                  # 19 y-planes
     yield gt, 15 * 11 * 4
-    yield make_phantom_suite(1, 5, (50, 40, 33), seed=3)[0][2], oracles.DRAW_BLOCK  # 49 + 1
+    yield make_phantom_suite(1, 5, (50, 40, 33), seed=3)[0][2], phantom.DRAW_BLOCK  # 49 + 1
     yield make_phantom_suite(1, 4, (23, 20, 17), seed=5)[0][2], 20 * 17 * 4
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_specialist_block_draw_equals_the_whole_grid_draw(monkeypatch, case):
     gt, block = list(block_draw_cases())[case]
-    monkeypatch.setattr(oracles, "DRAW_BLOCK", block)
-    rows = oracles._plane_blocks(gt.dims)[0][1]
+    monkeypatch.setattr(phantom, "DRAW_BLOCK", block)
+    rows = phantom._plane_blocks(gt.dims)[0][1]
     assert gt.dims[0] > rows and gt.dims[0] % rows
     registry = PhantomRegistry()
     vol = Volume(np.random.default_rng(case).random(gt.dims).astype(np.float32))
@@ -673,10 +685,10 @@ def test_specialist_block_draw_equals_the_whole_grid_draw(monkeypatch, case):
 def test_specialist_redraws_the_reach_box_past_the_noise_bound(monkeypatch):
     """With ``NOISE_BOUND`` low, the reach box sticks out of the kept box: the
     class is drawn again, keeping the reach box, and the labels do not move."""
-    monkeypatch.setattr(oracles, "NOISE_BOUND", 0.3)
+    monkeypatch.setattr(phantom, "NOISE_BOUND", 0.3)
     boxes = []
-    noise_on = oracles._noise_on
-    monkeypatch.setattr(oracles, "_noise_on",
+    noise_on = phantom._noise_on
+    monkeypatch.setattr(phantom, "_noise_on",
                         lambda rng, dims, box: boxes.append(box) or noise_on(rng, dims, box))
     suite, registry = registered_suite(n=2, organs=4, dims=(26, 22, 18), seed=2)
     for q in (1e-6, 0.3, 0.7):
@@ -879,7 +891,7 @@ def face_regions(dims):
 
 
 def test_generalist_on_a_region_is_the_whole_grid_answer_there(monkeypatch):
-    monkeypatch.setattr(oracles, "DRAW_BLOCK", 300)     # noise drawn one to a few planes at a time
+    monkeypatch.setattr(phantom, "DRAW_BLOCK", 300)     # noise drawn one to a few planes at a time
     rng = np.random.default_rng(12)
     lone = np.zeros((16, 12, 10), dtype=np.uint8)
     lone[1:3, 1:3, 1:3] = 1                                # most prompts miss it
@@ -1127,8 +1139,8 @@ def fit_block_cases():
 def test_specialist_fit_block_counts_equal_one_whole_grid_bincount(monkeypatch, case):
     gt, y, K = list(fit_block_cases())[case]
     if K == 256:
-        monkeypatch.setattr(oracles, "DRAW_BLOCK", 1000)
-    assert gt.data.size % oracles.DRAW_BLOCK and gt.data.size > oracles.DRAW_BLOCK
+        monkeypatch.setattr(phantom, "DRAW_BLOCK", 1000)
+    assert gt.data.size % phantom.DRAW_BLOCK and gt.data.size > phantom.DRAW_BLOCK
     vol = Volume(np.random.default_rng(case).random(gt.dims).astype(np.float32))
     mask = np.random.default_rng(30 + case).random(gt.dims) < 0.6
     mask.flat[-1] = True
@@ -1150,7 +1162,7 @@ def test_specialist_fit_block_counts_equal_one_whole_grid_bincount(monkeypatch, 
 @pytest.mark.parametrize("block", [None, 20 * 18 * 16 // 3])   # the grid ends a block
 def test_specialist_fit_refuses_a_target_or_mask_of_another_size(monkeypatch, block):
     if block:
-        monkeypatch.setattr(oracles, "DRAW_BLOCK", block)
+        monkeypatch.setattr(phantom, "DRAW_BLOCK", block)
     suite, registry = registered_suite(n=1, organs=3, dims=(20, 18, 16))
     _, vol, gt = suite[0]
     longer = np.zeros((21, 18, 16), dtype=np.uint8)
@@ -1899,7 +1911,7 @@ def fresh_oracles(suite, seed=7):
 def helper_on(monkeypatch):
     """Phantom batches use their helper thread whatever this machine's CPUs,
     and thread switches come often, so the two threads interleave finely."""
-    monkeypatch.setattr(oracles, "_cpus", lambda: 2)
+    monkeypatch.setattr(phantom, "_cpus", lambda: 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -2092,7 +2104,7 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     """Pinned to one CPU, phantom batches run on the caller's thread alone."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert oracles._cpus() == 1
+    assert phantom._cpus() == 1
 
     def no_thread(self):
         raise AssertionError("a thread was started")
@@ -2116,8 +2128,8 @@ def test_fingerprint_sensitive_to_content():
 def test_registry_lookup_hashes_only_arrays_it_did_not_register(monkeypatch):
     suite, registry = registered_suite(n=2, organs=2, dims=(12, 12, 12))
     hashed = []
-    real = oracles.volume_fingerprint
-    monkeypatch.setattr(oracles, "volume_fingerprint", lambda v: hashed.append(v) or real(v))
+    real = phantom.volume_fingerprint
+    monkeypatch.setattr(phantom, "volume_fingerprint", lambda v: hashed.append(v) or real(v))
     (_, vol, gt), (_, other, _) = suite
     fp, scan = registry.lookup(vol)
     assert fp == real(vol) and scan.gt is gt and not hashed

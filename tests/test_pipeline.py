@@ -11,9 +11,9 @@ import pytest
 from promptseg.errors import ConfigError, OracleUnavailableError
 from promptseg.exchange import Server
 from promptseg.metrics import dice
-from promptseg.oracles import (FileOracle, GeneralistOracle, PhantomGeneralist,
-                               PhantomRegistry, PhantomSpecialist,
-                               SpecialistOracle, make_phantom_suite, volume_fingerprint)
+from promptseg.oracles import FileOracle, GeneralistOracle, SpecialistOracle
+from promptseg.phantom import (PhantomGeneralist, PhantomRegistry, PhantomSpecialist,
+                               make_phantom_suite, volume_fingerprint)
 from promptseg.pipeline import (PipelineConfig, RoundEntry, Scan, ScanSupervision,
                                 initial_training, load_config, merged_target,
                                 predict_labels, pseudo_label_round, retrain,
@@ -1047,10 +1047,10 @@ def test_file_mode_gt_that_is_not_a_label_image_is_a_config_error(tmp_path):
 def test_phantom_run_is_byte_identical_with_and_without_the_helper(tmp_path, monkeypatch):
     """Phantom batches computed by the caller and a helper thread give the
     outputs of one thread: every CSV and every file under ``targets/``."""
-    from promptseg import oracles
+    from promptseg import phantom
     outputs = []
     for cpus in (2, 1):
-        monkeypatch.setattr(oracles, "_cpus", lambda: cpus)
+        monkeypatch.setattr(phantom, "_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         run_pipeline(PipelineConfig(keep_fraction=0.33, rounds=3, entropy_gate_from_round=2,
                                     scans=9, test_scans=3, organs=5, dims=(24, 22, 20),
@@ -1062,7 +1062,6 @@ def test_phantom_run_is_byte_identical_with_and_without_the_helper(tmp_path, mon
 
 @pytest.mark.parametrize("keep_fraction", [1.0, 0.5])
 def test_run_predicts_each_scan_once_per_round(tmp_path, monkeypatch, keep_fraction):
-    from promptseg.oracles import volume_fingerprint
     predicted = []
     real_predict = PhantomSpecialist.predict
 

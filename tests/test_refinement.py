@@ -8,7 +8,7 @@ from promptseg.errors import EmptyMaskError, RejectedInputError
 from promptseg.prompting import AXIAL, SAGITTAL, Box2D, BoxPromptPair, make_box_prompts
 from promptseg.refinement import (ACCEPTED, REJECT_EMPTIED, REJECT_ENTROPY,
                                   OrganRefinementState, RefinementConfig,
-                                  apply_class_threshold, apply_roi, build_roi,
+                                  apply_class_threshold, build_roi,
                                   entropy_gate, mean_mask_entropy,
                                   refine_pseudo_label, refine_stored, roi_box)
 from promptseg.volgrid import (LabelMap, ProbVolume, crop_mask, paste_mask, softmax_from_logits,
@@ -105,16 +105,6 @@ def test_build_roi_rejects_out_of_bounds_boxes():
     )
     with pytest.raises(RejectedInputError):
         build_roi(prompts, 0, (16, 16, 16))
-
-
-def test_apply_roi_trivial_cases():
-    cand = sphere((10, 10, 10), (5, 5, 5), 3)
-    assert np.array_equal(apply_roi(cand, np.ones_like(cand)), cand)
-    assert not apply_roi(cand, np.zeros_like(cand)).any()
-    roi = np.zeros_like(cand)
-    roi[:5] = True
-    kept = apply_roi(cand, roi)
-    assert kept.sum() == (cand & roi).sum()
 
 
 def test_mean_mask_entropy_examples():
@@ -345,8 +335,8 @@ def test_refine_reads_whole_grid_and_roi_box_probabilities_alike():
         on_box = refine_pseudo_label(candidate, ProbVolume(probs.data[(slice(None),) + box]),
                                      prompts, config, state)
         # the full-grid filters and entropy, as refinement computed them before it cropped
-        kept = apply_roi(apply_class_threshold(candidate, probs, 1, config.tau_cls),
-                         build_roi(prompts, config.delta_roi, dims))
+        kept = apply_class_threshold(candidate, probs, 1, config.tau_cls) & \
+            build_roi(prompts, config.delta_roi, dims)
         cut, cut_box = crop_mask(kept)
         for res in (on_grid, on_box):
             assert res.mask.tobytes() == cut.tobytes() and res.box == cut_box
@@ -406,10 +396,9 @@ def test_refinement_contraction_randomized():
                                   OrganRefinementState(class_id=1))
         assert not (whole(res) & ~candidate).any()  # refined subseteq candidate
         # the two voxel filters commute
-        t_then_r = apply_roi(apply_class_threshold(candidate, probs, 1, 0.4),
-                             build_roi(prompts, config.delta_roi, DIMS))
-        r_then_t = apply_class_threshold(
-            apply_roi(candidate, build_roi(prompts, config.delta_roi, DIMS)), probs, 1, 0.4)
+        roi = build_roi(prompts, config.delta_roi, DIMS)
+        t_then_r = apply_class_threshold(candidate, probs, 1, 0.4) & roi
+        r_then_t = apply_class_threshold(candidate & roi, probs, 1, 0.4)
         assert np.array_equal(t_then_r, r_then_t)
 
 
