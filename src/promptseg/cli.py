@@ -64,7 +64,7 @@ def cmd_simulate_partial(args) -> int:
     gt = _read(args.gt, "--gt")
     num_classes = args.classes or gt.num_classes
     if num_classes != gt.num_classes:
-        gt = LabelMap(np.array(gt.data), num_classes)
+        gt = LabelMap(gt.data, num_classes)
     sup = pipeline.simulate_partial_labels(gt, num_classes, args.keep_fraction,
                                            seed, args.scan_id)
     nifti_io.write_volume(args.out_labels, sup.target.labels)
@@ -106,7 +106,7 @@ def cmd_vls_mask(args) -> int:
     labels = _read(args.target, "--target")
     man = nifti_io.read_manifest(args.manifest)
     num_classes = max(labels.num_classes, man.num_classes, probs.num_classes)
-    labels = LabelMap(np.array(labels.data), num_classes)
+    labels = LabelMap(labels.data, num_classes)
     target = SupervisionTarget(labels, man.classes_with_status("pseudo"))
     mask = vls_mask(argmax_labelmap(probs), target)
     nifti_io.write_volume(args.out, mask_to_labels(mask))
@@ -120,8 +120,8 @@ def cmd_metrics(args) -> int:
     if not isinstance(pred, LabelMap):
         raise RejectedInputError(f"--pred must be a uint8 label image: {args.pred}")
     num_classes = max(pred.num_classes, gt.num_classes)
-    pred = LabelMap(np.array(pred.data), num_classes)
-    gt = LabelMap(np.array(gt.data), num_classes)
+    pred = LabelMap(pred.data, num_classes)
+    gt = LabelMap(gt.data, num_classes)
     spacing = (_config_value("spacing", args.spacing) if args.spacing
                else nifti_io.sane_spacing(hdr.pixdim))
     names = {}

@@ -12,6 +12,7 @@ half) talk through a directory, and the protocol's one description.
                          .target.nii, .manifest and any VLS weights, .mask.nii
     fit_<uid>.req        fit request: "supervision=full|partial"
     fit_<uid>.done       the trainer's answer: the fit is over
+    resp_<uid>.err       a failed answer, one line: "<ExceptionType>: <message>"
 
 Images are whole-grid.  Each file is committed: written under its name plus
 ``.tmp``, then renamed, or, for a request or fit image whose very array this
@@ -23,16 +24,18 @@ request is complete once its ``.nii`` exists, a segment request once its
 ``.prompts`` exists (the two share a name: a directory serves one model), and
 a fit once ``.req`` exists, which is committed after the last example (a
 failed build leaves none).  A segment answer's probabilities are
-committed before its mask, which the client awaits first.  A batch writes
-every request before it awaits the first answer.  A uid starts with a
+committed before its mask, which the client awaits first.  The directory is
+the one record: a complete request is pending, to any server, until its last
+answer file (``.prob.nii``, the mask, ``.done``) or ``.err`` exists.  A batch
+writes every request before it awaits the first answer.  A uid starts with a
 zero-padded per-process sequence number, so one client's uids sort in commit
 order, and ``Server`` takes pending requests in uid order, the first awaited
 first.  While it awaits an answer the client pauses an eighth of the time
 waited so far, at least 1 ms and at most 50 ms, so it sees an answer at most
 about 1/8 of its wait after it lands.  It gives each answer ``timeout``
 seconds from when it starts to await it, once its request or batch is
-committed; a missing answer is an ``OracleUnavailableError``, one still
-unreadable an ``OracleProtocolError``.
+committed; a missing answer is an ``OracleUnavailableError``, raised at
+once if ``.err`` is committed, one still unreadable an ``OracleProtocolError``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ log = logging.getLogger("promptseg.exchange")
 _sequence = itertools.count()
 
 _NAMES = {"image": "req_{}.nii", "prompts": "req_{}.prompts", "probs": "resp_{}.prob.nii",
-          "mask": "resp_{}.nii", "examples": "fit_{}", "fit": "fit_{}.req", "done": "fit_{}.done"}
+          "mask": "resp_{}.nii", "examples": "fit_{}", "fit": "fit_{}.req", "done": "fit_{}.done",
+          "error": "resp_{}.err"}
+# kind: (the name whose commit completes a request, the name of its last answer file)
+_KINDS = {"predict": ("image", "probs"), "segment": ("prompts", "mask"), "fit": ("fit", "done")}
 
 
 def path(root, name: str, uid: str) -> Path:
@@ -178,8 +184,8 @@ def read_examples(fit_dir: Path):
 
 class Server:
     """Serves a ``SpecialistOracle`` (predict, fit) or a ``GeneralistOracle``
-    (segment, on the whole grid) over one exchange directory, taking each
-    request once: one whose answer raises is logged and left unanswered."""
+    (segment, on the whole grid) over one exchange directory, answering each
+    request once: one whose model raises is logged and answered ``.err``."""
 
     def __init__(self, root, specialist=None, generalist=None):
         if (specialist is None) == (generalist is None):
@@ -187,18 +193,19 @@ class Server:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.specialist, self.generalist = specialist, generalist
-        self.taken: set[str] = set()
 
     def pending(self) -> list[tuple[str, str]]:
-        """``(kind, uid)`` of every complete request not taken yet, in uid order."""
-        kinds = ({"prompts": "segment"} if self.generalist is not None
-                 else {"image": "predict", "fit": "fit"})
-        found = []
-        for name, (key, kind) in itertools.product(os.listdir(self.root), kinds.items()):
-            prefix, suffix = _NAMES[key].split("{}")
-            uid = name[len(prefix):-len(suffix)]
-            if name.startswith(prefix) and name.endswith(suffix) and uid not in self.taken:
-                found.append((kind, uid))
+        """``(kind, uid)`` of every complete request not answered yet, in uid order."""
+        names, found = set(os.listdir(self.root)), []
+        for kind in ("segment",) if self.generalist is not None else ("predict", "fit"):
+            request, last = _KINDS[kind]
+            prefix, suffix = _NAMES[request].split("{}")
+            for name in names:
+                uid = name[len(prefix):-len(suffix)]
+                if (name.startswith(prefix) and name.endswith(suffix)
+                        and _NAMES[last].format(uid) not in names
+                        and _NAMES["error"].format(uid) not in names):
+                    found.append((kind, uid))
         return sorted(found, key=lambda request: request[1])
 
     def answer(self, kind: str, uid: str) -> None:
@@ -217,14 +224,15 @@ class Server:
         commit(path(self.root, "mask", uid), mask_to_labels(mask))
 
     def serve_once(self) -> int:
-        """Answer every complete request not taken yet; returns how many."""
+        """Answer every complete request not answered yet; returns how many."""
         todo = self.pending()
         for kind, uid in todo:
-            self.taken.add(uid)
             try:
                 self.answer(kind, uid)
-            except Exception:       # a failing model must not stop the server
+            except Exception as exc:    # a failing model must not stop the server
                 log.exception("%s request %s in %s failed", kind, uid, self.root)
+                line = " ".join(f"{type(exc).__name__}: {exc}".split())
+                commit(path(self.root, "error", uid), line + "\n")
         return len(todo)
 
     def serve(self, stop: threading.Event) -> None:

@@ -118,11 +118,11 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         self.timeout = float(timeout)
         self._copies: dict = {}
 
-    def _await_file(self, path: Path, deadline: float, decode: bool = True):
-        """Poll for ``path`` until ``deadline``: each pause is an eighth of the
-        time waited so far, at least 1 ms and at most ``POLL_INTERVAL_S``, so an
-        answer is seen at most about 1/8 of the wait after it lands.  A file
-        still missing or unreadable at the first look past the deadline raises."""
+    def _await_file(self, path: Path, deadline: float, decode: bool = True, error=None):
+        """Poll for ``path`` until ``deadline``: each pause is an eighth of the time
+        waited so far, at least 1 ms and at most ``POLL_INTERVAL_S``, so an answer is
+        seen at most about 1/8 of the wait after it lands.  A file missing once ``error``
+        exists, or missing or unreadable at the first look past the deadline, raises."""
         start = time.monotonic()
         while True:
             corrupt = None
@@ -133,6 +133,8 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
                     corrupt = exc  # mid-write; retry
                 except (NiftiError, RejectedInputError) as exc:
                     raise OracleProtocolError(f"{path}: {exc}") from exc
+            elif error is not None and error.exists():
+                raise OracleUnavailableError(f"error answer {error}: {error.read_text()}".strip())
             now = time.monotonic()
             if now > deadline:
                 if corrupt is not None:
@@ -146,7 +148,8 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         """``sent`` is the uid of a request already written for ``volume``."""
         uid = sent or exchange.send(self.root, volume, copies=self._copies)
         deadline = time.monotonic() + self.timeout
-        resp = self._await_file(exchange.path(self.root, "probs", uid), deadline)
+        resp = self._await_file(exchange.path(self.root, "probs", uid), deadline,
+                                error=exchange.path(self.root, "error", uid))
         return exchange.predict_labels(resp, volume.dims)
 
     def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
@@ -160,8 +163,9 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         region = _checked_region(region, volume.dims)
         uid = sent or exchange.send(self.root, volume, prompts, copies=self._copies)
         deadline = time.monotonic() + self.timeout
-        mask = self._await_file(exchange.path(self.root, "mask", uid), deadline)
-        probs = self._await_file(exchange.path(self.root, "probs", uid), deadline)
+        mask, probs = (self._await_file(exchange.path(self.root, name, uid), deadline,
+                                        error=exchange.path(self.root, "error", uid))
+                       for name in ("mask", "probs"))
         exchange.check_segment(mask, probs, volume.dims)
         return mask.data[region] > 0, probs.crop(region)
 
@@ -178,7 +182,8 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         """Each example is written as it is taken; if taking one raises, no trainer starts."""
         uid = exchange.send_fit(self.root, examples, supervision, copies=self._copies)
         deadline = time.monotonic() + self.timeout
-        self._await_file(exchange.path(self.root, "done", uid), deadline, decode=False)
+        self._await_file(exchange.path(self.root, "done", uid), deadline, decode=False,
+                         error=exchange.path(self.root, "error", uid))
 
 
 # perfbench/ imports these four testbed names from here; the benchmark's next change

@@ -608,8 +608,10 @@ def _load_file_dataset(config: PipelineConfig):
                                   f"the image's {vol.dims}")
         num_classes = max(man.num_classes, labels.num_classes)
         labels = LabelMap(labels.data, num_classes)  # frozen arrays: shared, not copied
-        if gt is not None:
-            gt = LabelMap(gt.data, num_classes)
+        try:
+            gt = None if gt is None else LabelMap(gt.data, num_classes)
+        except RejectedInputError as exc:
+            raise ConfigError(f"{scan_id}: {gt_path.name}: {exc}") from None
         try:
             sup = ScanSupervision.from_target(man.classes_with_status("labeled"), SupervisionTarget(
                 labels, man.classes_with_status("pseudo")))

@@ -1835,8 +1835,110 @@ def test_server_logs_a_failing_answer_and_answers_later_requests(tmp_path, caplo
     (record,) = caplog.records
     assert record.name == "promptseg.exchange" and bad in record.getMessage()
     assert "ZeroDivisionError" in caplog.text
-    files = [("image", bad), ("image", later), ("probs", later)]
+    files = [("image", bad), ("error", bad), ("image", later), ("probs", later)]
     assert {p.name for p in tmp_path.iterdir()} == {exchange.path(tmp_path, *f).name for f in files}
+
+
+def out_of_memory(k):
+    raise RuntimeError("CUDA out of memory.\nTried to allocate 2.00 GiB")
+
+
+def test_server_answers_a_failing_request_with_one_error_file(tmp_path, monkeypatch, caplog):
+    """The error answer is one line, committed by way of a temporary name,
+    and it answers the request: the next poll finds nothing."""
+    server = Server(tmp_path, specialist=Stub(out_of_memory))
+    uid = exchange.send(tmp_path, indexed_volume(0))
+    written, renamed, write_text, rename = [], [], Path.write_text, Path.rename
+    monkeypatch.setattr(Path, "write_text",
+                        lambda p, text: written.append(p.name) or write_text(p, text))
+    monkeypatch.setattr(Path, "rename",
+                        lambda p, dest: renamed.append((p.name, dest.name)) or rename(p, dest))
+    with caplog.at_level(logging.ERROR, logger="promptseg"):
+        assert server.serve_once() == 1
+    err = exchange.path(tmp_path, "error", uid)
+    assert written == [err.name + ".tmp"] and renamed == [(err.name + ".tmp", err.name)]
+    assert err.read_text() == "RuntimeError: CUDA out of memory. Tried to allocate 2.00 GiB\n"
+    assert list(tmp_path.glob("resp_*")) == [err]
+    assert server.serve_once() == 0 and server.specialist.answered == [0]
+
+
+class Stopped(BaseException):
+    """The server process is killed."""
+
+
+def test_server_answers_again_a_segment_stopped_between_its_answer_files(tmp_path, monkeypatch):
+    """A segment whose probabilities are committed but whose mask is not is
+    still pending, and is answered again."""
+    server = Server(tmp_path, generalist=Stub(indexed_segment_answer))
+    uid = exchange.send(tmp_path, indexed_volume(1), GOOD_PROMPTS)
+    probs, mask = exchange.path(tmp_path, "probs", uid), exchange.path(tmp_path, "mask", uid)
+    commit = exchange.commit
+
+    def killed_at_the_mask(dest, content):
+        if dest == mask:
+            raise Stopped
+        commit(dest, content)
+    monkeypatch.setattr(exchange, "commit", killed_at_the_mask)
+    with pytest.raises(Stopped):
+        server.serve_once()
+    assert probs.exists() and not mask.exists()
+    monkeypatch.setattr(exchange, "commit", commit)
+    assert server.pending() == [("segment", uid)]
+    assert server.serve_once() == 1 and server.serve_once() == 0
+    assert server.generalist.answered == [1, 1]
+    assert np.array_equal(nifti_io.read_volume(mask).data > 0, indexed_segment_answer(1)[0])
+
+
+def test_a_fresh_server_answers_nothing_an_earlier_one_answered(tmp_path):
+    """The exchange directory is the server's only record: after one server
+    per directory answers a predict and a fit, and a segment, fresh servers
+    on the same directories find nothing to do and call no model."""
+    suite, _ = registered_suite(n=1, organs=2, dims=(10, 10, 10))
+    example = TrainingExample(suite[0][1], SupervisionTarget(suite[0][2]), frozenset({1}))
+
+    def servers():
+        return (Server(tmp_path / "spec", specialist=Stub(indexed_predict_answer)),
+                Server(tmp_path / "gen", generalist=Stub(indexed_segment_answer)))
+    spec, gen = servers()
+    exchange.send(spec.root, indexed_volume(3))
+    exchange.send_fit(spec.root, [example], "full")
+    exchange.send(gen.root, indexed_volume(4), GOOD_PROMPTS)
+    assert (spec.serve_once(), gen.serve_once()) == (2, 1)
+    assert (spec.specialist.answered, spec.specialist.fits) == ([3], 1)
+    assert gen.generalist.answered == [4]
+    spec, gen = servers()
+    assert (spec.serve_once(), gen.serve_once()) == (0, 0)
+    assert (spec.specialist.answered, spec.specialist.fits, gen.generalist.answered) == ([], 0, [])
+
+
+class TrainerDown(Stub):
+    def fit(self, examples, supervision="full"):
+        raise RuntimeError("trainer down")
+
+
+def test_file_oracle_raises_an_error_answer_at_once(tmp_path, serve):
+    """At a 30 s timeout, a failed predict or fit raises, and a failed
+    segment of a batch is yielded, as ``OracleUnavailableError`` naming its
+    ``.err`` within 1 s; the batch still answers the requests after it."""
+    suite, _ = registered_suite(n=1, organs=2, dims=(10, 10, 10))
+    example = TrainingExample(suite[0][1], SupervisionTarget(suite[0][2]), frozenset({1}))
+    serve(Server(tmp_path / "spec", specialist=TrainerDown(lambda k: 1 / 0)))
+    serve(Server(tmp_path / "gen",
+                 generalist=Stub(lambda k: 1 / 0 if k == 1 else indexed_segment_answer(k))))
+    specialist, generalist = (FileOracle(tmp_path / d, timeout=30.0) for d in ("spec", "gen"))
+    for call, text in ((lambda: specialist.predict(indexed_volume(0)), "ZeroDivisionError"),
+                       (lambda: specialist.fit([example]), "RuntimeError: trainer down")):
+        start = time.monotonic()
+        with pytest.raises(OracleUnavailableError, match=rf"resp_\w+\.err: {text}"):
+            call()
+        assert time.monotonic() - start < 1.0
+    start = time.monotonic()
+    got = list(generalist.segment_all([(indexed_volume(k), GOOD_PROMPTS, None) for k in range(3)]))
+    assert time.monotonic() - start < 1.0
+    (err,) = (tmp_path / "gen").glob("resp_*.err")
+    assert isinstance(got[1], OracleUnavailableError) and str(err) in str(got[1])
+    for k in (0, 2):
+        assert np.array_equal(got[k][0], indexed_segment_answer(k)[0]), k
 
 
 def test_server_takes_pending_requests_in_commit_order(tmp_path):

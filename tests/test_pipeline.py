@@ -1,6 +1,7 @@
 import errno
 import logging
 import os
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -780,12 +781,12 @@ class GroundTruthModels(SpecialistOracle, GeneralistOracle):
         return mask, ProbVolume(np.stack([1.0 - p, p]))
 
 
-def run_served(serve, tmp_path, labels, data, **config):
+def run_served(serve, tmp_path, labels, data, generalist=None, **config):
     """A file-mode run on ``data``, its models ``GroundTruthModels(labels)``
-    served from ``tmp_path``'s ``spec_xchg`` and ``gen_xchg``."""
+    (or ``generalist``) served from ``tmp_path``'s ``spec_xchg`` and ``gen_xchg``."""
     model = GroundTruthModels(labels)
     spec = serve(Server(tmp_path / "spec_xchg", specialist=model)).root
-    gen = serve(Server(tmp_path / "gen_xchg", generalist=model)).root
+    gen = serve(Server(tmp_path / "gen_xchg", generalist=generalist or model)).root
     return run_pipeline(PipelineConfig(oracle="file", data_dir=str(data), oracle_timeout=30.0,
                                        specialist_exchange=str(spec), generalist_exchange=str(gen),
                                        out_dir=str(tmp_path / "out"), **config))
@@ -803,6 +804,37 @@ def test_file_mode_pipeline_end_to_end(tmp_path, serve):
     for scan_id, _, _ in suite:
         man = nifti_io.read_manifest(tmp_path / "out" / "targets" / f"{scan_id}.manifest")
         assert man.statuses == {1: "labeled", 2: "pseudo"}
+
+
+class DownOn(GroundTruthModels):
+    """``GroundTruthModels`` whose generalist raises on the volume ``down``."""
+
+    def __init__(self, labels, down):
+        super().__init__(labels)
+        self.down = volume_fingerprint(down)
+
+    def segment(self, volume, prompts, region=None):
+        if volume_fingerprint(volume) == self.down:
+            raise RuntimeError("generalist down")
+        return super().segment(volume, prompts, region)
+
+
+def test_file_mode_skips_an_organ_whose_generalist_raised_at_once(tmp_path, serve):
+    """The served generalist raises on one scan's request: that organ's row
+    reads ``skip,oracle-error`` as soon as the error answer lands, long before
+    the 30 s oracle timeout, and the other scans are accepted."""
+    suite = write_file_mode_data(tmp_path / "data", n=3, dims=(16, 16, 16))
+    labels = {volume_fingerprint(vol): gt for _, vol, gt in suite}
+    down_id, down, _ = suite[1]
+    start = time.monotonic()
+    result = run_served(serve, tmp_path, labels, tmp_path / "data",
+                        generalist=DownOn(labels, down), rounds=1, entropy_gate_from_round=1)
+    assert time.monotonic() - start < 10.0
+    rows = {row.split(",")[1]: row.split(",")[3:5] for row in
+            (tmp_path / "out" / "round_1.csv").read_text().splitlines()[1:]}
+    assert rows == {scan_id: ["accept", "accepted"] for scan_id, _, _ in suite} | {
+        down_id: ["skip", "oracle-error"]}
+    assert len(result.round_reports[0].accepted()) == 2
 
 
 def test_file_mode_asks_once_while_the_stored_pseudo_label_answers(tmp_path, serve):
@@ -1157,6 +1189,11 @@ def test_file_mode_bad_inputs_create_no_directories(tmp_path):
     scan_id, _, gt = write_file_mode_data(contradicting)[1]
     assert scan_id == "scan001"  # its labels now hold organ 2, which its manifest leaves unlabeled
     nifti_io.write_volume(contradicting / "scan001.labels.nii", gt)
+    stray = tmp_path / "stray"
+    write_file_mode_data(stray, with_gt=True)
+    stray_gt = nifti_io.read_volume(stray / "scan001.gt.nii").data.copy()
+    stray_gt[0, 0, 0] = 5                   # a class past the manifest's and labels' 3
+    nifti_io.write_volume(stray / "scan001.gt.nii", LabelMap(stray_gt, 6))
     out, sx, gx = tmp_path / "out", tmp_path / "sx", tmp_path / "gx"
     cases = [
         (dict(data_dir=None), "requires data_dir"),
@@ -1166,6 +1203,7 @@ def test_file_mode_bad_inputs_create_no_directories(tmp_path):
          "share the exchange directory"),
         (dict(data_dir=str(contradicting)),
          r"scan001: classes \[2\] have labels but are neither labeled nor pseudo"),
+        (dict(data_dir=str(stray)), r"scan001: scan001\.gt\.nii: label 5 >= num_classes 3"),
     ]
     for overrides, message in cases:
         config = PipelineConfig(**{**dict(oracle="file", specialist_exchange=str(sx),
