@@ -7,26 +7,32 @@ are scaled by the spacing *before* distances are taken; directed
 boundary-to-boundary distances from both sides are pooled and the 95th
 percentile is read off with linear interpolation.
 
-``evaluate_scan`` works on each class's box: the union of the class's
-bounding boxes in the two maps, from one ``ndimage.find_objects`` pass per
-map, padded by one voxel and clipped to the grid.  Every voxel of the class
-lies in that box, and so does each of its neighbors that is on the grid, so
-the boundary voxels, their C order once shifted back to grid indices, and
-every distance equal the whole-grid ones.
+Each nearest distance is the all-pairs one, ``sqrt(min(sum((p - q) ** 2)))``
+over the scaled coordinates, bit for bit.  A voxel on both boundaries is 0.
+For any other, scipy's exact EDT (Maurer et al., sampled at the spacing)
+names a nearest voxel, and only offsets whose real length ties with its
+within ``TIE_MARGIN`` can round to a smaller sum, so only those are tried.
+
+``hd95`` and ``evaluate_scan`` work on the union of the masks' bounding
+boxes (in ``evaluate_scan``, of the class's boxes in the two maps, from one
+``ndimage.find_objects`` pass per map).  Both masks are background outside
+it, as at its faces, so boundaries, C order and distances are the grid's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import EmptyMaskError, RejectedInputError
-from .volgrid import LabelMap, union_box
+from .volgrid import LabelMap, _freeze, union_box
 
 HD95_PERCENTILE = 95.0
+#: Real lengths this close, relatively, are ties (float rounding is ~1e-16).
+TIE_MARGIN = 1e-9
 
 #: What evaluate_scan reports for a class whose HD95 is undefined (the
 #: class is empty in either map): "exclude" reports None, which leaves the
@@ -81,21 +87,65 @@ def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def scaled_boundary_coords(mask: np.ndarray, spacing, origin=(0, 0, 0)) -> np.ndarray:
-    """Boundary voxel coordinates scaled to millimeters, for a ``mask`` whose
-    first voxel has grid index ``origin``.
+@lru_cache(maxsize=512)
+def _ties(u: tuple[int, int, int], scale: tuple[float, float, float]) -> np.ndarray:
+    """The read-only rows of every offset whose real length ties with ``u``'s
+    (``u`` >= 0): each (ty, tx) >= 0 in reach, tz solved for, under every sign."""
+    s, signs = np.array(scale), 1 - 2 * np.indices((2, 2, 2)).reshape(3, 8).T
+    l2 = ((np.array(u) * s) ** 2).sum()
+    ry, rx = (np.sqrt(l2 * (1 + TIE_MARGIN)) // s[:2]).astype(np.intp) + 1
+    ty, tx = np.divmod(np.arange(ry * rx), rx)
+    tz = np.rint(np.sqrt(np.maximum(l2 - (ty * s[0]) ** 2 - (tx * s[1]) ** 2, 0.0)) / s[2])
+    t = np.stack([ty, tx, tz.astype(np.intp)], axis=1)
+    t = t[np.abs(((t * s) ** 2).sum(axis=1) - l2) <= TIE_MARGIN * l2, None, :]
+    return _freeze((t * signs)[~((t == 0) & (signs < 0)).any(axis=2)])     # -0 is 0
 
-    Index axes are (y, x, z), so the scale vector is (sy, sx, sz).
-    """
+
+def _nearest_distances(src: np.ndarray, dst: np.ndarray, scale: np.ndarray, origin) -> np.ndarray:
+    """The distance from each voxel of ``src``, in C order, to the nearest of
+    ``dst``: masks on one box from grid index ``origin``, scaled by ``scale``.
+    A voxel off ``dst`` tries every ``dst`` voxel if that makes no more pairs
+    than the box has voxels, else the EDT's nearest and its ties."""
+    out = np.zeros(np.count_nonzero(src))
+    q = np.nonzero(src & ~dst)
+    n, m = q[0].size, np.count_nonzero(dst)
+    if n * m <= dst.size:
+        j = np.repeat(np.arange(n), m)
+        cand = np.unravel_index(np.tile(np.flatnonzero(dst), n), dst.shape)
+    else:
+        ft = ndimage.distance_transform_edt(~dst, sampling=scale, return_distances=False,
+                                            return_indices=True)
+        keys = np.ravel_multi_index(np.abs(ft[(slice(None), *q)] - q), dst.shape)
+        found, group = np.unique(keys, return_inverse=True)
+        ties = [_ties(u, tuple(scale.tolist()))
+                for u in zip(*(c.tolist() for c in np.unravel_index(found, dst.shape)))]
+        sizes = np.array([len(t) for t in ties])
+        count = sizes[group]
+        j = np.repeat(np.arange(n), count)
+        # a query's k-th candidate is row k of its ties, so row (their start) + k of all
+        start = (np.cumsum(sizes) - sizes)[group] - np.cumsum(count) + count
+        picked = np.concatenate(ties)[np.arange(j.size) + np.repeat(start, count)]
+        cand = [q[i][j] + picked[:, i] for i in range(3)]
+        ok = np.all([(c >= 0) & (c < k) for c, k in zip(cand, dst.shape)], axis=0)
+        hit = np.flatnonzero(ok & dst.ravel()[np.ravel_multi_index(cand, dst.shape, mode="clip")])
+        j, cand = j[hit], [c[hit] for c in cand]
+    d2 = 0.0
+    for i in range(3):          # in the all-pairs sum's order
+        at = (np.arange(dst.shape[i]) + origin[i]) * scale[i]
+        d2 = d2 + (at[q[i]][j] - at[cand[i]]) ** 2
+    out[~dst[src]] = np.sqrt(np.minimum.reduceat(d2, np.searchsorted(j, np.arange(n))))
+    return out
+
+
+def _pooled_hd95(a: np.ndarray, b: np.ndarray, spacing, origin) -> float:
+    """HD95 of masks ``a`` and ``b`` on a box from grid index ``origin``, outside
+    which both are background.  Index axes are (y, x, z): the scale is (sy, sx, sz)."""
     sx, sy, sz = (float(s) for s in spacing)
-    coords = (np.argwhere(boundary_voxels(mask)) + np.asarray(origin)).astype(np.float64)
-    return coords * np.array([sy, sx, sz])
-
-
-def _pooled_hd95(pa: np.ndarray, pb: np.ndarray) -> float:
-    d_ab = cKDTree(pb).query(pa, k=1)[0]
-    d_ba = cKDTree(pa).query(pb, k=1)[0]
-    return float(np.percentile(np.concatenate([d_ab, d_ba]), HD95_PERCENTILE))
+    scale, origin = np.array([sy, sx, sz]), np.asarray(origin)
+    ba, bb = boundary_voxels(a), boundary_voxels(b)
+    d = np.concatenate([_nearest_distances(ba, bb, scale, origin),
+                        _nearest_distances(bb, ba, scale, origin)])
+    return float(np.percentile(d, HD95_PERCENTILE))
 
 
 def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> float:
@@ -104,20 +154,14 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> float:
         raise RejectedInputError(f"mask dims differ: {a.shape} vs {b.shape}")
     if not a.any() or not b.any():
         raise EmptyMaskError("hd95 is undefined when either mask is empty")
-    return _pooled_hd95(scaled_boundary_coords(a, spacing), scaled_boundary_coords(b, spacing))
+    box = ndimage.find_objects(np.logical_or(a, b).view(np.uint8))[0]
+    return _pooled_hd95(a[box], b[box], spacing, [s.start for s in box])
 
 
 def volume_diagonal(dims, spacing) -> float:
     sx, sy, sz = (float(s) for s in spacing)
     H, W, D = dims
     return float(np.sqrt(((H - 1) * sy) ** 2 + ((W - 1) * sx) ** 2 + ((D - 1) * sz) ** 2))
-
-
-def _class_box(boxes, dims) -> tuple[slice, ...]:
-    """The union of the boxes that are not None, padded by one voxel and
-    clipped to the grid."""
-    return tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n))
-                 for s, n in zip(union_box(b for b in boxes if b is not None), dims))
 
 
 def evaluate_scan(pred: LabelMap, gt: LabelMap, spacing=(1.0, 1.0, 1.0),
@@ -141,14 +185,12 @@ def evaluate_scan(pred: LabelMap, gt: LabelMap, spacing=(1.0, 1.0, 1.0),
         if pb is None and gb is None:
             per_class.append(ClassMetrics(c, 1.0, missing))
             continue
-        box = _class_box((pb, gb), gt.dims)
+        box = union_box(b for b in (pb, gb) if b is not None)
         pm = pred.data[box] == c
         gm = gt.data[box] == c
         h = missing
         if pb is not None and gb is not None:
-            origin = [s.start for s in box]
-            h = _pooled_hd95(scaled_boundary_coords(pm, spacing, origin),
-                             scaled_boundary_coords(gm, spacing, origin))
+            h = _pooled_hd95(pm, gm, spacing, [s.start for s in box])
         per_class.append(ClassMetrics(c, dice(pm, gm), h))
     return ScanEvaluation(tuple(per_class))
 

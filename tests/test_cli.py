@@ -1,11 +1,15 @@
 import logging
+import os
 import re
 import shlex
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 
+import promptseg
 from promptseg import nifti_io
 from promptseg.cli import main
 from promptseg.oracles import FileOracle
@@ -282,3 +286,15 @@ def test_run_creates_nothing_before_its_checks_and_logs_a_good_run(tmp_path, cap
     assert lines[0] == "INFO promptseg.pipeline: initial training on 2 scans (partial supervision)"
     assert lines[1].startswith("INFO promptseg.pipeline: round 1: ")
     assert lines[-1].startswith("INFO promptseg.pipeline: final evaluation: mean DSC ")
+
+
+def test_import_loads_no_scipy_spatial_linalg_or_sparse():
+    """``import promptseg`` and ``import promptseg.cli`` in a fresh interpreter
+    load scipy's ``ndimage`` only: no ``spatial``, ``linalg`` or ``sparse``."""
+    path = [str(Path(promptseg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = ("import sys, promptseg, promptseg.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in [['scipy', s] for s in ('spatial', 'linalg', 'sparse')]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from promptseg.errors import EmptyMaskError, RejectedInputError
-from promptseg.metrics import (boundary_voxels, dice, evaluate_scan, hd95,
+from promptseg.metrics import (_nearest_distances, boundary_voxels, dice, evaluate_scan, hd95,
                                summarize, volume_diagonal)
+from promptseg.phantom import Ellipsoid, PhantomSpec, generate_phantom, make_phantom_suite
 from promptseg.volgrid import LabelMap
 
 
@@ -326,3 +330,101 @@ def test_evaluate_scan_empty_in_both_maps_reads_the_policy():
     for policy, h in (("exclude", None), ("max_diag", volume_diagonal((5, 6, 7), spacing))):
         ev = evaluate_scan(gt, gt, spacing, hd95_missing=policy)
         assert [(cm.dsc, cm.hd95) for cm in ev.per_class] == [(1.0, h), (1.0, h)]
+
+
+# --- nearest boundary distances without cKDTree ------------------------------------
+
+def all_pairs_directed(pa, pb, rows=256):
+    """Both directed nearest distances by the all-pairs formula, ``rows`` of
+    ``pa`` at a time, so no |A| x |B| x 3 array is held at once."""
+    d_ab, best_ba = [], np.full(len(pb), np.inf)
+    for i in range(0, len(pa), rows):
+        d2 = ((pa[i:i + rows, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+        d_ab.append(np.sqrt(d2.min(axis=1)))
+        best_ba = np.minimum(best_ba, d2.min(axis=0))
+    return np.concatenate(d_ab), np.sqrt(best_ba)
+
+
+def all_pairs_hd95(a, b, spacing):
+    sx, sy, sz = spacing
+    scale = np.array([sy, sx, sz], dtype=np.float64)
+    pa = np.argwhere(boundary_voxels(a)).astype(np.float64) * scale
+    pb = np.argwhere(boundary_voxels(b)).astype(np.float64) * scale
+    return float(np.percentile(np.concatenate(all_pairs_directed(pa, pb)), 95.0))
+
+
+def organ_cases(dims=(80, 80, 56), organs=(1, 6, 11), at_faces=False):
+    """(name, a, b) pairs on phantom organs: b dilated, eroded, shifted by 3
+    voxels, and with a 3^3 blob in the far corner of the grid.  ``at_faces``
+    first moves each organ to touch the grid's first faces."""
+    _, _, gt = make_phantom_suite(1, 12, dims, seed=7)[0]
+    for c in organs:
+        a = gt.data == c
+        if at_faces:
+            a = np.roll(a, [-s.start for s in ndimage.find_objects(a.view(np.uint8))[0]],
+                        axis=(0, 1, 2))
+        blob = a.copy()
+        blob[-3:, -3:, -3:] = True
+        yield f"dilated {c}", a, ndimage.binary_dilation(a)
+        yield f"eroded {c}", a, ndimage.binary_erosion(a)
+        yield f"shifted {c}", a, np.roll(a, 3, axis=1)
+        yield f"far blob {c}", a, blob
+
+
+ANISOTROPIC = [(0.8, 0.8, 2.5), (0.9765625, 0.9765625, 3.0)]
+
+
+@pytest.mark.parametrize("spacing", ANISOTROPIC)
+def test_hd95_equals_all_pairs_on_organ_masks(spacing):
+    for name, a, b in organ_cases():
+        assert hd95(a, b, spacing).hex() == all_pairs_hd95(a, b, spacing).hex(), name
+
+
+@pytest.mark.parametrize("spacing", ANISOTROPIC)
+def test_evaluate_scan_equals_all_pairs_on_organs_at_grid_faces(spacing):
+    for name, a, b in organ_cases(at_faces=True):
+        gt, pred = LabelMap(a.astype(np.uint8), 2), LabelMap(b.astype(np.uint8), 2)
+        got = evaluate_scan(pred, gt, spacing).per_class[0]
+        assert got.hd95.hex() == all_pairs_hd95(b, a, spacing).hex(), name
+        assert got.dsc == dice(b, a)
+
+
+def test_nearest_distances_equal_ckdtree_in_c_order():
+    """Every directed distance, not just the percentile, is cKDTree's, and in
+    the C order of the boundary voxels; boxes scaled from a far origin."""
+    rng = np.random.default_rng(31)
+    for spacing in ANISOTROPIC + [(1.0, 1.0, 1.0), (0.7, 1.3, 2.9)]:
+        sx, sy, sz = spacing
+        scale = np.array([sy, sx, sz])
+        for name, a, b in organ_cases(organs=(3,)):
+            box = ndimage.find_objects((a | b).view(np.uint8))[0]
+            origin = np.array([s.start for s in box]) + rng.integers(0, 400, 3)
+            ba, bb = boundary_voxels(a[box]), boundary_voxels(b[box])
+            pa = (np.argwhere(ba) + origin) * scale
+            pb = (np.argwhere(bb) + origin) * scale
+            for src, dst, p, q in ((ba, bb, pa, pb), (bb, ba, pb, pa)):
+                want = cKDTree(q).query(p, k=1)[0]
+                assert _nearest_distances(src, dst, scale, origin).tobytes() == want.tobytes(), \
+                    (name, spacing)
+
+
+def test_hd95_on_a_large_organ_holds_no_all_pairs_array():
+    """One HD95 of a large organ on an 80 x 80 x 56 grid, against its shifted
+    copy or itself plus a far blob, peaks under 16 MB: one |A| x |B| x 3
+    float64 array of their boundaries would take over 500 MB."""
+    organ = Ellipsoid(center=(38.2, 41.5, 27.3), radii=(30, 21, 17), angles=(0.4, 1.1, 2.0))
+    spec = PhantomSpec((80, 80, 56), (organ,))
+    a = generate_phantom(spec, seed=0)[1].data == 1
+    blob = a.copy()
+    blob[-3:, -3:, -3:] = True
+    for b in (np.roll(a, 3, axis=1), blob):
+        pairs = np.count_nonzero(boundary_voxels(a)) * np.count_nonzero(boundary_voxels(b)) * 24
+        assert pairs > 500 * 2**20
+        hd95(a, b, ANISOTROPIC[0])             # fill the tie cache first
+        tracemalloc.start()
+        try:
+            hd95(a, b, ANISOTROPIC[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak

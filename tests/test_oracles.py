@@ -22,7 +22,7 @@ from promptseg.oracles import (POLL_INTERVAL_S, FileOracle, GeneralistOracle, Sp
                                TrainingExample)
 from promptseg.phantom import (Ellipsoid, PhantomGeneralist, PhantomRegistry, PhantomSpecialist,
                                PhantomSpec, _distance_from, _ellipsoid_on_box, _grow, _rng_for,
-                               _within, generate_phantom, make_phantom_suite,
+                               _rotation_matrix, _within, generate_phantom, make_phantom_suite,
                                random_phantom_spec, volume_fingerprint)
 from promptseg.prompting import (Box2D, BoxPromptPair, AXIAL, SAGITTAL, format_prompts,
                                  make_box_prompts)
@@ -123,6 +123,15 @@ def test_rotated_ellipsoid_matches_brute_force_formula():
         local = rot.T @ p
         inside = ((local / np.asarray(ell.radii)) ** 2).sum() <= 1.0
         assert mask[idx] == inside
+
+
+def test_rotation_matrix_equals_scipy_from_euler_bit_for_bit():
+    rng = np.random.default_rng(12)
+    angles = [tuple(a) for a in rng.uniform(0.0, np.pi, size=(10_000, 3))]
+    angles += [(0.0, 0.0, 0.0), (np.pi / 2,) * 3, (np.pi,) * 3, (0.0, np.pi / 2, np.pi)]
+    for a in angles:
+        want = Rotation.from_euler("zyx", a).as_matrix()
+        assert _rotation_matrix(a).tobytes() == want.tobytes(), a
 
 
 BENCHMARK_IMPORTS = ("PhantomGeneralist", "PhantomRegistry", "PhantomSpecialist",
