@@ -12,27 +12,31 @@ over the scaled coordinates, bit for bit.  A voxel on both boundaries is 0.
 For any other, scipy's exact EDT (Maurer et al., sampled at the spacing)
 names a nearest voxel, and only offsets whose real length ties with its
 within ``TIE_MARGIN`` can round to a smaller sum, so only those are tried.
+The EDT spans where the searched voxels' box and the other boundary's box,
+each grown by ``HALO``, overlap (per tile if over ``EDT_VOXELS`` voxels); a
+voxel with no other voxel within ``HALO`` finest spacings tries every one.
 
-``hd95`` and ``evaluate_scan`` work on the union of the masks' bounding
-boxes (in ``evaluate_scan``, of the class's boxes in the two maps, from one
-``ndimage.find_objects`` pass per map).  Both masks are background outside
-it, as at its faces, so boundaries, C order and distances are the grid's.
+``evaluate_scan`` works on the union of the class's bounding boxes in the
+two maps, from one ``ndimage.find_objects`` pass per map.  Both masks are
+background outside it, as at its faces, so boundaries, C order and
+distances are the grid's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import EmptyMaskError, RejectedInputError
-from .volgrid import LabelMap, _freeze, union_box
+from .volgrid import LabelMap, union_box
 
 HD95_PERCENTILE = 95.0
-#: Real lengths this close, relatively, are ties (float rounding is ~1e-16).
-TIE_MARGIN = 1e-9
+#: Real lengths this close, relatively, are ties (float rounding is ~1e-16);
+#: one EDT covers at most EDT_VOXELS voxels (12 MB of int32 indices).
+TIE_MARGIN, EDT_VOXELS, HALO = 1e-9, 1 << 20, 16
+_SIGNS = 1 - 2 * np.indices((2, 2, 2)).reshape(3, 8).T
 
 #: What evaluate_scan reports for a class whose HD95 is undefined (the
 #: class is empty in either map): "exclude" reports None, which leaves the
@@ -87,65 +91,74 @@ def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-@lru_cache(maxsize=512)
-def _ties(u: tuple[int, int, int], scale: tuple[float, float, float]) -> np.ndarray:
-    """The read-only rows of every offset whose real length ties with ``u``'s
-    (``u`` >= 0): each (ty, tx) >= 0 in reach, tz solved for, under every sign."""
-    s, signs = np.array(scale), 1 - 2 * np.indices((2, 2, 2)).reshape(3, 8).T
-    l2 = ((np.array(u) * s) ** 2).sum()
-    ry, rx = (np.sqrt(l2 * (1 + TIE_MARGIN)) // s[:2]).astype(np.intp) + 1
-    ty, tx = np.divmod(np.arange(ry * rx), rx)
-    tz = np.rint(np.sqrt(np.maximum(l2 - (ty * s[0]) ** 2 - (tx * s[1]) ** 2, 0.0)) / s[2])
+def _ties(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each offset (a column) whose real length ties with a column of ``u`` >= 0,
+    grouped by and paired with that column's index: (ty, tx) >= 0, tz solved, signs."""
+    l2 = ((u * s[:, None]) ** 2).sum(axis=0)
+    ry, rx = (np.sqrt(l2 * (1 + TIE_MARGIN)) // s[:2, None]).astype(np.intp) + 1
+    col = np.repeat(np.arange(l2.size), ry * rx)
+    ty, tx = np.divmod(np.arange(col.size) - np.repeat(np.cumsum(ry * rx) - ry * rx, ry * rx),
+                       rx[col])
+    tz = np.rint(np.sqrt(np.maximum(l2[col] - (ty * s[0]) ** 2 - (tx * s[1]) ** 2, 0.0)) / s[2])
     t = np.stack([ty, tx, tz.astype(np.intp)], axis=1)
-    t = t[np.abs(((t * s) ** 2).sum(axis=1) - l2) <= TIE_MARGIN * l2, None, :]
-    return _freeze((t * signs)[~((t == 0) & (signs < 0)).any(axis=2)])     # -0 is 0
+    keep = np.abs(((t * s) ** 2).sum(axis=1) - l2[col]) <= TIE_MARGIN * l2[col]
+    t = t[keep, None, :] * _SIGNS
+    ok = ~((t == 0) & (_SIGNS < 0)).any(axis=2)                     # -0 is 0
+    return t[ok].T, np.repeat(col[keep], ok.sum(axis=1))
 
 
 def _nearest_distances(src: np.ndarray, dst: np.ndarray, scale: np.ndarray, origin) -> np.ndarray:
     """The distance from each voxel of ``src``, in C order, to the nearest of
-    ``dst``: masks on one box from grid index ``origin``, scaled by ``scale``.
-    A voxel off ``dst`` tries every ``dst`` voxel if that makes no more pairs
-    than the box has voxels, else the EDT's nearest and its ties."""
-    out = np.zeros(np.count_nonzero(src))
-    q = np.nonzero(src & ~dst)
-    n, m = q[0].size, np.count_nonzero(dst)
-    if n * m <= dst.size:
-        j = np.repeat(np.arange(n), m)
-        cand = np.unravel_index(np.tile(np.flatnonzero(dst), n), dst.shape)
-    else:
-        ft = ndimage.distance_transform_edt(~dst, sampling=scale, return_distances=False,
-                                            return_indices=True)
-        keys = np.ravel_multi_index(np.abs(ft[(slice(None), *q)] - q), dst.shape)
-        found, group = np.unique(keys, return_inverse=True)
-        ties = [_ties(u, tuple(scale.tolist()))
-                for u in zip(*(c.tolist() for c in np.unravel_index(found, dst.shape)))]
-        sizes = np.array([len(t) for t in ties])
-        count = sizes[group]
-        j = np.repeat(np.arange(n), count)
-        # a query's k-th candidate is row k of its ties, so row (their start) + k of all
-        start = (np.cumsum(sizes) - sizes)[group] - np.cumsum(count) + count
-        picked = np.concatenate(ties)[np.arange(j.size) + np.repeat(start, count)]
-        cand = [q[i][j] + picked[:, i] for i in range(3)]
-        ok = np.all([(c >= 0) & (c < k) for c, k in zip(cand, dst.shape)], axis=0)
-        hit = np.flatnonzero(ok & dst.ravel()[np.ravel_multi_index(cand, dst.shape, mode="clip")])
-        j, cand = j[hit], [c[hit] for c in cand]
-    d2 = 0.0
-    for i in range(3):          # in the all-pairs sum's order
-        at = (np.arange(dst.shape[i]) + origin[i]) * scale[i]
-        d2 = d2 + (at[q[i]][j] - at[cand[i]]) ** 2
-    out[~dst[src]] = np.sqrt(np.minimum.reduceat(d2, np.searchsorted(j, np.arange(n))))
-    return out
+    ``dst``: masks on one box from grid index ``origin``, scaled by ``scale``."""
+    at = [(np.arange(k) + o) * s for k, o, s in zip(dst.shape, origin, scale)]
+
+    def sum2(p, r):                     # the all-pairs sum, in its order
+        return ((at[0][p[0]] - at[0][r[0]]) ** 2 + (at[1][p[1]] - at[1][r[1]]) ** 2
+                + (at[2][p[2]] - at[2][r[2]]) ** 2)
+
+    best = np.zeros(np.count_nonzero(src))  # each voxel's least all-pairs sum
+    off = np.flatnonzero(~dst[src])     # a voxel on both boundaries is 0
+    if off.size == 0:
+        return best
+    q, shape = np.array(np.nonzero(src))[:, off], np.array(dst.shape)[:, None]
+    dv = np.array(np.nonzero(dst))
+    dlo, dhi = np.maximum(dv.min(1, keepdims=True) - HALO, 0), dv.max(1, keepdims=True) + HALO + 1
+    u = np.full_like(q, HALO + 1)       # each voxel's offset to its nearest, once found
+    tile = shape if dst.size <= EDT_VOXELS else int(EDT_VOXELS ** (1 / 3)) - 2 * HALO
+    key = np.ravel_multi_index(q // tile, (-(-shape // tile)).ravel())
+    for mine in (np.flatnonzero(key == k) for k in np.unique(key)):
+        lo = np.maximum(q[:, mine].min(axis=1, keepdims=True) - HALO, dlo)
+        hi = np.minimum(q[:, mine].max(axis=1, keepdims=True) + HALO + 1, dhi)
+        mine = mine[np.all((q[:, mine] >= lo) & (q[:, mine] < hi), axis=0)]
+        win = ~dst[tuple(map(slice, lo[:, 0], hi[:, 0]))]
+        if not win.all():
+            ft = ndimage.distance_transform_edt(win, sampling=scale, return_distances=False,
+                                                return_indices=True)
+            u[:, mine] = np.abs(ft[(slice(None), *(q[:, mine] - lo))] + lo - q[:, mine])
+    close = ((u * scale[:, None]) ** 2).sum(axis=0) <= (HALO * scale.min()) ** 2
+    near, far = np.flatnonzero(close), np.flatnonzero(~close)
+    found, group = np.unique(np.ravel_multi_index(u[:, near], dst.shape), return_inverse=True)
+    ties, col = _ties(np.array(np.unravel_index(found, dst.shape)), scale)
+    sizes = np.bincount(col, minlength=found.size)
+    count = sizes[group]
+    j = np.repeat(near, count)
+    # a voxel's k-th candidate is column (its ties' start) + k of ``ties``
+    cand = q[:, j] + ties[:, np.arange(j.size) + np.repeat(
+        (np.cumsum(sizes) - sizes)[group] - np.cumsum(count) + count, count)]
+    hit = np.all((cand >= 0) & (cand < shape), axis=0) & dst[tuple(np.clip(cand, 0, shape - 1))]
+    j, cand = j[hit], cand[:, hit]
+    best[off[near]] = np.minimum.reduceat(sum2(q[:, j], cand), np.searchsorted(j, near))
+    for f in np.array_split(far, far.size * dv.shape[1] * 4 // EDT_VOXELS + 1):
+        best[off[f]] = sum2(q[:, f, None], dv).min(axis=1)
+    return np.sqrt(best)
 
 
 def _pooled_hd95(a: np.ndarray, b: np.ndarray, spacing, origin) -> float:
-    """HD95 of masks ``a`` and ``b`` on a box from grid index ``origin``, outside
-    which both are background.  Index axes are (y, x, z): the scale is (sy, sx, sz)."""
-    sx, sy, sz = (float(s) for s in spacing)
-    scale, origin = np.array([sy, sx, sz]), np.asarray(origin)
+    """HD95 of masks on a box from grid index ``origin``, outside which both are background."""
+    scale = np.asarray(spacing, dtype=np.float64)[[1, 0, 2]]  # index axes are (y, x, z)
     ba, bb = boundary_voxels(a), boundary_voxels(b)
-    d = np.concatenate([_nearest_distances(ba, bb, scale, origin),
-                        _nearest_distances(bb, ba, scale, origin)])
-    return float(np.percentile(d, HD95_PERCENTILE))
+    d = [_nearest_distances(src, dst, scale, origin) for src, dst in ((ba, bb), (bb, ba))]
+    return float(np.percentile(np.concatenate(d), HD95_PERCENTILE))
 
 
 def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> float:
@@ -154,8 +167,7 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> float:
         raise RejectedInputError(f"mask dims differ: {a.shape} vs {b.shape}")
     if not a.any() or not b.any():
         raise EmptyMaskError("hd95 is undefined when either mask is empty")
-    box = ndimage.find_objects(np.logical_or(a, b).view(np.uint8))[0]
-    return _pooled_hd95(a[box], b[box], spacing, [s.start for s in box])
+    return _pooled_hd95(a, b, spacing, (0, 0, 0))
 
 
 def volume_diagonal(dims, spacing) -> float:

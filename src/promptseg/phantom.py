@@ -107,18 +107,14 @@ class PhantomSpec:
 
 def _rotation_matrix(angles: tuple[float, float, float]) -> np.ndarray:
     """The ``Ellipsoid`` rotation: quaternions (scalar last) composed extrinsically."""
-    def turn(axis, angle):
-        q = [0.0, 0.0, 0.0, math.cos(angle / 2)]
-        q[axis] = math.sin(angle / 2)
-        return q
-
     def compose(p, q):      # the product p q
         return [p[3] * q[0] + q[3] * p[0] + (p[1] * q[2] - p[2] * q[1]),
                 p[3] * q[1] + q[3] * p[1] + (p[2] * q[0] - p[0] * q[2]),
                 p[3] * q[2] + q[3] * p[2] + (p[0] * q[1] - p[1] * q[0]),
                 p[3] * q[3] - p[0] * q[0] - p[1] * q[1] - p[2] * q[2]]
 
-    x, y, z, w = compose(turn(0, angles[2]), compose(turn(1, angles[1]), turn(2, angles[0])))
+    (cz, sz), (cy, sy), (cx, sx) = ((math.cos(a / 2), math.sin(a / 2)) for a in angles)
+    x, y, z, w = compose([sx, 0.0, 0.0, cx], compose([0.0, sy, 0.0, cy], [0.0, 0.0, sz, cz]))
     return np.array([[x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w)],
                      [2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w)],
                      [2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w]])
@@ -138,10 +134,9 @@ def _ellipsoid_on_box(dims: tuple[int, int, int],
         return (slice(0, 0),) * 3, np.zeros((0, 0, 0), dtype=bool)
     oy, ox, oz = (np.arange(a, b, dtype=np.float64).reshape(shape) - c for a, b, c, shape
                   in zip(lo, hi, center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
-    rot = _rotation_matrix(ell.angles)
-    total = 0.0
-    for i in range(3):          # the i-th local coordinate is (R^T (p - c))_i
-        total = total + ((rot[0, i] * oy + rot[1, i] * ox + rot[2, i] * oz) / ell.radii[i]) ** 2
+    rot = _rotation_matrix(ell.angles)      # local coordinate i is (R^T (p - c))_i
+    total = sum(((rot[0, i] * oy + rot[1, i] * ox + rot[2, i] * oz) / ell.radii[i]) ** 2
+                for i in range(3))
     return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi)), total <= 1.0
 
 
@@ -187,25 +182,6 @@ def _noise_on(rng: np.random.Generator, dims: tuple[int, int, int],
     return top, bottom, noise
 
 
-def _rasterize(spec: PhantomSpec, seed, spacing) -> tuple[Volume, LabelMap, int | None]:
-    """``generate_phantom``'s scan, and the first organ that wrote no voxel (None if none)."""
-    labels = np.zeros(spec.dims, dtype=np.uint8)
-    empty = None
-    for idx, ell in enumerate(spec.organs, start=1):
-        box, inside = _ellipsoid_on_box(spec.dims, ell)
-        sub = labels[box]
-        mine = inside & (sub == 0)
-        sub[mine] = idx
-        if empty is None and not mine.any():
-            empty = idx
-    intensity = np.array([0.0] + [ell.intensity for ell in spec.organs], dtype=np.float64)
-    image = np.empty(spec.dims, dtype=np.float32)
-    whole = tuple(slice(0, n) for n in spec.dims)
-    for _, at, noise in _noise_blocks(np.random.default_rng(seed), spec.dims, whole):
-        image[at] = intensity[labels[at]] + IMAGE_SIGMA * noise
-    return Volume(image, spacing), LabelMap(labels, max(2, spec.num_classes)), empty
-
-
 def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[Volume, LabelMap]:
     """Rasterize a phantom: exact label map plus a noisy intensity image.
 
@@ -213,7 +189,17 @@ def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[
     organ-index priority: earlier organs keep contested voxels.  Each organ is
     written on its ellipsoid's box; the image is built by blocks of y-planes.
     """
-    return _rasterize(spec, seed, spacing)[:2]
+    labels = np.zeros(spec.dims, dtype=np.uint8)
+    for idx, ell in enumerate(spec.organs, start=1):
+        box, inside = _ellipsoid_on_box(spec.dims, ell)
+        sub = labels[box]
+        sub[inside & (sub == 0)] = idx
+    intensity = np.array([0.0] + [ell.intensity for ell in spec.organs], dtype=np.float64)
+    image = np.empty(spec.dims, dtype=np.float32)
+    whole = tuple(slice(0, n) for n in spec.dims)
+    for _, at, noise in _noise_blocks(np.random.default_rng(seed), spec.dims, whole):
+        image[at] = intensity[labels[at]] + IMAGE_SIGMA * noise
+    return Volume(image, spacing), LabelMap(labels, max(2, spec.num_classes))
 
 
 def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> PhantomSpec:
@@ -259,9 +245,11 @@ def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int]
     for idx in range(n_scans):
         rng = np.random.default_rng((seed, 1000 + idx))
         spec = random_phantom_spec(dims, num_organs, rng)
-        vol, gt, empty = _rasterize(spec, (seed, 2000 + idx), spacing)
-        if empty is not None:
-            raise ConfigError(f"phantom organ {empty} rasterized empty; dims too small")
+        vol, gt = generate_phantom(spec, (seed, 2000 + idx), spacing)
+        boxes = ndimage.find_objects(gt.data, max_label=num_organs)
+        empty = [c for c, box in enumerate(boxes, start=1) if box is None]
+        if empty:
+            raise ConfigError(f"phantom organ {empty[0]} rasterized empty; dims too small")
         scans.append((f"scan{idx:03d}", vol, gt))
     return scans
 

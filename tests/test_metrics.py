@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from promptseg import metrics
 from promptseg.errors import EmptyMaskError, RejectedInputError
 from promptseg.metrics import (_nearest_distances, boundary_voxels, dice, evaluate_scan, hd95,
                                summarize, volume_diagonal)
@@ -420,7 +421,6 @@ def test_hd95_on_a_large_organ_holds_no_all_pairs_array():
     for b in (np.roll(a, 3, axis=1), blob):
         pairs = np.count_nonzero(boundary_voxels(a)) * np.count_nonzero(boundary_voxels(b)) * 24
         assert pairs > 500 * 2**20
-        hd95(a, b, ANISOTROPIC[0])             # fill the tie cache first
         tracemalloc.start()
         try:
             hd95(a, b, ANISOTROPIC[0])
@@ -428,3 +428,53 @@ def test_hd95_on_a_large_organ_holds_no_all_pairs_array():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("edt_voxels, halo", [(12**3, 2), (1 << 20, 1)])
+def test_tiled_and_far_searches_equal_all_pairs(monkeypatch, edt_voxels, halo):
+    """Boxes read in tiles a few voxels wide with a 2-voxel margin, some with
+    no voxel of the other boundary (as around a lone voxel at the grid's
+    corner), or whole with a 1-voxel margin, so that many voxels fall past it
+    and try every voxel of the other boundary: every distance is still the
+    all-pairs one."""
+    monkeypatch.setattr(metrics, "EDT_VOXELS", edt_voxels)
+    monkeypatch.setattr(metrics, "HALO", halo)
+    scale = np.array([0.8, 0.8, 2.5])
+    corner, block = np.zeros((24, 24, 24), bool), np.zeros((24, 24, 24), bool)
+    corner[0, 0, 0] = corner[16:21, 17:21, 18:22] = block[16:21, 17:21, 20:24] = True
+    block[0:2, 10:12, 20:22] = block[20:22, 0:2, 0:2] = True   # its box reaches the corner
+    for name, a, b in [*organ_cases(organs=(1, 6)), ("corner", corner, block)]:
+        box = ndimage.find_objects((a | b).view(np.uint8))[0]
+        origin = np.array([s.start for s in box])
+        ba, bb = boundary_voxels(a[box]), boundary_voxels(b[box])
+        want = all_pairs_directed((np.argwhere(ba) + origin) * scale,
+                                  (np.argwhere(bb) + origin) * scale)
+        got = _nearest_distances(ba, bb, scale, origin), _nearest_distances(bb, ba, scale, origin)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], name
+
+
+def test_search_on_a_grid_wide_box_holds_no_grid_wide_transform():
+    """A small organ against its shifted copy plus a 3^3 blob in the far
+    corner and 200 voxels strewn over a 192 x 192 x 128 grid: the union box
+    is the grid, whose one feature transform would hold 56 MB of indices, and
+    trying every pair of the organ's 1,833 x 1,833 boundary voxels about
+    150 MB.  The search reads windows only where the organ is, peaks under
+    8 MB, and equals all pairs."""
+    dims, spacing = (192, 192, 128), (0.8, 0.8, 2.5)
+    organ = Ellipsoid(center=(95.5, 90.2, 60.7), radii=(18, 14, 9), angles=(0.4, 1.1, 2.0))
+    a = generate_phantom(PhantomSpec(dims, (organ,)), seed=0)[1].data == 1
+    b = np.roll(a, 3, axis=1)
+    b[-3:, -3:, -3:] = True
+    b[tuple(np.random.default_rng(5).integers(0, dims, size=(200, 3)).T)] = True
+    ba, bb = boundary_voxels(a), boundary_voxels(b)
+    scale = np.array([spacing[1], spacing[0], spacing[2]])
+    want = all_pairs_directed(np.argwhere(ba) * scale, np.argwhere(bb) * scale)
+    for src, dst, w in ((ba, bb, want[0]), (bb, ba, want[1])):
+        tracemalloc.start()
+        try:
+            got = _nearest_distances(src, dst, scale, (0, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == w.tobytes()
+        assert peak < 8 * 2**20, peak
