@@ -3,7 +3,9 @@
 Subcommands: phantom-gen, simulate-partial, prompt, refine, vls-mask,
 metrics, run.  Every ``PipelineConfig`` field is exactly one ``run`` flag,
 its ``--key-name``, and flags override config-file values.  No parser
-accepts a prefix of a flag.
+accepts a prefix of a flag.  The label image that simulate-partial, refine
+or vls-mask writes takes the spacing and qform/sform of the label image it
+is made from: ``--gt``, ``--candidate`` or ``--target``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ log = logging.getLogger("promptseg.cli")
 
 
 def _read(path, what: str, kind: type = LabelMap):
-    img = nifti_io.read_volume(path)
+    """The image at ``path``, which must be a ``kind``, and its header: the
+    template of any label image written on it."""
+    hdr, img = nifti_io.read_nifti(path)
     if not isinstance(img, kind):
         image = "a uint8 label image" if kind is LabelMap else "a 4D probability image"
         raise RejectedInputError(f"{what} must be {image}: {path}")
-    return img
+    return img, hdr
 
 
 def _config_value(name: str, text: str):
@@ -61,13 +65,13 @@ def cmd_phantom_gen(args) -> int:
 
 def cmd_simulate_partial(args) -> int:
     seed = _config_value("seed", args.seed)
-    gt = _read(args.gt, "--gt")
+    gt, hdr = _read(args.gt, "--gt")
     num_classes = args.classes or gt.num_classes
     if num_classes != gt.num_classes:
         gt = LabelMap(gt.data, num_classes)
     sup = pipeline.simulate_partial_labels(gt, num_classes, args.keep_fraction,
                                            seed, args.scan_id)
-    nifti_io.write_volume(args.out_labels, sup.target.labels)
+    nifti_io.write_volume(args.out_labels, sup.target.labels, template=hdr)
     nifti_io.write_manifest(args.out_manifest,
                             nifti_io.status_manifest(num_classes, sup.labeled))
     print(f"kept {len(sup.labeled)}/{num_classes - 1} organs: {sorted(sup.labeled)}")
@@ -75,7 +79,7 @@ def cmd_simulate_partial(args) -> int:
 
 
 def cmd_prompt(args) -> int:
-    pred = _read(args.pred, "--pred")
+    pred, _ = _read(args.pred, "--pred")
     prompts = make_box_prompts(pred, args.class_id, args.padding)
     text = format_prompts(prompts)
     if args.out:
@@ -86,15 +90,16 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    candidate = _read(args.candidate, "--candidate").data > 0
-    probs = _read(args.probs, "--probs", ProbVolume)
+    labels, hdr = _read(args.candidate, "--candidate")
+    candidate = labels.data > 0
+    probs, _ = _read(args.probs, "--probs", ProbVolume)
     prompts = parse_prompts(Path(args.prompts).read_text(), class_id=args.class_id)
     config = RefinementConfig(tau_cls=args.tau_cls, delta_roi=args.delta_roi,
                               entropy_gate_active=args.gate_active)
     state = OrganRefinementState(args.class_id, mean_entropy=args.prev_entropy)
     result = refine_pseudo_label(candidate, probs, prompts, config, state)
     kept = paste_mask(result.mask, result.box, candidate.shape)
-    nifti_io.write_volume(args.out, mask_to_labels(kept))
+    nifti_io.write_volume(args.out, mask_to_labels(kept), template=hdr)
     entropy = "" if result.mean_entropy is None else f" mean_entropy={result.mean_entropy:.6f}"
     print(f"{'accept' if result.accepted else 'reject'} reason={result.reason}"
           f" voxels={np.count_nonzero(kept)}{entropy}")
@@ -102,23 +107,21 @@ def cmd_refine(args) -> int:
 
 
 def cmd_vls_mask(args) -> int:
-    probs = _read(args.probs, "--probs", ProbVolume)
-    labels = _read(args.target, "--target")
+    probs, _ = _read(args.probs, "--probs", ProbVolume)
+    labels, hdr = _read(args.target, "--target")
     man = nifti_io.read_manifest(args.manifest)
     num_classes = max(labels.num_classes, man.num_classes, probs.num_classes)
     labels = LabelMap(labels.data, num_classes)
     target = SupervisionTarget(labels, man.classes_with_status("pseudo"))
     mask = vls_mask(argmax_labelmap(probs), target)
-    nifti_io.write_volume(args.out, mask_to_labels(mask))
+    nifti_io.write_volume(args.out, mask_to_labels(mask), template=hdr)
     print(f"selected {int(mask.sum())}/{mask.size} voxels")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    hdr, pred = nifti_io.read_nifti(args.pred)
-    gt = _read(args.gt, "--gt")
-    if not isinstance(pred, LabelMap):
-        raise RejectedInputError(f"--pred must be a uint8 label image: {args.pred}")
+    pred, hdr = _read(args.pred, "--pred")
+    gt, _ = _read(args.gt, "--gt")
     num_classes = max(pred.num_classes, gt.num_classes)
     pred = LabelMap(pred.data, num_classes)
     gt = LabelMap(gt.data, num_classes)

@@ -14,16 +14,17 @@ half) talk through a directory, and the protocol's one description.
     fit_<uid>.done       the trainer's answer: the fit is over
     resp_<uid>.err       a failed answer, one line: "<ExceptionType>: <message>"
 
-Images are whole-grid.  Each file is committed: written under its name plus
-``.tmp``, then renamed, or, for a request or fit image whose very array this
-exchange has already written, hard-linked to that first file; a link commits
-at once, as a rename does.  So a request's image may share its inode with an
-earlier file of the same exchange, and a server must never write to a request
-file.  A request's image is committed before its prompts, so a predict
-request is complete once its ``.nii`` exists, a segment request once its
-``.prompts`` exists (the two share a name: a directory serves one model), and
-a fit once ``.req`` exists, which is committed after the last example (a
-failed build leaves none).  A segment answer's probabilities are
+Images are whole-grid, and ``Server`` writes each answer on its request
+image's spacing and qform/sform.  Each file is committed: written under its
+name plus ``.tmp``, then renamed, or, for a request or fit image whose very
+array this exchange has already written, hard-linked to that first file; a
+link commits at once, as a rename does.  So a request's image may share its
+inode with an earlier file of the same exchange, and a server must never
+write to a request file.  A request's image is committed before its prompts,
+so a predict request is complete once its ``.nii`` exists, a segment request
+once its ``.prompts`` exists (the two share a name: a directory serves one
+model), and a fit once ``.req`` exists, which is committed after the last
+example (a failed build leaves none).  A segment answer's probabilities are
 committed before its mask, which the client awaits first.  The directory is
 the one record: a complete request is pending, to any server, until its last
 answer file (``.prob.nii``, the mask, ``.done``) or ``.err`` exists.  A batch
@@ -68,13 +69,14 @@ def path(root, name: str, uid: str) -> Path:
     return Path(root) / _NAMES[name].format(uid)
 
 
-def commit(dest: Path, content) -> None:
-    """Write ``content`` (text or a grid) to ``dest`` by way of a temporary name."""
+def commit(dest: Path, content, template: Volume | None = None) -> None:
+    """Write ``content`` (text, or a grid on the image ``template``, as for
+    ``write_volume``) to ``dest`` by way of a temporary name."""
     tmp = dest.with_name(dest.name + ".tmp")
     if isinstance(content, str):
         tmp.write_text(content)
     else:   # write_volume is looked up per call, so a wrapper around it sees every write
-        nifti_io.write_volume(tmp, content)
+        nifti_io.write_volume(tmp, content, template=template)
     tmp.rename(dest)
 
 
@@ -185,7 +187,8 @@ def read_examples(fit_dir: Path):
 class Server:
     """Serves a ``SpecialistOracle`` (predict, fit) or a ``GeneralistOracle``
     (segment, on the whole grid) over one exchange directory, answering each
-    request once: one whose model raises is logged and answered ``.err``."""
+    request once, on its image's spacing and qform/sform: one whose model
+    raises is logged and answered ``.err``."""
 
     def __init__(self, root, specialist=None, generalist=None):
         if (specialist is None) == (generalist is None):
@@ -217,11 +220,18 @@ class Server:
             return commit(path(self.root, "done", uid), "ok\n")
         volume = nifti_io.read_volume(path(self.root, "image", uid))
         if kind == "predict":
-            return commit(path(self.root, "probs", uid), self.specialist.predict(volume))
+            return self._commit_answer(path(self.root, "probs", uid),
+                                       self.specialist.predict(volume), volume)
         prompts = parse_prompts(path(self.root, "prompts", uid).read_text())
         mask, probs = self.generalist.segment(volume, prompts)
-        commit(path(self.root, "probs", uid), probs)
-        commit(path(self.root, "mask", uid), mask_to_labels(mask))
+        self._commit_answer(path(self.root, "probs", uid), probs, volume)
+        self._commit_answer(path(self.root, "mask", uid), mask_to_labels(mask), volume)
+
+    @staticmethod
+    def _commit_answer(dest: Path, grid, volume: Volume) -> None:
+        """Commit ``grid`` on the request image ``volume``; a grid on other
+        dims is committed as it is, at 1 mm, for the client to refuse."""
+        commit(dest, grid, volume if getattr(grid, "dims", None) == volume.dims else None)
 
     def serve_once(self) -> int:
         """Answer every complete request not answered yet; returns how many."""

@@ -5,9 +5,12 @@ Supported subset: magic ``n+1\\0``, datatype uint8 (code 2) or float32
 with ``scl_inter`` 0).  Files are written little-endian with
 ``vox_offset = 352`` (348-byte header + 4 zero extension-flag bytes); the
 reader detects byte order from the ``sizeof_hdr`` pattern and swaps on read.
-The payload order is the standard NIfTI one - x fastest, then y, then z,
-channels slowest - which is exactly the package's canonical flat layout, so
-round-trips are bit-exact on the payload.
+The header is stated once, in ``LAYOUT``: its 348 bytes in order, each field
+read or written named with its struct format.  The payload runs x fastest,
+then y, then z, channels slowest (the package's canonical flat layout, so
+round-trips are bit-exact), and one axis rule maps it: the file dims
+reversed are the payload's C-order shape ([c,] z, y, x), whose z axis moved
+last gives the grid's [c,] y, x, z; a write makes the inverse move.
 
 Orientation metadata (qform/sform) is never interpreted, only carried: a
 float32 image read here keeps its header on its ``Volume``, and a grid
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -37,22 +41,20 @@ DT_FLOAT32 = 16
 _BITPIX = {DT_UINT8: 8, DT_FLOAT32: 32}
 _DTYPES = {DT_UINT8: "u1", DT_FLOAT32: "f4"}
 
-# field offsets within the 348-byte header
-_OFF_SIZEOF_HDR = 0
-_OFF_REGULAR = 38
-_OFF_DIM = 40
-_OFF_DATATYPE = 70
-_OFF_BITPIX = 72
-_OFF_PIXDIM = 76
-_OFF_VOX_OFFSET = 108
-_OFF_SCL_SLOPE = 112
-_OFF_XYZT_UNITS = 123
-_OFF_DESCRIP = 148
-_OFF_QFORM_CODE = 252
-_OFF_SFORM_CODE = 254
-_OFF_QUATERN = 256      # quatern_b/c/d + qoffset_x/y/z, 6 floats
-_OFF_SROW = 280         # srow_x/y/z, 12 floats
-_OFF_MAGIC = 344
+# The 348-byte NIfTI-1 header in order: each field this module reads or
+# writes with its struct format, and the bytes between them as padding (None).
+# ``quatern`` is quatern_b/c/d then qoffset_x/y/z, and ``srow`` srow_x/y/z.
+LAYOUT = (
+    ("sizeof_hdr", "i"), (None, "34x"), ("regular", "c"), (None, "x"),
+    ("dim", "8h"), (None, "14x"), ("datatype", "h"), ("bitpix", "h"), (None, "2x"),
+    ("pixdim", "8f"), ("vox_offset", "f"), ("scl_slope", "f"), ("scl_inter", "f"),
+    (None, "3x"), ("xyzt_units", "B"), (None, "24x"), ("descrip", "80s"), (None, "24x"),
+    ("qform_code", "h"), ("sform_code", "h"), ("quatern", "6f"), ("srow", "12f"),
+    (None, "16x"), ("magic", "4s"))
+_FORMAT = "".join(fmt for _, fmt in LAYOUT)
+# each named field's number of values: a string is one, "8h" is eight
+_COUNTS = [(name, 1 if fmt.endswith("s") else int(fmt[:-1] or 1))
+           for name, fmt in LAYOUT if name]
 
 _DESCRIP = b"promptseg"
 
@@ -70,6 +72,7 @@ class NiftiHeader:
     ``shape`` holds the stored dims in file order (nx, ny, nz[, nc]);
     ``pixdim`` is (sx, sy, sz).  The orientation fields travel on the
     ``Volume`` read with them, and ``write_volume`` copies them verbatim.
+    A header is also the ``template`` of the grids written on its image.
     """
 
     shape: tuple[int, ...]
@@ -82,54 +85,50 @@ class NiftiHeader:
     srow: tuple[float, ...] = field(default_factory=lambda: (0.0,) * 12)
     qfac: float = 1.0
 
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """The dims (ny, nx, nz) of the grid this header describes."""
+        return self.shape[1], self.shape[0], self.shape[2]
 
-def _unpack(fmt, buf, off):
-    vals = struct.unpack_from(fmt, buf, off)
-    return vals[0] if len(vals) == 1 else vals
+    @property
+    def spacing(self) -> tuple[float, float, float]:
+        """The spacing of the ``Volume`` read with this header."""
+        return sane_spacing(self.pixdim)
 
 
 def _parse_header(raw: bytes, path) -> tuple[NiftiHeader, str]:
     if len(raw) < HEADER_SIZE:
         raise CorruptFileError(f"{path}: file shorter than a NIfTI-1 header")
-    if struct.unpack_from("<i", raw, _OFF_SIZEOF_HDR)[0] == HEADER_SIZE:
-        bo = "<"
-    elif struct.unpack_from(">i", raw, _OFF_SIZEOF_HDR)[0] == HEADER_SIZE:
-        bo = ">"
+    for bo in "<>":
+        values = iter(struct.unpack_from(bo + _FORMAT, raw))
+        f = {name: next(values) if n == 1 else tuple(islice(values, n)) for name, n in _COUNTS}
+        if f["sizeof_hdr"] == HEADER_SIZE:
+            break
     else:
         raise NotNiftiError(f"{path}: sizeof_hdr is not 348 in either byte order")
-    if raw[_OFF_MAGIC:_OFF_MAGIC + 4] != MAGIC:
+    if f["magic"] != MAGIC:
         raise NotNiftiError(f"{path}: magic is not 'n+1\\0'")
-    dim = _unpack(bo + "8h", raw, _OFF_DIM)
-    ndim = dim[0]
+    ndim = f["dim"][0]
     if ndim not in (3, 4):
         raise UnsupportedFormatError(f"{path}: {ndim}-dimensional images are not supported")
-    shape = tuple(int(n) for n in dim[1:1 + ndim])
+    shape = f["dim"][1:1 + ndim]
     if any(n < 1 for n in shape):
         raise CorruptFileError(f"{path}: nonpositive dim entries {shape}")
-    datatype = _unpack(bo + "h", raw, _OFF_DATATYPE)
+    datatype = f["datatype"]
     if datatype not in _DTYPES:
         raise UnsupportedFormatError(f"{path}: datatype code {datatype} not in supported subset")
-    bitpix = _unpack(bo + "h", raw, _OFF_BITPIX)
-    if bitpix != _BITPIX[datatype]:
-        raise CorruptFileError(f"{path}: bitpix {bitpix} disagrees with datatype {datatype}")
-    pixdim = _unpack(bo + "8f", raw, _OFF_PIXDIM)
-    vox_offset = float(_unpack(bo + "f", raw, _OFF_VOX_OFFSET))
+    if f["bitpix"] != _BITPIX[datatype]:
+        raise CorruptFileError(f"{path}: bitpix {f['bitpix']} disagrees with datatype {datatype}")
+    vox_offset = f["vox_offset"]
     if vox_offset < HEADER_SIZE or vox_offset != int(vox_offset):
         raise CorruptFileError(f"{path}: bad vox_offset {vox_offset}")
-    slope, inter = _unpack(bo + "2f", raw, _OFF_SCL_SLOPE)
+    slope, inter = f["scl_slope"], f["scl_inter"]
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
         raise UnsupportedFormatError(f"{path}: scl_slope {slope}, scl_inter {inter} not supported")
-    hdr = NiftiHeader(
-        shape=shape,
-        datatype=int(datatype),
-        pixdim=tuple(float(p) for p in pixdim[1:4]),
-        vox_offset=int(vox_offset),
-        qform_code=int(_unpack(bo + "h", raw, _OFF_QFORM_CODE)),
-        sform_code=int(_unpack(bo + "h", raw, _OFF_SFORM_CODE)),
-        quatern=tuple(float(v) for v in _unpack(bo + "6f", raw, _OFF_QUATERN)),
-        srow=tuple(float(v) for v in _unpack(bo + "12f", raw, _OFF_SROW)),
-        qfac=float(pixdim[0]),
-    )
+    hdr = NiftiHeader(shape=shape, datatype=datatype, pixdim=f["pixdim"][1:4],
+                      vox_offset=int(vox_offset), qform_code=f["qform_code"],
+                      sform_code=f["sform_code"], quatern=f["quatern"], srow=f["srow"],
+                      qfac=f["pixdim"][0])
     return hdr, bo
 
 
@@ -147,22 +146,20 @@ def read_nifti(path) -> tuple[NiftiHeader, Volume | LabelMap | ProbVolume]:
     size = max(len(raw) - hdr.vox_offset, 0)
     if size != expected:
         raise CorruptFileError(f"{path}: payload is {size} bytes, header declares {expected}")
+    if len(hdr.shape) == 4 and hdr.datatype != DT_FLOAT32:
+        raise UnsupportedFormatError(f"{path}: 4D images must be float32")
+    if len(hdr.shape) == 4 and hdr.shape[3] < 2:
+        raise CorruptFileError(f"{path}: 4D image with {hdr.shape[3]} channel(s)")
     flat = np.frombuffer(raw, dtype=dtype, offset=hdr.vox_offset)  # no copy of the payload
     if bo == ">":
         flat = flat.astype(dtype.newbyteorder("<"))
-    if len(hdr.shape) == 3:
-        nx, ny, nz = hdr.shape
-        arr = flat.reshape(nz, ny, nx).transpose(1, 2, 0)  # -> [y, x, z]
-        if hdr.datatype == DT_UINT8:
-            return hdr, LabelMap(np.ascontiguousarray(arr), max(2, int(arr.max()) + 1))
-        return hdr, Volume(np.ascontiguousarray(arr), sane_spacing(hdr.pixdim), header=hdr)
-    nx, ny, nz, nc = hdr.shape
-    if hdr.datatype != DT_FLOAT32:
-        raise UnsupportedFormatError(f"{path}: 4D images must be float32")
-    if nc < 2:
-        raise CorruptFileError(f"{path}: 4D image with {nc} channel(s)")
-    arr = flat.reshape(nc, nz, ny, nx).transpose(0, 2, 3, 1)  # -> [c, y, x, z]
-    return hdr, ProbVolume(np.ascontiguousarray(arr))
+    # file axes (x, y, z[, c]) reversed are C order; then z goes after y, x
+    arr = np.ascontiguousarray(np.moveaxis(flat.reshape(hdr.shape[::-1]), -3, -1))
+    if len(hdr.shape) == 4:
+        return hdr, ProbVolume(arr)
+    if hdr.datatype == DT_UINT8:
+        return hdr, LabelMap(arr, max(2, int(arr.max()) + 1))
+    return hdr, Volume(arr, hdr.spacing, header=hdr)
 
 
 def read_volume(path) -> Volume | LabelMap | ProbVolume:
@@ -174,53 +171,36 @@ def _encode_header(shape, datatype, pixdim, orientation: NiftiHeader | None) -> 
     if orientation is None:  # no template: a diagonal sform at the given spacing
         orientation = NiftiHeader(shape, datatype, pixdim, VOX_OFFSET, srow=(
             pixdim[0], 0, 0, 0, 0, pixdim[1], 0, 0, 0, 0, pixdim[2], 0))
-    buf = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", buf, _OFF_SIZEOF_HDR, HEADER_SIZE)
-    struct.pack_into("<c", buf, _OFF_REGULAR, b"r")
-    dim = [len(shape), 1, 1, 1, 1, 1, 1, 1]
-    dim[1:1 + len(shape)] = shape
-    struct.pack_into("<8h", buf, _OFF_DIM, *dim)
-    struct.pack_into("<h", buf, _OFF_DATATYPE, datatype)
-    struct.pack_into("<h", buf, _OFF_BITPIX, _BITPIX[datatype])
-    pd = [orientation.qfac, pixdim[0], pixdim[1], pixdim[2], 0.0, 0.0, 0.0, 0.0]
-    if len(shape) == 4:
-        pd[4] = 1.0
-    struct.pack_into("<f", buf, _OFF_VOX_OFFSET, float(VOX_OFFSET))
-    struct.pack_into("<f", buf, _OFF_SCL_SLOPE, 1.0)
-    struct.pack_into("<B", buf, _OFF_XYZT_UNITS, 2)  # spatial units: mm
-    struct.pack_into("<80s", buf, _OFF_DESCRIP, _DESCRIP)
-    struct.pack_into("<h", buf, _OFF_QFORM_CODE, orientation.qform_code)
-    struct.pack_into("<h", buf, _OFF_SFORM_CODE, orientation.sform_code)
-    struct.pack_into("<6f", buf, _OFF_QUATERN, *orientation.quatern)
-    struct.pack_into("<12f", buf, _OFF_SROW, *orientation.srow)
-    struct.pack_into("<8f", buf, _OFF_PIXDIM, *pd)
-    struct.pack_into("<4s", buf, _OFF_MAGIC, MAGIC)
-    return bytes(buf)
+    fields = dict(
+        sizeof_hdr=HEADER_SIZE, regular=b"r", datatype=datatype, bitpix=_BITPIX[datatype],
+        dim=(len(shape), *shape) + (1,) * (7 - len(shape)),
+        pixdim=(orientation.qfac, *pixdim, float(len(shape) == 4), 0.0, 0.0, 0.0),
+        vox_offset=float(VOX_OFFSET), scl_slope=1.0, scl_inter=0.0,
+        xyzt_units=2,  # spatial units: mm
+        descrip=_DESCRIP, qform_code=orientation.qform_code, sform_code=orientation.sform_code,
+        quatern=orientation.quatern, srow=orientation.srow, magic=MAGIC)
+    return struct.pack("<" + _FORMAT, *chain.from_iterable(
+        fields[name] if n > 1 else (fields[name],) for name, n in _COUNTS))
 
 
 def write_volume(path, grid: Volume | LabelMap | ProbVolume,
                  spacing: tuple[float, float, float] | None = None,
-                 template: Volume | None = None) -> None:
+                 template: Volume | NiftiHeader | None = None) -> None:
     """Write a grid as a little-endian single-file NIfTI at ``path``.
 
     The kind follows the grid's type: Volume -> float32 3D, LabelMap ->
     uint8 3D, ProbVolume -> float32 4D.  ``template`` is the image the grid
-    lies on, and a Volume is its own: the file takes the template's spacing
-    and, if it was read from a file, its header's qform/sform.  Without a
-    template the file gets ``spacing`` (1 mm isotropic by default) and a
-    diagonal sform; an explicit ``spacing`` that is not 3 positive finite
-    float32 values is a ``RejectedInputError`` before the file is opened.
+    lies on, or the header read with it, and a Volume is its own: the file
+    takes the template's spacing and, if it was read from a file, its
+    header's qform/sform.  Without a template the file gets ``spacing`` (1 mm
+    isotropic by default) and a diagonal sform; an explicit ``spacing`` that
+    is not 3 positive finite float32 values is a ``RejectedInputError``
+    before the file is opened.
     """
     path = Path(path)
     if isinstance(grid, Volume):
-        data, datatype, channels = grid.data.transpose(2, 0, 1), DT_FLOAT32, ()  # -> [z,y,x]
         template = template or grid
-    elif isinstance(grid, LabelMap):
-        data, datatype, channels = grid.data.transpose(2, 0, 1), DT_UINT8, ()
-    elif isinstance(grid, ProbVolume):
-        data, datatype = grid.data.transpose(0, 3, 1, 2), DT_FLOAT32  # -> [c,z,y,x]
-        channels = (grid.num_classes,)
-    else:
+    elif not isinstance(grid, (LabelMap, ProbVolume)):
         raise RejectedInputError(f"cannot write object of type {type(grid).__name__}")
     if template is not None:
         if spacing is not None or template.dims != grid.dims:
@@ -230,9 +210,11 @@ def write_volume(path, grid: Volume | LabelMap | ProbVolume,
     elif spacing is not None and not valid_spacing(spacing):
         raise RejectedInputError(f"{path}: spacing must be 3 positive finite float32 values, "
                                  f"got {spacing}")
-    shape = (grid.dims[1], grid.dims[0], grid.dims[2]) + channels
-    header = _encode_header(shape, datatype, tuple(float(s) for s in spacing or (1, 1, 1)),
-                            template.header if template is not None else None)
+    data = np.moveaxis(grid.data, -1, -3)  # [c,] z, y, x: x fastest, as the file stores it
+    datatype = DT_UINT8 if isinstance(grid, LabelMap) else DT_FLOAT32
+    header = _encode_header(data.shape[::-1], datatype,
+                            tuple(float(s) for s in spacing or (1, 1, 1)),
+                            template.header if isinstance(template, Volume) else template)
     try:
         with open(path, "wb") as fh:
             fh.write(header)

@@ -130,13 +130,22 @@ class ProbVolume:
 
 @dataclass
 class LabelMap:
-    """Integer label grid with values in {0, ..., num_classes-1}; 0 = background."""
+    """Integer label grid with values in {0, ..., num_classes-1}; 0 = background.
+    It is made from bool data or integers in [0, 255], which uint8 holds exactly."""
 
     data: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        self.data = _as_grid(self.data, np.uint8, 3, "label data")
+        data = np.asarray(self.data)
+        if data.dtype.kind not in "biu":
+            raise RejectedInputError(f"label data must be bool or integers, got {data.dtype}")
+        if data.dtype.kind in "iu" and data.dtype != np.uint8 and data.size:
+            lo, hi = data.min(), data.max()
+            if not 0 <= lo <= hi <= 255:
+                raise RejectedInputError(f"label data must be integers in [0, 255], "
+                                         f"got {data.dtype} from {lo} to {hi}")
+        self.data = _as_grid(data, np.uint8, 3, "label data")
         self.num_classes = int(self.num_classes)
         if not 2 <= self.num_classes <= MAX_CLASSES:
             raise RejectedInputError(f"num_classes must be in [2, {MAX_CLASSES}], got {self.num_classes}")

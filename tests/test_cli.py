@@ -116,6 +116,50 @@ def test_prompt_refine_and_vls_subcommands(tmp_path, capsys):
     assert kept[~candidate].all()          # non-pseudo voxels always kept
 
 
+def test_label_outputs_keep_the_geometry_of_their_label_input(tmp_path, capsys):
+    """simulate-partial, refine and vls-mask write their label image on the
+    spacing and qform/sform of --gt, --candidate and --target, here (2, 1, 4)
+    mm and a sform rotated about z, not at 1 mm with a diagonal sform."""
+    dims = (16, 16, 16)
+    organ = sphere_mask(dims, (8, 8, 8), 3)
+    header = nifti_io.NiftiHeader(
+        shape=(16, 16, 16), datatype=nifti_io.DT_FLOAT32, pixdim=(2.0, 1.0, 4.0),
+        vox_offset=nifti_io.VOX_OFFSET, qform_code=1, sform_code=2,
+        quatern=(0.0, 0.0, 0.38268343, -10.0, 12.5, 30.0),
+        srow=(1.4142135, -0.70710677, 0.0, -10.0, 1.4142135, 0.70710677, 0.0, 12.5,
+              0.0, 0.0, 4.0, 30.0), qfac=-1.0)
+    image = Volume(np.zeros(dims, np.float32), (2.0, 1.0, 4.0), header=header)
+    paths = {name: tmp_path / f"{name}.nii" for name in ("labels", "probs")}
+    nifti_io.write_volume(paths["labels"], mask_to_labels(organ), template=image)
+    p_fg = np.where(organ, np.float32(0.9), np.float32(0.1))
+    nifti_io.write_volume(paths["probs"], ProbVolume(np.stack([1.0 - p_fg, p_fg])))  # at 1 mm
+    (tmp_path / "organ.prompts").write_text(
+        format_prompts(make_box_prompts(mask_to_labels(organ), 1, 2)))
+    nifti_io.write_manifest(tmp_path / "scan.manifest",
+                            nifti_io.ScanManifest(statuses={1: "pseudo"}))
+    runs = {"partial.nii": ["simulate-partial", "--gt", str(paths["labels"]),
+                            "--keep-fraction", "1", "--out-labels", str(tmp_path / "partial.nii"),
+                            "--out-manifest", str(tmp_path / "partial.manifest")],
+            "refined.nii": ["refine", "--candidate", str(paths["labels"]),
+                            "--probs", str(paths["probs"]),
+                            "--prompts", str(tmp_path / "organ.prompts"),
+                            "--out", str(tmp_path / "refined.nii")],
+            "vls.nii": ["vls-mask", "--probs", str(paths["probs"]),
+                        "--target", str(paths["labels"]),
+                        "--manifest", str(tmp_path / "scan.manifest"),
+                        "--out", str(tmp_path / "vls.nii")]}
+    source = nifti_io.read_nifti(paths["labels"])[0]
+    assert (source.pixdim, source.sform_code, source.srow) == (
+        (2.0, 1.0, 4.0), 2, tuple(float(np.float32(v)) for v in header.srow))
+    for out, argv in runs.items():
+        assert main(argv) == 0, out
+        hdr, labels = nifti_io.read_nifti(tmp_path / out)
+        assert isinstance(labels, LabelMap) and labels.dims == dims, out
+        for key in ("pixdim", "qform_code", "sform_code", "quatern", "srow", "qfac"):
+            assert getattr(hdr, key) == getattr(source, key), (out, key)
+    capsys.readouterr()
+
+
 def test_refine_entropy_gate_compares_with_prev_entropy(tmp_path, capsys):
     dims = (24, 24, 24)
     organ = sphere_mask(dims, (12, 12, 12), 4)

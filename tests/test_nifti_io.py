@@ -6,7 +6,7 @@ import pytest
 
 from promptseg.errors import (CorruptFileError, NotNiftiError, RejectedInputError,
                               UnsupportedFormatError)
-from promptseg.nifti_io import (NiftiHeader, ScanManifest, read_manifest,
+from promptseg.nifti_io import (LAYOUT, MAGIC, NiftiHeader, ScanManifest, read_manifest,
                                 read_nifti, read_volume, status_manifest,
                                 write_manifest, write_volume)
 from promptseg.volgrid import LabelMap, ProbVolume, Volume
@@ -151,6 +151,63 @@ def test_big_endian_file_is_byte_swapped(tmp_path):
     assert vol.dims == (3, 4, 2)
     assert vol.spacing == (2.0, 0.5, 1.5)
     assert np.array_equal(vol.data, data.astype("<f4").transpose(1, 2, 0))
+
+
+# where the NIfTI-1 standard (nifti1.h) puts each field the layout names;
+# ``quatern`` starts at quatern_b and ``srow`` at srow_x
+STANDARD_OFFSETS = {"sizeof_hdr": 0, "regular": 38, "dim": 40, "datatype": 70, "bitpix": 72,
+                    "pixdim": 76, "vox_offset": 108, "scl_slope": 112, "scl_inter": 116,
+                    "xyzt_units": 123, "descrip": 148, "qform_code": 252, "sform_code": 254,
+                    "quatern": 256, "srow": 280, "magic": 344}
+
+
+def test_header_layout_is_the_nifti1_header():
+    offsets, end = {}, 0
+    for name, fmt in LAYOUT:
+        if name is not None:
+            offsets[name] = end
+        end += struct.calcsize("<" + fmt)
+    assert end == 348
+    assert offsets == STANDARD_OFFSETS
+
+
+@pytest.mark.parametrize("byte_order", ["<", ">"])
+def test_every_header_field_round_trips_in_either_byte_order(tmp_path, byte_order):
+    """Each named field is written where the standard puts it, and reads back
+    the same from the file and from its big-endian twin (header swapped field
+    by field, payload swapped voxel by voxel)."""
+    header = NiftiHeader(shape=(4, 3, 5), datatype=16, pixdim=(0.5, 2.0, 3.0), vox_offset=352,
+                         qform_code=1, sform_code=4, quatern=(0.5, -0.25, 0.125, -7.0, 8.0, 9.5),
+                         srow=tuple(i / 4 - 1.0 for i in range(12)), qfac=-1.0)
+    image = Volume(np.arange(60, dtype=np.float32).reshape(3, 4, 5), (0.5, 2.0, 3.0),
+                   header=header)
+    p = image.data / 100
+    labels = LabelMap(image.data.astype(np.uint8), 60)
+    for grid, shape, datatype, bitpix in ((image, (4, 3, 5), 16, 32), (labels, (4, 3, 5), 2, 8),
+                                          (ProbVolume(np.stack([p, 1 - p])), (4, 3, 5, 2), 16, 32)):
+        path = tmp_path / "grid.nii"
+        write_volume(path, grid, template=None if grid is image else image)
+        blob = path.read_bytes()
+        written = {name: struct.unpack_from("<" + fmt, blob, STANDARD_OFFSETS[name])
+                   for name, fmt in LAYOUT if name is not None}
+        dim = (len(shape), *shape) + (1,) * (7 - len(shape))
+        assert written == {
+            "sizeof_hdr": (348,), "regular": (b"r",), "dim": dim, "datatype": (datatype,),
+            "bitpix": (bitpix,), "pixdim": (-1.0, 0.5, 2.0, 3.0, float(len(shape) == 4), 0, 0, 0),
+            "vox_offset": (352.0,), "scl_slope": (1.0,), "scl_inter": (0.0,), "xyzt_units": (2,),
+            "descrip": (b"promptseg".ljust(80, b"\0"),), "qform_code": (1,), "sform_code": (4,),
+            "quatern": header.quatern, "srow": header.srow, "magic": (MAGIC,)}
+        if byte_order == ">":
+            table = "".join(fmt for _, fmt in LAYOUT)
+            itemsize = 1 if datatype == 2 else 4
+            payload = np.frombuffer(blob, f"<u{itemsize}", offset=352).astype(f">u{itemsize}")
+            blob = (struct.pack(">" + table, *struct.unpack_from("<" + table, blob))
+                    + blob[348:352] + payload.tobytes())
+            path.write_bytes(blob)
+        hdr, back = read_nifti(path)
+        assert hdr == NiftiHeader(shape, datatype, header.pixdim, 352, header.qform_code,
+                                  header.sform_code, header.quatern, header.srow, header.qfac)
+        assert type(back) is type(grid) and back.data.tobytes() == grid.data.tobytes()
 
 
 def test_header_fields_and_template_preservation(tmp_path):

@@ -1823,7 +1823,7 @@ def test_server_answers_each_complete_request_once(tmp_path, monkeypatch):
     second = exchange.send(tmp_path, indexed_volume(1), GOOD_PROMPTS)
     committed, real = [], exchange.commit
     monkeypatch.setattr(exchange, "commit",
-                        lambda dest, content: committed.append(dest.name) or real(dest, content))
+                        lambda dest, *content: committed.append(dest.name) or real(dest, *content))
     assert server.serve_once() == 1 and server.generalist.answered == [1]
     real(exchange.path(tmp_path, "prompts", first), format_prompts(GOOD_PROMPTS))
     assert [server.serve_once() for _ in range(3)] == [1, 0, 0]
@@ -1883,10 +1883,10 @@ def test_server_answers_again_a_segment_stopped_between_its_answer_files(tmp_pat
     probs, mask = exchange.path(tmp_path, "probs", uid), exchange.path(tmp_path, "mask", uid)
     commit = exchange.commit
 
-    def killed_at_the_mask(dest, content):
+    def killed_at_the_mask(dest, *content):
         if dest == mask:
             raise Stopped
-        commit(dest, content)
+        commit(dest, *content)
     monkeypatch.setattr(exchange, "commit", killed_at_the_mask)
     with pytest.raises(Stopped):
         server.serve_once()
@@ -1918,6 +1918,27 @@ def test_a_fresh_server_answers_nothing_an_earlier_one_answered(tmp_path):
     spec, gen = servers()
     assert (spec.serve_once(), gen.serve_once()) == (0, 0)
     assert (spec.specialist.answered, spec.specialist.fits, gen.generalist.answered) == ([], 0, [])
+
+
+def test_server_answers_a_fit_whose_target_is_float32_with_an_error(tmp_path):
+    """A float32 ``.target.nii`` holds no exact labels (0.4 above each one
+    here, which a cast would drop): the fit is answered ``.err`` naming the
+    refusal, and the trainer takes no example."""
+    suite, _ = registered_suite(n=1, organs=2, dims=(10, 10, 10))
+    example = TrainingExample(suite[0][1], SupervisionTarget(suite[0][2]), frozenset({1}))
+    taken = []
+
+    class Taking(Stub):
+        def fit(self, examples, supervision="full"):
+            taken.extend(examples)
+    server = Server(tmp_path, specialist=Taking())
+    uid = exchange.send_fit(tmp_path, [example], "full")
+    target = exchange.path(tmp_path, "examples", uid) / "scan_0000.target.nii"
+    nifti_io.write_volume(target, Volume(nifti_io.read_volume(target).data + np.float32(0.4)))
+    assert server.serve_once() == 1
+    assert exchange.path(tmp_path, "error", uid).read_text() == (
+        "RejectedInputError: label data must be bool or integers, got float32\n")
+    assert not exchange.path(tmp_path, "done", uid).exists() and taken == []
 
 
 class TrainerDown(Stub):

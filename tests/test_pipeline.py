@@ -888,11 +888,14 @@ def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path, serve):
     assert {p.name.split(".", 1)[1] for p in fit_files} == {"nii", "target.nii", "mask.nii"}
     for path in fit_files:
         assert nifti_io.read_nifti(path)[0].pixdim == image_pixdim, path.name
-    # and every exchange file, requests included, on the image's spacing and qform/sform
+    # and every exchange file, requests and answers included, on the image's spacing
+    # and qform/sform
     requests = sorted(tmp_path.glob("*_xchg/req_*.nii"))
     assert len(requests) == 3 * len(suite)  # per scan: the round's and the evaluation's
                                             # predict, and one segment of organ 2
-    for path in requests + fit_files:
+    answers = sorted(tmp_path.glob("*_xchg/resp_*.nii"))  # .prob.nii and segment masks
+    assert len(answers) == len(requests) + len(suite)
+    for path in requests + fit_files + answers:
         hdr = nifti_io.read_nifti(path)[0]
         for name in ("pixdim", "qform_code", "sform_code", "quatern", "srow", "qfac"):
             assert getattr(hdr, name) == getattr(image_hdr, name), (path.name, name)

@@ -171,6 +171,28 @@ def test_labelmap_and_volume_validation():
     assert not vol.data.flags.writeable
 
 
+@pytest.mark.parametrize("values, message", [
+    # what a cast to uint8 made of each: 0, 1, 2 / 1, 2, 0 / 255, 0, 1 / 44 / 255 / 0
+    (np.array([0.7, 1.9, 2.2], np.float32), "bool or integers, got float32"),
+    (np.array([1.0, 2.0, 0.0], np.float64), "bool or integers, got float64"),
+    (np.array([-1.5, 0.0, 1.0]), "bool or integers, got float64"),
+    (np.array([300, 1, 0], np.int64), r"integers in \[0, 255\], got int64 from 0 to 300"),
+    (np.array([-1, 1, 0], np.int8), r"integers in \[0, 255\], got int8 from -1 to 1"),
+    (np.array([256, 0, 0], np.uint16), r"integers in \[0, 255\], got uint16 from 0 to 256")],
+    ids=["float32", "whole-float64", "negative-float", "int64-300", "int8-negative", "uint16-256"])
+def test_labelmap_refuses_data_uint8_cannot_hold_exactly(values, message):
+    with pytest.raises(RejectedInputError, match=f"label data must be {message}"):
+        LabelMap(values.reshape(1, 1, 3), 3)
+
+
+def test_labelmap_takes_bool_and_integers_in_uint8_range_as_they_are():
+    for values in (np.array([True, False, True]), np.array([0, 255, 7], np.int64),
+                   np.array([0, 127, 1], np.int8), np.array([255, 0, 2], np.uint16)):
+        labels = LabelMap(values.reshape(1, 1, 3), 256)
+        assert labels.data.dtype == np.uint8
+        assert labels.data.ravel().tolist() == values.astype(int).tolist()
+
+
 @pytest.mark.parametrize("spacing", [(1e-50, 1.0, 1.0), (1.0, 1e39, 1.0)])
 def test_volume_spacing_must_survive_float32(spacing):
     """NIfTI stores spacing as float32: a value that underflows to 0 or
