@@ -49,7 +49,7 @@ import uuid
 from pathlib import Path
 
 from . import nifti_io
-from .errors import ConfigError, OracleProtocolError
+from .errors import ConfigError, OracleProtocolError, RejectedInputError
 from .prompting import BoxPromptPair, format_prompts, parse_prompts
 from .vls_loss import SupervisionTarget
 from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labels
@@ -168,6 +168,15 @@ def check_segment(mask, probs, dims) -> None:
         raise OracleProtocolError(f"segment probability dims {probs.dims} != request dims {dims}")
 
 
+def _read_labels(path: Path, dims):
+    """The data of a fit target or mask: a uint8 label image on its image's ``dims``."""
+    grid = nifti_io.read_volume(path)
+    if not isinstance(grid, LabelMap) or grid.dims != dims:
+        raise RejectedInputError(f"{path}: must be a uint8 label image on its image's dims {dims}, "
+                                 f"not a {type(grid).__name__} on {grid.dims}")
+    return grid.data
+
+
 def read_examples(fit_dir: Path):
     """The ``TrainingExample``s in ``fit_dir``, each read as it is taken."""
     from .oracles import TrainingExample        # oracles imports this module
@@ -175,13 +184,12 @@ def read_examples(fit_dir: Path):
         image, target, mask, manifest = _example_paths(fit_dir, idx)
         if not manifest.exists():
             return
-        man = nifti_io.read_manifest(manifest)
-        labels = LabelMap(nifti_io.read_volume(target).data, man.num_classes)
+        man, volume = nifti_io.read_manifest(manifest), nifti_io.read_volume(image)
+        labels = LabelMap(_read_labels(target, volume.dims), man.num_classes)
         yield TrainingExample(
-            nifti_io.read_volume(image),
-            SupervisionTarget(labels, man.classes_with_status("pseudo")),
+            volume, SupervisionTarget(labels, man.classes_with_status("pseudo")),
             man.classes_with_status("labeled"),
-            nifti_io.read_volume(mask).data > 0 if mask.exists() else None)
+            _read_labels(mask, volume.dims) > 0 if mask.exists() else None)
 
 
 class Server:

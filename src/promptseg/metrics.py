@@ -7,14 +7,10 @@ are scaled by the spacing *before* distances are taken; directed
 boundary-to-boundary distances from both sides are pooled and the 95th
 percentile is read off with linear interpolation.
 
-Each nearest distance is the all-pairs one, ``sqrt(min(sum((p - q) ** 2)))``
-over the scaled coordinates, bit for bit.  A voxel on both boundaries is 0.
-For any other, scipy's exact EDT (Maurer et al., sampled at the spacing)
-names a nearest voxel, and only offsets whose real length ties with its
-within ``TIE_MARGIN`` can round to a smaller sum, so only those are tried.
-The EDT spans where the searched voxels' box and the other boundary's box,
-each grown by ``HALO``, overlap (per tile if over ``EDT_VOXELS`` voxels); a
-voxel with no other voxel within ``HALO`` finest spacings tries every one.
+Each nearest distance is the all-pairs ``sqrt(min(sum((p - q) ** 2)))`` over
+the scaled coordinates, bit for bit (0 for a voxel on both boundaries): over
+all pairs in a search of up to ``ALL_PAIRS`` pairs, else from a ``cKDTree``,
+which sums the same squares in the same order and is imported on first use.
 
 ``evaluate_scan`` works on the union of the class's bounding boxes in the
 two maps, from one ``ndimage.find_objects`` pass per map.  Both masks are
@@ -33,10 +29,7 @@ from .errors import EmptyMaskError, RejectedInputError
 from .volgrid import LabelMap, union_box
 
 HD95_PERCENTILE = 95.0
-#: Real lengths this close, relatively, are ties (float rounding is ~1e-16);
-#: one EDT covers at most EDT_VOXELS voxels (12 MB of int32 indices).
-TIE_MARGIN, EDT_VOXELS, HALO = 1e-9, 1 << 20, 16
-_SIGNS = 1 - 2 * np.indices((2, 2, 2)).reshape(3, 8).T
+ALL_PAIRS = 1 << 12     # the most pairs one search compares without a k-d tree
 
 #: What evaluate_scan reports for a class whose HD95 is undefined (the
 #: class is empty in either map): "exclude" reports None, which leaves the
@@ -91,66 +84,20 @@ def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def _ties(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each offset (a column) whose real length ties with a column of ``u`` >= 0,
-    grouped by and paired with that column's index: (ty, tx) >= 0, tz solved, signs."""
-    l2 = ((u * s[:, None]) ** 2).sum(axis=0)
-    ry, rx = (np.sqrt(l2 * (1 + TIE_MARGIN)) // s[:2, None]).astype(np.intp) + 1
-    col = np.repeat(np.arange(l2.size), ry * rx)
-    ty, tx = np.divmod(np.arange(col.size) - np.repeat(np.cumsum(ry * rx) - ry * rx, ry * rx),
-                       rx[col])
-    tz = np.rint(np.sqrt(np.maximum(l2[col] - (ty * s[0]) ** 2 - (tx * s[1]) ** 2, 0.0)) / s[2])
-    t = np.stack([ty, tx, tz.astype(np.intp)], axis=1)
-    keep = np.abs(((t * s) ** 2).sum(axis=1) - l2[col]) <= TIE_MARGIN * l2[col]
-    t = t[keep, None, :] * _SIGNS
-    ok = ~((t == 0) & (_SIGNS < 0)).any(axis=2)                     # -0 is 0
-    return t[ok].T, np.repeat(col[keep], ok.sum(axis=1))
-
-
 def _nearest_distances(src: np.ndarray, dst: np.ndarray, scale: np.ndarray, origin) -> np.ndarray:
     """The distance from each voxel of ``src``, in C order, to the nearest of
     ``dst``: masks on one box from grid index ``origin``, scaled by ``scale``."""
-    at = [(np.arange(k) + o) * s for k, o, s in zip(dst.shape, origin, scale)]
-
-    def sum2(p, r):                     # the all-pairs sum, in its order
-        return ((at[0][p[0]] - at[0][r[0]]) ** 2 + (at[1][p[1]] - at[1][r[1]]) ** 2
-                + (at[2][p[2]] - at[2][r[2]]) ** 2)
-
-    best = np.zeros(np.count_nonzero(src))  # each voxel's least all-pairs sum
+    best = np.zeros(np.count_nonzero(src))
     off = np.flatnonzero(~dst[src])     # a voxel on both boundaries is 0
     if off.size == 0:
         return best
-    q, shape = np.array(np.nonzero(src))[:, off], np.array(dst.shape)[:, None]
-    dv = np.array(np.nonzero(dst))
-    dlo, dhi = np.maximum(dv.min(1, keepdims=True) - HALO, 0), dv.max(1, keepdims=True) + HALO + 1
-    u = np.full_like(q, HALO + 1)       # each voxel's offset to its nearest, once found
-    tile = shape if dst.size <= EDT_VOXELS else int(EDT_VOXELS ** (1 / 3)) - 2 * HALO
-    key = np.ravel_multi_index(q // tile, (-(-shape // tile)).ravel())
-    for mine in (np.flatnonzero(key == k) for k in np.unique(key)):
-        lo = np.maximum(q[:, mine].min(axis=1, keepdims=True) - HALO, dlo)
-        hi = np.minimum(q[:, mine].max(axis=1, keepdims=True) + HALO + 1, dhi)
-        mine = mine[np.all((q[:, mine] >= lo) & (q[:, mine] < hi), axis=0)]
-        win = ~dst[tuple(map(slice, lo[:, 0], hi[:, 0]))]
-        if not win.all():
-            ft = ndimage.distance_transform_edt(win, sampling=scale, return_distances=False,
-                                                return_indices=True)
-            u[:, mine] = np.abs(ft[(slice(None), *(q[:, mine] - lo))] + lo - q[:, mine])
-    close = ((u * scale[:, None]) ** 2).sum(axis=0) <= (HALO * scale.min()) ** 2
-    near, far = np.flatnonzero(close), np.flatnonzero(~close)
-    found, group = np.unique(np.ravel_multi_index(u[:, near], dst.shape), return_inverse=True)
-    ties, col = _ties(np.array(np.unravel_index(found, dst.shape)), scale)
-    sizes = np.bincount(col, minlength=found.size)
-    count = sizes[group]
-    j = np.repeat(near, count)
-    # a voxel's k-th candidate is column (its ties' start) + k of ``ties``
-    cand = q[:, j] + ties[:, np.arange(j.size) + np.repeat(
-        (np.cumsum(sizes) - sizes)[group] - np.cumsum(count) + count, count)]
-    hit = np.all((cand >= 0) & (cand < shape), axis=0) & dst[tuple(np.clip(cand, 0, shape - 1))]
-    j, cand = j[hit], cand[:, hit]
-    best[off[near]] = np.minimum.reduceat(sum2(q[:, j], cand), np.searchsorted(j, near))
-    for f in np.array_split(far, far.size * dv.shape[1] * 4 // EDT_VOXELS + 1):
-        best[off[f]] = sum2(q[:, f, None], dv).min(axis=1)
-    return np.sqrt(best)
+    p, q = (np.argwhere(src)[off] + origin) * scale, (np.argwhere(dst) + origin) * scale
+    if len(p) * len(q) <= ALL_PAIRS:
+        best[off] = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2).min(axis=1))
+    else:
+        from scipy.spatial import cKDTree   # loaded by a process's first large search only
+        best[off] = cKDTree(q).query(p, k=1)[0]
+    return best
 
 
 def _pooled_hd95(a: np.ndarray, b: np.ndarray, spacing, origin) -> float:

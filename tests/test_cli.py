@@ -342,3 +342,21 @@ def test_import_loads_no_scipy_spatial_linalg_or_sparse():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_evaluation_under_the_all_pairs_budget_loads_no_scipy_spatial():
+    """An ``evaluate_scan`` in a fresh interpreter whose every search stays
+    within ``metrics.ALL_PAIRS`` pairs (two cubes, each 26 boundary voxels,
+    shifted by one voxel) loads no ``spatial``, ``linalg`` or ``sparse``."""
+    path = [str(Path(promptseg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = ("import sys, numpy as np\n"
+            "from promptseg.metrics import evaluate_scan\n"
+            "from promptseg.volgrid import LabelMap\n"
+            "gt = np.zeros((12, 12, 12), np.uint8); gt[2:5, 2:5, 2:5] = 1; gt[7:10, 7:10, 7:10] = 2\n"
+            "ev = evaluate_scan(LabelMap(np.roll(gt, 1, axis=0), 3), LabelMap(gt, 3), (0.8, 0.8, 2.5))\n"
+            "print([cm.hd95 > 0 for cm in ev.per_class], sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in [['scipy', s] for s in ('spatial', 'linalg', 'sparse')]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[True, True] []"

@@ -333,7 +333,7 @@ def test_evaluate_scan_empty_in_both_maps_reads_the_policy():
         assert [(cm.dsc, cm.hd95) for cm in ev.per_class] == [(1.0, h), (1.0, h)]
 
 
-# --- nearest boundary distances without cKDTree ------------------------------------
+# --- nearest boundary distances: all pairs, or a k-d tree past ALL_PAIRS -----------
 
 def all_pairs_directed(pa, pb, rows=256):
     """Both directed nearest distances by the all-pairs formula, ``rows`` of
@@ -430,16 +430,15 @@ def test_hd95_on_a_large_organ_holds_no_all_pairs_array():
         assert peak < 16 * 2**20, peak
 
 
-@pytest.mark.parametrize("edt_voxels, halo", [(12**3, 2), (1 << 20, 1)])
-def test_tiled_and_far_searches_equal_all_pairs(monkeypatch, edt_voxels, halo):
-    """Boxes read in tiles a few voxels wide with a 2-voxel margin, some with
-    no voxel of the other boundary (as around a lone voxel at the grid's
-    corner), or whole with a 1-voxel margin, so that many voxels fall past it
-    and try every voxel of the other boundary: every distance is still the
-    all-pairs one."""
-    monkeypatch.setattr(metrics, "EDT_VOXELS", edt_voxels)
-    monkeypatch.setattr(metrics, "HALO", halo)
-    scale = np.array([0.8, 0.8, 2.5])
+@pytest.mark.parametrize("all_pairs, thickness", [(12**3, 2), (1 << 20, 1)])
+def test_tiled_and_far_searches_equal_all_pairs(monkeypatch, all_pairs, thickness):
+    """Phantom organs against their dilated, eroded and shifted copies and a
+    far blob, and a lone voxel at the grid's corner against blocks whose box
+    reaches it, at ``thickness`` mm slices: with a budget of 12^3 pairs every
+    search here builds a k-d tree, with 2^20 every one tries all pairs, and
+    every distance is the all-pairs one."""
+    monkeypatch.setattr(metrics, "ALL_PAIRS", all_pairs)
+    scale = np.array([0.8, 0.8, thickness])
     corner, block = np.zeros((24, 24, 24), bool), np.zeros((24, 24, 24), bool)
     corner[0, 0, 0] = corner[16:21, 17:21, 18:22] = block[16:21, 17:21, 20:24] = True
     block[0:2, 10:12, 20:22] = block[20:22, 0:2, 0:2] = True   # its box reaches the corner
@@ -453,12 +452,37 @@ def test_tiled_and_far_searches_equal_all_pairs(monkeypatch, edt_voxels, halo):
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want], name
 
 
+@pytest.mark.parametrize("searched, other", [(64, 64), (17, 241)])   # 4,096 and 4,097 pairs
+def test_searches_at_the_all_pairs_budget_equal_all_pairs(monkeypatch, searched, other):
+    """Strewn voxels, three of them on both masks, at ``ALL_PAIRS`` pairs and
+    one past it: the first search tries every pair, the second builds one
+    k-d tree, and both give the all-pairs distances, 0 on the shared voxels."""
+    from scipy import spatial
+    trees = []
+    monkeypatch.setattr(spatial, "cKDTree", lambda q: trees.append(q) or cKDTree(q))
+    pairs = searched * other
+    assert pairs - metrics.ALL_PAIRS in (0, 1)
+    rng, dims = np.random.default_rng(pairs), (30, 20, 25)
+    for trial in range(5):
+        flat = rng.choice(np.prod(dims), searched + other, replace=False)
+        src, dst = np.zeros(dims, bool), np.zeros(dims, bool)
+        src.flat[flat[:searched + 3]] = dst.flat[flat[searched:]] = True
+        scale = rng.uniform(0.3, 3.0, 3)
+        origin = rng.integers(0, 500, 3)
+        got = _nearest_distances(src, dst, scale, origin)
+        want = all_pairs_directed((np.argwhere(src) + origin) * scale,
+                                  (np.argwhere(dst) + origin) * scale)[0]
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got == 0) == 3
+    assert len(trees) == (5 if pairs > metrics.ALL_PAIRS else 0)
+
+
 def test_search_on_a_grid_wide_box_holds_no_grid_wide_transform():
     """A small organ against its shifted copy plus a 3^3 blob in the far
     corner and 200 voxels strewn over a 192 x 192 x 128 grid: the union box
     is the grid, whose one feature transform would hold 56 MB of indices, and
     trying every pair of the organ's 1,833 x 1,833 boundary voxels about
-    150 MB.  The search reads windows only where the organ is, peaks under
+    150 MB.  The search holds a k-d tree of the boundaries only, peaks under
     8 MB, and equals all pairs."""
     dims, spacing = (192, 192, 128), (0.8, 0.8, 2.5)
     organ = Ellipsoid(center=(95.5, 90.2, 60.7), radii=(18, 14, 9), angles=(0.4, 1.1, 2.0))

@@ -1937,7 +1937,32 @@ def test_server_answers_a_fit_whose_target_is_float32_with_an_error(tmp_path):
     nifti_io.write_volume(target, Volume(nifti_io.read_volume(target).data + np.float32(0.4)))
     assert server.serve_once() == 1
     assert exchange.path(tmp_path, "error", uid).read_text() == (
-        "RejectedInputError: label data must be bool or integers, got float32\n")
+        f"RejectedInputError: {target}: must be a uint8 label image on its image's dims "
+        "(10, 10, 10), not a Volume on (10, 10, 10)\n")
+    assert not exchange.path(tmp_path, "done", uid).exists() and taken == []
+
+
+@pytest.mark.parametrize("name", ["scan_0000.target.nii", "scan_0000.mask.nii"])
+def test_server_answers_a_fit_whose_target_or_mask_is_off_its_image_dims_with_an_error(
+        tmp_path, name):
+    """A uint8 target or VLS mask on other dims than its image is refused
+    before the trainer takes the example, by an error naming the file."""
+    suite, _ = registered_suite(n=1, organs=2, dims=(10, 10, 10))
+    weights = np.ones((10, 10, 10), bool)
+    example = TrainingExample(suite[0][1], SupervisionTarget(suite[0][2]), frozenset({1}), weights)
+    taken = []
+
+    class Taking(Stub):
+        def fit(self, examples, supervision="full"):
+            taken.extend(examples)
+    server = Server(tmp_path, specialist=Taking())
+    uid = exchange.send_fit(tmp_path, [example], "full")
+    bad = exchange.path(tmp_path, "examples", uid) / name
+    nifti_io.write_volume(bad, LabelMap(nifti_io.read_volume(bad).data[:, :, :9], 3))
+    assert server.serve_once() == 1
+    assert exchange.path(tmp_path, "error", uid).read_text() == (
+        f"RejectedInputError: {bad}: must be a uint8 label image on its image's dims "
+        "(10, 10, 10), not a LabelMap on (10, 10, 9)\n")
     assert not exchange.path(tmp_path, "done", uid).exists() and taken == []
 
 
