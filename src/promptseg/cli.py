@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nifti_io, pipeline
-from .errors import PromptsegError, RejectedInputError
+from .errors import PromptsegError
 from .metrics import HD95_MISSING_POLICIES, evaluate_scan, summarize
 from .phantom import make_phantom_suite
 from .prompting import (DEFAULT_PADDING, format_prompts, make_box_prompts,
@@ -30,16 +30,6 @@ from .vls_loss import SupervisionTarget, vls_mask
 from .volgrid import LabelMap, ProbVolume, argmax_labelmap, mask_to_labels, paste_mask
 
 log = logging.getLogger("promptseg.cli")
-
-
-def _read(path, what: str, kind: type = LabelMap):
-    """The image at ``path``, which must be a ``kind``, and its header: the
-    template of any label image written on it."""
-    hdr, img = nifti_io.read_nifti(path)
-    if not isinstance(img, kind):
-        image = "a uint8 label image" if kind is LabelMap else "a 4D probability image"
-        raise RejectedInputError(f"{what} must be {image}: {path}")
-    return img, hdr
 
 
 def _config_value(name: str, text: str):
@@ -65,13 +55,14 @@ def cmd_phantom_gen(args) -> int:
 
 def cmd_simulate_partial(args) -> int:
     seed = _config_value("seed", args.seed)
-    gt, hdr = _read(args.gt, "--gt")
+    gt = nifti_io.read_as(args.gt, LabelMap)
     num_classes = args.classes or gt.num_classes
     if num_classes != gt.num_classes:
         gt = LabelMap(gt.data, num_classes)
     sup = pipeline.simulate_partial_labels(gt, num_classes, args.keep_fraction,
                                            seed, args.scan_id)
-    nifti_io.write_volume(args.out_labels, sup.target.labels, template=hdr)
+    nifti_io.write_volume(args.out_labels, sup.target.labels,
+                          template=nifti_io.read_header(args.gt))
     nifti_io.write_manifest(args.out_manifest,
                             nifti_io.status_manifest(num_classes, sup.labeled))
     print(f"kept {len(sup.labeled)}/{num_classes - 1} organs: {sorted(sup.labeled)}")
@@ -79,7 +70,7 @@ def cmd_simulate_partial(args) -> int:
 
 
 def cmd_prompt(args) -> int:
-    pred, _ = _read(args.pred, "--pred")
+    pred = nifti_io.read_as(args.pred, LabelMap)
     prompts = make_box_prompts(pred, args.class_id, args.padding)
     text = format_prompts(prompts)
     if args.out:
@@ -90,16 +81,16 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    labels, hdr = _read(args.candidate, "--candidate")
-    candidate = labels.data > 0
-    probs, _ = _read(args.probs, "--probs", ProbVolume)
+    candidate = nifti_io.read_as(args.candidate, LabelMap).data > 0
+    probs = nifti_io.read_as(args.probs, ProbVolume, candidate.shape)
     prompts = parse_prompts(Path(args.prompts).read_text(), class_id=args.class_id)
     config = RefinementConfig(tau_cls=args.tau_cls, delta_roi=args.delta_roi,
                               entropy_gate_active=args.gate_active)
     state = OrganRefinementState(args.class_id, mean_entropy=args.prev_entropy)
     result = refine_pseudo_label(candidate, probs, prompts, config, state)
     kept = paste_mask(result.mask, result.box, candidate.shape)
-    nifti_io.write_volume(args.out, mask_to_labels(kept), template=hdr)
+    nifti_io.write_volume(args.out, mask_to_labels(kept),
+                          template=nifti_io.read_header(args.candidate))
     entropy = "" if result.mean_entropy is None else f" mean_entropy={result.mean_entropy:.6f}"
     print(f"{'accept' if result.accepted else 'reject'} reason={result.reason}"
           f" voxels={np.count_nonzero(kept)}{entropy}")
@@ -107,26 +98,27 @@ def cmd_refine(args) -> int:
 
 
 def cmd_vls_mask(args) -> int:
-    probs, _ = _read(args.probs, "--probs", ProbVolume)
-    labels, hdr = _read(args.target, "--target")
+    probs = nifti_io.read_as(args.probs, ProbVolume)
+    labels = nifti_io.read_as(args.target, LabelMap, probs.dims)
     man = nifti_io.read_manifest(args.manifest)
     num_classes = max(labels.num_classes, man.num_classes, probs.num_classes)
-    labels = LabelMap(labels.data, num_classes)
-    target = SupervisionTarget(labels, man.classes_with_status("pseudo"))
-    mask = vls_mask(argmax_labelmap(probs), target)
-    nifti_io.write_volume(args.out, mask_to_labels(mask), template=hdr)
+    target = SupervisionTarget(LabelMap(labels.data, num_classes),
+                               man.classes_with_status("pseudo"))
+    mask = vls_mask(LabelMap(argmax_labelmap(probs).data, num_classes), target)
+    nifti_io.write_volume(args.out, mask_to_labels(mask),
+                          template=nifti_io.read_header(args.target))
     print(f"selected {int(mask.sum())}/{mask.size} voxels")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    pred, hdr = _read(args.pred, "--pred")
-    gt, _ = _read(args.gt, "--gt")
+    pred = nifti_io.read_as(args.pred, LabelMap)
+    gt = nifti_io.read_as(args.gt, LabelMap, pred.dims)
     num_classes = max(pred.num_classes, gt.num_classes)
     pred = LabelMap(pred.data, num_classes)
     gt = LabelMap(gt.data, num_classes)
     spacing = (_config_value("spacing", args.spacing) if args.spacing
-               else nifti_io.sane_spacing(hdr.pixdim))
+               else nifti_io.read_header(args.pred).spacing)
     names = {}
     if args.manifest:
         names = nifti_io.read_manifest(args.manifest).names

@@ -2,17 +2,23 @@
 files by which ``FileOracle`` (the client half) and ``Server`` (the server
 half) talk through a directory, and the protocol's one description.
 
-    req_<uid>.nii        request image (float32, with its scan's geometry)
+    req_<uid>.nii        request image: float32 3D, with its scan's geometry
     req_<uid>.prompts    segment only: box prompts, one line per box,
                          "axis slice a_min b_min a_max b_max"
-    resp_<uid>.prob.nii  predict: C-class float32 probabilities or a uint8
-                         label image; segment: 2-class float32 probabilities
-    resp_<uid>.nii       segment only: the uint8 0/1 mask
-    fit_<uid>/           training set: per example i (4 digits) scan_<i>.nii,
-                         .target.nii, .manifest and any VLS weights, .mask.nii
+    resp_<uid>.prob.nii  predict: float32 4D probabilities or a uint8 label
+                         image; segment: 2-class float32 4D probabilities
+    resp_<uid>.nii       segment only: a uint8 0/1 mask
+    fit_<uid>/           per example i (4 digits): float32 3D scan_<i>.nii, uint8
+                         .target.nii (labels below its .manifest's class count),
+                         .manifest and any VLS weights, uint8 .mask.nii
     fit_<uid>.req        fit request: "supervision=full|partial"
     fit_<uid>.done       the trainer's answer: the fit is over
     resp_<uid>.err       a failed answer, one line: "<ExceptionType>: <message>"
+
+``nifti_io.read_as`` reads each image as the kind above, on its request or
+example image's dims: the server answers a request file it refuses ``.err``
+without calling its model, and the client raises a refused answer as an
+``OracleProtocolError``.
 
 Images are whole-grid, and ``Server`` writes each answer on its request
 image's spacing and qform/sform.  Each file is committed: written under its
@@ -52,7 +58,7 @@ from . import nifti_io
 from .errors import ConfigError, OracleProtocolError, RejectedInputError
 from .prompting import BoxPromptPair, format_prompts, parse_prompts
 from .vls_loss import SupervisionTarget
-from .volgrid import LabelMap, ProbVolume, Volume, argmax_labelmap, mask_to_labels
+from .volgrid import LabelMap, ProbVolume, Volume, mask_to_labels
 
 log = logging.getLogger("promptseg.exchange")
 _sequence = itertools.count()
@@ -141,40 +147,13 @@ def send_fit(root, examples, supervision: str, *, copies: dict | None = None) ->
     return uid
 
 
-def predict_labels(answer, dims) -> LabelMap:
-    """A decoded predict answer as labels: probabilities reduced to their
-    argmax, a uint8 label image taken as it is (``num_classes`` = max + 1)."""
-    if isinstance(answer, ProbVolume):
-        answer = argmax_labelmap(answer)
-    elif not isinstance(answer, LabelMap):
-        raise OracleProtocolError("predict response is neither probabilities nor labels")
-    if answer.dims != dims:
-        raise OracleProtocolError(f"predict response dims {answer.dims} != request dims {dims}")
-    return answer
-
-
-def check_segment(mask, probs, dims) -> None:
-    """An ``OracleProtocolError`` unless the decoded segment answer is a 0/1
-    uint8 mask and 2-class probabilities, both on ``dims``."""
-    if not isinstance(mask, LabelMap):
-        raise OracleProtocolError("segment mask response is not a uint8 label image")
-    if mask.dims != dims:
-        raise OracleProtocolError(f"segment response dims {mask.dims} != request dims {dims}")
+def check_segment(mask: LabelMap, probs: ProbVolume) -> None:
+    """An ``OracleProtocolError`` unless the segment answer's mask is 0/1
+    and its probabilities are 2-class."""
     if int(mask.data.max()) > 1:
         raise OracleProtocolError("segment mask response is not binary")
-    if not isinstance(probs, ProbVolume) or probs.num_classes != 2:
+    if probs.num_classes != 2:
         raise OracleProtocolError("segment probability response must be 2-class")
-    if probs.dims != dims:
-        raise OracleProtocolError(f"segment probability dims {probs.dims} != request dims {dims}")
-
-
-def _read_labels(path: Path, dims):
-    """The data of a fit target or mask: a uint8 label image on its image's ``dims``."""
-    grid = nifti_io.read_volume(path)
-    if not isinstance(grid, LabelMap) or grid.dims != dims:
-        raise RejectedInputError(f"{path}: must be a uint8 label image on its image's dims {dims}, "
-                                 f"not a {type(grid).__name__} on {grid.dims}")
-    return grid.data
 
 
 def read_examples(fit_dir: Path):
@@ -184,12 +163,16 @@ def read_examples(fit_dir: Path):
         image, target, mask, manifest = _example_paths(fit_dir, idx)
         if not manifest.exists():
             return
-        man, volume = nifti_io.read_manifest(manifest), nifti_io.read_volume(image)
-        labels = LabelMap(_read_labels(target, volume.dims), man.num_classes)
+        man, volume = nifti_io.read_manifest(manifest), nifti_io.read_as(image, Volume)
+        labels = nifti_io.read_as(target, LabelMap, volume.dims)
+        if labels.num_classes > man.num_classes:
+            raise RejectedInputError(f"{target}: label {labels.num_classes - 1} >= the "
+                                     f"{man.num_classes} classes of {manifest.name}")
         yield TrainingExample(
-            volume, SupervisionTarget(labels, man.classes_with_status("pseudo")),
+            volume, SupervisionTarget(LabelMap(labels.data, man.num_classes),
+                                      man.classes_with_status("pseudo")),
             man.classes_with_status("labeled"),
-            _read_labels(mask, volume.dims) > 0 if mask.exists() else None)
+            nifti_io.read_as(mask, LabelMap, volume.dims).data > 0 if mask.exists() else None)
 
 
 class Server:
@@ -226,7 +209,7 @@ class Server:
             supervision = dict(line.split("=", 1) for line in text.split())["supervision"]
             self.specialist.fit(read_examples(path(self.root, "examples", uid)), supervision)
             return commit(path(self.root, "done", uid), "ok\n")
-        volume = nifti_io.read_volume(path(self.root, "image", uid))
+        volume = nifti_io.read_as(path(self.root, "image", uid), Volume)
         if kind == "predict":
             return self._commit_answer(path(self.root, "probs", uid),
                                        self.specialist.predict(volume), volume)

@@ -12,6 +12,11 @@ round-trips are bit-exact), and one axis rule maps it: the file dims
 reversed are the payload's C-order shape ([c,] z, y, x), whose z axis moved
 last gives the grid's [c,] y, x, z; a write makes the inverse move.
 
+``read_as`` reads every file from outside the package: the grid of the kind
+and dims its caller asks for, or a ``PromptsegError`` naming the file.  A
+payload its grid type refuses is a ``RejectedInputError``, not the
+``CorruptFileError`` that a reader may retry as a file still being written.
+
 Orientation metadata (qform/sform) is never interpreted, only carried: a
 float32 image read here keeps its header on its ``Volume``, and a grid
 written with that image as ``template`` takes the image's spacing and
@@ -59,12 +64,6 @@ _COUNTS = [(name, 1 if fmt.endswith("s") else int(fmt[:-1] or 1))
 _DESCRIP = b"promptseg"
 
 
-def sane_spacing(pixdim) -> tuple[float, float, float]:
-    """Replace nonpositive or non-finite pixdim entries with 1 mm; foreign
-    files sometimes leave pixdim at zero."""
-    return tuple(float(p) if np.isfinite(p) and p > 0.0 else 1.0 for p in pixdim)
-
-
 @dataclass
 class NiftiHeader:
     """Parsed subset of a NIfTI-1 header.
@@ -92,8 +91,9 @@ class NiftiHeader:
 
     @property
     def spacing(self) -> tuple[float, float, float]:
-        """The spacing of the ``Volume`` read with this header."""
-        return sane_spacing(self.pixdim)
+        """The spacing of the ``Volume`` read with this header: 1 mm for a
+        nonpositive or non-finite pixdim, as foreign files may leave it."""
+        return tuple(float(p) if np.isfinite(p) and p > 0.0 else 1.0 for p in self.pixdim)
 
 
 def _parse_header(raw: bytes, path) -> tuple[NiftiHeader, str]:
@@ -120,7 +120,7 @@ def _parse_header(raw: bytes, path) -> tuple[NiftiHeader, str]:
     if f["bitpix"] != _BITPIX[datatype]:
         raise CorruptFileError(f"{path}: bitpix {f['bitpix']} disagrees with datatype {datatype}")
     vox_offset = f["vox_offset"]
-    if vox_offset < HEADER_SIZE or vox_offset != int(vox_offset):
+    if not (vox_offset >= HEADER_SIZE and vox_offset.is_integer()):     # NaN, inf fail too
         raise CorruptFileError(f"{path}: bad vox_offset {vox_offset}")
     slope, inter = f["scl_slope"], f["scl_inter"]
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
@@ -155,16 +155,43 @@ def read_nifti(path) -> tuple[NiftiHeader, Volume | LabelMap | ProbVolume]:
         flat = flat.astype(dtype.newbyteorder("<"))
     # file axes (x, y, z[, c]) reversed are C order; then z goes after y, x
     arr = np.ascontiguousarray(np.moveaxis(flat.reshape(hdr.shape[::-1]), -3, -1))
-    if len(hdr.shape) == 4:
-        return hdr, ProbVolume(arr)
-    if hdr.datatype == DT_UINT8:
-        return hdr, LabelMap(arr, max(2, int(arr.max()) + 1))
-    return hdr, Volume(arr, hdr.spacing, header=hdr)
+    try:    # a payload its grid type refuses, probabilities off [0, 1] say
+        if len(hdr.shape) == 4:
+            return hdr, ProbVolume(arr)
+        if hdr.datatype == DT_UINT8:
+            return hdr, LabelMap(arr, max(2, int(arr.max()) + 1))
+        return hdr, Volume(arr, hdr.spacing, header=hdr)
+    except RejectedInputError as exc:
+        raise RejectedInputError(f"{path}: {exc}") from None
+
+
+def read_header(path) -> NiftiHeader:
+    """The header of the NIfTI file at ``path``, checked as ``read_nifti`` checks it."""
+    with open(path, "rb") as fh:
+        return _parse_header(fh.read(HEADER_SIZE), path)[0]
 
 
 def read_volume(path) -> Volume | LabelMap | ProbVolume:
     """Decode a supported NIfTI file; see read_nifti for the type mapping."""
     return read_nifti(path)[1]
+
+
+_KIND_NAMES = {Volume: "a float32 3D image", LabelMap: "a uint8 label image",
+               ProbVolume: "a float32 4D probability image"}
+
+
+def read_as(path, kind, dims=None):
+    """The grid in the file at ``path`` if it is a ``kind`` (a grid type or a
+    tuple of them) on ``dims`` (any, for ``None``), else a ``RejectedInputError``
+    naming the file, what it must be and what it is.  ``read_volume`` is looked
+    up per call, so a wrapper around it sees every read."""
+    grid = read_volume(path)
+    if not isinstance(grid, kind) or (dims is not None and grid.dims != dims):
+        must = " or ".join(_KIND_NAMES[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
+        on = "" if dims is None else f" on dims {dims}"
+        raise RejectedInputError(f"{path}: must be {must}{on}, "
+                                 f"not {_KIND_NAMES[type(grid)]} on {grid.dims}")
+    return grid
 
 
 def _encode_header(shape, datatype, pixdim, orientation: NiftiHeader | None) -> bytes:

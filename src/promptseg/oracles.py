@@ -23,7 +23,7 @@ from .errors import (CorruptFileError, NiftiError, OracleProtocolError,
                      OracleUnavailableError, PromptsegError, RejectedInputError)
 from .prompting import BoxPromptPair
 from .vls_loss import SupervisionTarget
-from .volgrid import Box, LabelMap, ProbVolume, Volume
+from .volgrid import Box, LabelMap, ProbVolume, Volume, argmax_labelmap
 
 
 Answer = tuple[np.ndarray, ProbVolume]
@@ -118,21 +118,22 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         self.timeout = float(timeout)
         self._copies: dict = {}
 
-    def _await_file(self, path: Path, deadline: float, decode: bool = True, error=None):
-        """Poll for ``path`` until ``deadline``: each pause is an eighth of the time
-        waited so far, at least 1 ms and at most ``POLL_INTERVAL_S``, so an answer is
-        seen at most about 1/8 of the wait after it lands.  A file missing once ``error``
-        exists, or missing or unreadable at the first look past the deadline, raises."""
+    def _await_file(self, path: Path, deadline: float, kind=None, dims=None, error=None):
+        """Poll for ``path`` until ``deadline`` and read it as a ``kind`` on ``dims``
+        (``nifti_io.read_as``), or not at all for ``None``.  Each pause is an eighth of
+        the time waited so far, at least 1 ms and at most ``POLL_INTERVAL_S``.  A file
+        missing once ``error`` exists, or missing or unreadable at the first look past
+        the deadline, raises."""
         start = time.monotonic()
         while True:
             corrupt = None
             if path.exists():
-                try:  # read_volume is looked up per call, so a wrapper around it sees every read
-                    return nifti_io.read_volume(path) if decode else None
+                try:
+                    return None if kind is None else nifti_io.read_as(path, kind, dims)
                 except CorruptFileError as exc:
                     corrupt = exc  # mid-write; retry
-                except (NiftiError, RejectedInputError) as exc:
-                    raise OracleProtocolError(f"{path}: {exc}") from exc
+                except (NiftiError, RejectedInputError) as exc:    # each names the file
+                    raise OracleProtocolError(str(exc)) from exc
             elif error is not None and error.exists():
                 raise OracleUnavailableError(f"error answer {error}: {error.read_text()}".strip())
             now = time.monotonic()
@@ -148,9 +149,10 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         """``sent`` is the uid of a request already written for ``volume``."""
         uid = sent or exchange.send(self.root, volume, copies=self._copies)
         deadline = time.monotonic() + self.timeout
-        resp = self._await_file(exchange.path(self.root, "probs", uid), deadline,
-                                error=exchange.path(self.root, "error", uid))
-        return exchange.predict_labels(resp, volume.dims)
+        answer = self._await_file(exchange.path(self.root, "probs", uid), deadline,
+                                  (ProbVolume, LabelMap), volume.dims,
+                                  error=exchange.path(self.root, "error", uid))
+        return argmax_labelmap(answer) if isinstance(answer, ProbVolume) else answer
 
     def predict_all(self, volumes: Sequence[Volume]) -> list[LabelMap]:
         """Every request is written before the first answer is awaited."""
@@ -164,9 +166,10 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         uid = sent or exchange.send(self.root, volume, prompts, copies=self._copies)
         deadline = time.monotonic() + self.timeout
         mask, probs = (self._await_file(exchange.path(self.root, name, uid), deadline,
+                                        kind, volume.dims,
                                         error=exchange.path(self.root, "error", uid))
-                       for name in ("mask", "probs"))
-        exchange.check_segment(mask, probs, volume.dims)
+                       for name, kind in (("mask", LabelMap), ("probs", ProbVolume)))
+        exchange.check_segment(mask, probs)
         return mask.data[region] > 0, probs.crop(region)
 
     def segment_all(self, requests: Sequence[tuple[Volume, BoxPromptPair, Box | None]]
@@ -182,7 +185,7 @@ class FileOracle(SpecialistOracle, GeneralistOracle):
         """Each example is written as it is taken; if taking one raises, no trainer starts."""
         uid = exchange.send_fit(self.root, examples, supervision, copies=self._copies)
         deadline = time.monotonic() + self.timeout
-        self._await_file(exchange.path(self.root, "done", uid), deadline, decode=False,
+        self._await_file(exchange.path(self.root, "done", uid), deadline,
                          error=exchange.path(self.root, "error", uid))
 
 

@@ -594,29 +594,21 @@ def _load_file_dataset(config: PipelineConfig):
     for man_path in manifests:
         scan_id = man_path.stem
         man = nifti_io.read_manifest(man_path)
-        vol = nifti_io.read_volume(root / f"{scan_id}.nii")
-        labels = nifti_io.read_volume(root / f"{scan_id}.labels.nii")
-        if not isinstance(vol, Volume) or not isinstance(labels, LabelMap):
-            raise ConfigError(f"{scan_id}: expected float32 image and uint8 labels")
         gt_path = root / f"{scan_id}.gt.nii"
-        gt = nifti_io.read_volume(gt_path) if gt_path.exists() else None
-        if gt is not None and not isinstance(gt, LabelMap):
-            raise ConfigError(f"{scan_id}: expected uint8 labels in {gt_path.name}")
-        for name, img in ((f"{scan_id}.labels.nii", labels), (gt_path.name, gt)):
-            if img is not None and img.dims != vol.dims:
-                raise ConfigError(f"{scan_id}: {name} dims {img.dims} differ from "
-                                  f"the image's {vol.dims}")
-        num_classes = max(man.num_classes, labels.num_classes)
-        labels = LabelMap(labels.data, num_classes)  # frozen arrays: shared, not copied
         try:
-            gt = None if gt is None else LabelMap(gt.data, num_classes)
-        except RejectedInputError as exc:
-            raise ConfigError(f"{scan_id}: {gt_path.name}: {exc}") from None
-        try:
+            vol = nifti_io.read_as(root / f"{scan_id}.nii", Volume)
+            labels = nifti_io.read_as(root / f"{scan_id}.labels.nii", LabelMap, vol.dims)
+            gt = nifti_io.read_as(gt_path, LabelMap, vol.dims) if gt_path.exists() else None
+            num_classes = max(man.num_classes, labels.num_classes)
+            labels = LabelMap(labels.data, num_classes)  # frozen arrays: shared, not copied
             sup = ScanSupervision.from_target(man.classes_with_status("labeled"), SupervisionTarget(
                 labels, man.classes_with_status("pseudo")))
         except RejectedInputError as exc:
             raise ConfigError(f"{scan_id}: {exc}") from None
+        try:
+            gt = None if gt is None else LabelMap(gt.data, num_classes)
+        except RejectedInputError as exc:
+            raise ConfigError(f"{scan_id}: {gt_path.name}: {exc}") from None
         train.append(Scan(scan_id, vol, sup, gt=gt))
         if gt is not None:
             test.append((scan_id, vol, gt))

@@ -160,6 +160,35 @@ def test_label_outputs_keep_the_geometry_of_their_label_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_vls_mask_takes_probabilities_with_fewer_channels_than_the_manifest_classes(
+        tmp_path, capsys):
+    """A 3-channel probability image against a 4-class manifest: the argmax
+    is relabeled to 4 classes, and the mask keeps a pseudo voxel (class 2)
+    only where the argmax agrees.  A --target that is not a label image is
+    refused by an error naming the file."""
+    rng = np.random.default_rng(4)
+    dims = (6, 5, 4)
+    labels = rng.integers(0, 3, dims).astype(np.uint8)
+    raw = rng.dirichlet(np.ones(3), size=dims).astype(np.float32)
+    probs = ProbVolume(np.ascontiguousarray(np.moveaxis(raw, -1, 0)))
+    paths = {name: tmp_path / f"{name}.nii" for name in ("probs", "target", "out")}
+    nifti_io.write_volume(paths["probs"], probs)
+    nifti_io.write_volume(paths["target"], LabelMap(labels, 3))
+    nifti_io.write_manifest(tmp_path / "scan.manifest", nifti_io.ScanManifest(
+        statuses={1: "labeled", 2: "pseudo", 3: "unlabeled"}))
+    argv = ["vls-mask", "--probs", str(paths["probs"]), "--target", str(paths["target"]),
+            "--manifest", str(tmp_path / "scan.manifest"), "--out", str(paths["out"])]
+    assert main(argv) == 0
+    expected = (labels != 2) | (np.argmax(probs.data, axis=0) == 2)
+    assert np.array_equal(nifti_io.read_volume(paths["out"]).data > 0, expected)
+    assert capsys.readouterr().out == f"selected {int(expected.sum())}/{expected.size} voxels\n"
+    argv[4] = str(paths["probs"])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths['probs']}: must be a uint8 label image on dims {dims}, "
+        f"not a float32 4D probability image on {dims}\n")
+
+
 def test_refine_entropy_gate_compares_with_prev_entropy(tmp_path, capsys):
     dims = (24, 24, 24)
     organ = sphere_mask(dims, (12, 12, 12), 4)

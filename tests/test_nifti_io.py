@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from promptseg.errors import (CorruptFileError, NotNiftiError, RejectedInputError,
-                              UnsupportedFormatError)
+from promptseg.errors import (CorruptFileError, NotNiftiError, PromptsegError,
+                              RejectedInputError, UnsupportedFormatError)
 from promptseg.nifti_io import (LAYOUT, MAGIC, NiftiHeader, ScanManifest, read_manifest,
                                 read_nifti, read_volume, status_manifest,
                                 write_manifest, write_volume)
@@ -131,6 +131,72 @@ def test_payload_one_byte_off_is_corrupt(tmp_path, grid, delta):
     path.write_bytes(blob[:-1] if delta < 0 else blob + b"\x00")
     with pytest.raises(CorruptFileError, match="payload is"):
         read_volume(path)
+
+
+def test_a_payload_its_grid_type_refuses_is_refused_naming_the_file(tmp_path):
+    """A 2-class file whose first voxel reads 0.9 and 0.5 is a
+    ``RejectedInputError`` naming the file: not corrupt, so not retried."""
+    data = np.full((2, 4, 3, 2), np.float32(0.5))
+    data[0, 0, 0, 0] = 0.9
+    probs = object.__new__(ProbVolume)   # unchecked, to write what the reader refuses
+    probs.data = data
+    path = tmp_path / "probs.nii"
+    write_volume(path, probs)
+    with pytest.raises(RejectedInputError,
+                       match=rf"^{re.escape(str(path))}: per-voxel probabilities sum to 1 off by"):
+        read_volume(path)
+
+
+def test_mutated_headers_read_or_raise_an_error_naming_the_file(tmp_path):
+    """4,000 headers of a float32, a uint8 and a 4D file, given random bytes
+    in a named ``LAYOUT`` field, a non-finite or extreme value in a float
+    field, odd ``dim`` entries, or truncated, each either read or raise a
+    ``PromptsegError`` whose message names the file."""
+    rng = np.random.default_rng(32)
+    fields, at = {}, 0
+    for name, fmt in LAYOUT:
+        size = struct.calcsize("<" + fmt)
+        if name:
+            fields[name] = (at, size)
+        at += size
+    names = sorted(fields)
+    floats = [name for name, fmt in LAYOUT if name and fmt.endswith("f")]
+    odd_floats = [np.nan, np.inf, -np.inf, 3.4e38, -1.0, 0.0, 348.5, 1e-45]
+    p = rng.random((4, 3, 2), dtype=np.float32)
+    path = tmp_path / "mutated.nii"
+    outcomes = {"read": 0, "refused": 0}
+    for grid in (Volume(rng.normal(size=(4, 3, 2)).astype(np.float32)),
+                 LabelMap(rng.integers(0, 3, (4, 3, 2)).astype(np.uint8), 3),
+                 ProbVolume(np.stack([p, 1 - p]))):
+        write_volume(path, grid)
+        base = path.read_bytes()
+        for trial in range(1334):
+            raw = bytearray(base)
+            if trial % 4 == 0:          # random bytes in part of one named field
+                offset, size = fields[names[rng.integers(len(names))]]
+                lo = int(rng.integers(size))
+                hi = int(rng.integers(lo + 1, size + 1))
+                raw[offset + lo:offset + hi] = rng.bytes(hi - lo)
+            elif trial % 4 == 1:        # an odd value in one entry of a float field
+                offset, size = fields[floats[rng.integers(len(floats))]]
+                struct.pack_into("<f", raw, offset + 4 * int(rng.integers(size // 4)),
+                                 odd_floats[rng.integers(len(odd_floats))])
+            elif trial % 4 == 2:        # truncated anywhere
+                del raw[rng.integers(len(raw)):]
+            else:                       # an odd dim entry, dim[0] (the rank) included
+                offset, _ = fields["dim"]
+                dim = list(struct.unpack_from("<8h", raw, offset))
+                dim[rng.integers(8)] = (rng.integers(-3, 10) if rng.random() < 0.5
+                                        else rng.integers(-32768, 32768))
+                struct.pack_into("<8h", raw, offset, *dim)
+            path.write_bytes(bytes(raw))
+            try:
+                read_volume(path)
+                outcomes["read"] += 1
+            except PromptsegError as exc:
+                assert str(path) in str(exc), (trial, exc)
+                outcomes["refused"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_big_endian_file_is_byte_swapped(tmp_path):

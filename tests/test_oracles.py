@@ -1373,7 +1373,8 @@ def test_file_oracle_predict_argmaxes_probabilities(tmp_path, serve):
 
 
 def test_file_oracle_predict_rejects_other_responses(tmp_path, serve):
-    with pytest.raises(OracleProtocolError, match="neither probabilities nor labels"):
+    with pytest.raises(OracleProtocolError, match=r"must be a float32 4D probability image or a "
+                       r"uint8 label image on dims \(6, 5, 4\), not a float32 3D image"):
         predict_answered_with(serve, tmp_path / "image", Volume(np.ones((6, 5, 4), np.float32)))
     with pytest.raises(OracleProtocolError, match="dims"):
         predict_answered_with(serve, tmp_path / "dims", LabelMap(np.ones((6, 5, 3), np.uint8), 2))
@@ -1500,7 +1501,7 @@ def test_file_oracle_wait_pauses_an_eighth_of_the_time_waited(tmp_path, monkeypa
     resp = tmp_path / "resp_x.prob.nii"
     resp.write_bytes(b"\x00" * 100)
     with pytest.raises(OracleProtocolError, match="still corrupt"):
-        FileOracle(tmp_path, timeout=0.5)._await_file(resp, deadline=0.5)
+        FileOracle(tmp_path, timeout=0.5)._await_file(resp, deadline=0.5, kind=ProbVolume)
     assert_bounded_lag(clock, 0.5)
 
 
@@ -1511,7 +1512,7 @@ def test_file_oracle_sees_an_answer_within_an_eighth_of_its_wait(tmp_path, monke
     done = tmp_path / "fit_x.done"
     clock = AnswerAt(done, at)
     monkeypatch.setattr(oracles, "time", clock)
-    FileOracle(tmp_path)._await_file(done, deadline=10.0, decode=False)
+    FileOracle(tmp_path)._await_file(done, deadline=10.0)
     assert at <= clock.now <= max(at + 0.001, 9 * at / 8) + 1e-12
     assert_bounded_lag(clock)
 
@@ -1534,15 +1535,20 @@ OUTSIDE_REGION[0, 0, 0] = 0.7                               # sums to 1.2 off th
 NAN_OFF_REGION = np.full(SEGMENT_DIMS, 0.5, np.float32)
 NAN_OFF_REGION[0, 0, 0] = np.nan
 BAD_SEGMENT_RESPONSES = {
-    "mask-not-labels": (Volume(np.zeros(SEGMENT_DIMS, np.float32)), None, "not a uint8 label"),
-    "mask-dims": (mask_to_labels(np.zeros((6, 5, 3), bool)), None, "segment response dims"),
+    "mask-not-labels": (Volume(np.zeros(SEGMENT_DIMS, np.float32)), None,
+                        r"must be a uint8 label image on dims \(6, 5, 4\), not a float32 3D"),
+    "mask-dims": (mask_to_labels(np.zeros((6, 5, 3), bool)), None,
+                  r"must be a uint8 label image on dims \(6, 5, 4\), not a uint8 label "
+                  r"image on \(6, 5, 3\)"),
     "mask-not-binary": (LabelMap(np.full(SEGMENT_DIMS, 2, np.uint8), 3), None, "not binary"),
     "mask-not-binary-off-region": (
         LabelMap(np.pad(np.zeros((4, 3, 2), np.uint8), 1, constant_values=2), 3), None,
         "not binary"),
     "probs-3-class": (None, ProbVolume(np.full((3,) + SEGMENT_DIMS, np.float32(1 / 3))),
                       "must be 2-class"),
-    "probs-dims": (None, two_class_probs(np.zeros((6, 5, 3), bool)), "probability dims"),
+    "probs-dims": (None, two_class_probs(np.zeros((6, 5, 3), bool)),
+                   r"must be a float32 4D probability image on dims \(6, 5, 4\), not a "
+                   r"float32 4D probability image on \(6, 5, 3\)"),
     "probs-sum-off-region": (None, unchecked_probs(np.stack([OUTSIDE_REGION, OUTSIDE_REGION])),
                              "sum to 1"),
     "probs-nan-off-region": (None, unchecked_probs(np.stack([NAN_OFF_REGION, NAN_OFF_REGION])),
@@ -1937,8 +1943,8 @@ def test_server_answers_a_fit_whose_target_is_float32_with_an_error(tmp_path):
     nifti_io.write_volume(target, Volume(nifti_io.read_volume(target).data + np.float32(0.4)))
     assert server.serve_once() == 1
     assert exchange.path(tmp_path, "error", uid).read_text() == (
-        f"RejectedInputError: {target}: must be a uint8 label image on its image's dims "
-        "(10, 10, 10), not a Volume on (10, 10, 10)\n")
+        f"RejectedInputError: {target}: must be a uint8 label image on dims "
+        "(10, 10, 10), not a float32 3D image on (10, 10, 10)\n")
     assert not exchange.path(tmp_path, "done", uid).exists() and taken == []
 
 
@@ -1961,8 +1967,59 @@ def test_server_answers_a_fit_whose_target_or_mask_is_off_its_image_dims_with_an
     nifti_io.write_volume(bad, LabelMap(nifti_io.read_volume(bad).data[:, :, :9], 3))
     assert server.serve_once() == 1
     assert exchange.path(tmp_path, "error", uid).read_text() == (
-        f"RejectedInputError: {bad}: must be a uint8 label image on its image's dims "
-        "(10, 10, 10), not a LabelMap on (10, 10, 9)\n")
+        f"RejectedInputError: {bad}: must be a uint8 label image on dims "
+        "(10, 10, 10), not a uint8 label image on (10, 10, 9)\n")
+    assert not exchange.path(tmp_path, "done", uid).exists() and taken == []
+
+
+@pytest.mark.parametrize("kind", ["predict", "segment"])
+@pytest.mark.parametrize("image", ["uint8", "4D"])
+def test_server_answers_a_request_image_that_is_not_float32_3d_with_an_error(
+        tmp_path, kind, image):
+    """A predict or segment request image that is a uint8 or 4D file is
+    answered ``.err`` naming the file, and the model is never called."""
+    model = Stub(indexed_predict_answer if kind == "predict" else indexed_segment_answer)
+    server = Server(tmp_path, **{"specialist" if kind == "predict" else "generalist": model})
+    uid = exchange.send(tmp_path, indexed_volume(1), None if kind == "predict" else GOOD_PROMPTS)
+    request = exchange.path(tmp_path, "image", uid)
+    grid, what = ((mask_to_labels(GOOD_MASK), "a uint8 label image") if image == "uint8"
+                  else (two_class_probs(GOOD_MASK), "a float32 4D probability image"))
+    nifti_io.write_volume(request, grid)
+    assert server.serve_once() == 1
+    assert exchange.path(tmp_path, "error", uid).read_text() == (
+        f"RejectedInputError: {request}: must be a float32 3D image, not {what} on (6, 5, 4)\n")
+    assert model.answered == []
+
+
+@pytest.mark.parametrize("case", ["uint8-image", "4D-image", "target-above-manifest"])
+def test_server_answers_a_fit_with_a_refused_example_file_with_an_error(tmp_path, case):
+    """A fit example image that is not a float32 3D image, or a target
+    holding a label at or above its manifest's class count, is answered
+    ``.err`` naming the file, and the trainer takes no example."""
+    suite, _ = registered_suite(n=1, organs=2, dims=(10, 10, 10))
+    gt = suite[0][2]                                        # labels 0, 1 and 2
+    example = TrainingExample(suite[0][1], SupervisionTarget(gt), frozenset({1}))
+    taken = []
+
+    class Taking(Stub):
+        def fit(self, examples, supervision="full"):
+            taken.extend(examples)
+    server = Server(tmp_path, specialist=Taking())
+    uid = exchange.send_fit(tmp_path, [example], "full")
+    fit_dir = exchange.path(tmp_path, "examples", uid)
+    if case == "target-above-manifest":
+        nifti_io.write_manifest(fit_dir / "scan_0000.manifest", nifti_io.status_manifest(2, {1}))
+        bad = fit_dir / "scan_0000.target.nii"
+        message = "label 2 >= the 2 classes of scan_0000.manifest"
+    else:
+        grid, what = ((gt, "a uint8 label image") if case == "uint8-image"
+                      else (two_class_probs(gt.data > 0), "a float32 4D probability image"))
+        bad = fit_dir / "scan_0000.nii"
+        nifti_io.write_volume(bad, grid)
+        message = f"must be a float32 3D image, not {what} on (10, 10, 10)"
+    assert server.serve_once() == 1
+    assert exchange.path(tmp_path, "error", uid).read_text() == (
+        f"RejectedInputError: {bad}: {message}\n")
     assert not exchange.path(tmp_path, "done", uid).exists() and taken == []
 
 
