@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Byte-identity gate: the seed-7 and seed-13 output digests of every benchmark
 # workload must equal the values recorded below.  The values were made with
-# numpy 2.4.6 and scipy 1.17.1; other versions may move them.  A change that
+# numpy 2.4.6 (no workload imports scipy); another numpy may move them.  A change that
 # fixes a defect and moves the outputs updates them and says so in CHANGES.md.
 # The traced seed-7 runs of the phantom workloads must also make the recorded
 # numbers of specialist predict and generalist segment calls, and the traced

@@ -157,22 +157,30 @@ def check_segment(mask: LabelMap, probs: ProbVolume) -> None:
 
 
 def read_examples(fit_dir: Path):
-    """The ``TrainingExample``s in ``fit_dir``, each read as it is taken."""
+    """The ``TrainingExample``s in ``fit_dir``, each read as it is taken, once every
+    example's manifest and file headers (kind and dims) are checked, before any is."""
+    examples = list(itertools.takewhile(lambda paths: paths[3].exists(), (
+        _example_paths(fit_dir, idx) for idx in itertools.count())))
+    for image, target, mask, manifest in examples:
+        nifti_io.read_manifest(manifest)
+        dims = nifti_io.read_header_as(image, Volume).dims
+        for labels in (target, mask) if mask.exists() else (target,):
+            nifti_io.read_header_as(labels, LabelMap, dims)
+    return (_read_example(*paths) for paths in examples)
+
+
+def _read_example(image: Path, target: Path, mask: Path, manifest: Path):
     from .oracles import TrainingExample        # oracles imports this module
-    for idx in itertools.count():
-        image, target, mask, manifest = _example_paths(fit_dir, idx)
-        if not manifest.exists():
-            return
-        man, volume = nifti_io.read_manifest(manifest), nifti_io.read_as(image, Volume)
-        labels = nifti_io.read_as(target, LabelMap, volume.dims)
-        if labels.num_classes > man.num_classes:
-            raise RejectedInputError(f"{target}: label {labels.num_classes - 1} >= the "
-                                     f"{man.num_classes} classes of {manifest.name}")
-        yield TrainingExample(
-            volume, SupervisionTarget(LabelMap(labels.data, man.num_classes),
-                                      man.classes_with_status("pseudo")),
-            man.classes_with_status("labeled"),
-            nifti_io.read_as(mask, LabelMap, volume.dims).data > 0 if mask.exists() else None)
+    man, volume = nifti_io.read_manifest(manifest), nifti_io.read_as(image, Volume)
+    labels = nifti_io.read_as(target, LabelMap, volume.dims)
+    if labels.num_classes > man.num_classes:
+        raise RejectedInputError(f"{target}: label {labels.num_classes - 1} >= the "
+                                 f"{man.num_classes} classes of {manifest.name}")
+    return TrainingExample(
+        volume, SupervisionTarget(LabelMap(labels.data, man.num_classes),
+                                  man.classes_with_status("pseudo")),
+        man.classes_with_status("labeled"),
+        nifti_io.read_as(mask, LabelMap, volume.dims).data > 0 if mask.exists() else None)
 
 
 class Server:

@@ -10,10 +10,11 @@ percentile is read off with linear interpolation.
 Each nearest distance is the all-pairs ``sqrt(min(sum((p - q) ** 2)))`` over
 the scaled coordinates, bit for bit (0 for a voxel on both boundaries): over
 all pairs in a search of up to ``ALL_PAIRS`` pairs, else from a ``cKDTree``,
-which sums the same squares in the same order and is imported on first use.
+which sums the same squares in the same order and is imported on first use
+(the package's only use of scipy).
 
 ``evaluate_scan`` works on the union of the class's bounding boxes in the
-two maps, from one ``ndimage.find_objects`` pass per map.  Both masks are
+two maps, from one ``volgrid.label_boxes`` pass per map.  Both masks are
 background outside it, as at its faces, so boundaries, C order and
 distances are the grid's.
 """
@@ -23,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyMaskError, RejectedInputError
-from .volgrid import LabelMap, union_box
+from .volgrid import LabelMap, label_boxes, union_box
 
 HD95_PERCENTILE = 95.0
 ALL_PAIRS = 1 << 12     # the most pairs one search compares without a k-d tree
@@ -139,8 +139,8 @@ def evaluate_scan(pred: LabelMap, gt: LabelMap, spacing=(1.0, 1.0, 1.0),
     missing = volume_diagonal(gt.dims, spacing) if hd95_missing == "max_diag" else None
     last = gt.num_classes - 1
     per_class = []
-    for c, pb, gb in zip(range(1, last + 1), ndimage.find_objects(pred.data, max_label=last),
-                         ndimage.find_objects(gt.data, max_label=last)):
+    for c, pb, gb in zip(range(1, last + 1), label_boxes(pred.data, last),
+                         label_boxes(gt.data, last)):
         if pb is None and gb is None:
             per_class.append(ClassMetrics(c, 1.0, missing))
             continue

@@ -186,12 +186,24 @@ def read_as(path, kind, dims=None):
     naming the file, what it must be and what it is.  ``read_volume`` is looked
     up per call, so a wrapper around it sees every read."""
     grid = read_volume(path)
-    if not isinstance(grid, kind) or (dims is not None and grid.dims != dims):
+    _check_kind(path, kind, dims, type(grid), grid.dims)
+    return grid
+
+
+def read_header_as(path, kind, dims=None) -> NiftiHeader:
+    """``read_as``'s check on the header alone, which it returns."""
+    hdr = read_header(path)
+    got = ProbVolume if len(hdr.shape) == 4 else LabelMap if hdr.datatype == DT_UINT8 else Volume
+    _check_kind(path, kind, dims, got, hdr.dims)
+    return hdr
+
+
+def _check_kind(path, kind, dims, got, got_dims) -> None:
+    if not issubclass(got, kind) or (dims is not None and got_dims != dims):
         must = " or ".join(_KIND_NAMES[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
         on = "" if dims is None else f" on dims {dims}"
         raise RejectedInputError(f"{path}: must be {must}{on}, "
-                                 f"not {_KIND_NAMES[type(grid)]} on {grid.dims}")
-    return grid
+                                 f"not {_KIND_NAMES[got]} on {got_dims}")
 
 
 def _encode_header(shape, datatype, pixdim, orientation: NiftiHeader | None) -> bytes:

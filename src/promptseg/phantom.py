@@ -28,14 +28,13 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, PromptsegError, RejectedInputError, UnknownVolumeError
 from .oracles import (Answer, GeneralistOracle, SpecialistOracle, TrainingExample,
                       _checked_region, _each_answer)
 from .prompting import DEFAULT_PADDING, BoxPromptPair, format_prompts
 from .refinement import roi_ranges
-from .volgrid import Box, LabelMap, ProbVolume, Volume, _freeze, union_box
+from .volgrid import Box, LabelMap, ProbVolume, Volume, _freeze, label_boxes, union_box
 
 
 def _cpus() -> int:
@@ -78,6 +77,8 @@ IMAGE_SIGMA = 0.05
 RADIUS_FRACTIONS = (0.11, 0.17)
 #: Values in one block of a whole-grid draw (a block of y-planes) or count.
 DRAW_BLOCK = 1 << 16
+#: Values in one block of ``_min_plus``'s sums, and the longest side it takes.
+MIN_PLUS_BLOCK, LONG_SIDE = 1 << 17, 80
 #: A standard normal exceeds this with probability about 1e-9 (see ``PhantomSpecialist``).
 NOISE_BOUND = 6.0
 #: Voxels an organ's center keeps, beyond its largest semi-axis, from each grid face.
@@ -189,17 +190,26 @@ def generate_phantom(spec: PhantomSpec, seed, spacing=(1.0, 1.0, 1.0)) -> tuple[
     organ-index priority: earlier organs keep contested voxels.  Each organ is
     written on its ellipsoid's box; the image is built by blocks of y-planes.
     """
+    return _rasterized(spec, seed, spacing)[:2]
+
+
+def _rasterized(spec: PhantomSpec, seed, spacing) -> tuple[Volume, LabelMap, list[int]]:
+    """``generate_phantom``'s scan, and the organs that wrote no voxel on their box."""
     labels = np.zeros(spec.dims, dtype=np.uint8)
+    empty = []
     for idx, ell in enumerate(spec.organs, start=1):
         box, inside = _ellipsoid_on_box(spec.dims, ell)
         sub = labels[box]
-        sub[inside & (sub == 0)] = idx
+        inside &= sub == 0
+        sub[inside] = idx
+        if not inside.any():
+            empty.append(idx)
     intensity = np.array([0.0] + [ell.intensity for ell in spec.organs], dtype=np.float64)
     image = np.empty(spec.dims, dtype=np.float32)
     whole = tuple(slice(0, n) for n in spec.dims)
     for _, at, noise in _noise_blocks(np.random.default_rng(seed), spec.dims, whole):
         image[at] = intensity[labels[at]] + IMAGE_SIGMA * noise
-    return Volume(image, spacing), LabelMap(labels, max(2, spec.num_classes))
+    return Volume(image, spacing), LabelMap(labels, max(2, spec.num_classes)), empty
 
 
 def random_phantom_spec(dims: tuple[int, int, int], num_organs: int, rng) -> PhantomSpec:
@@ -245,9 +255,7 @@ def make_phantom_suite(n_scans: int, num_organs: int, dims: tuple[int, int, int]
     for idx in range(n_scans):
         rng = np.random.default_rng((seed, 1000 + idx))
         spec = random_phantom_spec(dims, num_organs, rng)
-        vol, gt = generate_phantom(spec, (seed, 2000 + idx), spacing)
-        boxes = ndimage.find_objects(gt.data, max_label=num_organs)
-        empty = [c for c, box in enumerate(boxes, start=1) if box is None]
+        vol, gt, empty = _rasterized(spec, (seed, 2000 + idx), spacing)
         if empty:
             raise ConfigError(f"phantom organ {empty[0]} rasterized empty; dims too small")
         scans.append((f"scan{idx:03d}", vol, gt))
@@ -280,21 +288,69 @@ def _signed_roots(dims: tuple[int, int, int]) -> np.ndarray:
     ``dims``: entry ``k`` is ``sqrt(k)`` and entry ``-k`` (counted from the
     end) is ``-sqrt(k)``, for every ``k`` up to the grid's largest squared
     distance ``sum((n - 1) ** 2)``.  ``sqrt`` is taken in float64 and rounded
-    once, as scipy's EDT and then a float32 cast would."""
+    once, as a float64 EDT and then a float32 cast would."""
     roots = np.sqrt(np.arange(sum((n - 1) ** 2 for n in dims) + 1.0)).astype(np.float32)
     return _freeze(np.concatenate([roots, -roots[:0:-1]]))
 
 
 def _squared_edt(image: np.ndarray) -> np.ndarray:
-    """Each voxel's integer squared distance to its nearest zero voxel, int32,
-    from scipy's exact feature transform: its EDT squares these very offsets,
-    sums them in float64 and takes the root."""
-    ft = ndimage.distance_transform_edt(image, return_distances=False, return_indices=True)
-    for axis, nearest in enumerate(ft):
-        nearest -= np.arange(nearest.shape[axis], dtype=ft.dtype).reshape(
-            [-1 if a == axis else 1 for a in range(3)])
-        nearest *= nearest
-    return ft.sum(axis=0, dtype=np.int32)
+    """Each voxel's exact squared distance to its nearest zero voxel (there is one): from
+    ``big`` off the zeros, each axis takes the min-plus ``g[i] = min_j f[j] + (i - j) ** 2``
+    along its lines (Felzenszwalb & Huttenlocher, ToC 2012); int16 while ``2 * big`` fits."""
+    big = sum((n - 1) ** 2 for n in image.shape) + 1
+    dtype = np.int16 if 2 * big <= np.iinfo(np.int16).max else np.int32
+    f = np.where(image, dtype(big), dtype(0))
+    for axis, n in enumerate(image.shape):
+        lines = np.moveaxis(f, axis, 0)
+        flat = np.ascontiguousarray(lines).reshape(n, -1)
+        g = _lower_envelope(flat) if n > LONG_SIDE else _min_plus(flat)
+        f = np.moveaxis(g.reshape(lines.shape), 0, axis)
+    return np.ascontiguousarray(f)
+
+
+def _min_plus(f: np.ndarray) -> np.ndarray:
+    """The min-plus along axis 0 of ``f`` (n, lines) over all pairs, by blocks
+    of ``j`` whose sums hold about ``MIN_PLUS_BLOCK`` values."""
+    n, lines = f.shape
+    square = (np.arange(n, dtype=f.dtype)[:, None] - np.arange(n, dtype=f.dtype)) ** 2
+    step = max(1, MIN_PLUS_BLOCK // (n * lines))
+    g = f.copy()
+    for j in range(0, n, step):
+        sums = f[None, j:j + step] + square[:, j:j + step, None]
+        np.minimum(g, sums.min(axis=1) if step > 1 else sums[:, 0], out=g)
+    return g
+
+
+def _lower_envelope(f: np.ndarray) -> np.ndarray:
+    """The min-plus along axis 0 of ``f`` (n, lines) from each line's lower envelope
+    of the parabolas ``f[j] + (i - j) ** 2``, built for all lines at once.  Where one
+    starts to be lowest is a ratio of integers over less than ``2 n``: exact in float64."""
+    live = np.flatnonzero(f.min(axis=0) < f.max(axis=0))  # a constant line is its own min-plus
+    out, f = f.copy(), f[:, live]
+    n, lines = f.shape
+    line, values = np.arange(lines), f.reshape(-1)
+    apexes = np.zeros(n * lines, dtype=np.int32)      # [k * lines + line]: the stacks
+    starts = np.concatenate([np.full(lines, -np.inf), np.full(n * lines, np.inf)])
+    top, meet = line.copy(), np.empty(lines)          # each line's top of stack, a flat index
+    for q in range(1, n):
+        at = line
+        while at.size:                                # pop the tops that q is lowest from
+            j = apexes[top[at]]
+            meet[at] = m = (f[q, at] + float(q * q) - values[j * lines + at]
+                            - j.astype(np.float64) ** 2) / (2 * (q - j))
+            at = at[m <= starts[top[at]]]
+            top[at] -= lines
+        top += lines
+        apexes[top], starts[top], starts[top + lines] = q, meet, np.inf
+    top = line.copy()
+    for i in range(n):
+        at = line
+        while at.size:                                # move up to the parabola lowest at i
+            at = at[starts[top[at] + lines] <= i]
+            top[at] += lines
+        j = apexes[top]
+        out[i, live] = values[j * lines + line] + (i - j) ** 2
+    return out
 
 
 @dataclass
@@ -313,24 +369,24 @@ class _PhantomScan:
     @cached_property
     def corners(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
         """Per class from 1, the read-only inclusive int64 corners ``(lo, hi)``
-        of its voxels (``None`` if it has none), from one ``find_objects`` pass."""
+        of its voxels (``None`` if it has none), from one ``label_boxes`` pass."""
         return [None if box is None else
                 (_freeze(np.array([s.start for s in box], dtype=np.int64)),
                  _freeze(np.array([s.stop - 1 for s in box], dtype=np.int64)))
-                for box in ndimage.find_objects(self.gt.data)]
+                for box in label_boxes(self.gt.data, self.gt.num_classes - 1)]
 
 
 class PhantomRegistry:
     """Ground truth lookup for phantom oracles, keyed by volume fingerprint.
 
     Per scan it keeps every organ's tight bounding box, from one
-    ``ndimage.find_objects`` pass, and per organ one signed distance field
-    (positive inside, in voxels) together with the region it covers.  The
-    field on a region equals the full-grid field there, byte for byte:
+    ``label_boxes`` pass, and per organ one signed distance field (positive
+    inside, in voxels) together with the region it covers.  The field on a
+    region equals the full-grid field there, byte for byte:
 
-    - the outside distance is an exact EDT (Maurer et al., TPAMI 2003) of a
-      region that holds every organ voxel, so each voxel's nearest organ
-      voxel is inside it;
+    - the outside distance is an exact EDT (``_squared_edt``) of a region
+      that holds every organ voxel, so each voxel's nearest organ voxel is
+      inside it;
     - the inside distance is taken on the organ's box grown by one voxel
       (clipped to the grid), which every region is widened to hold: clamping
       an organ voxel's nearest background voxel into that box moves it no
@@ -342,8 +398,8 @@ class PhantomRegistry:
     int16, 2 bytes a voxel, unless the region's own ``sum((extent - 1) ** 2)``
     (the largest ``k`` a voxel and its nearest feature, both inside the
     region, can have) exceeds int16, then int32.  A read gathers the float32
-    values from a per-grid table of ``+-sqrt(k)``.  A whole-grid request
-    keeps the float32 field instead, so later requests are views of it.
+    values, those of scipy's EDT cast to float32, from a per-grid table of
+    ``+-sqrt(k)``; a whole-grid request keeps them, so later ones are views.
     """
 
     def __init__(self):
@@ -383,37 +439,27 @@ class PhantomRegistry:
         whole = tuple(slice(0, n) for n in scan.gt.dims)
         want = region or whole
         at, sd = scan.sdist.get(class_id, (None, None))
-        if want == whole and (sd is None or sd.dtype != np.float32):
-            at, sd = scan.sdist[class_id] = self._field(fp, class_id, whole, squared=False)
-        elif at is None or _within(want, at) is None:
-            at, sd = scan.sdist[class_id] = self._field(fp, class_id, want, squared=True)
+        if at is None or _within(want, at) is None:
+            at, sd = scan.sdist[class_id] = self._field(fp, class_id, want)
         part = sd if at == want else sd[_within(want, at)]
-        return part if part.dtype == np.float32 else _freeze(
-            _signed_roots(scan.gt.dims)[part])
+        if part.dtype != np.float32:
+            part = _freeze(_signed_roots(scan.gt.dims)[part])
+            if want == whole:
+                scan.sdist[class_id] = at, part
+        return part
 
-    def _field(self, fp: str, class_id: int, want: Box,
-               squared: bool) -> tuple[Box, np.ndarray]:
-        """The signed field on ``want`` widened to hold the organ's box grown
-        by one voxel, and that region: int16/int32 codes if ``squared``, else
-        float32 distances from scipy's EDT, the same values.  The whole grid
-        is not decoded from codes: the EDT's larger temporaries raise glibc's
-        dynamic heap trim threshold, and below it a process that serves
-        whole-grid answers returns and re-faults their pages on every answer."""
+    def _field(self, fp: str, class_id: int, want: Box) -> tuple[Box, np.ndarray]:
+        """The signed field's codes on ``want`` widened to hold the organ's box
+        grown by one voxel, and that region."""
         scan = self._scans[fp]
         grown = _grow(*self.organ_bbox(fp, class_id), 1, scan.gt.dims)
         at = union_box((want, grown))
         mask = scan.gt.data[at] == class_id
-        edt = _squared_edt if squared else ndimage.distance_transform_edt
-        sd = -edt(~mask)
+        sd = -_squared_edt(~mask)
         inner = _within(grown, at)
-        sd[inner] += edt(mask[inner])      # edt(mask) is 0 off the mask, edt(~mask) on it
-        if not squared:
-            dtype = np.float32
-        elif sum((s.stop - s.start - 1) ** 2 for s in at) <= np.iinfo(np.int16).max:
-            dtype = np.int16
-        else:
-            dtype = np.int32
-        return at, _freeze(sd.astype(dtype))
+        sd[inner] += _squared_edt(mask[inner])  # 0 off the mask, as the outside one is on it
+        small = sum((s.stop - s.start - 1) ** 2 for s in at) <= np.iinfo(np.int16).max
+        return at, _freeze(sd.astype(np.int16 if small else np.int32))
 
     def organ_bbox(self, fp: str, class_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only inclusive int64 corners ``(lo, hi)`` of the class's voxels."""

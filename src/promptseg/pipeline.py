@@ -24,7 +24,6 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy import ndimage
 
 from . import nifti_io
 from .errors import (ConfigError, NoPredictionError, PromptsegError,
@@ -41,7 +40,7 @@ from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementStat
 from .vls_loss import SupervisionTarget, vls_mask
 # unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
 from .volgrid import (EMPTY_BOX, MAX_CLASSES, LabelMap, Volume, argmax_labelmap,
-                      union_box, valid_spacing)
+                      label_boxes, union_box, valid_spacing)
 
 log = logging.getLogger("promptseg.pipeline")
 
@@ -74,7 +73,7 @@ class ScanSupervision:
                                      f"got {sorted(labeled)}")
         if given.pseudo_classes & labeled:
             raise RejectedInputError("pseudo classes must be unlabeled")
-        boxes = ndimage.find_objects(labels.data, max_label=labels.num_classes - 1)
+        boxes = label_boxes(labels.data, labels.num_classes - 1)
         stray = {c for c, box in enumerate(boxes, 1) if box} - labeled - given.pseudo_classes
         if stray:
             raise RejectedInputError(f"classes {sorted(stray)} have labels but are neither "
@@ -421,11 +420,15 @@ def predict_labels(scans: list[Scan], specialist: SpecialistOracle) -> dict[str,
     organ, from one ``predict_all``: one predict per scan per round, read by
     the round's prompts and by the VLS masks of the refit that follows it.
     A label >= the scan's class count (say, from an external model) is a
-    ``RejectedInputError``."""
+    ``RejectedInputError`` naming the scan."""
     todo = [scan for scan in scans if scan.supervision.unlabeled]
-    labels = specialist.predict_all([scan.volume for scan in todo])
-    return {scan.scan_id: LabelMap(pred.data, scan.supervision.num_classes)
-            for scan, pred in zip(todo, labels)}
+    predictions = {}
+    for scan, pred in zip(todo, specialist.predict_all([scan.volume for scan in todo])):
+        try:
+            predictions[scan.scan_id] = LabelMap(pred.data, scan.supervision.num_classes)
+        except RejectedInputError as exc:
+            raise RejectedInputError(f"{scan.scan_id}: predicted {exc}") from None
+    return predictions
 
 
 def pseudo_label_round(scans: list[Scan], predictions: dict[str, LabelMap],

@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 
 PROB_SUM_TOL = 1e-5
 MAX_CLASSES = 256  # labels are stored as uint8
+LABEL_BLOCK = 1 << 16  # voxels in one block of y-planes that label_boxes reads at a time
 
 Box = tuple[slice, slice, slice]  # (y, x, z) slices with explicit, in-grid bounds
 EMPTY_BOX: Box = (slice(0, 0),) * 3
@@ -170,6 +171,26 @@ def crop_mask(mask: np.ndarray, origin=(0, 0, 0)) -> tuple[np.ndarray, Box]:
                   for n in (ys, np.flatnonzero(xz.any(axis=1)), np.flatnonzero(xz.any(axis=0))))
     return mask[tight].copy(), tuple(slice(t.start + o, t.stop + o)
                                       for t, o in zip(tight, origin))
+
+
+def label_boxes(data: np.ndarray, last: int) -> list[Box | None]:
+    """Per label 1..``last``, the tight box of its voxels in the 3D grid of integers
+    ``data`` (up to 255), or None: ``scipy.ndimage.find_objects(data, max_label=last)``.
+    Each block of y-planes counts its nonzero voxels' (label, coordinate) pairs per axis."""
+    dims, planes = data.shape, data.reshape(data.shape[0], -1)
+    counts = [np.zeros((last + 1) * n, dtype=np.intp) for n in dims]  # [label * n + coord]
+    step = max(1, LABEL_BLOCK // planes.shape[1])
+    for y0 in range(0, dims[0], step):
+        rows = planes[y0:y0 + step]
+        at = np.flatnonzero(rows != 0)
+        label = rows.reshape(-1)[at].astype(np.intp)
+        y, x, z = np.unravel_index(at, (len(rows),) + dims[1:])
+        for count, n, coord in zip(counts, dims, (y + y0, x, z)):
+            count += np.bincount(label * n + coord, minlength=count.size)[:count.size]
+    seen = [count.reshape(last + 1, n)[1:] > 0 for count, n in zip(counts, dims)]
+    ends = [(s.argmax(axis=1), n - s[:, ::-1].argmax(axis=1)) for s, n in zip(seen, dims)]
+    return [tuple(slice(int(a[c]), int(b[c])) for a, b in ends) if seen[0][c].any() else None
+            for c in range(last)]
 
 
 def paste_mask(mask: np.ndarray, box: Box, dims) -> np.ndarray:

@@ -361,9 +361,24 @@ def test_run_creates_nothing_before_its_checks_and_logs_a_good_run(tmp_path, cap
     assert lines[-1].startswith("INFO promptseg.pipeline: final evaluation: mean DSC ")
 
 
+def test_import_and_a_phantom_run_load_no_scipy(tmp_path):
+    """``import promptseg, promptseg.cli`` and then a 16^3 phantom
+    ``run_pipeline`` in a fresh interpreter load no ``scipy`` module at all."""
+    path = [str(Path(promptseg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = ("import sys, promptseg, promptseg.cli\n"
+            "from promptseg.pipeline import PipelineConfig, run_pipeline\n"
+            "result = run_pipeline(PipelineConfig(dims=(16, 16, 16), organs=3, scans=3, "
+            f"test_scans=1, rounds=2, out_dir={str(tmp_path / 'out')!r}))\n"
+            "print(result.mean_dsc > 0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "True []"
+
+
 def test_import_loads_no_scipy_spatial_linalg_or_sparse():
     """``import promptseg`` and ``import promptseg.cli`` in a fresh interpreter
-    load scipy's ``ndimage`` only: no ``spatial``, ``linalg`` or ``sparse``."""
+    load no scipy ``spatial``, ``linalg`` or ``sparse``."""
     path = [str(Path(promptseg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     code = ("import sys, promptseg, promptseg.cli; print(sorted(m for m in sys.modules if "

@@ -387,6 +387,28 @@ def assert_signed_distances_exact(registry, fp, gt):
         assert got.tobytes() == full_grid_signed_distance(gt, c).tobytes(), c
 
 
+@pytest.mark.parametrize("dims, dtype", [
+    ((1, 1, 1), np.int16), ((1, 9, 1), np.int16), ((6, 1, 7), np.int16),
+    ((13, 17, 11), np.int16), ((8, 78, 103), np.int16), ((9, 78, 103), np.int32),
+    ((80, 3, 80), np.int16), ((81, 2, 96), np.int16), ((3, 200, 4), np.int32)])
+def test_squared_edt_equals_scipy_edt(dims, dtype):
+    """The roots of ``_squared_edt`` are ``ndimage.distance_transform_edt``'s
+    distances, bit for bit, on random masks from one zero voxel (no other
+    line or plane holds one) to many.  Sides of 1; both kernels
+    (``LONG_SIDE`` = 80); int16 up to the edge where twice the grid's
+    largest squared distance, plus one, still fits (8 x 78 x 103), int32
+    past it (9 x 78 x 103)."""
+    rng = np.random.default_rng(sum(dims))
+    for zeros in (1, 2, 0.01, 0.3):                     # a count or a fraction of the grid
+        image = np.ones(dims, dtype=bool)
+        image.flat[rng.choice(image.size, max(1, int(zeros * image.size)) if zeros < 1
+                              else min(zeros, image.size), replace=False)] = False
+        got = phantom._squared_edt(image)
+        assert got.dtype == dtype
+        assert np.array_equal(np.sqrt(got.astype(np.float64)),
+                              ndimage.distance_transform_edt(image)), zeros
+
+
 @pytest.mark.parametrize("n, organs, dims", [
     (3, 6, (32, 32, 32)),
     (2, 6, (48, 40, 24)),
@@ -1401,7 +1423,7 @@ def test_response_label_out_of_range_rejected_before_any_segment(tmp_path, serve
     answer = labels.copy()
     answer[4, 4, 4] = 3  # a class the 3-class scan does not have
     model = serve(Server(spec_dir, specialist=Stub(lambda k: LabelMap(answer, 4)))).specialist
-    with pytest.raises(RejectedInputError, match="label 3 >= num_classes 3"):
+    with pytest.raises(RejectedInputError, match="^s: predicted label 3 >= num_classes 3$"):
         run_pipeline(PipelineConfig(
             oracle="file", data_dir=str(data), specialist_exchange=str(spec_dir),
             generalist_exchange=str(gen_dir), oracle_timeout=10.0, rounds=1,
@@ -2021,6 +2043,39 @@ def test_server_answers_a_fit_with_a_refused_example_file_with_an_error(tmp_path
     assert exchange.path(tmp_path, "error", uid).read_text() == (
         f"RejectedInputError: {bad}: {message}\n")
     assert not exchange.path(tmp_path, "done", uid).exists() and taken == []
+
+
+@pytest.mark.parametrize("case", ["uint8-image", "4D-image", "float32-target",
+                                  "mask-off-dims", "second-example-image"])
+def test_server_answers_a_fit_with_a_refused_header_with_an_error_before_the_trainer(
+        tmp_path, case):
+    """Every example's files are checked, header by header, before the
+    trainer is called: a trainer that takes no example (``Stub``) is not
+    called for a fit with a file of the wrong kind or dims, and the fit is
+    answered ``.err`` naming the file, never ``.done``."""
+    suite, _ = registered_suite(n=1, organs=2, dims=(10, 10, 10))
+    _, vol, gt = suite[0]
+    model = Stub()
+    server = Server(tmp_path, specialist=model)
+    example = TrainingExample(vol, SupervisionTarget(gt), frozenset({1}), gt.data > 0)
+    uid = exchange.send_fit(tmp_path, [example, example], "full")
+    name, grid, what = {
+        "uint8-image": ("scan_0000.nii", gt, "a float32 3D image, not a uint8 label image"),
+        "4D-image": ("scan_0000.nii", two_class_probs(gt.data > 0),
+                     "a float32 3D image, not a float32 4D probability image"),
+        "float32-target": ("scan_0000.target.nii", vol,
+                           "a uint8 label image on dims (10, 10, 10), not a float32 3D image"),
+        "mask-off-dims": ("scan_0000.mask.nii", LabelMap(np.zeros((10, 10, 9), np.uint8), 2),
+                          "a uint8 label image on dims (10, 10, 10), not a uint8 label image"),
+        "second-example-image": ("scan_0001.nii", gt,
+                                 "a float32 3D image, not a uint8 label image"),
+    }[case]
+    bad = exchange.path(tmp_path, "examples", uid) / name
+    nifti_io.write_volume(bad, grid)
+    assert server.serve_once() == 1
+    assert exchange.path(tmp_path, "error", uid).read_text() == (
+        f"RejectedInputError: {bad}: must be {what} on {grid.dims}\n")
+    assert not exchange.path(tmp_path, "done", uid).exists() and model.fits == 0
 
 
 class TrainerDown(Stub):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from promptseg.errors import RejectedInputError
-from promptseg.volgrid import (EMPTY_BOX, PROB_SUM_TOL, LabelMap, ProbVolume, Volume,
-                               argmax_labelmap, class_mask, crop_mask, paste_mask,
-                               softmax_from_logits, union_box, voxel_entropy)
+from promptseg.volgrid import (EMPTY_BOX, LABEL_BLOCK, PROB_SUM_TOL, LabelMap, ProbVolume,
+                               Volume, argmax_labelmap, class_mask, crop_mask, label_boxes,
+                               paste_mask, softmax_from_logits, union_box, voxel_entropy)
 
 
 def probs_1vox(*values):
@@ -217,3 +218,30 @@ def test_probvolume_crop_is_a_contiguous_read_only_copy_not_checked_again(monkey
         assert crop.data.tobytes() == want.tobytes()
         assert crop.num_classes == 3 and crop.dims == tuple(s.stop - s.start for s in region)
     assert not checks
+
+
+def test_label_boxes_equals_find_objects():
+    """``label_boxes(data, last)`` is ``ndimage.find_objects(data, max_label=last)``
+    on random maps: labels up to 255, sparse and dense, ``last`` below, at
+    and above the largest label, grids of one or many blocks of y-planes,
+    sides of 1, and all-zero maps."""
+    rng = np.random.default_rng(33)
+    for trial in range(400):
+        dims = tuple(int(n) for n in rng.integers(1, 24, 3))
+        if trial % 10 == 0:
+            dims = (int(rng.integers(2, 6)) * LABEL_BLOCK // (dims[1] * dims[2]) + 1,) + dims[1:]
+        top = int(rng.choice([1, 2, 16, 255]))
+        data = (rng.integers(1, top + 1, dims) * (rng.random(dims) < rng.random() ** 3)
+                if trial % 25 else np.zeros(dims, dtype=np.uint8)).astype(np.uint8)
+        for last in {1, top, max(1, int(data.max()) - 1), int(rng.integers(1, 256))}:
+            assert label_boxes(data, last) == ndimage.find_objects(data, max_label=last)
+
+
+def test_label_boxes_of_each_corner_voxel():
+    dims = (5, 4, 3)
+    for k, corner in enumerate(np.ndindex(2, 2, 2), start=1):
+        data = np.zeros(dims, dtype=np.uint8)
+        at = tuple(c * (n - 1) for c, n in zip(corner, dims))
+        data[at] = 255
+        assert label_boxes(data, 255)[254] == tuple(slice(a, a + 1) for a in at), k
+        assert label_boxes(data, 254) == [None] * 254
