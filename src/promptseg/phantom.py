@@ -77,7 +77,7 @@ IMAGE_SIGMA = 0.05
 RADIUS_FRACTIONS = (0.11, 0.17)
 #: Values in one block of a whole-grid draw (a block of y-planes) or count.
 DRAW_BLOCK = 1 << 16
-#: Values in one block of ``_min_plus``'s sums, and the longest side it takes.
+#: Values in one block of ``_min_plus``'s sums; its longest side, the measured crossover.
 MIN_PLUS_BLOCK, LONG_SIDE = 1 << 17, 80
 #: A standard normal exceeds this with probability about 1e-9 (see ``PhantomSpecialist``).
 NOISE_BOUND = 6.0
