@@ -77,8 +77,8 @@ IMAGE_SIGMA = 0.05
 RADIUS_FRACTIONS = (0.11, 0.17)
 #: Values in one block of a whole-grid draw (a block of y-planes) or count.
 DRAW_BLOCK = 1 << 16
-#: Values in one block of ``_min_plus``'s sums; its longest side, the measured crossover.
-MIN_PLUS_BLOCK, LONG_SIDE = 1 << 17, 80
+#: Values in one block of ``_min_plus``'s sums.
+MIN_PLUS_BLOCK = 1 << 17
 #: A standard normal exceeds this with probability about 1e-9 (see ``PhantomSpecialist``).
 NOISE_BOUND = 6.0
 #: Voxels an organ's center keeps, beyond its largest semi-axis, from each grid face.
@@ -296,61 +296,39 @@ def _signed_roots(dims: tuple[int, int, int]) -> np.ndarray:
 def _squared_edt(image: np.ndarray) -> np.ndarray:
     """Each voxel's exact squared distance to its nearest zero voxel (there is one): from
     ``big`` off the zeros, each axis takes the min-plus ``g[i] = min_j f[j] + (i - j) ** 2``
-    along its lines (Felzenszwalb & Huttenlocher, ToC 2012); int16 while ``2 * big`` fits."""
+    along its lines (Saito & Toriwaki, Pattern Recognition 1994).  A line that no zero
+    reaches yet holds only values ``>= big``: pass k runs the lines whose coordinates on
+    the later axes lie in the zeros' box, and takes its sources j on axis k in that box,
+    as no other j can win on a line that holds a value below ``big``.  Every sum stays
+    below ``2 * big``, so int16 while that fits."""
     big = sum((n - 1) ** 2 for n in image.shape) + 1
     dtype = np.int16 if 2 * big <= np.iinfo(np.int16).max else np.int32
     f = np.where(image, dtype(big), dtype(0))
-    for axis, n in enumerate(image.shape):
-        lines = np.moveaxis(f, axis, 0)
-        flat = np.ascontiguousarray(lines).reshape(n, -1)
-        g = _lower_envelope(flat) if n > LONG_SIDE else _min_plus(flat)
-        f = np.moveaxis(g.reshape(lines.shape), 0, axis)
-    return np.ascontiguousarray(f)
+    planes = [np.flatnonzero(~image.all(axis=tuple(b for b in range(image.ndim) if b != a)))
+              for a in range(image.ndim)]               # the planes of each axis with a zero
+    box = tuple(slice(int(p[0]), int(p[-1]) + 1) if p.size else slice(0, 0) for p in planes)
+    for axis in range(image.ndim):
+        lines = np.moveaxis(f[(slice(None),) * (axis + 1) + box[axis + 1:]], axis, 0)
+        g = _min_plus(np.ascontiguousarray(lines).reshape(len(lines), -1), box[axis])
+        lines[...] = g.reshape(lines.shape)
+    return f
 
 
-def _min_plus(f: np.ndarray) -> np.ndarray:
-    """The min-plus along axis 0 of ``f`` (n, lines) over all pairs, by blocks
-    of ``j`` whose sums hold about ``MIN_PLUS_BLOCK`` values."""
+def _min_plus(f: np.ndarray, sources: slice) -> np.ndarray:
+    """The min-plus along axis 0 of ``f`` (n, lines) over ``j`` in ``sources`` and ``j = i``,
+    by blocks of lines and of ``j`` whose sums hold about ``MIN_PLUS_BLOCK`` values."""
     n, lines = f.shape
     square = (np.arange(n, dtype=f.dtype)[:, None] - np.arange(n, dtype=f.dtype)) ** 2
-    step = max(1, MIN_PLUS_BLOCK // (n * lines))
+    width = max(1, MIN_PLUS_BLOCK // n)             # lines in one block
+    step = max(1, width // max(1, lines))           # sources in one block
     g = f.copy()
-    for j in range(0, n, step):
-        sums = f[None, j:j + step] + square[:, j:j + step, None]
-        np.minimum(g, sums.min(axis=1) if step > 1 else sums[:, 0], out=g)
+    for a in range(0, lines, width):
+        part = g[:, a:a + width]
+        for j in range(sources.start, sources.stop, step):
+            k = min(j + step, sources.stop)
+            sums = f[None, j:k, a:a + width] + square[:, j:k, None]
+            np.minimum(part, sums.min(axis=1) if step > 1 else sums[:, 0], out=part)
     return g
-
-
-def _lower_envelope(f: np.ndarray) -> np.ndarray:
-    """The min-plus along axis 0 of ``f`` (n, lines) from each line's lower envelope
-    of the parabolas ``f[j] + (i - j) ** 2``, built for all lines at once.  Where one
-    starts to be lowest is a ratio of integers over less than ``2 n``: exact in float64."""
-    live = np.flatnonzero(f.min(axis=0) < f.max(axis=0))  # a constant line is its own min-plus
-    out, f = f.copy(), f[:, live]
-    n, lines = f.shape
-    line, values = np.arange(lines), f.reshape(-1)
-    apexes = np.zeros(n * lines, dtype=np.int32)      # [k * lines + line]: the stacks
-    starts = np.concatenate([np.full(lines, -np.inf), np.full(n * lines, np.inf)])
-    top, meet = line.copy(), np.empty(lines)          # each line's top of stack, a flat index
-    for q in range(1, n):
-        at = line
-        while at.size:                                # pop the tops that q is lowest from
-            j = apexes[top[at]]
-            meet[at] = m = (f[q, at] + float(q * q) - values[j * lines + at]
-                            - j.astype(np.float64) ** 2) / (2 * (q - j))
-            at = at[m <= starts[top[at]]]
-            top[at] -= lines
-        top += lines
-        apexes[top], starts[top], starts[top + lines] = q, meet, np.inf
-    top = line.copy()
-    for i in range(n):
-        at = line
-        while at.size:                                # move up to the parabola lowest at i
-            at = at[starts[top[at] + lines] <= i]
-            top[at] += lines
-        j = apexes[top]
-        out[i, live] = values[j * lines + line] + (i - j) ** 2
-    return out
 
 
 @dataclass
@@ -386,7 +364,8 @@ class PhantomRegistry:
 
     - the outside distance is an exact EDT (``_squared_edt``) of a region
       that holds every organ voxel, so each voxel's nearest organ voxel is
-      inside it;
+      inside it; since the EDT's passes take their sources in the organ's box,
+      it costs about the region's voxels times the organ's extent per axis;
     - the inside distance is taken on the organ's box grown by one voxel
       (clipped to the grid), which every region is widened to hold: clamping
       an organ voxel's nearest background voxel into that box moves it no

@@ -40,7 +40,7 @@ from .refinement import (DEFAULT_DELTA_ROI, DEFAULT_TAU_CLS, OrganRefinementStat
 from .vls_loss import SupervisionTarget, vls_mask
 # unused here: the traced benchmark probes wrap promptseg.pipeline.argmax_labelmap
 from .volgrid import (EMPTY_BOX, MAX_CLASSES, LabelMap, Volume, argmax_labelmap,
-                      label_boxes, union_box, valid_spacing)
+                      classes_mask, label_boxes, union_box, valid_spacing)
 
 log = logging.getLogger("promptseg.pipeline")
 
@@ -327,7 +327,7 @@ def simulate_partial_labels(gt: LabelMap, num_classes: int, keep_fraction: float
     rng = np.random.default_rng((seed, zlib.crc32(scan_id.encode())))
     labeled = frozenset(int(c) for c in rng.choice(np.arange(1, num_classes),
                                                    size=n_keep, replace=False))
-    data = np.where(np.isin(gt.data, sorted(labeled)), gt.data, 0)
+    data = np.where(classes_mask(gt, labeled), gt.data, 0)
     return ScanSupervision.from_target(labeled, SupervisionTarget(LabelMap(data, num_classes)))
 
 

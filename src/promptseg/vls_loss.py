@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError
-from .volgrid import LabelMap, ProbVolume
+from .volgrid import LabelMap, ProbVolume, classes_mask
 
 CE_PROB_FLOOR = 1e-12
 DICE_EPS = 1e-5
@@ -56,8 +56,7 @@ def vls_mask(pred: LabelMap, target: SupervisionTarget) -> np.ndarray:
     y = target.labels.data
     if not target.pseudo_classes:
         return np.ones(y.shape, dtype=bool)
-    is_pseudo = np.isin(y, sorted(target.pseudo_classes))
-    return np.where(is_pseudo, pred.data == y, True)
+    return np.where(classes_mask(target.labels, target.pseudo_classes), pred.data == y, True)
 
 
 def masked_cross_entropy(pred: ProbVolume, target: SupervisionTarget,

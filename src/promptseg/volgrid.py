@@ -241,6 +241,13 @@ def class_mask(labels: LabelMap, class_id: int) -> np.ndarray:
     return labels.data == class_id
 
 
+def classes_mask(labels: LabelMap, classes) -> np.ndarray:
+    """``np.isin(labels.data, classes)`` from a table of every uint8 label: 1 byte a voxel."""
+    table = np.zeros(MAX_CLASSES, dtype=bool)
+    table[list(classes)] = True
+    return table[labels.data]
+
+
 def voxel_entropy(p: ProbVolume) -> np.ndarray:
     """Per-voxel entropy -sum_c p_c ln p_c, with the convention 0 ln 0 = 0.
 

@@ -387,32 +387,72 @@ def assert_signed_distances_exact(registry, fp, gt):
         assert got.tobytes() == full_grid_signed_distance(gt, c).tobytes(), c
 
 
+def clustered_features(dims, rng):
+    """Masks whose zeros sit in a sub-box: a blob in a corner, a blob touching each
+    face, two blobs far apart on the longest axis with empty planes between them,
+    and one zero voxel."""
+    def blob(lo, hi):
+        image = np.ones(dims, dtype=bool)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        image[box] = rng.random(image[box].shape) < 0.5
+        image[tuple(int(rng.integers(a, b)) for a, b in zip(lo, hi))] = False
+        return image
+
+    def extent(n):
+        return int(rng.integers(1, max(1, n // 3) + 1))
+
+    yield blob((0, 0, 0), [extent(n) for n in dims])
+    for axis, n in enumerate(dims):
+        for at_end in (False, True):
+            lo = [int(rng.integers(0, m)) for m in dims]
+            hi = [min(a + extent(m), m) for a, m in zip(lo, dims)]
+            lo[axis], hi[axis] = (n - extent(n), n) if at_end else (0, extent(n))
+            image = blob(lo, hi)
+            point = [int(rng.integers(a, b)) for a, b in zip(lo, hi)]
+            point[axis] = n - 1 if at_end else 0           # a zero on the face itself
+            image[tuple(point)] = False
+            yield image
+    long = int(np.argmax(dims))
+    near = [(0, 1)] * 3
+    near[long] = (0, max(1, dims[long] // 8))
+    far = [(0, 1)] * 3
+    far[long] = (dims[long] - max(1, dims[long] // 8), dims[long])
+    yield blob(*zip(*near)) & blob(*zip(*far))
+    image = np.ones(dims, dtype=bool)
+    image[tuple(int(rng.integers(n)) for n in dims)] = False
+    yield image
+
+
 @pytest.mark.parametrize("dims, dtype", [
     ((1, 1, 1), np.int16), ((1, 9, 1), np.int16), ((6, 1, 7), np.int16),
     ((13, 17, 11), np.int16), ((8, 78, 103), np.int16), ((9, 78, 103), np.int32),
     ((80, 3, 80), np.int16), ((81, 2, 96), np.int16), ((3, 200, 4), np.int32)])
 def test_squared_edt_equals_scipy_edt(dims, dtype):
     """The roots of ``_squared_edt`` are ``ndimage.distance_transform_edt``'s
-    distances, bit for bit, on random masks from one zero voxel (no other
-    line or plane holds one) to many.  Sides of 1; both kernels
-    (``LONG_SIDE`` = 80); int16 up to the edge where twice the grid's
-    largest squared distance, plus one, still fits (8 x 78 x 103), int32
-    past it (9 x 78 x 103)."""
+    distances, bit for bit: on random masks from one zero voxel (no other
+    line or plane holds one) to many, and on masks whose zeros sit in a
+    sub-box of the grid (``clustered_features``), on sides of 1 to 200; int16
+    up to the edge where twice the grid's largest squared distance, plus one,
+    still fits (8 x 78 x 103), int32 past it (9 x 78 x 103)."""
     rng = np.random.default_rng(sum(dims))
+    images = []
     for zeros in (1, 2, 0.01, 0.3):                     # a count or a fraction of the grid
         image = np.ones(dims, dtype=bool)
         image.flat[rng.choice(image.size, max(1, int(zeros * image.size)) if zeros < 1
                               else min(zeros, image.size), replace=False)] = False
+        images.append(image)
+    for case, image in enumerate(images + list(clustered_features(dims, rng))):
         got = phantom._squared_edt(image)
         assert got.dtype == dtype
         assert np.array_equal(np.sqrt(got.astype(np.float64)),
-                              ndimage.distance_transform_edt(image)), zeros
+                              ndimage.distance_transform_edt(image)), case
 
 
 @pytest.mark.parametrize("n, organs, dims", [
     (3, 6, (32, 32, 32)),
     (2, 6, (48, 40, 24)),
     (1, 8, (80, 80, 56)),
+    (1, 6, (96, 88, 64)),
 ])
 def test_signed_distance_equals_full_grid_edt_on_phantoms(n, organs, dims):
     suite, registry = registered_suite(n=n, organs=organs, dims=dims, seed=3)

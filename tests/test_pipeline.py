@@ -23,7 +23,7 @@ from promptseg.pipeline import (PipelineConfig, RoundEntry, Scan, ScanSupervisio
 from promptseg.prompting import Box2D, BoxPromptPair, format_prompts, make_box_prompts
 from promptseg.refinement import (OrganRefinementState, RefinementConfig, build_roi,
                                   refine_pseudo_label, roi_box)
-from promptseg.vls_loss import SupervisionTarget
+from promptseg.vls_loss import SupervisionTarget, vls_mask
 from promptseg.volgrid import LabelMap, ProbVolume, Volume, crop_mask, paste_mask
 
 
@@ -85,6 +85,28 @@ def test_simulate_relabels_unlabeled_to_background():
         assert not (target == c).any()
     for c in sup.labeled:
         assert np.array_equal(target == c, gt.data == c)
+
+
+def test_label_set_masks_equal_isin_on_labels_up_to_255():
+    """``simulate_partial_labels`` and ``vls_mask`` pick a label set's voxels by
+    table: the same as ``np.isin`` for every uint8 label, with an empty set too."""
+    rng = np.random.default_rng(5)
+    for num_classes in (2, 17, 256):
+        for trial in range(4):
+            gt = LabelMap(rng.integers(0, num_classes, size=(7, 9, 5)).astype(np.uint8),
+                          num_classes)
+            sup = simulate_partial_labels(gt, num_classes, rng.uniform(0.3, 1.0), trial, "s")
+            assert np.array_equal(sup.target.labels.data,
+                                  np.where(np.isin(gt.data, sorted(sup.labeled)), gt.data, 0))
+            pred = LabelMap(np.where(rng.random(gt.dims) < 0.5, gt.data, 0).astype(np.uint8),
+                            num_classes)
+            organs = np.arange(1, num_classes)
+            for pseudo in (frozenset(), frozenset({num_classes - 1}),
+                           frozenset(int(c) for c in rng.choice(organs, (len(organs) + 1) // 2,
+                                                                replace=False))):
+                want = np.where(np.isin(gt.data, sorted(pseudo)), pred.data == gt.data, True)
+                got = vls_mask(pred, SupervisionTarget(gt, pseudo))
+                assert got.dtype == bool and np.array_equal(got, want), (num_classes, pseudo)
 
 
 # --- a tiny phantom world shared by the orchestration tests ---------------------
