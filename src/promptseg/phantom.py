@@ -388,6 +388,9 @@ class PhantomRegistry:
     def register(self, volume: Volume, gt: LabelMap) -> str:
         if volume.dims != gt.dims:
             raise RejectedInputError(f"volume dims {volume.dims} vs gt dims {gt.dims}")
+        first = int(gt.data.flat[0])
+        if first and not (gt.data != first).any():  # its signed distance has no boundary
+            raise RejectedInputError(f"class {first} fills the whole grid")
         fp = volume_fingerprint(volume)
         self._scans[fp] = _PhantomScan(gt=gt)
         self._registered[id(volume.data)] = (volume.data, fp)

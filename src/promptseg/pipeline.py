@@ -4,11 +4,12 @@ re-training.
 
 Scans are independent within a round and rounds are a global barrier;
 specialist fits are exclusive.  A scan and its supervision are frozen
-values, and a round returns the next scans, so each round is a function of
-the supervision it is given.  With phantom oracles the whole pipeline is a
-pure function of (dataset, config, seed): per-scan randomness is keyed on
-the scan id, all reports use fixed number formatting, and no timestamps are
-written, so repeated runs produce byte-identical CSV and NIfTI outputs.
+values, and ``rounds`` yields each round, refit done, as a frozen ``Round``
+that holds the next scans: each round is a function of the supervision it
+is given.  With phantom oracles the whole pipeline is a pure function of
+(dataset, config, seed): per-scan randomness is keyed on the scan id, all
+reports use fixed number formatting, and no timestamps are written, so
+repeated runs produce byte-identical CSV and NIfTI outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import zlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, get_args, get_origin, get_type_hints
+from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -531,6 +532,26 @@ def retrain(scans: list[Scan], specialist: SpecialistOracle,
     specialist.fit(_training_examples(scans, predictions), supervision=supervision)
 
 
+@dataclass(frozen=True)
+class Round:
+    """Round ``index``, refit done: the predictions that prompted it, its report and scans."""
+
+    index: int
+    predictions: Mapping[str, LabelMap]  # read-only
+    report: RoundReport
+    scans: tuple[Scan, ...]
+
+
+def rounds(config: PipelineConfig, train: Sequence[Scan], specialist: SpecialistOracle,
+           generalist: GeneralistOracle) -> Iterator[Round]:
+    """Stages 3 and 4 after the initial fit, each round yielded once refit."""
+    for round_t in range(1, config.rounds + 1):
+        predictions = predict_labels(train, specialist)
+        report, train = pseudo_label_round(train, predictions, generalist, config, round_t)
+        retrain(train, specialist, predictions if config.use_vls else None, config.supervision)
+        yield Round(round_t, MappingProxyType(predictions), report, tuple(train))
+
+
 # --- full pipeline -------------------------------------------------------------
 
 @dataclass
@@ -639,8 +660,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     Writes round_<t>.csv, final_eval.csv, final_summary.csv, per-scan target
     NIfTIs + manifests, a run manifest and run.log (the ``promptseg``
     records) under ``config.out_dir``, which is made only once the inputs
-    pass their checks; partial artifacts stay on disk if an oracle fails
-    mid-run.
+    pass their checks.  A round that fails, refit included, leaves the
+    manifest and the CSVs of the rounds before it, and no ``targets/``.
     """
     if config.oracle == "phantom":
         train, test, specialist, generalist = _build_phantom_dataset(config)
@@ -667,20 +688,17 @@ def _run_stages(config: PipelineConfig, out: Path, train: list[Scan], test,
     log.info("initial training on %d scans (%s supervision)", len(train), config.supervision)
     initial_training(train, specialist, supervision=config.supervision)
     reports: list[RoundReport] = []
-    for round_t in range(1, config.rounds + 1):
-        predictions = predict_labels(train, specialist)
-        report, train = pseudo_label_round(train, predictions, generalist, config, round_t)
-        reports.append(report)
-        _write_csv(out / f"round_{round_t}.csv", ["round", "scan_id", "class_id", "decision",
+    for r in rounds(config, train, specialist, generalist):
+        reports.append(r.report)
+        _write_csv(out / f"round_{r.index}.csv", ["round", "scan_id", "class_id", "decision",
                                                   "reason", "mean_entropy", "pseudo_dice"],
-                   ([round_t, e.scan_id, e.class_id, e.decision, e.reason,
-                     _fmt(e.mean_entropy), _fmt(e.pseudo_dice)] for e in report.entries))
-        n_accept = len(report.accepted())
+                   ([r.index, e.scan_id, e.class_id, e.decision, e.reason,
+                     _fmt(e.mean_entropy), _fmt(e.pseudo_dice)] for e in r.report.entries))
         log.info("round %d: %d/%d organ updates accepted, %d generalist requests, "
-                 "%d re-gated on a stored answer", round_t, n_accept,
-                 len(report.entries), report.requests(), report.regated)
-        retrain(train, specialist, predictions if config.use_vls else None,
-                supervision=config.supervision)
+                 "%d re-gated on a stored answer", r.index, len(r.report.accepted()),
+                 len(r.report.entries), r.report.requests(), r.report.regated)
+        train = r.scans
+        del r  # the next round runs without this one's predictions
 
     targets_dir = out / "targets"
     targets_dir.mkdir(exist_ok=True)

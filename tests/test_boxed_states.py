@@ -15,9 +15,8 @@ from promptseg.errors import NoPredictionError
 from promptseg.metrics import dice
 from promptseg.phantom import (Ellipsoid, PhantomGeneralist, PhantomRegistry,
                                PhantomSpec, PhantomSpecialist, generate_phantom)
-from promptseg.pipeline import (PipelineConfig, Scan, ScanSupervision, _input_hash,
-                                initial_training, predict_labels, pseudo_label_round,
-                                retrain, run_pipeline)
+from promptseg.pipeline import (PipelineConfig, Scan, ScanSupervision, _build_phantom_dataset,
+                                _input_hash, initial_training, rounds)
 from promptseg.prompting import make_box_prompts
 from promptseg.refinement import build_roi
 from promptseg.vls_loss import SupervisionTarget
@@ -123,12 +122,10 @@ def test_boxed_states_equal_the_whole_grid_reference():
     seen = {"reasons": set(), "regated": 0, "seeded": 0, "gate": set()}
     for trial in range(12):
         scans, registry, given = build_world(rng, trial)
-        rounds = 3
         # (cooperativeness, tau_cls): clean and noisy answers, and thresholds
         # that a blurred answer of a small organ cannot pass (emptied)
         coop, tau = [(1.0, 0.4), (0.6, 0.5), (0.2, 0.97), (0.0, 0.8)][trial % 4]
-        config = PipelineConfig(rounds=rounds,
-                                entropy_gate_from_round=int(rng.choice([1, 2, rounds])),
+        config = PipelineConfig(rounds=3, entropy_gate_from_round=int(rng.choice([1, 2, 3])),
                                 tau_cls=tau, delta_roi=int(rng.integers(0, 4)),
                                 box_padding=int(rng.integers(0, 4)),
                                 use_vls=bool(rng.random() < 0.5))
@@ -155,44 +152,35 @@ def test_boxed_states_equal_the_whole_grid_reference():
         assert _input_hash(scans, []) == want.hexdigest()
 
         initial_training(scans, specialist)
-        for round_t in range(1, rounds + 1):
-            predictions = predict_labels(scans, specialist)
-            report, next_scans = pseudo_label_round(scans, predictions, generalist, config,
-                                                    round_t)
-            rows = reference_round(scans, predictions, generalist, config, round_t, states)
-            scans = next_scans
+        for r in rounds(config, scans, specialist, generalist):
+            # the reference round on the round's input scans, its refit done
+            rows = reference_round(scans, r.predictions, generalist, config, r.index, states)
+            scans = r.scans
             got = [(e.scan_id, e.class_id, e.decision, e.reason, e.mean_entropy, e.pseudo_dice)
-                   for e in report.entries]
-            assert got == rows, (trial, round_t)
+                   for e in r.report.entries]
+            assert got == rows, (trial, r.index)
             for scan in scans:
                 held = {c: s for (sid, c), s in states.items() if sid == scan.scan_id}
                 target = scan.supervision.target
                 assert target.pseudo_classes == frozenset(held)
                 assert (target.labels.data.tobytes()
                         == reference_target(partial[scan.scan_id], held).tobytes()), trial
-            seen["reasons"] |= {e.reason for e in report.entries}
-            seen["regated"] += report.regated
-            seen["gate"].add(config.refinement_config(round_t).entropy_gate_active)
-            retrain(scans, specialist, predictions if config.use_vls else None)
+            seen["reasons"] |= {e.reason for e in r.report.entries}
+            seen["regated"] += r.report.regated
+            seen["gate"].add(config.refinement_config(r.index).entropy_gate_active)
     assert seen["reasons"] >= {"accepted", "emptied", "entropy-not-decreased"}
     assert seen["regated"] and seen["seeded"] and seen["gate"] == {False, True}
 
 
-def test_stored_pseudo_labels_cost_their_box(tmp_path, monkeypatch):
-    """After a 2-round run every stored pseudo-label is its tight box's
-    bytes, one per voxel, and no whole grid."""
-    from promptseg import pipeline
-    world = {}
-    fit = pipeline.retrain
-
-    def capturing(scans, *args, **kwargs):  # the last retrain gets the final scans
-        world["train"] = scans
-        return fit(scans, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "retrain", capturing)
-    run_pipeline(PipelineConfig(rounds=2, seed=7, keep_fraction=0.33, out_dir=str(tmp_path)))
+def test_stored_pseudo_labels_cost_their_box():
+    """After 2 rounds every stored pseudo-label is its tight box's bytes,
+    one per voxel, and no whole grid."""
+    config = PipelineConfig(rounds=2, seed=7, keep_fraction=0.33)
+    train, _, specialist, generalist = _build_phantom_dataset(config)
+    initial_training(train, specialist)
+    *_, last = rounds(config, train, specialist, generalist)
     held = 0
-    for scan in world["train"]:
+    for scan in last.scans:
         for state in scan.supervision.accepted().values():
             mask, box = state.current_pseudo, state.box
             assert mask.nbytes == math.prod(s.stop - s.start for s in box)

@@ -460,7 +460,27 @@ def test_signed_distance_equals_full_grid_edt_on_phantoms(n, organs, dims):
         assert_signed_distances_exact(registry, volume_fingerprint(vol), gt)
 
 
+def registered_label_maps(rng):
+    """Label maps no phantom makes, drawn from ``rng``: a one-voxel organ,
+    slabs on two grid faces with background or with none, and organs on a
+    grid with a 1-voxel side."""
+    dims = [int(n) for n in rng.integers(2, 10, size=3)]
+    lone = np.zeros(dims, np.uint8)
+    lone[tuple(int(rng.integers(n)) for n in dims)] = 1
+    yield LabelMap(lone, 2)
+    for fill in (0, 3):                                 # background, or a third organ
+        slabs = np.full(dims, fill, np.uint8)
+        slabs[:rng.integers(1, dims[0])] = 1
+        slabs[:, -rng.integers(1, dims[1]):] = 2
+        yield LabelMap(slabs, 4 if fill else 3)
+    dims[rng.integers(3)] = 1
+    flat = rng.choice(3, size=dims, p=[0.5, 0.3, 0.2]).astype(np.uint8)
+    flat.flat[:3] = (0, 1, 2)
+    yield LabelMap(flat, 3)
+
+
 def test_signed_distance_equals_full_grid_edt_on_scattered_masks():
+    """A hand-made map, and the registered label maps of a fixed seed list."""
     rng = np.random.default_rng(0)
     dims = (17, 12, 9)
     data = np.zeros(dims, dtype=np.uint8)
@@ -470,10 +490,20 @@ def test_signed_distance_equals_full_grid_edt_on_scattered_masks():
     data[:, 6, 4] = 3                          # a rod spanning the grid
     data[5:9, 2:10, 3:7] = 4                   # an interior block
     data[16, 11, 8] = 5                        # the last voxel alone
-    gt = LabelMap(data, 6)
     registry = PhantomRegistry()
-    fp = registry.register(Volume(rng.random(dims).astype(np.float32)), gt)
-    assert_signed_distances_exact(registry, fp, gt)
+    for gt in [LabelMap(data, 6), *(gt for seed in range(6)
+                                    for gt in registered_label_maps(np.random.default_rng(seed)))]:
+        fp = registry.register(Volume(rng.random(gt.dims).astype(np.float32)), gt)
+        assert_signed_distances_exact(registry, fp, gt)
+
+
+def test_registry_refuses_a_label_map_that_one_organ_fills():
+    """An organ that fills the grid has no boundary, so no signed distance:
+    the inside EDT has no zero (scipy's then measures to a point off the grid)."""
+    for dims, class_id in (((4, 5, 6), 1), ((1, 1, 1), 2)):
+        gt = LabelMap(np.full(dims, class_id, np.uint8), 3)
+        with pytest.raises(RejectedInputError, match=f"class {class_id} fills the whole grid"):
+            PhantomRegistry().register(Volume(np.zeros(dims, np.float32)), gt)
 
 
 def test_ellipsoid_mask_equals_full_grid_formula():

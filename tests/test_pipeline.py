@@ -16,10 +16,9 @@ from promptseg.oracles import FileOracle, GeneralistOracle, SpecialistOracle
 from promptseg.phantom import (PhantomGeneralist, PhantomRegistry, PhantomSpecialist,
                                make_phantom_suite, volume_fingerprint)
 from promptseg.pipeline import (PipelineConfig, RoundEntry, Scan, ScanSupervision,
-                                initial_training, load_config, merged_target,
-                                predict_labels, pseudo_label_round, retrain,
-                                run_pipeline,
-                                simulate_partial_labels)
+                                _build_phantom_dataset, initial_training, load_config,
+                                merged_target, predict_labels, pseudo_label_round, retrain,
+                                rounds, run_pipeline, simulate_partial_labels)
 from promptseg.prompting import Box2D, BoxPromptPair, format_prompts, make_box_prompts
 from promptseg.refinement import (OrganRefinementState, RefinementConfig, build_roi,
                                   refine_pseudo_label, roi_box)
@@ -113,16 +112,10 @@ def test_label_set_masks_equal_isin_on_labels_up_to_255():
 
 def phantom_world(n_scans=4, organs=3, dims=(24, 24, 24), seed=13, keep=0.34,
                   quality=0.0, coop=1.0):
-    suite = make_phantom_suite(n_scans, organs, dims, seed=seed)
-    registry = PhantomRegistry()
-    scans = []
-    for scan_id, vol, gt in suite:
-        registry.register(vol, gt)
-        sup = simulate_partial_labels(gt, organs + 1, keep, seed, scan_id)
-        scans.append(Scan(scan_id, vol, sup, gt=gt))
-    specialist = PhantomSpecialist(registry, quality=quality, seed=seed)
-    generalist = PhantomGeneralist(registry, cooperativeness=coop, seed=seed)
-    return scans, specialist, generalist
+    scans, _, _, generalist = _build_phantom_dataset(PipelineConfig(
+        scans=n_scans, test_scans=0, organs=organs, dims=dims, seed=seed, keep_fraction=keep,
+        generalist_cooperativeness=coop))
+    return scans, PhantomSpecialist(generalist.registry, quality=quality, seed=seed), generalist
 
 
 def test_initial_training_preconditions():
@@ -581,32 +574,23 @@ def test_run_pipeline_determinism(tmp_path):
         assert outputs[0][key] == outputs[1][key], key
 
 
-def capture_phantom_world(monkeypatch):
-    """Let ``run_pipeline`` build its phantom dataset as usual and keep its
-    generalist and the training scans of the round now running (the
-    initial ones before round 1) in the returned dict."""
+def step_phantom_world(config, world):
+    """Step ``config``'s phantom run by hand, keeping its generalist and the
+    training scans of the round now running (the initial ones before round
+    1) in ``world``; returns the rounds."""
+    train, _, specialist, generalist = _build_phantom_dataset(config)
+    world.update(train=train, generalist=generalist)
+    initial_training(train, specialist, supervision=config.supervision)
+    done = []
+    for r in rounds(config, train, specialist, generalist):
+        world["train"] = r.scans
+        done.append(r)
+    return done
+
+
+def test_every_segment_call_asks_for_the_organ_roi_box(monkeypatch):
     from promptseg import pipeline
-    world = {}
-    build, round_fn = pipeline._build_phantom_dataset, pipeline.pseudo_label_round
-
-    def capturing(config):
-        train, test, specialist, generalist = built = build(config)
-        world.update(train=train, generalist=generalist)
-        return built
-
-    def capturing_round(scans, *args, **kwargs):
-        world["train"] = scans
-        return round_fn(scans, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "_build_phantom_dataset", capturing)
-    monkeypatch.setattr(pipeline, "pseudo_label_round", capturing_round)
-    return world
-
-
-def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
-    from promptseg import pipeline
-    world = capture_phantom_world(monkeypatch)
-    calls, regated = [], []
+    world, calls, regated = {}, [], []
     segment, stored = PhantomGeneralist.segment, pipeline.refine_stored
 
     def recording(self, volume, prompts, region=None, **kwargs):
@@ -626,10 +610,9 @@ def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
 
     monkeypatch.setattr(PhantomGeneralist, "segment", recording)
     monkeypatch.setattr(pipeline, "refine_stored", recording_stored)
-    config = PipelineConfig(seed=7, keep_fraction=0.33,  # the desk benchmark: 20+5 scans at 32^3
-                            out_dir=str(tmp_path / "desk"))
-    result = run_pipeline(config)
-    prompted = [e for r in result.round_reports for e in r.entries if e.reason != "no-prediction"]
+    config = PipelineConfig(seed=7, keep_fraction=0.33)  # the desk benchmark: 20+5 scans at 32^3
+    prompted = [e for r in step_phantom_world(config, world) for e in r.report.entries
+                if e.reason != "no-prediction"]
     # each prompted organ makes one call or repeats the prompts of its stored
     # pseudo-label (151) or of its last rejected answer (6)
     assert (len(calls), len(regated), len(prompted)) == (163, 157, 320)
@@ -638,9 +621,9 @@ def test_every_segment_call_asks_for_the_organ_roi_box(tmp_path, monkeypatch):
     assert any(region != tuple(slice(0, n) for n in dims) for dims, _, region in calls)
 
 
-def test_a_desk_run_caches_signed_distances_at_2_bytes_a_voxel(tmp_path, monkeypatch):
-    world = capture_phantom_world(monkeypatch)
-    run_pipeline(PipelineConfig(seed=13, keep_fraction=0.33, out_dir=str(tmp_path / "desk")))
+def test_a_desk_run_caches_signed_distances_at_2_bytes_a_voxel():
+    world = {}
+    step_phantom_world(PipelineConfig(seed=13, keep_fraction=0.33), world)
     cached = [field for scan in world["generalist"].registry._scans.values()
               for _, field in scan.sdist.values()]
     assert len(cached) > 100
@@ -648,15 +631,13 @@ def test_a_desk_run_caches_signed_distances_at_2_bytes_a_voxel(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("seed,gate_from", [(7, 2), (13, 2), (7, 4)])
-def test_regating_a_stored_pseudo_label_equals_asking_again(tmp_path, monkeypatch,
-                                                            seed, gate_from):
+def test_regating_a_stored_pseudo_label_equals_asking_again(monkeypatch, seed, gate_from):
     """Every re-gated organ gets what asking the generalist again and
     refining its answer would give: decision, reason, entropy, pseudo Dice
     and state content, whether it repeats the prompts of its stored
     pseudo-label or of its last rejected answer."""
     from promptseg import pipeline
-    world = capture_phantom_world(monkeypatch)
-    gated, replayed = [], []
+    world, gated, replayed = {}, [], []
     stored = pipeline.refine_stored
 
     def checked(state, prompts, config):
@@ -691,48 +672,77 @@ def test_regating_a_stored_pseudo_label_equals_asking_again(tmp_path, monkeypatc
         return result
 
     monkeypatch.setattr(pipeline, "refine_stored", checked)
-    run_pipeline(PipelineConfig(seed=seed, keep_fraction=0.33, entropy_gate_from_round=gate_from,
-                                out_dir=str(tmp_path / "desk")))
+    step_phantom_world(PipelineConfig(seed=seed, keep_fraction=0.33,
+                                      entropy_gate_from_round=gate_from), world)
     assert len(gated) > 100
     assert replayed or gate_from != 2  # gated from round 2, rejected answers are repeated
     # prompts first repeat in round 3, so gating from round 4 also re-gates ungated
     assert set(gated) == ({False, True} if gate_from == 4 else {True})
 
 
-def test_round_log_line_counts_requests_and_regated_organs(tmp_path, monkeypatch, caplog):
-    from promptseg import pipeline
-    calls, per_round = [], []
-    segment, round_fn = PhantomGeneralist.segment, pipeline.pseudo_label_round
+def test_rounds_stepped_by_hand_give_the_run_and_its_round_log_lines(tmp_path, monkeypatch,
+                                                                     caplog):
+    """``initial_training`` and ``rounds()``, stepped by hand, give the round
+    reports and final targets of ``run_pipeline``, whose round log lines
+    count the generalist requests sent and the organs re-gated."""
+    from promptseg import nifti_io
+    calls = []
+    segment = PhantomGeneralist.segment
 
     def counting(self, volume, prompts, region=None, **kwargs):
         calls.append(prompts)
         return segment(self, volume, prompts, region, **kwargs)
 
-    def counted_round(*args, **kwargs):
-        before = len(calls)
-        report, scans = round_fn(*args, **kwargs)
-        prompted = sum(e.reason != "no-prediction" for e in report.entries)
-        per_round.append((len(calls) - before, prompted))
-        return report, scans
-
     monkeypatch.setattr(PhantomGeneralist, "segment", counting)
-    monkeypatch.setattr(pipeline, "pseudo_label_round", counted_round)
     config = PipelineConfig(rounds=3, entropy_gate_from_round=2, scans=4, test_scans=1,
                             organs=3, dims=(20, 20, 20), keep_fraction=0.34, seed=5,
                             out_dir=str(tmp_path / "out"))
+    train, _, specialist, generalist = _build_phantom_dataset(config)
+    initial_training(train, specialist)
+    done, sent = [], []                 # the rounds and the requests each sent
+    for r in rounds(config, train, specialist, generalist):
+        sent.append(len(calls) - sum(sent))
+        done.append(r)
     with caplog.at_level(logging.INFO, logger="promptseg.pipeline"):
         result = run_pipeline(config)
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("round ")]
-    expected = []
-    for report, (sent, prompted) in zip(result.round_reports, per_round):
-        assert report.requests() == sent and report.regated == prompted - sent
-        expected.append(f"round {report.round_index}: {len(report.accepted())}/"
-                        f"{len(report.entries)} organ updates accepted, {sent} generalist "
-                        f"requests, {prompted - sent} re-gated on a stored answer")
+    assert result.round_reports == [r.report for r in done]
+    for scan in done[-1].scans:
+        written = nifti_io.read_as(result.out_dir / "targets" / f"{scan.scan_id}.labels.nii",
+                                   LabelMap)
+        assert written.data.tobytes() == scan.supervision.target.labels.data.tobytes()
+    expected, per_round = [], []
+    for n, r in zip(sent, done):
+        prompted = sum(e.reason != "no-prediction" for e in r.report.entries)
+        assert r.report.requests() == n and r.report.regated == prompted - n
+        per_round.append((n, prompted))
+        expected.append(f"round {r.index}: {len(r.report.accepted())}/"
+                        f"{len(r.report.entries)} organ updates accepted, {n} generalist "
+                        f"requests, {prompted - n} re-gated on a stored answer")
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("round ")]
     assert lines == expected
     assert per_round[0][0] == per_round[0][1] > 0  # round 1 asks for every prompted organ
-    assert any(sent < prompted for sent, prompted in per_round[1:])
+    assert any(n < prompted for n, prompted in per_round[1:])
     assert (tmp_path / "out" / "run.log").read_text().count(" re-gated on ") == 3
+
+
+def test_a_refit_that_raises_leaves_no_csv_for_its_round(tmp_path, monkeypatch):
+    """A specialist whose second fit, round 1's refit, raises: the run raises
+    that error and keeps its manifest, with no ``round_1.csv`` and no ``targets/``."""
+    fit, fits = PhantomSpecialist.fit, []
+
+    def failing(self, examples, supervision="full"):
+        fits.append(supervision)
+        if len(fits) == 2:
+            raise OracleUnavailableError("trainer gone")
+        return fit(self, examples, supervision)
+
+    monkeypatch.setattr(PhantomSpecialist, "fit", failing)
+    out = tmp_path / "out"
+    with pytest.raises(OracleUnavailableError, match="trainer gone"):
+        run_pipeline(PipelineConfig(rounds=2, scans=3, test_scans=1, organs=3, dims=(16, 16, 16),
+                                    keep_fraction=0.34, out_dir=str(out)))
+    assert len(fits) == 2 and (out / "run_manifest.txt").is_file()
+    assert not (out / "round_1.csv").exists() and not (out / "targets").exists()
 
 
 def test_run_pipeline_r0_is_plain_baseline(tmp_path):
@@ -803,12 +813,11 @@ class GroundTruthModels(SpecialistOracle, GeneralistOracle):
         return mask, ProbVolume(np.stack([1.0 - p, p]))
 
 
-def run_served(serve, tmp_path, labels, data, generalist=None, **config):
-    """A file-mode run on ``data``, its models ``GroundTruthModels(labels)``
-    (or ``generalist``) served from ``tmp_path``'s ``spec_xchg`` and ``gen_xchg``."""
-    model = GroundTruthModels(labels)
-    spec = serve(Server(tmp_path / "spec_xchg", specialist=model)).root
-    gen = serve(Server(tmp_path / "gen_xchg", generalist=generalist or model)).root
+def run_served(serve, tmp_path, data, specialist, generalist=None, **config):
+    """A file-mode run on ``data``, ``specialist`` and ``generalist`` (by default
+    the specialist too) served from ``tmp_path``'s ``spec_xchg`` and ``gen_xchg``."""
+    spec = serve(Server(tmp_path / "spec_xchg", specialist=specialist)).root
+    gen = serve(Server(tmp_path / "gen_xchg", generalist=generalist or specialist)).root
     return run_pipeline(PipelineConfig(oracle="file", data_dir=str(data), oracle_timeout=30.0,
                                        specialist_exchange=str(spec), generalist_exchange=str(gen),
                                        out_dir=str(tmp_path / "out"), **config))
@@ -817,8 +826,8 @@ def run_served(serve, tmp_path, labels, data, generalist=None, **config):
 def test_file_mode_pipeline_end_to_end(tmp_path, serve):
     from promptseg import nifti_io
     suite = write_file_mode_data(tmp_path / "data", n=3, dims=(16, 16, 16), with_gt=True)
-    result = run_served(serve, tmp_path, {volume_fingerprint(vol): gt for _, vol, gt in suite},
-                        tmp_path / "data", rounds=1, entropy_gate_from_round=1)
+    result = run_served(serve, tmp_path, tmp_path / "data", GroundTruthModels(
+        {volume_fingerprint(vol): gt for _, vol, gt in suite}), rounds=1, entropy_gate_from_round=1)
     accepted = result.round_reports[0].accepted()
     assert {e.class_id for e in accepted} == {2}
     assert all(e.pseudo_dice == 1.0 for e in accepted)
@@ -826,6 +835,36 @@ def test_file_mode_pipeline_end_to_end(tmp_path, serve):
     for scan_id, _, _ in suite:
         man = nifti_io.read_manifest(tmp_path / "out" / "targets" / f"{scan_id}.manifest")
         assert man.statuses == {1: "labeled", 2: "pseudo"}
+
+
+def test_a_served_phantom_gives_the_in_process_run(tmp_path, serve):
+    """The phantom oracles served over two ``exchange.Server`` threads give
+    a file-mode run the in-process run's decisions, reasons and mean
+    entropies in every round CSV, and its ``targets/`` byte for byte."""
+    from promptseg import nifti_io
+    config = PipelineConfig(dims=(24, 22, 20), organs=4, scans=5, test_scans=0, rounds=3,
+                            keep_fraction=0.5, generalist_cooperativeness=0.45,
+                            out_dir=str(tmp_path / "in-process"))
+    run_pipeline(config)
+    train, _, specialist, generalist = _build_phantom_dataset(config)  # fresh oracles
+    data = tmp_path / "data"
+    data.mkdir()
+    for scan in train:
+        sup = scan.supervision
+        nifti_io.write_volume(data / f"{scan.scan_id}.nii", scan.volume)
+        nifti_io.write_volume(data / f"{scan.scan_id}.labels.nii", sup.target.labels)
+        nifti_io.write_manifest(data / f"{scan.scan_id}.manifest",
+                                nifti_io.status_manifest(sup.num_classes, sup.labeled))
+    run_served(serve, tmp_path, data, specialist, generalist, rounds=config.rounds)
+
+    def outputs(name):
+        out = tmp_path / name
+        rounds = {p.name: [row.split(",")[1:6] for row in p.read_text().splitlines()]
+                  for p in out.glob("round_*.csv")}
+        return rounds, {p.name: p.read_bytes() for p in (out / "targets").iterdir()}
+
+    assert len(outputs("in-process")[0]) == 3
+    assert outputs("in-process") == outputs("out")
 
 
 class DownOn(GroundTruthModels):
@@ -849,8 +888,8 @@ def test_file_mode_skips_an_organ_whose_generalist_raised_at_once(tmp_path, serv
     labels = {volume_fingerprint(vol): gt for _, vol, gt in suite}
     down_id, down, _ = suite[1]
     start = time.monotonic()
-    result = run_served(serve, tmp_path, labels, tmp_path / "data",
-                        generalist=DownOn(labels, down), rounds=1, entropy_gate_from_round=1)
+    result = run_served(serve, tmp_path, tmp_path / "data", GroundTruthModels(labels),
+                        DownOn(labels, down), rounds=1, entropy_gate_from_round=1)
     assert time.monotonic() - start < 10.0
     rows = {row.split(",")[1]: row.split(",")[3:5] for row in
             (tmp_path / "out" / "round_1.csv").read_text().splitlines()[1:]}
@@ -864,8 +903,8 @@ def test_file_mode_asks_once_while_the_stored_pseudo_label_answers(tmp_path, ser
     rounds: each accepted organ's round-2 request is not sent, and the
     gated round re-gates it on its stored pseudo-label."""
     suite = write_file_mode_data(tmp_path / "data", n=2, dims=(12, 12, 12))
-    result = run_served(serve, tmp_path, {volume_fingerprint(vol): gt for _, vol, gt in suite},
-                        tmp_path / "data", rounds=2, entropy_gate_from_round=2)
+    result = run_served(serve, tmp_path, tmp_path / "data", GroundTruthModels(
+        {volume_fingerprint(vol): gt for _, vol, gt in suite}), rounds=2, entropy_gate_from_round=2)
     first, second = result.round_reports
     assert [(e.scan_id, e.decision) for e in first.entries] == [
         (scan_id, "accept") for scan_id, _, _ in suite]
@@ -889,7 +928,8 @@ def test_file_mode_keeps_each_scans_spacing_and_orientation(tmp_path, serve):
                                  header=template)
     predicted = {volume_fingerprint(vol): LabelMap(np.roll(gt.data, 1, axis=2), gt.num_classes)
                  for _, vol, gt in suite}  # the specialist's answer: moved one slice in z
-    result = run_served(serve, tmp_path, predicted, data, rounds=1, entropy_gate_from_round=1)
+    result = run_served(serve, tmp_path, data, GroundTruthModels(predicted), rounds=1,
+                        entropy_gate_from_round=1)
     for scan_id, vol, gt in suite:
         pred = predicted[volume_fingerprint(vol)].data
         for cm in result.evaluations[scan_id].per_class:
@@ -938,8 +978,8 @@ def test_file_mode_writes_each_scan_image_once_per_exchange(tmp_path, serve, mon
             written[xchg, scan_of[volume_fingerprint(grid)]] += 1
         return write(path, grid, *args, **kwargs)
     monkeypatch.setattr(nifti_io, "write_volume", counting)
-    run_served(serve, tmp_path, {volume_fingerprint(vol): gt for _, vol, gt in suite},
-               data, rounds=2, entropy_gate_from_round=2)
+    run_served(serve, tmp_path, data, GroundTruthModels(
+        {volume_fingerprint(vol): gt for _, vol, gt in suite}), rounds=2, entropy_gate_from_round=2)
     monkeypatch.undo()
     images = {}
     for xchg in ("spec_xchg", "gen_xchg"):
@@ -972,7 +1012,8 @@ def test_file_mode_outputs_do_not_depend_on_hard_links(tmp_path, serve, monkeypa
         root.mkdir()
         if way == "written":
             monkeypatch.setattr(os, "link", no_link)
-        run_served(serve, root, labels, tmp_path / "data", rounds=2, entropy_gate_from_round=2)
+        run_served(serve, root, tmp_path / "data", GroundTruthModels(labels), rounds=2,
+                   entropy_gate_from_round=2)
         out = root / "out"
         outputs[way] = {p.relative_to(out): p.read_bytes().replace(str(root).encode(), b"<root>")
                         for p in out.rglob("*") if p.is_file()}
